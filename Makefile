@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build check test bench bench-quick bench-smoke bench-udp bench-serve bench-hostile perf-smoke secure-smoke udp-smoke serve-smoke hostile-smoke soak soak-smoke udp-soak examples cli clean outputs
+.PHONY: all build check test bench bench-quick bench-smoke bench-udp bench-serve bench-hostile perf-smoke secure-smoke udp-smoke serve-smoke hostile-smoke perfbench-smoke soak soak-smoke udp-soak examples cli clean outputs
 
 all: build
 
@@ -8,9 +8,10 @@ all: build
 # (E2/E14/E15 ratios plus the E19 schema-compiler gate at a tiny
 # quota), the fused AEAD record-layer gate (E20), the real-socket
 # loopback self-test with its zero-allocation gate (E16), the sharded
-# many-session engine self-test on both backends (E17), and the
-# adversarial-ingress self-test under byzantine load (E18).
-check: test perf-smoke secure-smoke udp-smoke serve-smoke hostile-smoke
+# many-session engine self-test on both backends (E17), the
+# adversarial-ingress self-test under byzantine load (E18), and the
+# end-to-end benchmark's smoke test (perfbench/).
+check: test perf-smoke secure-smoke udp-smoke serve-smoke hostile-smoke perfbench-smoke
 
 build:
 	dune build @all
@@ -32,7 +33,8 @@ bench-smoke:
 	ALFNET_BENCH_QUOTA=0.05 dune exec bench/main.exe -- table1 ilp-fusion fused-convert ilp-parallel ilp-compile ilp-marshal schema-marshal secure-record
 
 # Quick perf gate: run the fusion experiments at a tiny quota, then fail
-# if fused does not beat serial (E2), the compiled 3-stage plan does not
+# if fused does not beat serial (E2, the median of interleaved timing
+# pairs), the compiled 3-stage plan does not
 # beat serial layered execution by >= 2x (E14), or the fused marshal
 # does not beat the encode-then-checksum-then-copy composition by
 # >= 1.5x per codec (E15), or the schema-compiled marshal/lazy view
@@ -92,6 +94,12 @@ bench-hostile:
 # byzantine mix at a few thousand sessions, same invariants.
 hostile-smoke:
 	dune exec bin/alfnet.exe -- serve --hostile --backend both --sessions 4000
+
+# The end-to-end benchmark at tiny sizes: every workload's correctness
+# gate, traced and untraced, on a second seed; the --inject-mismatch
+# negative case; and serve-lossy's repeatability across processes.
+perfbench-smoke:
+	python3 perfbench/smoke.py
 
 # The soak matrix on real sockets: loss/corruption injected at the
 # datagram seam, same six robustness invariants as `make soak`.

@@ -73,6 +73,25 @@ let ns_per_run name fn =
     results;
   !estimate
 
+(* How many times faster [fast] runs than [slow], from seven pairs of
+   adjacent windows, alternating which side goes first, reduced to the
+   median ratio. Timing the two sides in separate back-to-back windows
+   lets one host-speed swing land between them and skew the ratio; paired
+   and medianed, a swing spoils at most the pair it falls in. *)
+let paired_speedup ~name fast slow =
+  let pairs = 7 in
+  let ratios =
+    Array.init pairs (fun i ->
+        if i mod 2 = 0 then
+          let f = ns_per_run name fast in
+          ns_per_run name slow /. f
+        else
+          let s = ns_per_run name slow in
+          s /. ns_per_run name fast)
+  in
+  Array.sort Float.compare ratios;
+  ratios.(pairs / 2)
+
 (* Megabits of payload per second given bytes processed per run. *)
 let mbps ~bytes ~ns = 8.0 *. float_of_int bytes /. ns *. 1000.0
 

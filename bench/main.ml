@@ -66,12 +66,16 @@ let e2_ilp_fusion () =
      checksum anyway. *)
   let host_copy = host "copy" (fun () -> Kernels.copy_words ~src ~dst) in
   let host_cksum = host "checksum" (fun () -> ignore (Kernels.checksum src)) in
-  let host_serial =
-    host "serial" (fun () ->
-        Kernels.copy_words ~src ~dst;
-        ignore (Kernels.checksum dst))
-  in
-  let host_fused = host "fused" (fun () -> ignore (Kernels.copy_checksum ~src ~dst)) in
+  let serial () =
+    Kernels.copy_words ~src ~dst;
+    ignore (Kernels.checksum dst)
+  and fused () = ignore (Kernels.copy_checksum ~src ~dst) in
+  let host_serial = host "serial" serial in
+  let host_fused = host "fused" fused in
+  (* The figure perf-smoke gates: the same two rows, timed interleaved. *)
+  let speedup = Harness.paired_speedup ~name:"fused-vs-serial" fused serial in
+  Harness.record_row ~name:"fused-vs-serial"
+    [ ("median_speedup", Obs.Json.Num speedup) ];
   let m_ser machine =
     Machine_model.serial_mbps machine
       [ Machine_model.copy_kernel; Machine_model.checksum_kernel ]
@@ -105,9 +109,10 @@ let e2_ilp_fusion () =
       Harness.f1 (m_fus Machine_model.r2000);
       Harness.f1 host_fused; "90";
     ];
-  Harness.note "ILP gain (fused/serial): model R2000 %.2fx, this host %.2fx (paper: 90/60 = 1.50x)\n"
+  Harness.note "ILP gain (fused/serial): model R2000 %.2fx, this host %.2fx, \
+                interleaved median %.2fx (paper: 90/60 = 1.50x)\n"
     (m_fus Machine_model.r2000 /. m_ser Machine_model.r2000)
-    (host_fused /. host_serial);
+    (host_fused /. host_serial) speedup;
   (* The same 3-stage plan through the declarative engine, executed three
      ways: layered bulk passes, fusion *interpreted* per byte, and fusion
      *compiled* to a hand-fused kernel (section 8's compilation of the
@@ -331,12 +336,12 @@ let e6_one ~alf ~loss =
     let ua = Transport.Udp.create ~engine ~node:net.Topology.a () in
     let ub = Transport.Udp.create ~engine ~node:net.Topology.b () in
     let receiver =
-      Alf_transport.receiver ~sched:(Netsim.Engine.sched engine) ~udp:ub ~port:9 ~stream:1
+      Alf_transport.receiver_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ub) ~port:9 ~stream:1
         ~deliver:(fun adu -> Pipeline.feed app ~bytes:(Bytebuf.length adu.Adu.payload))
         ()
     in
     let sender =
-      Alf_transport.sender ~sched:(Netsim.Engine.sched engine) ~udp:ua ~peer:2 ~peer_port:9 ~port:10
+      Alf_transport.sender_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ua) ~peer:2 ~peer_port:9 ~port:10
         ~stream:1 ~policy:Recovery.Transport_buffer
         ~config:
           { Alf_transport.default_sender_config with Alf_transport.pace_bps = Some 9e6 }
@@ -420,13 +425,13 @@ let e6_alf_pipeline () =
       let ua = Transport.Udp.create ~engine ~node:net.Topology.a () in
       let ub = Transport.Udp.create ~engine ~node:net.Topology.b () in
       let receiver =
-        Alf_transport.receiver ~sched:(Netsim.Engine.sched engine) ~udp:ub ~port:9 ~stream:1
+        Alf_transport.receiver_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ub) ~port:9 ~stream:1
           ~deliver:(fun _ -> ()) ()
       in
       let done_at = ref nan in
       Alf_transport.on_complete receiver (fun () -> done_at := Engine.now engine);
       let sender =
-        Alf_transport.sender ~sched:(Netsim.Engine.sched engine) ~udp:ua ~peer:2 ~peer_port:9 ~port:10
+        Alf_transport.sender_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ua) ~peer:2 ~peer_port:9 ~port:10
           ~stream:1 ~policy:Recovery.Transport_buffer
           ~config:
             { Alf_transport.default_sender_config with
@@ -629,10 +634,10 @@ let e9_recovery_policies () =
     let ua = Transport.Udp.create ~engine ~node:net.Topology.a () in
     let ub = Transport.Udp.create ~engine ~node:net.Topology.b () in
     let receiver =
-      Alf_transport.receiver ~sched:(Netsim.Engine.sched engine) ~udp:ub ~port:9 ~stream:1 ~deliver:(fun _ -> ()) ()
+      Alf_transport.receiver_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ub) ~port:9 ~stream:1 ~deliver:(fun _ -> ()) ()
     in
     let sender =
-      Alf_transport.sender ~sched:(Netsim.Engine.sched engine) ~udp:ua ~peer:2 ~peer_port:9 ~port:10 ~stream:1
+      Alf_transport.sender_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ua) ~peer:2 ~peer_port:9 ~port:10 ~stream:1
         ~policy ()
     in
     for i = 0 to count - 1 do
@@ -779,12 +784,12 @@ let e11_fec_vs_retransmission () =
     let ua = Transport.Udp.create ~engine ~node:net.Topology.a () in
     let ub = Transport.Udp.create ~engine ~node:net.Topology.b () in
     let receiver =
-      Alf_transport.receiver ~sched:(Netsim.Engine.sched engine) ~udp:ub ~port:9 ~stream:1 ~deliver:(fun _ -> ()) ()
+      Alf_transport.receiver_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ub) ~port:9 ~stream:1 ~deliver:(fun _ -> ()) ()
     in
     let done_at = ref nan in
     Alf_transport.on_complete receiver (fun () -> done_at := Engine.now engine);
     let sender =
-      Alf_transport.sender ~sched:(Netsim.Engine.sched engine) ~udp:ua ~peer:2 ~peer_port:9 ~port:10 ~stream:1
+      Alf_transport.sender_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ua) ~peer:2 ~peer_port:9 ~port:10 ~stream:1
         ~policy:Recovery.Transport_buffer
         ~config:
           { Alf_transport.default_sender_config with

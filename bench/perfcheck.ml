@@ -341,15 +341,19 @@ let () =
     exit 0
   end;
   let failures = ref 0 in
-  let check label num den floor =
-    let r = mbps num /. mbps den in
+  let gate label r floor =
     let ok = r >= floor in
     if not ok then incr failures;
     Printf.printf "perfcheck: %-44s %6.2fx  (floor %.2fx)  %s\n" label r floor
       (if ok then "ok" else "FAIL")
   in
-  check "ilp-fusion fused vs serial" "ilp-fusion/fused" "ilp-fusion/serial"
-    1.0;
+  let check label num den floor = gate label (mbps num /. mbps den) floor in
+  (* E2's two rows differ by less than a host's speed can drift between
+     two timing windows, so the gate reads the interleaved median the
+     bench records, not the ratio of two separately timed rows. *)
+  (match field "ilp-fusion/fused-vs-serial" "median_speedup" with
+  | Obs.Json.Num r -> gate "ilp-fusion fused vs serial (median)" r 1.0
+  | _ -> die "ilp-fusion/fused-vs-serial: median_speedup is not a number");
   check "ilp-compile 3stage compiled vs serial" "ilp-compile/3stage/compiled"
     "ilp-compile/3stage/serial" 2.0;
   check "ilp-compile 3stage compiled vs interpreted"

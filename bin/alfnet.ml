@@ -1106,13 +1106,13 @@ let run_netsim_stream ~adus () =
   let delivered = ref 0 in
   let reasm_pool = Pool.create ~buf_size:2048 () in
   let _receiver =
-    Alf_transport.receiver ~sched ~udp:ub ~port:9000 ~stream:1 ~reasm_pool
+    Alf_transport.receiver_io ~sched ~io:(Dgram.of_udp ub) ~port:9000 ~stream:1 ~reasm_pool
       ~deliver:(fun _ -> incr delivered)
       ()
   in
   let tx_pool = Pool.create ~buf_size:2048 () in
   let sender =
-    Alf_transport.sender ~sched ~udp:ua ~peer:2 ~peer_port:9000 ~port:9001
+    Alf_transport.sender_io ~sched ~io:(Dgram.of_udp ua) ~peer:2 ~peer_port:9000 ~port:9001
       ~stream:1 ~policy:Recovery.No_recovery ~tx_pool ()
   in
   let t0 = Unix.gettimeofday () in

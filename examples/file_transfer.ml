@@ -34,7 +34,7 @@ let run_alf file =
   let out = Sink.create ~size:file_size in
   let first_write_after_gap = ref None in
   let receiver =
-    Alf_transport.receiver ~sched:(Netsim.Engine.sched engine) ~udp:udp_b ~port:20 ~stream:1
+    Alf_transport.receiver_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp udp_b) ~port:20 ~stream:1
       ~deliver:(fun adu ->
         (* The sender-computed name tells us exactly where this ADU's
            bytes live in the file - no waiting for predecessors. *)
@@ -51,7 +51,7 @@ let run_alf file =
   let done_at = ref nan in
   Alf_transport.on_complete receiver (fun () -> done_at := Engine.now engine);
   let sender =
-    Alf_transport.sender ~sched:(Netsim.Engine.sched engine) ~udp:udp_a ~peer:2 ~peer_port:20 ~port:21
+    Alf_transport.sender_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp udp_a) ~peer:2 ~peer_port:20 ~port:21
       ~stream:1 ~policy:Recovery.Transport_buffer ()
   in
   List.iter (Alf_transport.send_adu sender)

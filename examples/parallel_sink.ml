@@ -53,7 +53,7 @@ let () =
   let receivers =
     Array.init workers (fun w ->
         let udp = Transport.Udp.create ~engine ~node:(node_of (w + 1)) () in
-        Alf_transport.receiver ~sched:(Netsim.Engine.sched engine) ~udp ~port:40 ~stream:w
+        Alf_transport.receiver_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp udp) ~port:40 ~stream:w
           ~deliver:(fun adu ->
             let local_off = adu.Adu.name.Adu.dest_off in
             Bytebuf.blit ~src:adu.Adu.payload ~src_pos:0 ~dst:shards.(w)
@@ -65,11 +65,13 @@ let () =
   (* One ALF sender per worker stream, all multiplexed over a single
      port of the source's single interface: the stream field in every
      message is the one demultiplexing key (no port per worker). *)
-  let source_mux = Mux.create ~udp:source_udp ~port:50 in
+  let source_mux = Mux.create ~io:(Dgram.of_udp source_udp) ~port:50 in
   let senders =
     Array.init workers (fun w ->
-        Alf_transport.sender_mux ~sched:(Netsim.Engine.sched engine) ~mux:source_mux ~peer:(w + 1)
-          ~peer_port:40 ~stream:w ~policy:Recovery.Transport_buffer ())
+        Alf_transport.sender_io ~sched:(Netsim.Engine.sched engine)
+          ~io:(Mux.stream_io source_mux ~stream:w) ~peer:(w + 1)
+          ~peer_port:40 ~port:(Mux.port source_mux) ~stream:w
+          ~policy:Recovery.Transport_buffer ())
   in
   for w = 0 to workers - 1 do
     let shard = Bytebuf.sub dataset ~pos:(w * shard_bytes) ~len:shard_bytes in

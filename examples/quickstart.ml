@@ -22,7 +22,7 @@ let () =
   (* 2. A receiver that processes each ADU the moment it is complete -
      out of order, using the ADU's own name to place it. *)
   let receiver =
-    Alf_transport.receiver ~sched:(Netsim.Engine.sched engine) ~udp:udp_b ~port:5000 ~stream:1
+    Alf_transport.receiver_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp udp_b) ~port:5000 ~stream:1
       ~deliver:(fun adu ->
         Printf.printf "  t=%.3fs  got ADU #%d (%d bytes for offset %d)\n"
           (Engine.now engine) adu.Adu.name.Adu.index
@@ -35,7 +35,7 @@ let () =
   (* 3. A sender with the classic recovery policy (transport buffers
      unacknowledged ADUs). *)
   let sender =
-    Alf_transport.sender ~sched:(Netsim.Engine.sched engine) ~udp:udp_a ~peer:2 ~peer_port:5000 ~port:5001
+    Alf_transport.sender_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp udp_a) ~peer:2 ~peer_port:5000 ~port:5001
       ~stream:1 ~policy:Recovery.Transport_buffer ()
   in
 

@@ -58,7 +58,7 @@ let () =
   let sink = Sink.create ~size:network_total in
   let out_of_place = ref 0 in
   let receiver =
-    Alf_transport.receiver ~sched:(Netsim.Engine.sched engine) ~udp:ub ~port:2100 ~stream:1
+    Alf_transport.receiver_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ub) ~port:2100 ~stream:1
       ~deliver:(fun adu ->
         (* Count genuine out-of-order placements: a hole exists below
            this ADU's offset at the moment it lands. *)
@@ -71,7 +71,7 @@ let () =
       ()
   in
   let sender =
-    Alf_transport.sender ~sched:(Netsim.Engine.sched engine) ~udp:ua ~peer:2 ~peer_port:2100 ~port:2101
+    Alf_transport.sender_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ua) ~peer:2 ~peer_port:2100 ~port:2101
       ~stream:1 ~policy:Recovery.Transport_buffer ()
   in
   List.iteri

@@ -46,14 +46,16 @@ let run_alf () =
       ()
   in
   let receiver =
-    Alf_transport.receiver ~sched:(Netsim.Engine.sched engine) ~udp:udp_b ~port:30 ~stream:1
+    Alf_transport.receiver_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp udp_b) ~port:30 ~stream:1
       ~nack_interval:1e9 (* no NACKs: losses are simply tolerated *)
-      ~deliver:(fun adu -> Playout.insert playout adu)
+      ~deliver:(fun adu ->
+        (* Delivered payloads are borrowed: the playout buffer keeps a copy. *)
+        Playout.insert playout (Adu.make adu.Adu.name (Bytebuf.copy adu.Adu.payload)))
       ()
   in
   ignore receiver;
   let sender =
-    Alf_transport.sender ~sched:(Netsim.Engine.sched engine) ~udp:udp_a ~peer:2 ~peer_port:30 ~port:31
+    Alf_transport.sender_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp udp_a) ~peer:2 ~peer_port:30 ~port:31
       ~stream:1 ~policy:Recovery.No_recovery ()
   in
   (* The camera: every 40 ms, emit this frame's tiles as timed ADUs. *)

@@ -169,7 +169,7 @@ let run case =
     }
   in
   let sender =
-    Alf_transport.sender ~sched:(Netsim.Engine.sched engine) ~udp:ua ~peer:2 ~peer_port:7000 ~port:7001
+    Alf_transport.sender_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ua) ~peer:2 ~peer_port:7000 ~port:7001
       ~stream:1 ~policy ?secure:rc_tx ~config ()
   in
   Chaos.schedule ~engine ~net

@@ -95,10 +95,12 @@ type sender = {
   mutable s_tracer : (string -> unit) option;
 }
 
-let strace s fmt =
-  match s.s_tracer with
+let trace tracer fmt =
+  match tracer with
   | None -> Format.ikfprintf (fun _ -> ()) Format.std_formatter fmt
   | Some emit -> Format.kasprintf emit fmt
+
+let strace s fmt = trace s.s_tracer fmt
 
 let set_sender_tracer s f = s.s_tracer <- Some f
 let sender_stats s = s.stats
@@ -112,16 +114,12 @@ let finished s = s.done_received
 let sender_gave_up s = s.s_gave_up
 let fec_active s = s.fec_on
 
-let push_datagram s buf =
-  if not s.s_killed then
-    ignore
-      (s.io.Dgram.send ~dst:s.peer ~dst_port:s.peer_port ~src_port:s.port
-         (seal s.config.integrity buf))
-
 let push_presealed s buf =
   if not s.s_killed then
     ignore
       (s.io.Dgram.send ~dst:s.peer ~dst_port:s.peer_port ~src_port:s.port buf)
+
+let push_datagram s buf = push_presealed s (seal s.config.integrity buf)
 
 let dequeue_and_send s =
   let it = Queue.pop s.outq in
@@ -352,8 +350,8 @@ let sender_handle s ~src:_ ~src_port:_ payload =
             teardown_sender s
         | Some _ | None -> ())
 
-let make_sender ~sched ~io ~peer ~peer_port ~port ~stream ~policy ~secure
-    ~tx_pool ~config =
+let sender_io ~sched ~io ~peer ~peer_port ~port ~stream ~policy ?secure
+    ?tx_pool ?(config = default_sender_config) () =
   if frag_budget config <= Framing.fragment_header_size then
     invalid_arg "Alf_transport: mtu too small for integrity/FEC overhead";
   ignore (Obs.Registry.counter "alf.sender.nack_backoff_resets");
@@ -400,68 +398,8 @@ let make_sender ~sched ~io ~peer ~peer_port ~port ~stream ~policy ~secure
       s_tracer = None;
     }
   in
-  s
-
-let sender_io ~sched ~io ~peer ~peer_port ~port ~stream ~policy ?secure
-    ?tx_pool ?(config = default_sender_config) () =
-  let s =
-    make_sender ~sched ~io ~peer ~peer_port ~port ~stream ~policy ~secure
-      ~tx_pool ~config
-  in
   io.Dgram.bind ~port (sender_handle s);
   s
-
-let sender ~sched ~udp ~peer ~peer_port ~port ~stream ~policy ?secure ?tx_pool
-    ?(config = default_sender_config) () =
-  sender_io ~sched ~io:(Dgram.of_udp udp) ~peer ~peer_port ~port ~stream
-    ~policy ?secure ?tx_pool ~config ()
-
-let sender_mux ~sched ~mux ~peer ~peer_port ~stream ~policy ?secure ?tx_pool
-    ?(config = default_sender_config) () =
-  let s =
-    make_sender ~sched ~io:(Mux.io mux) ~peer ~peer_port ~port:(Mux.port mux)
-      ~stream ~policy ~secure ~tx_pool ~config
-  in
-  Mux.attach mux ~stream (sender_handle s);
-  s
-
-let send_adu s adu =
-  if s.closing then invalid_arg "Alf_transport.send_adu: sender closed";
-  if s.s_killed then invalid_arg "Alf_transport.send_adu: sender killed";
-  let adu =
-    match s.s_secure with
-    | Some rc -> Secure.Record.seal_adu rc adu
-    | None -> adu
-  in
-  let index = adu.Adu.name.Adu.index in
-  if index > s.max_index then s.max_index <- index;
-  let encoded = Adu.encode adu in
-  Recovery.remember s.store ~index encoded;
-  let fp = Recovery.footprint s.store in
-  if fp > s.stats.store_peak then s.stats.store_peak <- fp;
-  let frags =
-    Framing.fragment_encoded ~mtu:(frag_budget s.config) ~stream:s.stream
-      ~index encoded
-  in
-  s.stats.adus_sent <- s.stats.adus_sent + 1;
-  s.stats.frags_sent <- s.stats.frags_sent + List.length frags;
-  s.stats.bytes_sent <- s.stats.bytes_sent + Bytebuf.length encoded;
-  Obs.Counter.incr (Obs.Registry.counter "alf.sender.adus_sent");
-  Obs.Counter.add (Obs.Registry.counter "alf.sender.bytes_sent")
-    (Bytebuf.length encoded);
-  Obs.Gauge.observe_max
-    (Obs.Registry.gauge "alf.sender.store_peak_bytes")
-    (float_of_int s.stats.store_peak);
-  enqueue_frags s ~index frags
-
-(* --- The fused send path ---
-
-   [send_value] never materialises the encoded value as its own buffer:
-   {!Ilp.run_marshal} encodes straight into the datagram (or ADU) slice
-   while a piggybacked CRC-32 stage digests the payload in the same
-   loop. Every digest that spans a header plus the payload — the ADU's
-   CRC field and the datagram integrity trailer — is then assembled with
-   {!Checksum.Crc32.combine}, so the payload is read exactly once. *)
 
 let account_sent s ~index ~encoded_len ~nfrags =
   if index > s.max_index then s.max_index <- index;
@@ -475,6 +413,34 @@ let account_sent s ~index ~encoded_len ~nfrags =
   Obs.Gauge.observe_max
     (Obs.Registry.gauge "alf.sender.store_peak_bytes")
     (float_of_int s.stats.store_peak)
+
+let send_adu s adu =
+  if s.closing then invalid_arg "Alf_transport.send_adu: sender closed";
+  if s.s_killed then invalid_arg "Alf_transport.send_adu: sender killed";
+  let adu =
+    match s.s_secure with
+    | Some rc -> Secure.Record.seal_adu rc adu
+    | None -> adu
+  in
+  let index = adu.Adu.name.Adu.index in
+  let encoded = Adu.encode adu in
+  Recovery.remember s.store ~index encoded;
+  let frags =
+    Framing.fragment_encoded ~mtu:(frag_budget s.config) ~stream:s.stream
+      ~index encoded
+  in
+  account_sent s ~index ~encoded_len:(Bytebuf.length encoded)
+    ~nfrags:(List.length frags);
+  enqueue_frags s ~index frags
+
+(* --- The fused send path ---
+
+   [send_value] never materialises the encoded value as its own buffer:
+   {!Ilp.run_marshal} encodes straight into the datagram (or ADU) slice
+   while a piggybacked CRC-32 stage digests the payload in the same
+   loop. Every digest that spans a header plus the payload — the ADU's
+   CRC field and the datagram integrity trailer — is then assembled with
+   {!Checksum.Crc32.combine}, so the payload is read exactly once. *)
 
 (* The 36-byte ADU header with its CRC field zeroed; patched once the
    payload digest is known. *)
@@ -704,7 +670,14 @@ let kill_sender s =
     Obs.Counter.incr (Obs.Registry.counter "alf.sender.killed")
   end
 
-(* --- Receiver --- *)
+(* --- Receiver ---
+
+   Stage 1 proper — dedup, admission, reassembly, record open, frontier,
+   CLOSE total, completion — is {!Rx}, shared with the serve engine. This
+   driver adds what one endpoint needs around it: integrity unsealing and
+   sender-address latching, FEC unwrapping below [Rx], statistics and the
+   tracer, and an Rto-paced per-index repair loop that gives up on sender
+   silence. *)
 
 type receiver_stats = {
   mutable adus_delivered : int;
@@ -736,84 +709,40 @@ type receiver = {
   adu_deadline : float;  (* max seconds an index may stay missing *)
   giveup_idle : float;  (* silence after which the sender is presumed dead *)
   r_integrity : Checksum.Kind.t option;
-  r_secure : Secure.Record.t option;  (* AEAD record layer, when keyed *)
   nack_rto : Transport.Rto.t;  (* paces the repair loop *)
   jitter : Rng.t;  (* desynchronises repair rounds, deterministically *)
   reqs : (int, req) Hashtbl.t;
   app_deliver : Adu.t -> unit;
   r_stats : receiver_stats;
-  series : Stats.series;
-  reasm : Framing.reassembler;
-  delivered : (int, unit) Hashtbl.t;
-  gone : (int, unit) Hashtbl.t;
+  rx : unit Rx.t;
+  env : unit Rx.env;
   mutable fec_rx : Fec.decoder option;  (* created on first FEC block *)
-  mutable frontier : int;  (* all below are delivered or gone *)
-  mutable highest_seen : int;
-  mutable total : int option;
+  mutable corrupt_single : int;  (* single-fragment ADUs failing the CRC *)
   mutable sender_addr : (Packet.addr * int) option;
   mutable last_rx : float;  (* last integrity-verified datagram *)
   mutable nack_timer : Rt.Sched.timer option;
   mutable last_loop_settled : int;  (* progress marker between rounds *)
   mutable r_abandoned : bool;
-  mutable complete_flag : bool;
   mutable complete_cb : unit -> unit;
   mutable r_tracer : (string -> unit) option;
 }
 
-let rtrace t fmt =
-  match t.r_tracer with
-  | None -> Format.ikfprintf (fun _ -> ()) Format.std_formatter fmt
-  | Some emit -> Format.kasprintf emit fmt
+let rtrace t fmt = trace t.r_tracer fmt
 
 let set_receiver_tracer t f = t.r_tracer <- Some f
 let receiver_stats t = t.r_stats
-let receiver_frontier t = t.frontier
+let receiver_frontier t = Rx.frontier t.rx
+let receiver_table_sizes t = (Rx.ahead_load t.rx, Hashtbl.length t.reqs)
+let receiver_retired_count t = Rx.retired_count t.rx
+let reassembly_stats t =
+  let st = Rx.reasm_stats t.rx in
+  { st with Framing.corrupt_adus = st.Framing.corrupt_adus + t.corrupt_single }
 
-let receiver_table_sizes t =
-  ( Hashtbl.length t.delivered,
-    Hashtbl.length t.gone,
-    Hashtbl.length t.reqs )
-
-let receiver_retired_count t = Framing.retired_count t.reasm
-let reassembly_stats t = Framing.stats t.reasm
-let complete t = t.complete_flag
+let complete t = Rx.complete t.rx
 let abandoned t = t.r_abandoned
 let on_complete t f = t.complete_cb <- f
-let delivery_series t = t.series
-
-(* Everything below the contiguous frontier is settled by definition, so
-   the per-index tables only hold indices settled {e out of order} — the
-   reordering window, not the stream. Answering by frontier comparison
-   first is what lets [advance_frontier] retire entries as it passes
-   them; without the retirement the delivered/gone tables grow by one
-   entry per ADU for the life of a streaming receiver. *)
-let settled t index =
-  index < t.frontier
-  || Hashtbl.mem t.delivered index
-  || Hashtbl.mem t.gone index
-
-let advance_frontier t =
-  let start = t.frontier in
-  while
-    Hashtbl.mem t.delivered t.frontier || Hashtbl.mem t.gone t.frontier
-  do
-    Hashtbl.remove t.delivered t.frontier;
-    Hashtbl.remove t.gone t.frontier;
-    Hashtbl.remove t.reqs t.frontier;
-    t.frontier <- t.frontier + 1
-  done;
-  (* The reassembler's retired-index table rides the same frontier. *)
-  if t.frontier > start then Framing.retire_below t.reasm ~bound:t.frontier
-
-let missing t =
-  let bound =
-    match t.total with Some n -> n | None -> t.highest_seen + 1
-  in
-  let rec go i acc =
-    if i >= bound then List.rev acc
-    else go (i + 1) (if settled t i then acc else i :: acc)
-  in
-  go t.frontier []
+let settled t index = Rx.settled t.rx index
+let missing t = Rx.missing t.env t.rx ~cap:max_int
 
 let send_ctl t build =
   match t.sender_addr with
@@ -825,43 +754,43 @@ let send_ctl t build =
 
 let send_done t = send_ctl t (fun () -> Ctl.build_done ~stream:t.r_stream)
 
-let check_complete t =
-  match t.total with
-  | Some total when (not t.complete_flag) && t.frontier >= total ->
-      t.complete_flag <- true;
-      (* Nothing more will be asked for: drop all repair bookkeeping (a
-         long-lived receiver must not keep per-index state forever) and
-         disarm the repair loop — a pending NACK timer firing into a
-         completed session is the other half of the timer leak. *)
-      Hashtbl.reset t.reqs;
-      (match t.nack_timer with Some tm -> Rt.Sched.cancel tm | None -> ());
-      t.nack_timer <- None;
-      send_done t;
-      t.complete_cb ()
-  | Some _ | None -> ()
+(* The stream just completed: answer with one DONE. Nothing more will be
+   asked for, so drop all repair bookkeeping (a long-lived receiver must
+   not keep per-index state forever) and disarm the repair loop — a
+   pending NACK timer firing into a completed session is the other half
+   of the timer leak. *)
+let completed t =
+  Hashtbl.reset t.reqs;
+  (match t.nack_timer with Some tm -> Rt.Sched.cancel tm | None -> ());
+  t.nack_timer <- None;
+  send_done t;
+  t.complete_cb ()
+
+let after_settle t = function Rx.Completed -> completed t | _ -> ()
 
 let send_nack t indices =
   let indices = if List.length indices > 512 then List.filteri (fun i _ -> i < 512) indices else indices in
   t.r_stats.nacks_sent <- t.r_stats.nacks_sent + 1;
   Obs.Counter.incr (Obs.Registry.counter "alf.receiver.nacks_sent");
   send_ctl t (fun () ->
-      Ctl.build_nack ~stream:t.r_stream ~have_below:t.frontier indices)
+      Ctl.build_nack ~stream:t.r_stream ~have_below:(Rx.frontier t.rx) indices)
 
 (* Local loss declaration: the repair budget or deadline for [index] is
    exhausted, so stop asking and report the loss in application terms —
    exactly what a sender-side GONE does, but decided here. *)
 let locally_gone t index reason =
-  Hashtbl.replace t.gone index ();
-  Hashtbl.remove t.reqs index;
-  Framing.forget t.reasm ~index;
-  t.r_stats.adus_gone_local <- t.r_stats.adus_gone_local + 1;
-  Obs.Counter.incr (Obs.Registry.counter "alf.receiver.adus_gone_deadline");
-  rtrace t "ADU %d locally gone (%s)" index reason;
-  advance_frontier t
+  match Rx.give_up t.rx index with
+  | (Rx.Settled | Rx.Completed) as v ->
+      Hashtbl.remove t.reqs index;
+      t.r_stats.adus_gone_local <- t.r_stats.adus_gone_local + 1;
+      Obs.Counter.incr (Obs.Registry.counter "alf.receiver.adus_gone_deadline");
+      rtrace t "ADU %d locally gone (%s)" index reason;
+      after_settle t v
+  | _ -> ()
 
 let rec nack_loop t =
   t.nack_timer <- None;
-  if t.complete_flag || t.r_abandoned then ()
+  if Rx.complete t.rx || t.r_abandoned then ()
   else begin
     let now = Rt.Sched.now t.r_sched in
     let current = missing t in
@@ -882,15 +811,13 @@ let rec nack_loop t =
             locally_gone t i "retry budget"
         | Some _ | None -> ())
       current;
-    check_complete t;
-    if t.complete_flag then ()
+    if Rx.complete t.rx then ()
     else if now -. t.last_rx >= t.giveup_idle then begin
       (* Dead air: the sender has vanished (or never appeared). Settle
          what is outstanding as locally gone and stop the loop so the
          scheduler can quiesce; a verified datagram revives us. *)
       List.iter (fun i -> locally_gone t i "sender silent") (missing t);
-      check_complete t;
-      if not t.complete_flag then begin
+      if not (Rx.complete t.rx) then begin
         t.r_abandoned <- true;
         Hashtbl.reset t.reqs;
         rtrace t "sender silent for %.3fs: abandoning repair" t.giveup_idle;
@@ -914,7 +841,7 @@ let rec nack_loop t =
       | [] -> ()
       | gaps when t.sender_addr <> None ->
           rtrace t "NACK for %d missing ADUs (frontier %d)" (List.length gaps)
-            t.frontier;
+            (Rx.frontier t.rx);
           List.iter
             (fun i ->
               match Hashtbl.find_opt t.reqs i with
@@ -945,49 +872,55 @@ let rec nack_loop t =
     end
   end
 
+(* Runs inside {!Rx} once the ADU is marked and the frontier has moved,
+   so an index still above the frontier completed out of order. *)
 let deliver_complete t adu =
   let index = adu.Adu.name.Adu.index in
-  if settled t index then t.r_stats.duplicates <- t.r_stats.duplicates + 1
-  else begin
-    Hashtbl.replace t.delivered index ();
-    (match Hashtbl.find_opt t.reqs index with
-    | Some r ->
-        (* A repair answered on the first ask is an unambiguous RTT
-           sample (Karn: multiply-requested ones are not). *)
-        if r.tries = 1 then
-          Transport.Rto.sample t.nack_rto
-            (Rt.Sched.now t.r_sched -. r.last_nack);
-        Hashtbl.remove t.reqs index
-    | None -> ());
-    if index > t.frontier then begin
-      t.r_stats.out_of_order <- t.r_stats.out_of_order + 1;
-      rtrace t "ADU %d complete out of order (frontier %d)" index t.frontier
-    end;
-    advance_frontier t;
-    t.r_stats.adus_delivered <- t.r_stats.adus_delivered + 1;
-    t.r_stats.bytes_delivered <-
-      t.r_stats.bytes_delivered + Bytebuf.length adu.Adu.payload;
-    Obs.Counter.incr (Obs.Registry.counter "alf.receiver.adus_delivered");
-    Obs.Counter.add
-      (Obs.Registry.counter "alf.receiver.bytes_delivered")
-      (Bytebuf.length adu.Adu.payload);
-    Stats.record t.series ~t:(Rt.Sched.now t.r_sched)
-      (float_of_int t.r_stats.bytes_delivered);
-    t.app_deliver adu;
-    check_complete t
-  end
+  (match Hashtbl.find_opt t.reqs index with
+  | Some r ->
+      (* A repair answered on the first ask is an unambiguous RTT
+         sample (Karn: multiply-requested ones are not). *)
+      if r.tries = 1 then
+        Transport.Rto.sample t.nack_rto (Rt.Sched.now t.r_sched -. r.last_nack);
+      Hashtbl.remove t.reqs index
+  | None -> ());
+  if index > Rx.frontier t.rx then begin
+    t.r_stats.out_of_order <- t.r_stats.out_of_order + 1;
+    rtrace t "ADU %d complete out of order (frontier %d)" index
+      (Rx.frontier t.rx)
+  end;
+  t.r_stats.adus_delivered <- t.r_stats.adus_delivered + 1;
+  t.r_stats.bytes_delivered <-
+    t.r_stats.bytes_delivered + Bytebuf.length adu.Adu.payload;
+  Obs.Counter.incr (Obs.Registry.counter "alf.receiver.adus_delivered");
+  Obs.Counter.add
+    (Obs.Registry.counter "alf.receiver.bytes_delivered")
+    (Bytebuf.length adu.Adu.payload);
+  t.app_deliver adu
 
+(* Fragments for another stream, malformed headers, indices outside the
+   stream (beyond the CLOSE total) and bad ADUs are ignored: the repair
+   loop fetches whatever is still missing. *)
 let handle_fragment t payload =
-  match Framing.parse_fragment payload with
-  | exception Framing.Frag_error _ -> ()
-  | frag ->
-      if frag.Framing.stream = t.r_stream then begin
-        if frag.Framing.index > t.highest_seen then
-          t.highest_seen <- frag.Framing.index;
-        if settled t frag.Framing.index then
-          t.r_stats.duplicates <- t.r_stats.duplicates + 1
-        else Framing.push t.reasm frag
-      end
+  match Framing.parse_fragment_res payload with
+  | Ok frag when frag.Framing.stream = t.r_stream -> (
+      match Rx.fragment t.env t.rx frag with
+      | Rx.Completed -> completed t
+      | Rx.Duplicate -> t.r_stats.duplicates <- t.r_stats.duplicates + 1
+      | Rx.Auth ->
+          (* Forged or tag-damaged data that slipped past the stage-1
+             checksum: a counted drop that behaves like a lost datagram. *)
+          t.r_stats.adus_auth_dropped <- t.r_stats.adus_auth_dropped + 1;
+          Obs.Counter.incr (Obs.Registry.counter "alf.receiver.auth_dropped");
+          rtrace t "ADU %d failed record authentication: dropped"
+            frag.Framing.index
+      | Rx.Bad_adu when frag.Framing.nfrags = 1 ->
+          (* The reassembler counts the multi-fragment ones. *)
+          t.corrupt_single <- t.corrupt_single + 1
+      | Rx.Pending | Rx.Settled | Rx.Already_complete | Rx.Window | Rx.Bad_adu
+      | Rx.Bad_frag ->
+          ())
+  | Ok _ | Error _ -> ()
 
 let fec_decoder t =
   match t.fec_rx with
@@ -1006,28 +939,24 @@ let fec_decoder t =
 
 let handle_control t payload =
   match Ctl.parse payload with
-  | Some (Ctl.Close { stream; total }) when stream = t.r_stream ->
-      (* Duplicate CLOSEs are idempotent: the first total wins (they are
-         all equal from a sane sender anyway). *)
-      if t.total = None then t.total <- Some total;
-      let total = match t.total with Some n -> n | None -> total in
-      if total - 1 > t.highest_seen then t.highest_seen <- total - 1;
-      check_complete t;
-      (* A re-CLOSE after completion means our DONE was lost. *)
-      if t.complete_flag then send_done t
+  | Some (Ctl.Close { stream; total }) when stream = t.r_stream -> (
+      match Rx.close t.rx total with
+      | Rx.Completed -> completed t
+      | Rx.Already_complete ->
+          (* A re-CLOSE after completion means our DONE was lost. *)
+          send_done t
+      | _ -> ())
   | Some (Ctl.Gone { stream; indices }) when stream = t.r_stream ->
       List.iter
         (fun index ->
-          if not (settled t index) then begin
-            Hashtbl.replace t.gone index ();
-            Hashtbl.remove t.reqs index;
-            Framing.forget t.reasm ~index;
-            t.r_stats.adus_lost <- t.r_stats.adus_lost + 1;
-            Obs.Counter.incr (Obs.Registry.counter "alf.receiver.adus_lost");
-            advance_frontier t
-          end)
-        indices;
-      check_complete t
+          match Rx.gone t.env t.rx index with
+          | (Rx.Settled | Rx.Completed) as v ->
+              Hashtbl.remove t.reqs index;
+              t.r_stats.adus_lost <- t.r_stats.adus_lost + 1;
+              Obs.Counter.incr (Obs.Registry.counter "alf.receiver.adus_lost");
+              after_settle t v
+          | _ -> ())
+        indices
   | Some _ | None -> ()
 
 let receiver_handle t ~src ~src_port payload =
@@ -1043,7 +972,7 @@ let receiver_handle t ~src ~src_port payload =
          the sender — garbage must not latch a spoofed repair address. *)
       t.last_rx <- Rt.Sched.now t.r_sched;
       if t.sender_addr = None then t.sender_addr <- Some (src, src_port);
-      if t.r_abandoned && not t.complete_flag then begin
+      if t.r_abandoned && not (Rx.complete t.rx) then begin
         t.r_abandoned <- false;
         nack_loop t
       end;
@@ -1055,9 +984,10 @@ let receiver_handle t ~src ~src_port payload =
         Fec.push (fec_decoder t) (Bytebuf.shift payload 1)
       else handle_control t payload
 
-let make_receiver ~sched ~io ~port ~stream ~nack_interval ~nack_holdoff
-    ~nack_budget ~adu_deadline ~giveup_idle ~integrity ~secure ~seed
-    ~reasm_pool ~deliver =
+let receiver_io ~sched ~io ~port ~stream ?(nack_interval = 0.02)
+    ?(nack_holdoff = 0.06) ?(nack_budget = 50) ?(adu_deadline = 10.0)
+    ?(giveup_idle = 3.0) ?(integrity = Some Checksum.Kind.Crc32) ?secure ?seed
+    ?reasm_pool ~deliver () =
   if nack_budget < 1 then
     invalid_arg "Alf_transport: nack_budget must be >= 1";
   (* Eager registration so `alfnet metrics` shows the hardening counters
@@ -1065,7 +995,6 @@ let make_receiver ~sched ~io ~port ~stream ~nack_interval ~nack_holdoff
   ignore (Obs.Registry.counter "alf.receiver.frags_corrupt_dropped");
   ignore (Obs.Registry.counter "alf.receiver.adus_gone_deadline");
   ignore (Obs.Registry.counter "alf.receiver.auth_dropped");
-  let deliver_ref = ref (fun (_ : Adu.t) -> ()) in
   let seed =
     match seed with
     | Some s -> s
@@ -1074,6 +1003,7 @@ let make_receiver ~sched ~io ~port ~stream ~nack_interval ~nack_holdoff
            the caller threading a seed. *)
         Int64.of_int ((port * 65539) + (stream * 7919) + 0x5EED)
   in
+  let on_deliver = ref (fun (_ : Adu.t) -> ()) in
   let t =
     {
       r_sched = sched;
@@ -1086,7 +1016,6 @@ let make_receiver ~sched ~io ~port ~stream ~nack_interval ~nack_holdoff
       adu_deadline;
       giveup_idle;
       r_integrity = integrity;
-      r_secure = secure;
       nack_rto =
         Transport.Rto.create ~initial_rto:nack_interval
           ~min_rto:nack_interval ~max_rto:1.0 ();
@@ -1105,126 +1034,48 @@ let make_receiver ~sched ~io ~port ~stream ~nack_interval ~nack_holdoff
           adus_auth_dropped = 0;
           adus_gone_local = 0;
         };
-      series = Stats.series ();
-      reasm =
-        Framing.reassembler ?pool:reasm_pool
-          ~deliver:(fun adu -> !deliver_ref adu)
+      rx = Rx.create ();
+      (* One endpoint, one stream: no admission window beyond the total. *)
+      env =
+        Rx.env ~window:max_int ?pool:reasm_pool ?secure
+          ~deliver:(fun () adu -> !on_deliver adu)
           ();
-      delivered = Hashtbl.create 256;
-      gone = Hashtbl.create 16;
       fec_rx = None;
-      frontier = 0;
-      highest_seen = -1;
-      total = None;
+      corrupt_single = 0;
       sender_addr = None;
       last_rx = Rt.Sched.now sched;
       nack_timer = None;
       last_loop_settled = 0;
       r_abandoned = false;
-      complete_flag = false;
       complete_cb = (fun () -> ());
       r_tracer = None;
     }
   in
-  deliver_ref :=
-    (match secure with
-    | None -> fun adu -> deliver_complete t adu
-    | Some rc ->
-        fun adu ->
-          (* The record opens in place over the reassembly view — one
-             fused MAC+decrypt pass — before the ADU is marked settled.
-             A failure is a counted drop, and the index is un-retired so
-             the ordinary NACK repair fetches the genuine bytes: forged
-             or tag-damaged data that slipped past the stage-1 checksum
-             behaves exactly like a lost datagram. *)
-          let index = adu.Adu.name.Adu.index in
-          (match
-             Secure.Record.open_payload rc adu.Adu.name adu.Adu.payload
-           with
-          | Ok ct -> deliver_complete t (Adu.make adu.Adu.name ct)
-          | Error _ ->
-              t.r_stats.adus_auth_dropped <- t.r_stats.adus_auth_dropped + 1;
-              Obs.Counter.incr (Obs.Registry.counter "alf.receiver.auth_dropped");
-              rtrace t "ADU %d failed record authentication: dropped" index;
-              Framing.unretire t.reasm ~index));
+  on_deliver := deliver_complete t;
   nack_loop t;
-  t
-
-let receiver_io ~sched ~io ~port ~stream ?(nack_interval = 0.02)
-    ?(nack_holdoff = 0.06) ?(nack_budget = 50) ?(adu_deadline = 10.0)
-    ?(giveup_idle = 3.0) ?(integrity = Some Checksum.Kind.Crc32) ?secure ?seed
-    ?reasm_pool ~deliver () =
-  let t =
-    make_receiver ~sched ~io ~port ~stream ~nack_interval ~nack_holdoff
-      ~nack_budget ~adu_deadline ~giveup_idle ~integrity ~secure ~seed
-      ~reasm_pool ~deliver
-  in
   io.Dgram.bind ~port (receiver_handle t);
   t
 
-let receiver ~sched ~udp ~port ~stream ?nack_interval ?nack_holdoff
-    ?nack_budget ?adu_deadline ?giveup_idle ?integrity ?secure ?seed
-    ?reasm_pool ~deliver () =
-  receiver_io ~sched ~io:(Dgram.of_udp udp) ~port ~stream ?nack_interval
-    ?nack_holdoff ?nack_budget ?adu_deadline ?giveup_idle ?integrity ?secure
-    ?seed ?reasm_pool ~deliver ()
+(* --- Delivery adapters: stage 2 over the borrowed payload --- *)
 
-let receiver_mux ~sched ~mux ~stream ?(nack_interval = 0.02)
-    ?(nack_holdoff = 0.06) ?(nack_budget = 50) ?(adu_deadline = 10.0)
-    ?(giveup_idle = 3.0) ?(integrity = Some Checksum.Kind.Crc32) ?secure ?seed
-    ?reasm_pool ~deliver () =
-  let t =
-    make_receiver ~sched ~io:(Mux.io mux) ~port:(Mux.port mux) ~stream
-      ~nack_interval ~nack_holdoff ~nack_budget ~adu_deadline ~giveup_idle
-      ~integrity ~secure ~seed ~reasm_pool ~deliver
-  in
-  Mux.attach mux ~stream (receiver_handle t);
-  t
-
-let receiver_values ~sched ~udp ~port ~stream ?nack_interval ?nack_holdoff
-    ?nack_budget ?adu_deadline ?giveup_idle ?integrity ?secure ?seed
-    ?reasm_pool ?(plan = []) ~sink ~deliver () =
+let deliver_values ?(plan = []) ~sink f =
   let c_failed = Obs.Registry.counter "alf.receiver.unmarshal_failed" in
-  let deliver_adu (adu : Adu.t) =
+  fun (adu : Adu.t) ->
     (* In place over the borrowed payload view: decrypt + verify + parse
        in one pass, done before stage 1 reclaims the buffer. *)
-    match
-      Ilp.run_unmarshal ~dst:adu.Adu.payload plan sink adu.Adu.payload
-    with
-    | r -> deliver adu.Adu.name r.Ilp.value
+    match Ilp.run_unmarshal ~dst:adu.Adu.payload plan sink adu.Adu.payload with
+    | r -> f adu.Adu.name r.Ilp.value
     | exception (Wire.Ber.Decode_error _ | Wire.Xdr.Error _) ->
         Obs.Counter.incr c_failed
-  in
-  receiver ~sched ~udp ~port ~stream ?nack_interval ?nack_holdoff
-    ?nack_budget ?adu_deadline ?giveup_idle ?integrity ?secure ?seed
-    ?reasm_pool ~deliver:deliver_adu ()
 
-let receiver_views ~sched ~udp ~port ~stream ?nack_interval ?nack_holdoff
-    ?nack_budget ?adu_deadline ?giveup_idle ?integrity ?secure ?seed
-    ?reasm_pool ?(plan = []) ~prog ~deliver () =
+let deliver_views ?(plan = []) ~prog f =
   let c_invalid = Obs.Registry.counter "alf.receiver.view_invalid" in
-  let deliver_adu (adu : Adu.t) =
+  fun (adu : Adu.t) ->
     (* Transform in place over the borrowed payload, then hand out a
        validated lazy view instead of materializing a Value.t — the
        application decodes only the fields it touches, and only copies
        what it wants to keep. Total on hostile payloads. *)
     let r = Ilp.run_view ~dst:adu.Adu.payload plan prog adu.Adu.payload in
     match r.Ilp.view with
-    | Ok (view, _) -> deliver adu.Adu.name view
+    | Ok (view, _) -> f adu.Adu.name view
     | Error _ -> Obs.Counter.incr c_invalid
-  in
-  receiver ~sched ~udp ~port ~stream ?nack_interval ?nack_holdoff
-    ?nack_budget ?adu_deadline ?giveup_idle ?integrity ?secure ?seed
-    ?reasm_pool ~deliver:deliver_adu ()
-
-let receiver_stage2 ~sched ~udp ~port ~stream ?nack_interval ?nack_holdoff
-    ?secure ?pool ?batch ?reasm_pool ?out_pool ?in_pool ~plan ~deliver () =
-  let stage = Stage2.create ?pool ?batch ?out_pool ?in_pool ~plan ~deliver () in
-  let t =
-    receiver ~sched ~udp ~port ~stream ?nack_interval ?nack_holdoff ?secure
-      ?reasm_pool ~deliver:(Stage2.deliver_fn stage) ()
-  in
-  (* Stage 1 settles the last ADU before [check_complete] fires, so the
-     flush here always drains the final partial batch. *)
-  on_complete t (fun () -> Stage2.flush stage);
-  (t, stage)

@@ -1,15 +1,15 @@
 (** The ALF transport: out-of-order ADU delivery with selectable recovery.
 
-    The protocol §5–6 sketches, made concrete over the {!Transport.Udp}
+    The protocol §5–6 sketches, made concrete over any {!Dgram.t}
     datagram service:
 
     - the sender fragments each ADU into transmission units and paces them
       at a configured rate (the paper keeps rate negotiation out of band,
       so the rate is a parameter, not an in-band control loop);
-    - the receiver's {e stage 1} maps transmission units back to ADUs
-      ({!Framing.reassembler}) and hands every {e complete} ADU to the
-      application immediately — out of order, each carrying its
-      self-describing {!Adu.name};
+    - the receiver's {e stage 1} ({!Rx}) maps transmission units back to
+      ADUs and hands every {e complete} ADU to the application
+      immediately — out of order, each carrying its self-describing
+      {!Adu.name};
     - losses are repaired per whole ADU by receiver NACKs, answered
       according to the application's {!Recovery.policy}: resend from the
       transport's copy, regenerate at the sending application, or declare
@@ -72,27 +72,6 @@ type sender_stats = {
 
 type sender
 
-val sender :
-  sched:Rt.Sched.t ->
-  udp:Transport.Udp.t ->
-  peer:Packet.addr ->
-  peer_port:int ->
-  port:int ->
-  stream:int ->
-  policy:Recovery.policy ->
-  ?secure:Secure.Record.t ->
-  ?tx_pool:Bufkit.Pool.t ->
-  ?config:sender_config ->
-  unit ->
-  sender
-(** With [?tx_pool], {!send_value} builds single-fragment datagrams in
-    pooled buffers, recycled the moment the fragment has been handed to
-    the wire (the substrate copies synchronously) — steady-state transmit
-    then performs zero buffer allocations per ADU under [No_recovery] /
-    [App_recompute]. Pool buffers must be at least
-    [mtu + fragment_header_size] bytes; undersized or exhausted pools
-    fall back to plain allocation. *)
-
 val sender_io :
   sched:Rt.Sched.t ->
   io:Dgram.t ->
@@ -106,24 +85,17 @@ val sender_io :
   ?config:sender_config ->
   unit ->
   sender
-(** Like {!sender} over any datagram substrate — notably
-    [Dgram.of_atm]: the same ALF machinery, cells underneath. *)
+(** A sender over any datagram substrate: [Dgram.of_udp] over the
+    simulator, [Dgram.of_rt] over real sockets, [Dgram.of_atm] over
+    cells, or a {!Mux.stream_io} endpoint shared with other streams.
 
-val sender_mux :
-  sched:Rt.Sched.t ->
-  mux:Mux.t ->
-  peer:Packet.addr ->
-  peer_port:int ->
-  stream:int ->
-  policy:Recovery.policy ->
-  ?secure:Secure.Record.t ->
-  ?tx_pool:Bufkit.Pool.t ->
-  ?config:sender_config ->
-  unit ->
-  sender
-(** Like {!sender}, but sharing a multiplexed endpoint: control traffic
-    for [stream] arrives via the {!Mux}, and fragments leave from the
-    mux's port. *)
+    With [?tx_pool], {!send_value} builds single-fragment datagrams in
+    pooled buffers, recycled the moment the fragment has been handed to
+    the wire (the substrate copies synchronously) — steady-state transmit
+    then performs zero buffer allocations per ADU under [No_recovery] /
+    [App_recompute]. Pool buffers must be at least
+    [mtu + fragment_header_size] bytes; undersized or exhausted pools
+    fall back to plain allocation. *)
 
 val send_adu : sender -> Adu.t -> unit
 (** Queue an ADU. Indices must be used once each; they need not arrive
@@ -146,7 +118,7 @@ val send_value : sender -> name:Adu.name -> ?plan:Ilp.plan -> Ilp.source -> unit
     standard fragmentation machinery, still encoding in a single pass.
 
     [plan] must be valid for marshalling (no [Byteswap32]); the receiver
-    mirrors it in {!receiver_values}. [name.index] obeys the same
+    mirrors it in {!deliver_values}. [name.index] obeys the same
     uniqueness rule as {!send_adu}. *)
 
 val close : sender -> unit
@@ -188,7 +160,8 @@ type receiver_stats = {
   mutable out_of_order : int;  (** Delivered before some lower index. *)
   mutable adus_lost : int;  (** Declared gone by the sender. *)
   mutable nacks_sent : int;
-  mutable duplicates : int;
+  mutable duplicates : int;  (** Fragments that carried nothing new: for
+      an index already settled, or already held by its partial. *)
   mutable frags_corrupt_dropped : int;  (** Datagrams failing the
       integrity trailer, dropped at stage 1. *)
   mutable adus_auth_dropped : int;  (** Reassembled ADUs failing record
@@ -200,9 +173,9 @@ type receiver_stats = {
 
 type receiver
 
-val receiver :
+val receiver_io :
   sched:Rt.Sched.t ->
-  udp:Transport.Udp.t ->
+  io:Dgram.t ->
   port:int ->
   stream:int ->
   ?nack_interval:float ->
@@ -217,14 +190,16 @@ val receiver :
   deliver:(Adu.t -> unit) ->
   unit ->
   receiver
-(** [deliver] fires once per ADU, at the virtual instant its last fragment
-    arrives, regardless of index order.
+(** A receiver over any datagram substrate (see {!sender_io}). Stage 1
+    is {!Rx}: [deliver] fires once per ADU, the moment its last fragment
+    arrives, regardless of index order. Compose it with {!deliver_values}
+    or {!deliver_views} to run stage 2 in the same callback.
 
-    With [?reasm_pool], reassembly buffers are recycled through the pool
-    ({!Framing.reassembler}) and delivered payloads are {e borrowed}: they
-    alias a pool buffer that is reclaimed the moment [deliver] returns.
+    Delivered payloads are {e borrowed}: a single-fragment ADU aliases
+    the received datagram, and a reassembled one aliases its reassembly
+    buffer, which [?reasm_pool] recycles the moment [deliver] returns.
     Consume, transform ({!Ilp.run_fused}) or copy within the callback —
-    never retain. Without it payloads stay valid indefinitely.
+    never retain.
 
     The repair loop is paced by an {!Transport.Rto} estimator seeded at
     [nack_interval] (default 20 ms, also its floor; ceiling 1 s): rounds
@@ -247,140 +222,42 @@ val receiver :
     [integrity] must match the sender's (default [Some Crc32]);
     datagrams failing the check are dropped before they can poison
     reassembly, forge control traffic, or latch a spoofed sender
-    address, and are counted in [frags_corrupt_dropped]. *)
+    address, and are counted in [frags_corrupt_dropped]. Fragments and
+    GONE indices at or above a known CLOSE total are ignored. *)
 
-val receiver_io :
-  sched:Rt.Sched.t ->
-  io:Dgram.t ->
-  port:int ->
-  stream:int ->
-  ?nack_interval:float ->
-  ?nack_holdoff:float ->
-  ?nack_budget:int ->
-  ?adu_deadline:float ->
-  ?giveup_idle:float ->
-  ?integrity:Checksum.Kind.t option ->
-  ?secure:Secure.Record.t ->
-  ?seed:int64 ->
-  ?reasm_pool:Bufkit.Pool.t ->
-  deliver:(Adu.t -> unit) ->
-  unit ->
-  receiver
-(** Like {!receiver} over any datagram substrate. *)
-
-val receiver_mux :
-  sched:Rt.Sched.t ->
-  mux:Mux.t ->
-  stream:int ->
-  ?nack_interval:float ->
-  ?nack_holdoff:float ->
-  ?nack_budget:int ->
-  ?adu_deadline:float ->
-  ?giveup_idle:float ->
-  ?integrity:Checksum.Kind.t option ->
-  ?secure:Secure.Record.t ->
-  ?seed:int64 ->
-  ?reasm_pool:Bufkit.Pool.t ->
-  deliver:(Adu.t -> unit) ->
-  unit ->
-  receiver
-(** Like {!receiver} on a shared {!Mux} endpoint: many streams, one
-    port, one demultiplexing step. *)
-
-val receiver_values :
-  sched:Rt.Sched.t ->
-  udp:Transport.Udp.t ->
-  port:int ->
-  stream:int ->
-  ?nack_interval:float ->
-  ?nack_holdoff:float ->
-  ?nack_budget:int ->
-  ?adu_deadline:float ->
-  ?giveup_idle:float ->
-  ?integrity:Checksum.Kind.t option ->
-  ?secure:Secure.Record.t ->
-  ?seed:int64 ->
-  ?reasm_pool:Bufkit.Pool.t ->
+val deliver_values :
   ?plan:Ilp.plan ->
   sink:Ilp.sink ->
-  deliver:(Adu.name -> Wire.Value.t -> unit) ->
-  unit ->
-  receiver
-(** The fused receive decode mirroring {!send_value}: each delivered
-    ADU's payload is run through [plan] (the receive-side mirror of the
-    send plan — same stages, ciphers at matching positions) and decoded
-    by [sink] {e in one pass over the borrowed payload view}
-    ({!Ilp.run_unmarshal} with [dst = payload]: decrypt in place, parse
-    just behind). Works with [?reasm_pool] precisely because the decode
-    completes before the stage-1 callback returns. Payloads that fail to
-    decode are dropped and counted on the
-    [alf.receiver.unmarshal_failed] registry counter (the ADU itself
-    already passed its CRC, so this means sender/receiver plan or schema
-    disagreement). *)
+  (Adu.name -> Wire.Value.t -> unit) ->
+  Adu.t ->
+  unit
+(** [deliver_values ~sink f] is a [deliver] callback for {!receiver_io}
+    mirroring {!send_value}: each delivered ADU's payload is run through
+    [plan] (the receive-side mirror of the send plan — same stages,
+    ciphers at matching positions) and decoded by [sink] {e in one pass
+    over the borrowed payload} ({!Ilp.run_unmarshal} with [dst =
+    payload]: decrypt in place, parse just behind), then handed to [f].
+    The decode completes before the stage-1 callback returns, as the
+    borrow requires. Payloads that fail to decode are dropped and
+    counted on the [alf.receiver.unmarshal_failed] registry counter (the
+    ADU itself already passed its CRC, so this means sender/receiver plan
+    or schema disagreement). *)
 
-val receiver_views :
-  sched:Rt.Sched.t ->
-  udp:Transport.Udp.t ->
-  port:int ->
-  stream:int ->
-  ?nack_interval:float ->
-  ?nack_holdoff:float ->
-  ?nack_budget:int ->
-  ?adu_deadline:float ->
-  ?giveup_idle:float ->
-  ?integrity:Checksum.Kind.t option ->
-  ?secure:Secure.Record.t ->
-  ?seed:int64 ->
-  ?reasm_pool:Bufkit.Pool.t ->
+val deliver_views :
   ?plan:Ilp.plan ->
   prog:Wire.Schema.prog ->
-  deliver:(Adu.name -> Wire.View.t -> unit) ->
-  unit ->
-  receiver
-(** The lazy mirror of {!receiver_values}: one pass runs [plan] plus the
+  (Adu.name -> Wire.View.t -> unit) ->
+  Adu.t ->
+  unit
+(** The lazy mirror of {!deliver_values}: one pass runs [plan] plus the
     compiled {!Wire.Schema.validate} over the borrowed payload
     ({!Ilp.run_view} with [dst = payload] — in place, zero copies, zero
-    allocations), and [deliver] receives a {!Wire.View.t} instead of a
+    allocations), and [f] receives a {!Wire.View.t} instead of a
     materialized value. The view borrows the payload: it is valid only
     during the callback (copy out to retain — that is the point: the
     application pays decode cost only for the fields it touches).
     Invalid payloads are dropped and counted on
     [alf.receiver.view_invalid]; arbitrary bytes never raise. *)
-
-val receiver_stage2 :
-  sched:Rt.Sched.t ->
-  udp:Transport.Udp.t ->
-  port:int ->
-  stream:int ->
-  ?nack_interval:float ->
-  ?nack_holdoff:float ->
-  ?secure:Secure.Record.t ->
-  ?pool:Par.Pool.t ->
-  ?batch:int ->
-  ?reasm_pool:Bufkit.Pool.t ->
-  ?out_pool:Bufkit.Pool.t ->
-  ?in_pool:Bufkit.Pool.t ->
-  plan:(Adu.t -> Ilp.plan) ->
-  deliver:(Stage2.result -> unit) ->
-  unit ->
-  receiver * Stage2.t
-(** The two-stage receive path assembled: a {!receiver} whose delivery
-    callback is a {!Stage2} processor. With [?pool], stage 2 runs the
-    ILP plans of batched ADUs across worker domains ({!Ilp_par}) and the
-    completion callback is pre-wired to {!Stage2.flush} so the final
-    partial batch always drains — calling {!on_complete} afterwards
-    replaces that wiring, so compose the flush into your own callback if
-    you need one.
-
-    The three buffer pools make steady-state receive allocation-free
-    (zero [Bytebuf.create] per ADU after warmup): [?reasm_pool] recycles
-    stage-1 reassembly buffers, [?out_pool] supplies the fused loop's
-    output buffers (delivered payloads are then borrowed — consume them
-    inside [deliver]), and [?in_pool] stages borrowed inputs across
-    batch boundaries. Give [?in_pool] whenever [?reasm_pool] and [?pool]
-    are combined, since batching retains payloads past the stage-1
-    callback. Each pool is optional and degrades independently to plain
-    allocation. *)
 
 val set_receiver_tracer : receiver -> (string -> unit) -> unit
 (** Line-oriented event tracer (NACKs, out-of-order completions). *)
@@ -388,9 +265,12 @@ val set_receiver_tracer : receiver -> (string -> unit) -> unit
 val receiver_stats : receiver -> receiver_stats
 
 val reassembly_stats : receiver -> Framing.reasm_stats
-(** Stage-1 reassembly counters — [corrupt_adus] staying zero under a
-    corrupting link is the soak evidence that integrity drops happen
-    before reassembly. *)
+(** Stage-1 reassembly counters. [corrupt_adus] counts every ADU that
+    failed its decode or CRC, single-fragment ones included — it staying
+    zero under a corrupting link is the soak evidence that integrity
+    drops happen before reassembly. The other counters cover
+    multi-fragment ADUs only: single-fragment ones never touch the
+    reassembler. *)
 
 val complete : receiver -> bool
 (** CLOSE seen and every index below the total delivered or declared
@@ -412,10 +292,10 @@ val receiver_frontier : receiver -> int
 (** Lowest index not yet settled; everything below is delivered or
     gone. *)
 
-val receiver_table_sizes : receiver -> int * int * int
-(** [(delivered, gone, reqs)] Hashtbl loads — the bounded-state probe: on
-    a long-lived in-order stream all three stay flat (entries exist only
-    for indices settled or chased out of order). *)
+val receiver_table_sizes : receiver -> int * int
+(** [(ahead, reqs)] Hashtbl loads — the bounded-state probe: on a
+    long-lived in-order stream both stay flat (entries exist only for
+    indices settled or chased out of order). *)
 
 val receiver_retired_count : receiver -> int
 (** Live entries in the stage-1 reassembler's retired-index table (see
@@ -423,10 +303,6 @@ val receiver_retired_count : receiver -> int
     tables. *)
 
 val on_complete : receiver -> (unit -> unit) -> unit
-
-val delivery_series : receiver -> Stats.series
-(** (virtual time, cumulative delivered payload bytes) — experiment E6's
-    progress curve. *)
 
 val missing : receiver -> int list
 (** Indices currently known missing (diagnostic). *)

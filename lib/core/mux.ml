@@ -14,7 +14,7 @@ let stream_of payload =
   if Bytebuf.length payload < 3 then None
   else Some ((Bytebuf.get_uint8 payload 1 lsl 8) lor Bytebuf.get_uint8 payload 2)
 
-let create_io ~io ~port =
+let create ~io ~port =
   let t = { mux_io = io; mux_port = port; handlers = Hashtbl.create 8; unrouted = 0 } in
   io.Dgram.bind ~port (fun ~src ~src_port payload ->
       match stream_of payload with
@@ -23,10 +23,16 @@ let create_io ~io ~port =
       | Some _ | None -> t.unrouted <- t.unrouted + 1);
   t
 
-let create ~udp ~port = create_io ~io:(Dgram.of_udp udp) ~port
-
 let port t = t.mux_port
-let io t = t.mux_io
-let attach t ~stream handler = Hashtbl.replace t.handlers stream handler
-let detach t ~stream = Hashtbl.remove t.handlers stream
+
+let stream_io t ~stream =
+  {
+    t.mux_io with
+    Dgram.bind =
+      (fun ~port handler ->
+        if port <> t.mux_port then
+          invalid_arg "Mux.stream_io: bind on a port other than the mux's";
+        Hashtbl.replace t.handlers stream handler);
+  }
+
 let unrouted t = t.unrouted

@@ -6,32 +6,27 @@
     exploits that: one demultiplexing step at one layer routes a datagram
     to its stream's handler, instead of a port per stream (layered
     multiplexing, which [18] considers harmful). Several senders and
-    receivers can then share one datagram endpoint. *)
+    receivers can then share one datagram endpoint.
 
-open Bufkit
-open Netsim
+    FEC-wrapped fragments are not mux-compatible: an FEC block carries
+    its group number where the stream id would be. *)
 
 type t
 
-val create : udp:Transport.Udp.t -> port:int -> t
-(** Binds [port] on [udp]; datagrams whose stream has no handler are
+val create : io:Dgram.t -> port:int -> t
+(** Binds [port] on [io]; datagrams whose stream has no handler are
     counted and dropped. *)
-
-val create_io : io:Dgram.t -> port:int -> t
-(** The same over any datagram substrate (e.g. [Dgram.of_atm]). *)
 
 val port : t -> int
 
-val io : t -> Dgram.t
-(** The endpoint the mux is bound on (senders transmit through it). *)
-
-val attach :
-  t -> stream:int -> (src:Packet.addr -> src_port:int -> Bytebuf.t -> unit) -> unit
-(** Route messages for [stream] to the handler (replacing any previous).
-    On one node, a given stream id can be attached once — a sender and a
-    receiver for the {e same} stream belong on different nodes anyway. *)
-
-val detach : t -> stream:int -> unit
+val stream_io : t -> stream:int -> Dgram.t
+(** The endpoint one stream sees: sends go out through the mux's
+    substrate, and [bind ~port handler] attaches [handler] for [stream]
+    (replacing any previous one), so [Alf_transport.receiver_io] and
+    [sender_io] run on it unchanged. [port] must be {!port}; any other
+    raises [Invalid_argument]. On one node a stream id can be attached
+    once — a sender and a receiver for the {e same} stream belong on
+    different nodes anyway. *)
 
 val unrouted : t -> int
 (** Datagrams dropped for lack of a stream handler. *)

@@ -126,9 +126,10 @@ let deliver_fn t (adu : Adu.t) =
                 let run = Ilp.run_fused plan adu.Adu.payload in
                 account_and_deliver t adu run.Ilp.output run.Ilp.checksums)
         | Some _ ->
-            (* The backlog outlives this callback, so a payload that is
-               only borrowed (a pooled reassembly buffer) must be staged
-               into storage we own until the flush. *)
+            (* The backlog outlives this callback and the transport's
+               payloads are borrowed, so each is staged into storage we
+               own until the flush: a pool slice, or a private copy when
+               there is no pool or it cannot serve this ADU. *)
             let entry =
               match acquire_fit t.in_pool (Bytebuf.length adu.Adu.payload) with
               | Some (full, staged) ->
@@ -137,13 +138,7 @@ let deliver_fn t (adu : Adu.t) =
                     ~dst_pos:0 ~len:(Bytebuf.length adu.Adu.payload);
                   (Adu.make adu.Adu.name staged, Some full)
               | None ->
-                  ( (if Option.is_some t.in_pool then
-                       (* Input staging was requested (inputs are borrowed)
-                          but the pool could not serve this ADU: fall back
-                          to a private copy rather than retain the borrow. *)
-                       Adu.make adu.Adu.name (Bytebuf.copy adu.Adu.payload)
-                     else adu),
-                    None )
+                  (Adu.make adu.Adu.name (Bytebuf.copy adu.Adu.payload), None)
             in
             Queue.add entry t.backlog;
             if Queue.length t.backlog >= t.batch then flush t)

@@ -9,7 +9,7 @@
     A stage-2 processor is a per-ADU {!Ilp} plan (chosen per ADU, so
     cipher positions and conversions can depend on the ADU's name) run
     by the {e fused} executor, wrapped as an ordinary delivery callback —
-    it plugs directly into [Alf_transport.receiver ~deliver]. Plans that
+    it plugs directly into [Alf_transport.receiver_io ~deliver]. Plans that
     would forbid out-of-order ADUs (a sequential cipher) are rejected at
     processing time and counted, never silently reordered.
 
@@ -55,12 +55,11 @@ val create :
     [buf_size], or arriving while the pool is exhausted, fall back to
     allocation transparently.
 
-    [?in_pool] matters only with [?pool] (batched mode): arriving
-    payloads are staged into pool-owned buffers until the flush. Provide
-    it whenever the transport hands out {e borrowed} payloads (a pooled
-    {!Framing.reassembler}); without it, batched mode retains the
-    caller's payload until the flush. If the staging pool cannot serve
-    an ADU, a private copy is made rather than retaining the borrow.
+    [?in_pool] matters only with [?pool] (batched mode). The backlog
+    outlives the callback and the transport's payloads are {e borrowed},
+    so each arriving payload is staged until the flush: into a buffer
+    from [?in_pool], or into a private copy when there is no staging
+    pool or it cannot serve the ADU.
 
     With both pools, steady-state receive does zero buffer allocations
     per ADU (see the [ilp-compile/pooled-receive] bench row). *)

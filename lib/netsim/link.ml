@@ -74,8 +74,14 @@ let transmit t pkt =
       if copies = 2 then t.stats.duplicated <- t.stats.duplicated + 1;
       for copy = 1 to copies do
         (* The duplicate trails its twin slightly, as a retransmitted or
-           looped copy would. *)
+           looped copy would, and carries its own bytes: no two arrivals
+           on a real wire share storage, and receivers work in place. *)
         let dup_lag = if copy = 1 then 0.0 else 1e-6 in
+        let pkt =
+          if copy = 1 then pkt
+          else
+            { pkt with Packet.payload = Bufkit.Bytebuf.copy pkt.Packet.payload }
+        in
         ignore
           (Engine.schedule_after t.engine (t.delay +. extra_delay +. dup_lag)
              (fun () -> deliver t pkt))

@@ -25,10 +25,14 @@ let shard_of ~shards ~peer ~peer_port ~stream =
        (Int64.logand (hash ~peer ~peer_port ~stream) Int64.max_int)
        (Int64.of_int shards))
 
-(* Every ALF datagram — data fragment, FEC block, control message — keeps
-   the stream id at bytes 1–2 (the {!Mux} dispatch position), so the
-   demux reads it before unsealing: routing never touches the payload,
-   and integrity verification happens on the owning shard's domain. *)
+(* Data fragments and control messages keep the stream id at bytes 1–2
+   (the {!Mux} dispatch position), so the demux reads it before
+   unsealing: routing never touches the payload, and integrity
+   verification happens on the owning shard's domain. An FEC block does
+   not: after its tag byte comes the [Fec] header — group (2 bytes),
+   position, k, flag — so bytes 1–2 hold the FEC group number. That is
+   why stage 0 rejects FEC ([fec_unsupported]) and why FEC streams cannot
+   share a {!Mux} endpoint. *)
 let stream_of_datagram buf =
   if Bytebuf.length buf < 3 then None
   else Some ((Bytebuf.get_uint8 buf 1 lsl 8) lor Bytebuf.get_uint8 buf 2)

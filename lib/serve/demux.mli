@@ -13,7 +13,8 @@ val shard_of : shards:int -> peer:int -> peer_port:int -> stream:int -> int
     [Invalid_argument] when [shards <= 0]. *)
 
 val stream_of_datagram : Bytebuf.t -> int option
-(** The stream id at bytes 1–2 — valid for {e sealed} datagrams of every
-    kind (fragments and control keep it at a fixed offset; the integrity
-    trailer sits at the end), so routing happens before unsealing.
-    [None] when the datagram is too short to carry one. *)
+(** The stream id at bytes 1–2 — valid for {e sealed} fragments and
+    control messages (both keep it at a fixed offset; the integrity
+    trailer sits at the end), so routing happens before unsealing. An
+    FEC block carries its group number there instead, which is why
+    stage 0 rejects FEC. [None] when the datagram is too short. *)

@@ -22,7 +22,6 @@ type config = {
   stage2_schema : Wire.Xdr.schema option;
   secure : Secure.Record.t option;
   obs_prefix : string;
-  ingress_validation : bool;
   max_ahead_window : int;
   police_buckets : int;
   admit_rate : float;
@@ -55,7 +54,6 @@ let default_config =
     stage2_schema = None;
     secure = None;
     obs_prefix = "serve";
-    ingress_validation = true;
     max_ahead_window = 4096;
     police_buckets = 1024;
     (* Rates are per (shard, peer-hash) bucket: honest load spreads one
@@ -80,20 +78,16 @@ let load_state_name = function
   | Shedding -> "shedding"
   | Brownout -> "brownout"
 
+(* Stage-1 state is {!Rx}'s; the session adds only what the harvest
+   sweep needs. [stamp] is the time of the last NACK (or of admission)
+   while the session is live, and its completion time once complete —
+   the sweep measures repair holdoff from the one and DONE linger from
+   the other, never both. *)
 type session = {
-  key : key;
-  mutable frontier : int;  (* everything below is delivered or gone *)
-  mutable highest : int;  (* highest index seen, -1 before any *)
-  mutable total : int;  (* from CLOSE; -1 while unknown *)
-  ahead : (int, bool) Hashtbl.t;  (* index >= frontier -> delivered? *)
-  mutable reasm : Framing.reassembler option;  (* multi-fragment only *)
+  rx : key Rx.t;
   mutable last_rx : float;
-  mutable completed : bool;
-  mutable completed_at : float;
+  mutable stamp : float;
   mutable nack_tries : int;
-  mutable last_nack : float;
-  mutable s_delivered : int;
-  mutable s_gone : int;
 }
 
 type pending = {
@@ -140,14 +134,10 @@ type shard = {
   rx_pool : Pool.t;
   ctl_pool : Pool.t;
   reasm_pool : Pool.t;
-  scratch : Bytebuf.t;  (* stage-2 destination, one per shard domain *)
   ctr : counters;
+  env : key Rx.env;  (* window, reassembly pool, record layer, stage 2 *)
   admit_police : Police.t;  (* session creation, under the shard lock *)
   ctl_police : Police.t;  (* control traffic, under the shard lock *)
-  sh_secure : Secure.Record.t option;  (* per-shard record-layer clone *)
-  mutable pending_reason : Ingress.reason option;
-      (* drop reason surfaced by a reassembler-driven delivery, so the
-         completing datagram is attributed to it (e.g. [Auth]) *)
   mutable peak_sessions : int;
   mutable inbox_peak : int;  (* high-water marks since the last harvest, *)
   mutable outbox_peak : int;  (* the overload-control occupancy signal *)
@@ -160,9 +150,6 @@ type t = {
   pool : Par.Pool.t option;
   shards : shard array;
   limits : Ingress.limits;
-  on_adu : (key -> Adu.t -> unit) option;
-  on_view : (key -> Wire.View.t -> unit) option;
-  stage2_prog : Wire.Schema.prog option;  (* compiled once at create *)
   on_complete : (key -> delivered:int -> gone:int -> unit) option;
   mutable load : load_state;
   mutable load_pending : load_state;  (* candidate next state... *)
@@ -180,7 +167,46 @@ let warm pool n =
   List.init n (fun _ -> Pool.try_acquire pool)
   |> List.iter (function Some b -> Pool.release pool b | None -> ())
 
-let make_shard config registry sid =
+(* Stage 2, the {!Rx} delivery callback: runs once per delivered ADU on
+   the owning shard's task, after stage 1 has settled it. The plan
+   transforms the borrowed payload into the shard scratch — or, with a
+   schema, validates it there and hands [on_view] a lazy view that reads
+   fields on demand. Byzantine payloads land in [view_invalid], never an
+   exception. *)
+let stage2 config ~prog ~on_adu ~on_view scratch ctr key (adu : Adu.t) =
+  let payload = adu.Adu.payload in
+  let plen = Bytebuf.length payload in
+  (match prog with
+  | Some prog -> (
+      let r =
+        if plen <= Bytebuf.length scratch then
+          Ilp.run_view ~dst:(Bytebuf.take scratch plen) config.stage2_plan prog
+            payload
+        else begin
+          Obs.Counter.incr ctr.c_fallback_allocs;
+          Ilp.run_view config.stage2_plan prog payload
+        end
+      in
+      match r.Ilp.view with
+      | Ok (view, _) -> (
+          Obs.Counter.incr ctr.c_views;
+          match on_view with Some f -> f key view | None -> ())
+      | Error _ -> Obs.Counter.incr ctr.c_view_invalid)
+  | None ->
+      if plen > 0 then
+        if plen <= Bytebuf.length scratch then
+          ignore
+            (Ilp.run_fused ~dst:(Bytebuf.take scratch plen) config.stage2_plan
+               payload)
+        else begin
+          Obs.Counter.incr ctr.c_fallback_allocs;
+          ignore (Ilp.run_fused config.stage2_plan payload)
+        end);
+  Obs.Counter.incr ctr.c_delivered;
+  Obs.Counter.add ctr.c_bytes plen;
+  match on_adu with Some f -> f key adu | None -> ()
+
+let make_shard config registry ~prog ~on_adu ~on_view sid =
   let c name =
     Obs.Registry.counter ?registry
       (Printf.sprintf "%s.shard%d.%s" config.obs_prefix sid name)
@@ -206,6 +232,33 @@ let make_shard config registry sid =
   warm rx_pool config.rx_bufs_per_shard;
   warm ctl_pool config.ctl_bufs_per_shard;
   warm reasm_pool config.reasm_bufs_per_shard;
+  let ctr =
+    {
+      c_arrivals = c "arrivals";
+      c_accepted = c "accepted";
+      c_datagrams = c "datagrams";
+      c_delivered = c "delivered";
+      c_bytes = c "delivered_bytes";
+      c_gone = c "gone";
+      c_gone_local = c "gone_local";
+      c_dups = c "dups";
+      c_admitted = c "admitted";
+      c_evicted = c "evicted";
+      c_harvested = c "harvested";
+      c_ctl_sent = c "ctl_sent";
+      c_nacks = c "nacks";
+      c_dones = c "dones";
+      c_fallback_allocs = c "fallback_allocs";
+      c_views = c "views";
+      c_view_invalid = c "view_invalid";
+      c_drops =
+        Array.map
+          (fun r -> c ("drop." ^ Ingress.reason_name r))
+          Ingress.all_reasons;
+    }
+  in
+  (* One stage-2 destination per shard domain. *)
+  let scratch = Bytebuf.create config.max_adu in
   {
     sid;
     lock = Mutex.create ();
@@ -215,39 +268,19 @@ let make_shard config registry sid =
     rx_pool;
     ctl_pool;
     reasm_pool;
-    scratch = Bytebuf.create config.max_adu;
-    ctr =
-      {
-        c_arrivals = c "arrivals";
-        c_accepted = c "accepted";
-        c_datagrams = c "datagrams";
-        c_delivered = c "delivered";
-        c_bytes = c "delivered_bytes";
-        c_gone = c "gone";
-        c_gone_local = c "gone_local";
-        c_dups = c "dups";
-        c_admitted = c "admitted";
-        c_evicted = c "evicted";
-        c_harvested = c "harvested";
-        c_ctl_sent = c "ctl_sent";
-        c_nacks = c "nacks";
-        c_dones = c "dones";
-        c_fallback_allocs = c "fallback_allocs";
-        c_views = c "views";
-        c_view_invalid = c "view_invalid";
-        c_drops =
-          Array.map
-            (fun r -> c ("drop." ^ Ingress.reason_name r))
-            Ingress.all_reasons;
-      };
+    ctr;
+    env =
+      Rx.env ~window:config.max_ahead_window ~pool:reasm_pool
+        ?secure:(Option.map Secure.Record.clone config.secure)
+        ~deliver:(fun key adu ->
+          stage2 config ~prog ~on_adu ~on_view scratch ctr key adu)
+        ();
     admit_police =
       Police.create ~buckets:config.police_buckets ~rate:config.admit_rate
         ~burst:config.admit_burst ();
     ctl_police =
       Police.create ~buckets:config.police_buckets ~rate:config.ctl_rate
         ~burst:config.ctl_burst ();
-    sh_secure = Option.map Secure.Record.clone config.secure;
-    pending_reason = None;
     peak_sessions = 0;
     inbox_peak = 0;
     outbox_peak = 0;
@@ -258,28 +291,16 @@ let count_drop sh reason =
 
 (* ---- session bookkeeping (all under the owning shard's lock) ---- *)
 
-let settled s index = index < s.frontier || Hashtbl.mem s.ahead index
-
-let advance s =
-  let start = s.frontier in
-  while Hashtbl.mem s.ahead s.frontier do
-    Hashtbl.remove s.ahead s.frontier;
-    s.frontier <- s.frontier + 1
-  done;
-  if s.frontier > start then
-    match s.reasm with
-    | Some r -> Framing.retire_below r ~bound:s.frontier
-    | None -> ()
+let key_of s = Rx.owner s.rx
 
 let drop_session sh s =
-  (* [clear], not [retire_below ~bound:(highest+1)]: a hostile sender can
-     hold a partial at an index it never advanced [highest] past (or the
-     session can be evicted mid-reassembly), and any bound-based sweep
-     would strand that partial's pooled buffer — a budget leak a churn
-     flood turns into exhaustion. *)
-  (match s.reasm with Some r -> Framing.clear r | None -> ());
-  Hashtbl.reset s.ahead;
-  Hashtbl.remove sh.sessions s.key
+  (* [Rx.clear], not a frontier sweep: a hostile sender can hold a partial
+     at an index the frontier never reaches (or the session can be
+     evicted mid-reassembly), and a bound-based sweep would strand that
+     partial's pooled buffer — a budget leak a churn flood turns into
+     exhaustion. *)
+  Rx.clear s.rx;
+  Hashtbl.remove sh.sessions (key_of s)
 
 (* Victim choice when a shard is at capacity: a completed session that is
    merely lingering for a late re-CLOSE beats any live one; among
@@ -291,9 +312,10 @@ let evict_one sh =
         match best with
         | None -> Some s
         | Some b ->
+            let sc = Rx.complete s.rx and bc = Rx.complete b.rx in
             let better =
-              if s.completed <> b.completed then s.completed
-              else if s.completed then s.completed_at < b.completed_at
+              if sc <> bc then sc
+              else if sc then s.stamp < b.stamp
               else s.last_rx < b.last_rx
             in
             if better then Some s else best)
@@ -308,23 +330,7 @@ let evict_one sh =
 let admit t sh k now =
   if Hashtbl.length sh.sessions >= t.config.max_sessions_per_shard then
     evict_one sh;
-  let s =
-    {
-      key = k;
-      frontier = 0;
-      highest = -1;
-      total = -1;
-      ahead = Hashtbl.create 8;
-      reasm = None;
-      last_rx = now;
-      completed = false;
-      completed_at = 0.;
-      nack_tries = 0;
-      last_nack = now;
-      s_delivered = 0;
-      s_gone = 0;
-    }
-  in
+  let s = { rx = Rx.create k; last_rx = now; stamp = now; nack_tries = 0 } in
   Hashtbl.replace sh.sessions k s;
   Obs.Counter.incr sh.ctr.c_admitted;
   let live = Hashtbl.length sh.sessions in
@@ -334,124 +340,40 @@ let admit t sh k now =
 (* ---- control replies (queued; the main thread drains after pump) ---- *)
 
 let queue_ctl t sh ~dst ~dst_port write =
-  (match Pool.try_acquire sh.ctl_pool with
-  | Some buf ->
-      let len = write buf in
-      let total = Ctl.seal_in_place t.config.integrity buf ~len in
-      Queue.add
-        {
-          o_dst = dst;
-          o_dst_port = dst_port;
-          o_buf = Bytebuf.take buf total;
-          o_release = (fun () -> Pool.release sh.ctl_pool buf);
-        }
-        sh.outbox
-  | None ->
-      Obs.Counter.incr sh.ctr.c_fallback_allocs;
-      let buf = Bytebuf.create t.config.rx_buf_size in
-      let len = write buf in
-      let total = Ctl.seal_in_place t.config.integrity buf ~len in
-      Queue.add
-        {
-          o_dst = dst;
-          o_dst_port = dst_port;
-          o_buf = Bytebuf.take buf total;
-          o_release = ignore;
-        }
-        sh.outbox);
+  let buf, release =
+    match Pool.try_acquire sh.ctl_pool with
+    | Some buf -> (buf, fun () -> Pool.release sh.ctl_pool buf)
+    | None ->
+        Obs.Counter.incr sh.ctr.c_fallback_allocs;
+        (Bytebuf.create t.config.rx_buf_size, ignore)
+  in
+  let len = write buf in
+  let total = Ctl.seal_in_place t.config.integrity buf ~len in
+  Queue.add
+    {
+      o_dst = dst;
+      o_dst_port = dst_port;
+      o_buf = Bytebuf.take buf total;
+      o_release = release;
+    }
+    sh.outbox;
   let depth = Queue.length sh.outbox in
   if depth > sh.outbox_peak then sh.outbox_peak <- depth;
   Obs.Counter.incr sh.ctr.c_ctl_sent
 
 let send_done t sh s =
-  queue_ctl t sh ~dst:s.key.peer ~dst_port:s.key.peer_port (fun buf ->
-      Ctl.write_done buf ~stream:s.key.stream);
+  let k = key_of s in
+  queue_ctl t sh ~dst:k.peer ~dst_port:k.peer_port (fun buf ->
+      Ctl.write_done buf ~stream:k.stream);
   Obs.Counter.incr sh.ctr.c_dones
 
-let maybe_complete t sh s =
-  if (not s.completed) && s.total >= 0 && s.frontier >= s.total then begin
-    s.completed <- true;
-    s.completed_at <- Rt.Sched.now t.sched;
-    send_done t sh s;
-    match t.on_complete with
-    | Some f -> f s.key ~delivered:s.s_delivered ~gone:s.s_gone
-    | None -> ()
-  end
-
-(* ---- stage 2 + delivery ---- *)
-
-(* Returns the drop reason when the unit must not count as served —
-   today only [Auth]; [None] covers both delivery and the benign
-   duplicate short-circuit. *)
-let deliver_adu t sh s adu =
-  let index = adu.Adu.name.Adu.index in
-  if settled s index then begin
-    Obs.Counter.incr sh.ctr.c_dups;
-    None
-  end
-  else
-    (* The record layer opens in place over the borrowed payload — one
-       fused MAC+decrypt pass on the shard domain — before any stage-2
-       work sees the bytes. A failure is a counted [Auth] drop, and the
-       index is un-retired so NACK repair can fetch the genuine bytes. *)
-    let opened =
-      match sh.sh_secure with
-      | None -> Ok adu
-      | Some rc -> (
-          match Secure.Record.open_payload rc adu.Adu.name adu.Adu.payload with
-          | Ok ct -> Ok (Adu.make adu.Adu.name ct)
-          | Error _ -> Error Ingress.Auth)
-    in
-    match opened with
-    | Error reason ->
-        (match s.reasm with
-        | Some r -> Framing.unretire r ~index
-        | None -> ());
-        Some reason
-    | Ok adu ->
-    let payload = adu.Adu.payload in
-    let plen = Bytebuf.length payload in
-    (match t.stage2_prog with
-    | Some prog ->
-        (* Lazy stage 2: same plan transform into the shard scratch, but
-           a validate pass instead of a decode — the on_view hook reads
-           fields on demand over the scratch bytes. Byzantine payloads
-           land in [view_invalid], never an exception. *)
-        let r =
-          if plen <= Bytebuf.length sh.scratch then
-            Ilp.run_view
-              ~dst:(Bytebuf.take sh.scratch plen)
-              t.config.stage2_plan prog payload
-          else begin
-            Obs.Counter.incr sh.ctr.c_fallback_allocs;
-            Ilp.run_view t.config.stage2_plan prog payload
-          end
-        in
-        (match r.Ilp.view with
-        | Ok (view, _) ->
-            Obs.Counter.incr sh.ctr.c_views;
-            (match t.on_view with Some f -> f s.key view | None -> ())
-        | Error _ -> Obs.Counter.incr sh.ctr.c_view_invalid)
-    | None ->
-        if plen > 0 then
-          if plen <= Bytebuf.length sh.scratch then
-            ignore
-              (Ilp.run_fused
-                 ~dst:(Bytebuf.take sh.scratch plen)
-                 t.config.stage2_plan payload)
-          else begin
-            Obs.Counter.incr sh.ctr.c_fallback_allocs;
-            ignore (Ilp.run_fused t.config.stage2_plan payload)
-          end);
-    Hashtbl.replace s.ahead index true;
-    s.s_delivered <- s.s_delivered + 1;
-    Obs.Counter.incr sh.ctr.c_delivered;
-    Obs.Counter.add sh.ctr.c_bytes plen;
-    if index > s.highest then s.highest <- index;
-    (match t.on_adu with Some f -> f s.key adu | None -> ());
-    advance s;
-    maybe_complete t sh s;
-    None
+let completed t sh s =
+  s.stamp <- Rt.Sched.now t.sched;
+  send_done t sh s;
+  match t.on_complete with
+  | Some f ->
+      f (key_of s) ~delivered:(Rx.delivered s.rx) ~gone:(Rx.gone_count s.rx)
+  | None -> ()
 
 (* ---- per-datagram dispatch (inside a shard task) ----
 
@@ -459,6 +381,25 @@ let deliver_adu t sh s adu =
    it under that one reason) or [None] (accepted). Handlers are total:
    the [Dispatch_error] guard in {!process_pending} is a last resort,
    not a code path. *)
+
+(* A data or CLOSE verdict decides the datagram's fate. Each completing
+   or re-announcing CLOSE gets exactly one DONE. *)
+let judge t sh s = function
+  | Rx.Pending | Rx.Settled -> None
+  | Rx.Completed ->
+      completed t sh s;
+      None
+  | Rx.Already_complete ->
+      (* A CLOSE landing after completion means our DONE was lost. *)
+      send_done t sh s;
+      None
+  | Rx.Duplicate ->
+      Obs.Counter.incr sh.ctr.c_dups;
+      None
+  | Rx.Window -> Some Ingress.Window
+  | Rx.Bad_adu -> Some Ingress.Bad_adu
+  | Rx.Bad_frag -> Some Ingress.Frag_header
+  | Rx.Auth -> Some Ingress.Auth
 
 (* Admission gate for a datagram that would create a session: refused
    outright in brownout, then rate-limited per peer. Returns the session
@@ -485,61 +426,16 @@ let handle_fragment t sh now ~src ~src_port body =
       | Error reason -> Some reason
       | Ok s ->
           s.last_rx <- now;
-          if settled s frag.Framing.index then begin
-            Obs.Counter.incr sh.ctr.c_dups;
-            None
-          end
-          else if frag.Framing.index >= s.frontier + t.config.max_ahead_window
-          then
-            (* Beyond the admission window: a forged index would otherwise
-               grow the ahead table and stretch the repair scan without
-               bound. Checked before [highest] moves, so a hostile index
-               cannot poison the repair horizon either. *)
-            Some Ingress.Window
-          else begin
-            if frag.Framing.index > s.highest then
-              s.highest <- frag.Framing.index;
-            if frag.Framing.nfrags = 1 then (
-              (* The single-fragment fast path: the whole encoded ADU is
-                 already in the staged datagram — decode the view, no
-                 reassembler, no copy. *)
-              match Adu.decode_view_res frag.Framing.chunk with
-              | Error _ -> Some Ingress.Bad_adu
-              | Ok adu -> deliver_adu t sh s adu)
-            else begin
-              let r =
-                match s.reasm with
-                | Some r -> r
-                | None ->
-                    let r =
-                      Framing.reassembler ~pool:sh.reasm_pool
-                        ~deliver:(fun adu ->
-                          sh.pending_reason <- deliver_adu t sh s adu)
-                        ()
-                    in
-                    s.reasm <- Some r;
-                    r
-              in
-              (* [push] reports malformed outcomes through its stats; the
-                 deltas attribute this datagram to exactly one reason. *)
-              let st = Framing.stats r in
-              let dups0 = st.Framing.duplicate_frags in
-              let corrupt0 = st.Framing.corrupt_adus in
-              let inconsistent0 = st.Framing.inconsistent_frags in
-              sh.pending_reason <- None;
-              Framing.push r frag;
-              if st.Framing.corrupt_adus > corrupt0 then Some Ingress.Bad_adu
-              else if st.Framing.inconsistent_frags > inconsistent0 then
-                Some Ingress.Frag_header
-              else begin
-                if st.Framing.duplicate_frags > dups0 then
-                  Obs.Counter.incr sh.ctr.c_dups;
-                (* A completing push may have surfaced a delivery-time
-                   drop (record auth): charge this datagram with it. *)
-                sh.pending_reason
-              end
-            end
-          end)
+          judge t sh s (Rx.fragment sh.env s.rx frag))
+
+(* Sender GONEs and local give-ups settle indices one at a time; the one
+   that completes the session sends its DONE. *)
+let count_gone t sh s counter = function
+  | Rx.Settled -> Obs.Counter.incr counter
+  | Rx.Completed ->
+      Obs.Counter.incr counter;
+      completed t sh s
+  | _ -> ()
 
 let handle_control t sh now ~src ~src_port body =
   if
@@ -558,10 +454,7 @@ let handle_control t sh now ~src ~src_port body =
         | Error reason -> Some reason
         | Ok s ->
             s.last_rx <- now;
-            if s.total < 0 then s.total <- max total 0;
-            (* A CLOSE landing after completion means our DONE was lost. *)
-            if s.completed then send_done t sh s else maybe_complete t sh s;
-            None)
+            judge t sh s (Rx.close s.rx total))
     | Some (Ctl.Gone { stream; indices }) -> (
         match
           gated_admit t sh { peer = src; peer_port = src_port; stream } now
@@ -569,23 +462,11 @@ let handle_control t sh now ~src ~src_port body =
         | Error reason -> Some reason
         | Ok s ->
             s.last_rx <- now;
+            (* Same admission as fragments: forged GONE indices cannot
+               grow the ahead table; ignored ones cost nothing. *)
             List.iter
-              (fun i ->
-                (* Same admission window as fragments: forged GONE indices
-                   must not grow the ahead table or move [highest]. *)
-                if
-                  i >= 0
-                  && i < s.frontier + t.config.max_ahead_window
-                  && not (settled s i)
-                then begin
-                  Hashtbl.replace s.ahead i false;
-                  s.s_gone <- s.s_gone + 1;
-                  Obs.Counter.incr sh.ctr.c_gone;
-                  if i > s.highest then s.highest <- i
-                end)
+              (fun i -> count_gone t sh s sh.ctr.c_gone (Rx.gone sh.env s.rx i))
               indices;
-            advance s;
-            maybe_complete t sh s;
             None)
     | Some (Ctl.Nack _) | Some (Ctl.Done _) -> None
 
@@ -639,13 +520,7 @@ let ingest t ~src ~src_port buf =
                     ~peer_port:src_port ~stream)
   in
   Obs.Counter.incr sh.ctr.c_arrivals;
-  let verdict =
-    if t.config.ingress_validation then Ingress.validate t.limits buf
-    else if len < 3 then Ingress.Reject Ingress.Runt
-    else if len > t.config.rx_buf_size then Ingress.Reject Ingress.Oversize
-    else Ingress.Accept 0
-  in
-  match verdict with
+  match Ingress.validate t.limits buf with
   | Ingress.Reject reason -> count_drop sh reason
   | Ingress.Accept _ -> (
       match Pool.try_acquire sh.rx_pool with
@@ -704,53 +579,34 @@ let pump t =
 (* ---- harvest: idle/lingering eviction + NACK repair ---- *)
 
 let repair t sh s now =
-  let bound = if s.total >= 0 then s.total else s.highest + 1 in
-  (* Clamp to the admission window: [total] is an attacker-supplied u32,
-     and an unclamped bound would turn the give-up loop below into a
-     4-billion-iteration stall on one hostile CLOSE. *)
-  let bound = min bound (s.frontier + t.config.max_ahead_window) in
-  if s.frontier < bound then begin
-    let holdoff =
-      t.config.nack_holdoff *. float_of_int (1 lsl min s.nack_tries 6)
-    in
-    if now -. s.last_nack >= holdoff then
-      if s.nack_tries >= t.config.nack_budget then begin
-        (* Repair budget spent: declare the rest locally gone so the
-           session can settle instead of hanging — the loss is reported
-           in application terms, exactly like a sender GONE. *)
-        for i = s.frontier to bound - 1 do
-          if not (settled s i) then begin
-            Hashtbl.replace s.ahead i false;
-            s.s_gone <- s.s_gone + 1;
-            Obs.Counter.incr sh.ctr.c_gone_local
-          end
-        done;
-        advance s;
-        maybe_complete t sh s
-      end
-      else begin
-        (* Fit the NACK in one pooled control buffer: 13-byte body header,
-           4 bytes per index, 4-byte trailer. *)
-        let cap = min 256 ((t.config.rx_buf_size - 17) / 4) in
-        let missing = ref [] and n = ref 0 in
-        let i = ref (bound - 1) in
-        while !i >= s.frontier && !n < cap do
-          if not (settled s !i) then begin
-            missing := !i :: !missing;
-            incr n
-          end;
-          decr i
-        done;
-        if !missing <> [] then begin
-          queue_ctl t sh ~dst:s.key.peer ~dst_port:s.key.peer_port (fun buf ->
-              Ctl.write_nack buf ~stream:s.key.stream ~have_below:s.frontier
-                !missing);
+  (* Fit the NACK in one pooled control buffer: 13-byte body header,
+     4 bytes per index, 4-byte trailer. *)
+  let cap = Int.min 256 ((t.config.rx_buf_size - 17) / 4) in
+  match Rx.missing sh.env s.rx ~cap with
+  | [] -> ()
+  | missing ->
+      let holdoff =
+        t.config.nack_holdoff *. float_of_int (1 lsl Int.min s.nack_tries 6)
+      in
+      if now -. s.stamp >= holdoff then
+        if s.nack_tries >= t.config.nack_budget then
+          (* Repair budget spent: declare the rest locally gone so the
+             session can settle instead of hanging — the loss is reported
+             in application terms, exactly like a sender GONE. The scan
+             stops at the admission window, so a hostile CLOSE total
+             cannot turn it into a 4-billion-iteration stall. *)
+          List.iter
+            (fun i -> count_gone t sh s sh.ctr.c_gone_local (Rx.give_up s.rx i))
+            (Rx.missing sh.env s.rx ~cap:max_int)
+        else begin
+          let k = key_of s in
+          queue_ctl t sh ~dst:k.peer ~dst_port:k.peer_port (fun buf ->
+              Ctl.write_nack buf ~stream:k.stream
+                ~have_below:(Rx.frontier s.rx) missing);
           Obs.Counter.incr sh.ctr.c_nacks;
           s.nack_tries <- s.nack_tries + 1;
-          s.last_nack <- now
+          s.stamp <- now
         end
-      end
-  end
 
 (* Shedding tightens the timers (completed sessions go immediately,
    idle ones in half the time); brownout halves them again and — via
@@ -779,8 +635,8 @@ let harvest_shard t sh now =
       let expired = ref [] in
       Hashtbl.iter
         (fun _ s ->
-          if s.completed then begin
-            if now -. s.completed_at >= linger then expired := s :: !expired
+          if Rx.complete s.rx then begin
+            if now -. s.stamp >= linger then expired := s :: !expired
           end
           else if now -. s.last_rx >= idle then expired := s :: !expired
           else repair t sh s now)
@@ -866,6 +722,12 @@ let stop t =
   (match t.harvest_timer with Some tm -> Rt.Sched.cancel tm | None -> ());
   t.harvest_timer <- None
 
+let drop_count t reason =
+  let i = Ingress.reason_index reason in
+  Array.fold_left
+    (fun acc sh -> acc + Obs.Counter.value sh.ctr.c_drops.(i))
+    0 t.shards
+
 let create ~sched ?io ?pool ?registry ?on_adu ?on_view ?on_complete
     ?(config = default_config) () =
   if config.shards < 1 then invalid_arg "Server.create: shards";
@@ -875,7 +737,11 @@ let create ~sched ?io ?pool ?registry ?on_adu ?on_view ?on_complete
     invalid_arg "Server.create: rx_buf_size";
   if config.max_ahead_window < 1 then
     invalid_arg "Server.create: max_ahead_window";
-  let shards = Array.init config.shards (make_shard config registry) in
+  let prog = Option.map Wire.Schema.prog_of_xdr config.stage2_schema in
+  let shards =
+    Array.init config.shards
+      (make_shard config registry ~prog ~on_adu ~on_view)
+  in
   let limits =
     {
       Ingress.trailer =
@@ -892,9 +758,6 @@ let create ~sched ?io ?pool ?registry ?on_adu ?on_view ?on_complete
       pool;
       shards;
       limits;
-      on_adu;
-      on_view;
-      stage2_prog = Option.map Wire.Schema.prog_of_xdr config.stage2_schema;
       on_complete;
       load = Normal;
       load_pending = Normal;
@@ -908,14 +771,9 @@ let create ~sched ?io ?pool ?registry ?on_adu ?on_view ?on_complete
     (fun () -> float_of_int (load_state_index t.load));
   Array.iter
     (fun r ->
-      let i = Ingress.reason_index r in
       Obs.Registry.pull ?registry
         (config.obs_prefix ^ ".drop." ^ Ingress.reason_name r)
-        (fun () ->
-          float_of_int
-            (Array.fold_left
-               (fun acc sh -> acc + Obs.Counter.value sh.ctr.c_drops.(i))
-               0 t.shards)))
+        (fun () -> float_of_int (drop_count t r)))
     Ingress.all_reasons;
   (match io with
   | Some io ->
@@ -1020,12 +878,6 @@ let zero_snapshot =
     dropped = 0;
   }
 
-let drop_count t reason =
-  let i = Ingress.reason_index reason in
-  Array.fold_left
-    (fun acc sh -> acc + Obs.Counter.value sh.ctr.c_drops.(i))
-    0 t.shards
-
 let malformed_drops s =
   Array.fold_left ( + ) 0
     (Array.map
@@ -1049,31 +901,20 @@ let live_sessions t =
 let peak_sessions t =
   Array.fold_left (fun acc sh -> acc + sh.peak_sessions) 0 t.shards
 
-let pool_allocated t =
+(* Sum one pool statistic over the chosen pools of every shard. *)
+let pool_sum t pools stat =
   Array.fold_left
     (fun acc sh ->
-      acc
-      + (Pool.stats sh.rx_pool).Pool.allocated
-      + (Pool.stats sh.ctl_pool).Pool.allocated
-      + (Pool.stats sh.reasm_pool).Pool.allocated)
+      List.fold_left (fun acc p -> acc + stat (Pool.stats p)) acc (pools sh))
     0 t.shards
+
+let all_pools sh = [ sh.rx_pool; sh.ctl_pool; sh.reasm_pool ]
+let pool_allocated t = pool_sum t all_pools (fun s -> s.Pool.allocated)
 
 let data_pool_allocated t =
-  Array.fold_left
-    (fun acc sh ->
-      acc
-      + (Pool.stats sh.rx_pool).Pool.allocated
-      + (Pool.stats sh.reasm_pool).Pool.allocated)
-    0 t.shards
+  pool_sum t (fun sh -> [ sh.rx_pool; sh.reasm_pool ]) (fun s -> s.Pool.allocated)
 
-let pool_outstanding t =
-  Array.fold_left
-    (fun acc sh ->
-      acc
-      + (Pool.stats sh.rx_pool).Pool.outstanding
-      + (Pool.stats sh.ctl_pool).Pool.outstanding
-      + (Pool.stats sh.reasm_pool).Pool.outstanding)
-    0 t.shards
+let pool_outstanding t = pool_sum t all_pools (fun s -> s.Pool.outstanding)
 
 let shard_of_key t ~peer ~peer_port ~stream =
   Demux.shard_of ~shards:t.config.shards ~peer ~peer_port ~stream
@@ -1104,18 +945,18 @@ let session_view t ~peer ~peer_port ~stream =
   | Some s ->
       Some
         {
-          v_frontier = s.frontier;
-          v_total = s.total;
-          v_delivered = s.s_delivered;
-          v_gone = s.s_gone;
-          v_completed = s.completed;
-          v_ahead_load = Hashtbl.length s.ahead;
+          v_frontier = Rx.frontier s.rx;
+          v_total = Rx.total s.rx;
+          v_delivered = Rx.delivered s.rx;
+          v_gone = Rx.gone_count s.rx;
+          v_completed = Rx.complete s.rx;
+          v_ahead_load = Rx.ahead_load s.rx;
         }
 
 let max_ahead_load t =
   Array.fold_left
     (fun acc sh ->
       Hashtbl.fold
-        (fun _ s m -> max m (Hashtbl.length s.ahead))
+        (fun _ s m -> max m (Rx.ahead_load s.rx))
         sh.sessions acc)
     0 t.shards

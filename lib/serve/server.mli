@@ -5,8 +5,9 @@
     global lock, one mutex and one set of buffer pools per shard — and
     each shard's batch of staged datagrams is processed as one task on a
     {!Par.Pool} (stage 1 reassembly + the stage-2 manipulation plan run
-    inline, on the shard's own scratch buffer). The single-session
-    transport ({!Alf_transport}) keeps its endpoint model; this engine is
+    inline, on the shard's own scratch buffer). Each session is an
+    {!Alf_core.Rx} receive session, the same stage 1 the single-session
+    transport ({!Alf_transport}) drives; this engine is
     the concentrator the paper's §7 parallel-sink argument implies: since
     every ADU is self-contained, sessions are embarrassingly parallel and
     the only shared state is the demux function.
@@ -78,9 +79,6 @@ type config = {
       Default [None]. *)
   obs_prefix : string;  (** Registry namespace:
       [<prefix>.shard<N>.<counter>]. *)
-  ingress_validation : bool;  (** Stage-0 {!Ingress.validate} before
-      demux (default true; false keeps only the legacy length checks —
-      the clean-path A/B switch for the <3% overhead gate). *)
   max_ahead_window : int;  (** Largest accepted distance of any index
       (fragment or GONE) above a session's frontier; beyond it the
       datagram is dropped ([drop.window]). Bounds the ahead table and the

@@ -691,6 +691,8 @@ type alf_world = {
   sender : Alf_transport.sender;
   receiver : Alf_transport.receiver;
   delivered : (int * string) list ref;
+  series : (float * float) list ref;
+      (* (virtual time, cumulative delivered bytes), newest first *)
 }
 
 let make_alf_world ?(loss = 0.0) ?(policy = Recovery.Transport_buffer)
@@ -703,16 +705,18 @@ let make_alf_world ?(loss = 0.0) ?(policy = Recovery.Transport_buffer)
   in
   let ua = Transport.Udp.create ~engine ~node:net.Topology.a () in
   let ub = Transport.Udp.create ~engine ~node:net.Topology.b () in
-  let delivered = ref [] in
+  let delivered = ref [] and series = ref [] and bytes = ref 0 in
   let receiver =
-    Alf_transport.receiver ~sched:(Netsim.Engine.sched engine) ~udp:ub ~port:7000 ~stream:1
+    Alf_transport.receiver_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ub) ~port:7000 ~stream:1
       ~deliver:(fun adu ->
         delivered :=
-          (adu.Adu.name.Adu.index, Bytebuf.to_string adu.Adu.payload) :: !delivered)
+          (adu.Adu.name.Adu.index, Bytebuf.to_string adu.Adu.payload) :: !delivered;
+        bytes := !bytes + Bytebuf.length adu.Adu.payload;
+        series := (Engine.now engine, float_of_int !bytes) :: !series)
       ()
   in
   let sender =
-    Alf_transport.sender ~sched:(Netsim.Engine.sched engine) ~udp:ua ~peer:2 ~peer_port:7000 ~port:7001
+    Alf_transport.sender_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ua) ~peer:2 ~peer_port:7000 ~port:7001
       ~stream:1 ~policy ()
   in
   let payload i = String.init adu_payload (fun j -> Char.chr ((i + j) land 0xff)) in
@@ -724,7 +728,7 @@ let make_alf_world ?(loss = 0.0) ?(policy = Recovery.Transport_buffer)
          (Bytebuf.of_string (payload i)))
   done;
   Alf_transport.close sender;
-  { engine; sender; receiver; delivered }
+  { engine; sender; receiver; delivered; series }
 
 let test_alf_clean_delivery () =
   let w = make_alf_world () in
@@ -789,11 +793,11 @@ let test_alf_app_recompute_policy () =
   in
   let delivered = ref 0 in
   let receiver =
-    Alf_transport.receiver ~sched:(Netsim.Engine.sched engine) ~udp:ub ~port:7000 ~stream:1
+    Alf_transport.receiver_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ub) ~port:7000 ~stream:1
       ~deliver:(fun _ -> incr delivered) ()
   in
   let sender =
-    Alf_transport.sender ~sched:(Netsim.Engine.sched engine) ~udp:ua ~peer:2 ~peer_port:7000 ~port:7001
+    Alf_transport.sender_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ua) ~peer:2 ~peer_port:7000 ~port:7001
       ~stream:1 ~policy:(Recovery.App_recompute regenerate) ()
   in
   for i = 0 to 29 do
@@ -817,7 +821,7 @@ let test_alf_store_released_by_acks () =
 let test_alf_delivery_series_monotone () =
   let w = make_alf_world ~loss:0.05 ~count:30 () in
   Engine.run ~until:120.0 w.engine;
-  let pts = Stats.points (Alf_transport.delivery_series w.receiver) in
+  let pts = List.rev !(w.series) in
   Alcotest.(check bool) "nonempty" true (List.length pts > 0);
   let rec monotone = function
     | (t1, v1) :: ((t2, v2) :: _ as rest) ->
@@ -825,6 +829,349 @@ let test_alf_delivery_series_monotone () =
     | _ -> true
   in
   Alcotest.(check bool) "monotone progress" true (monotone pts)
+
+(* A receiver driven by hand: [feed] hands it one sealed datagram, and
+   every DONE it sends is counted. *)
+let hand_receiver () =
+  let engine = Engine.create () in
+  let handler = ref None and dones = ref 0 and delivered = ref [] in
+  let integrity = Some Checksum.Kind.Crc32 in
+  let io =
+    {
+      Dgram.send =
+        (fun ~dst:_ ~dst_port:_ ~src_port:_ buf ->
+          (match Option.map Ctl.parse (Ctl.unseal integrity buf) with
+          | Some (Some (Ctl.Done _)) -> incr dones
+          | _ -> ());
+          true);
+      bind = (fun ~port:_ h -> handler := Some h);
+      max_payload = 65507;
+    }
+  in
+  let receiver =
+    Alf_transport.receiver_io ~sched:(Engine.sched engine) ~io ~port:7000
+      ~stream:1
+      ~deliver:(fun adu -> delivered := adu.Adu.name.Adu.index :: !delivered)
+      ()
+  in
+  let feed dgram =
+    match !handler with
+    | Some h -> h ~src:2 ~src_port:7001 (Ctl.seal integrity dgram)
+    | None -> Alcotest.fail "receiver never bound"
+  in
+  let feed_adu i =
+    List.iter feed
+      (Framing.fragment ~mtu:1400
+         (Adu.make (Adu.name ~stream:1 ~index:i ()) (buf "payload")))
+  in
+  (receiver, feed, feed_adu, dones, delivered)
+
+let test_alf_one_done_per_close () =
+  let receiver, feed, feed_adu, dones, _ = hand_receiver () in
+  for i = 0 to 9 do
+    feed_adu i
+  done;
+  Alcotest.(check int) "no DONE before CLOSE" 0 !dones;
+  feed (Ctl.build_close ~stream:1 ~total:10);
+  Alcotest.(check bool) "complete" true (Alf_transport.complete receiver);
+  Alcotest.(check int) "one DONE for the completing CLOSE" 1 !dones;
+  feed (Ctl.build_close ~stream:1 ~total:10);
+  feed (Ctl.build_close ~stream:1 ~total:10);
+  Alcotest.(check int) "one more per re-CLOSE" 3 !dones
+
+let test_alf_nothing_beyond_total () =
+  let receiver, feed, feed_adu, _, delivered = hand_receiver () in
+  feed (Ctl.build_close ~stream:1 ~total:4);
+  feed_adu 0;
+  feed_adu 10;
+  feed (Ctl.build_gone ~stream:1 [ 11 ]);
+  for i = 1 to 3 do
+    feed_adu i
+  done;
+  Alcotest.(check bool) "complete" true (Alf_transport.complete receiver);
+  feed_adu 10;
+  Alcotest.(check (list int)) "only indices below the total" [ 0; 1; 2; 3 ]
+    (List.sort compare !delivered);
+  Alcotest.(check int) "no GONE beyond the total" 0
+    (Alf_transport.receiver_stats receiver).Alf_transport.adus_lost;
+  Alcotest.(check bool) "index 10 never settled" false
+    (Alf_transport.settled receiver 10);
+  Alcotest.(check (pair int int)) "tables empty" (0, 0)
+    (Alf_transport.receiver_table_sizes receiver)
+
+(* Damage above the integrity trailer: the datagram verifies, the ADU
+   CRC does not. Stage 1 must count it whether or not the ADU needed
+   the reassembler, and a clean copy must still be delivered. *)
+let test_alf_corrupt_adu_counted () =
+  let receiver, feed, feed_adu, _, delivered = hand_receiver () in
+  let corrupt () =
+    (Alf_transport.reassembly_stats receiver).Framing.corrupt_adus
+  in
+  let damaged i payload =
+    List.map
+      (fun d ->
+        let d = Bytebuf.copy d in
+        let last = Bytebuf.length d - 1 in
+        Bytebuf.set_uint8 d last (Bytebuf.get_uint8 d last lxor 0x40);
+        d)
+      (Framing.fragment ~mtu:1400
+         (Adu.make (Adu.name ~stream:1 ~index:i ()) payload))
+  in
+  let single = damaged 0 (buf "payload") in
+  Alcotest.(check int) "one fragment" 1 (List.length single);
+  List.iter feed single;
+  Alcotest.(check int) "single-fragment ADU counted" 1 (corrupt ());
+  let big = buf (String.make 3000 'x') in
+  let multi = damaged 1 big in
+  Alcotest.(check bool) "several fragments" true (List.length multi > 1);
+  List.iter feed multi;
+  Alcotest.(check int) "multi-fragment ADU counted" 2 (corrupt ());
+  Alcotest.(check (list int)) "neither delivered" [] !delivered;
+  feed_adu 0;
+  List.iter feed
+    (Framing.fragment ~mtu:1400 (Adu.make (Adu.name ~stream:1 ~index:1 ()) big));
+  Alcotest.(check (list int)) "clean copies delivered" [ 0; 1 ]
+    (List.sort compare !delivered);
+  Alcotest.(check int) "clean copies not counted" 2 (corrupt ())
+
+(* --- Rx against a reference model ---
+
+   One stream of [n] ADUs (1-3 fragments each, optionally sealed) plus
+   four indices beyond the CLOSE total, driven by random interleavings:
+   reordered and duplicated fragments, bit-flipped and tag-tampered
+   copies, clean retransmissions, repeated CLOSEs, GONE subsets, local
+   give-ups, and [clear] followed by a fresh session. The model is three
+   facts — delivered set, gone set, total — and every step is checked
+   against it. *)
+
+type rx_ev =
+  | Frag of int * int  (* one clean fragment, by index and position *)
+  | Flip of int * int * int  (* that fragment with one chunk bit flipped *)
+  | Tamper of int  (* every fragment of a copy with a forged tag *)
+  | Clean of int  (* every clean fragment, sent twice *)
+  | Close
+  | Gone of int list
+  | Give_up  (* the lowest index [Rx.missing] reports *)
+  | Clear
+
+let pp_rx_ev = function
+  | Frag (i, j) -> Printf.sprintf "Frag(%d,%d)" i j
+  | Flip (i, j, b) -> Printf.sprintf "Flip(%d,%d,%d)" i j b
+  | Tamper i -> Printf.sprintf "Tamper %d" i
+  | Clean i -> Printf.sprintf "Clean %d" i
+  | Close -> "Close"
+  | Gone l -> "Gone[" ^ String.concat ";" (List.map string_of_int l) ^ "]"
+  | Give_up -> "Give_up"
+  | Clear -> "Clear"
+
+let rx_case =
+  let open QCheck.Gen in
+  let gen =
+    int_range 1 12 >>= fun n ->
+    array_size (return (n + 4)) (int_range 1 3) >>= fun nfs ->
+    bool >>= fun secure ->
+    let idx = int_range 0 (n + 3) in
+    let ev =
+      frequency
+        [
+          (6, map2 (fun i j -> Frag (i, j)) idx (int_range 0 2));
+          (1, map3 (fun i j b -> Flip (i, j, b)) idx (int_range 0 2) nat);
+          (1, map (fun i -> Tamper i) idx);
+          (2, map (fun i -> Clean i) idx);
+          (1, return Close);
+          (1, map (fun l -> Gone l) (list_size (int_range 1 3) idx));
+          (1, return Give_up);
+          (1, return Clear);
+        ]
+    in
+    list_size (int_range 1 60) ev >|= fun evs -> (n, nfs, secure, evs)
+  in
+  QCheck.make gen ~print:(fun (n, nfs, secure, evs) ->
+      Printf.sprintf "n=%d nfs=[%s] secure=%b [%s]" n
+        (String.concat ";" (Array.to_list (Array.map string_of_int nfs)))
+        secure
+        (String.concat " " (List.map pp_rx_ev evs)))
+
+(* The reference model. *)
+type rx_model = {
+  delivered : bool array;
+  gone : bool array;
+  mutable total : int;  (* -1 before CLOSE *)
+}
+
+let m_settled m i = m.delivered.(i) || m.gone.(i)
+
+let m_frontier m =
+  let rec go i =
+    if i < Array.length m.delivered && m_settled m i then go (i + 1) else i
+  in
+  go 0
+
+let m_complete m = m.total >= 0 && m_frontier m >= m.total
+
+let m_reset m =
+  Array.fill m.delivered 0 (Array.length m.delivered) false;
+  Array.fill m.gone 0 (Array.length m.gone) false;
+  m.total <- -1
+
+let model_fail fmt = Printf.ksprintf QCheck.Test.fail_report fmt
+
+(* Every ADU encodes to 90 bytes plus 100 per extra fragment, so a
+   119-byte MTU (19-byte fragment header) cuts it into [nfs.(i)] pieces. *)
+let rx_fixture ~nfs ~secure =
+  let key = 0x5EC0DEL in
+  let plain i =
+    String.init
+      (90 - Adu.header_size
+      - (if secure then Secure.Record.overhead else 0)
+      + (100 * (nfs.(i) - 1)))
+      (fun j -> Char.chr (((i * 31) + j) land 0xff))
+  in
+  let sealed i =
+    let adu = Adu.make (Adu.name ~stream:1 ~index:i ()) (buf (plain i)) in
+    if secure then Secure.Record.seal_adu (Secure.Record.of_int64 key) adu
+    else adu
+  in
+  let forged i =
+    (* A valid ADU CRC over a payload whose record tag is wrong. *)
+    let a = sealed i in
+    let p = Bytebuf.copy a.Adu.payload in
+    let last = Bytebuf.length p - 1 in
+    Bytebuf.set_uint8 p last (Bytebuf.get_uint8 p last lxor 1);
+    Adu.make a.Adu.name p
+  in
+  let frags adu = Array.of_list (Framing.fragment ~mtu:119 adu) in
+  let n = Array.length nfs in
+  let opener = if secure then Some (Secure.Record.of_int64 key) else None in
+  ( plain,
+    Array.init n (fun i -> frags (sealed i)),
+    Array.init n (fun i -> frags (forged i)),
+    opener )
+
+let rx_matches_model =
+  QCheck.Test.make ~name:"rx: random interleavings match the reference model"
+    ~count:1000 rx_case (fun (n, nfs, secure, evs) ->
+      let plain, clean, forged, secure_rx = rx_fixture ~nfs ~secure in
+      let pool = Pool.create ~buf_size:512 () in
+      let m =
+        {
+          delivered = Array.make (n + 4) false;
+          gone = Array.make (n + 4) false;
+          total = -1;
+        }
+      in
+      let env =
+        Rx.env ~window:max_int ~pool ?secure:secure_rx
+          ~deliver:(fun () adu ->
+            let i = adu.Adu.name.Adu.index in
+            if m_settled m i then model_fail "%d delivered twice or after gone" i;
+            if m.total >= 0 && i >= m.total then
+              model_fail "%d delivered at or above the total %d" i m.total;
+            if m_complete m then model_fail "%d delivered after completion" i;
+            if Bytebuf.to_string adu.Adu.payload <> plain i then
+              model_fail "%d: payload differs" i;
+            m.delivered.(i) <- true)
+          ()
+      in
+      let rx = ref (Rx.create ()) and completions = ref 0 in
+      let note v = if v = Rx.Completed then incr completions in
+      (* Each arrival is a fresh datagram: the record opens in place. *)
+      let feed b =
+        note
+          (Rx.fragment env !rx
+             (Result.get_ok (Framing.parse_fragment_res (Bytebuf.copy b))))
+      in
+      let settle_gone i v =
+        note v;
+        if m_settled m i then (
+          if v <> Rx.Duplicate then model_fail "GONE %d: not a duplicate" i)
+        else if m.total >= 0 && i >= m.total then (
+          if v <> Rx.Window then model_fail "GONE %d beyond the total" i)
+        else begin
+          m.gone.(i) <- true;
+          if v <> if m_complete m then Rx.Completed else Rx.Settled then
+            model_fail "GONE %d verdict" i
+        end
+      in
+      let apply = function
+        | Frag (i, j) -> feed clean.(i).(j mod nfs.(i))
+        | Flip (i, j, b) ->
+            let f = Bytebuf.copy clean.(i).(j mod nfs.(i)) in
+            let pos = 19 + (b mod (Bytebuf.length f - 19)) in
+            Bytebuf.set_uint8 f pos (Bytebuf.get_uint8 f pos lxor (1 lsl (b mod 8)));
+            feed f
+        | Tamper i ->
+            (* Only the pieces that differ from the clean copy: the header
+               with the forged CRC and the chunk with the forged tag. *)
+            if secure then
+              Array.iteri
+                (fun j f ->
+                  if Bytebuf.to_string f <> Bytebuf.to_string clean.(i).(j)
+                  then feed f)
+                forged.(i)
+        | Clean i ->
+            let open_before = (not (m_settled m i)) && (m.total < 0 || i < m.total) in
+            (* Twice: the first burst may only flush a stale partial. *)
+            Array.iter feed clean.(i);
+            Array.iter feed clean.(i);
+            if open_before && not m.delivered.(i) then
+              model_fail "clean copy of %d not delivered" i
+        | Close ->
+            let v = Rx.close !rx n in
+            note v;
+            let expect =
+              if m.total >= 0 then
+                if m_complete m then Rx.Already_complete else Rx.Pending
+              else begin
+                m.total <- n;
+                if m_complete m then Rx.Completed else Rx.Pending
+              end
+            in
+            if v <> expect then model_fail "CLOSE verdict"
+        | Gone l -> List.iter (fun i -> settle_gone i (Rx.gone env !rx i)) l
+        | Give_up -> (
+            match Rx.missing env !rx ~cap:1 with
+            | [] -> ()
+            | i :: _ ->
+                settle_gone i (Rx.give_up !rx i);
+                if Rx.give_up !rx i <> Rx.Duplicate then
+                  model_fail "second give-up of %d" i)
+        | Clear ->
+            Rx.clear !rx;
+            if (Pool.stats pool).Pool.outstanding <> 0 then
+              model_fail "clear left pooled buffers";
+            rx := Rx.create ();
+            m_reset m
+      in
+      let step ev =
+        let before = Array.copy m.delivered
+        and was_complete = m_complete m
+        and f0 = Rx.frontier !rx in
+        completions := 0;
+        apply ev;
+        (match ev with
+        | (Flip _ | Tamper _) when before <> m.delivered ->
+            model_fail "a corrupt or forged copy was delivered"
+        | _ -> ());
+        let complete = m_complete m in
+        if !completions <> if complete && not was_complete then 1 else 0 then
+          model_fail "Completed reported %d times" !completions;
+        if Rx.frontier !rx <> m_frontier m then
+          model_fail "frontier %d, model %d" (Rx.frontier !rx) (m_frontier m);
+        if ev <> Clear && Rx.frontier !rx < f0 then model_fail "frontier went back";
+        if Rx.complete !rx <> complete then model_fail "complete disagrees";
+        for i = 0 to n + 3 do
+          if Rx.settled !rx i <> m_settled m i then model_fail "settled %d disagrees" i
+        done;
+        if m.total >= 0 then
+          let expect =
+            List.filter (fun i -> not (m_settled m i)) (List.init m.total Fun.id)
+          in
+          if Rx.missing env !rx ~cap:max_int <> expect then
+            model_fail "missing disagrees"
+      in
+      List.iter step evs;
+      true)
 
 (* --- Session (out-of-band setup) --- *)
 
@@ -1016,11 +1363,11 @@ let test_stage2_decrypt_verify_pipeline () =
       ()
   in
   let receiver =
-    Alf_transport.receiver ~sched:(Netsim.Engine.sched engine) ~udp:ub ~port:3 ~stream:1
+    Alf_transport.receiver_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ub) ~port:3 ~stream:1
       ~deliver:(Stage2.deliver_fn stage2) ()
   in
   let sender =
-    Alf_transport.sender ~sched:(Netsim.Engine.sched engine) ~udp:ua ~peer:2 ~peer_port:3 ~port:4 ~stream:1
+    Alf_transport.sender_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ua) ~peer:2 ~peer_port:3 ~port:4 ~stream:1
       ~policy:Recovery.Transport_buffer ()
   in
   List.iter
@@ -1090,13 +1437,13 @@ let test_stage2_out_pool_inline () =
   Alcotest.(check int) "one output buffer recycled" 1
     (Pool.stats out_pool).Pool.allocated
 
-let test_stage2_batched_pools_round_trip () =
-  (* Batched stage 2 with both pools, fed borrowed inputs (a pooled
-     reassembler would hand these out): inputs are staged, outputs are
-     pooled, results are byte-correct and in arrival order. *)
+let stage2_batched_round_trip ~staging () =
+  (* Batched stage 2 fed borrowed inputs (every receiver hands these
+     out): inputs are staged, into [in_pool] or a private copy, outputs
+     are pooled, results are byte-correct and in arrival order. *)
   let key = 5L in
   let pool = Par.Pool.create ~domains:2 () in
-  let in_pool = Pool.create ~buf_size:256 () in
+  let in_pool = if staging then Some (Pool.create ~buf_size:256 ()) else None in
   let out_pool = Pool.create ~buf_size:256 () in
   let pad = Cipher.Pad.create ~key in
   let mk i =
@@ -1113,7 +1460,7 @@ let test_stage2_batched_pools_round_trip () =
   let expected = Array.init 10 (fun i -> fst (mk i)) in
   let order = ref [] in
   let stage =
-    Stage2.create ~pool ~batch:4 ~in_pool ~out_pool
+    Stage2.create ~pool ~batch:4 ?in_pool ~out_pool
       ~plan:(Stage2.decrypt_verify_at ~key)
       ~deliver:(fun (r : Stage2.result) ->
         let i = r.Stage2.adu.Adu.name.Adu.index in
@@ -1128,7 +1475,7 @@ let test_stage2_batched_pools_round_trip () =
     ~finally:(fun () -> Par.Pool.shutdown pool)
     (fun () ->
       (* Hand each ADU over in a borrowed buffer that is scribbled on as
-         soon as deliver_fn returns — only input staging keeps this safe. *)
+         soon as deliver_fn returns — only staging keeps this safe. *)
       let borrowed = Bytebuf.create 64 in
       for i = 0 to 9 do
         let _, adu = mk i in
@@ -1154,11 +1501,12 @@ let test_mux_two_streams_one_port () =
   in
   let ua = Transport.Udp.create ~engine ~node:net.Topology.a () in
   let ub = Transport.Udp.create ~engine ~node:net.Topology.b () in
-  let mux_a = Mux.create ~udp:ua ~port:6000 in
-  let mux_b = Mux.create ~udp:ub ~port:6000 in
+  let mux_a = Mux.create ~io:(Dgram.of_udp ua) ~port:6000 in
+  let mux_b = Mux.create ~io:(Dgram.of_udp ub) ~port:6000 in
   let got = Hashtbl.create 8 in
   let mk_receiver stream =
-    Alf_transport.receiver_mux ~sched:(Netsim.Engine.sched engine) ~mux:mux_b ~stream
+    Alf_transport.receiver_io ~sched:(Netsim.Engine.sched engine)
+      ~io:(Mux.stream_io mux_b ~stream) ~port:(Mux.port mux_b) ~stream
       ~deliver:(fun adu ->
         let key = (stream, adu.Adu.name.Adu.index) in
         if Hashtbl.mem got key then Alcotest.fail "cross-stream duplicate";
@@ -1167,8 +1515,9 @@ let test_mux_two_streams_one_port () =
   in
   let r1 = mk_receiver 1 and r2 = mk_receiver 2 in
   let mk_sender stream =
-    Alf_transport.sender_mux ~sched:(Netsim.Engine.sched engine) ~mux:mux_a ~peer:2 ~peer_port:6000 ~stream
-      ~policy:Recovery.Transport_buffer ()
+    Alf_transport.sender_io ~sched:(Netsim.Engine.sched engine)
+      ~io:(Mux.stream_io mux_a ~stream) ~peer:2 ~peer_port:6000
+      ~port:(Mux.port mux_a) ~stream ~policy:Recovery.Transport_buffer ()
   in
   let s1 = mk_sender 1 and s2 = mk_sender 2 in
   let payload stream i = Printf.sprintf "s%d-adu%d-%s" stream i (String.make 500 'x') in
@@ -1197,10 +1546,10 @@ let test_mux_unrouted_counted () =
   in
   let ua = Transport.Udp.create ~engine ~node:net.Topology.a () in
   let ub = Transport.Udp.create ~engine ~node:net.Topology.b () in
-  let mux_b = Mux.create ~udp:ub ~port:6000 in
+  let mux_b = Mux.create ~io:(Dgram.of_udp ub) ~port:6000 in
   (* A sender for stream 9, but no receiver attached for it. *)
   let s =
-    Alf_transport.sender ~sched:(Netsim.Engine.sched engine) ~udp:ua ~peer:2 ~peer_port:6000 ~port:6001
+    Alf_transport.sender_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ua) ~peer:2 ~peer_port:6000 ~port:6001
       ~stream:9 ~policy:Recovery.No_recovery ()
   in
   Alf_transport.send_adu s (Adu.make (Adu.name ~stream:9 ~index:0 ()) (buf "x"));
@@ -1712,7 +2061,13 @@ let () =
           Alcotest.test_case "app-recompute policy" `Quick test_alf_app_recompute_policy;
           Alcotest.test_case "store released" `Quick test_alf_store_released_by_acks;
           Alcotest.test_case "delivery series" `Quick test_alf_delivery_series_monotone;
+          Alcotest.test_case "one DONE per CLOSE" `Quick test_alf_one_done_per_close;
+          Alcotest.test_case "nothing beyond the total" `Quick
+            test_alf_nothing_beyond_total;
+          Alcotest.test_case "corrupt ADUs counted" `Quick
+            test_alf_corrupt_adu_counted;
         ] );
+      ("rx", [ qcheck rx_matches_model ]);
       ( "ordered",
         [
           Alcotest.test_case "releases contiguous" `Quick test_ordered_releases_contiguous;
@@ -1778,7 +2133,9 @@ let () =
           Alcotest.test_case "out_pool inline zero-alloc" `Quick
             test_stage2_out_pool_inline;
           Alcotest.test_case "batched with in/out pools" `Quick
-            test_stage2_batched_pools_round_trip;
+            (stage2_batched_round_trip ~staging:true);
+          Alcotest.test_case "batched borrowed, no in_pool" `Quick
+            (stage2_batched_round_trip ~staging:false);
         ] );
       ( "mux",
         [

@@ -287,11 +287,11 @@ let prop_endpoints_survive_garbage =
       let attacker = Transport.Udp.create ~engine ~node:net.Topology.a () in
       let victim = Transport.Udp.create ~engine ~node:net.Topology.b () in
       let _receiver =
-        Alf_core.Alf_transport.receiver ~sched:(Netsim.Engine.sched engine) ~udp:victim ~port:700 ~stream:1
+        Alf_core.Alf_transport.receiver_io ~sched:(Netsim.Engine.sched engine) ~io:(Alf_core.Dgram.of_udp victim) ~port:700 ~stream:1
           ~deliver:(fun _ -> ()) ()
       in
       let _sender =
-        Alf_core.Alf_transport.sender ~sched:(Netsim.Engine.sched engine) ~udp:victim ~peer:1 ~peer_port:9
+        Alf_core.Alf_transport.sender_io ~sched:(Netsim.Engine.sched engine) ~io:(Alf_core.Dgram.of_udp victim) ~peer:1 ~peer_port:9
           ~port:701 ~stream:1 ~policy:Alf_core.Recovery.No_recovery ()
       in
       let server = Rpcsim.Rpc.server ~engine ~udp:victim ~port:702 in

@@ -47,12 +47,12 @@ let completion_time ~alf ~loss =
     let ua = Transport.Udp.create ~engine ~node:net.Topology.a () in
     let ub = Transport.Udp.create ~engine ~node:net.Topology.b () in
     let _receiver =
-      Alf_transport.receiver ~sched:(Netsim.Engine.sched engine) ~udp:ub ~port:9 ~stream:1
+      Alf_transport.receiver_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ub) ~port:9 ~stream:1
         ~deliver:(fun adu -> Pipeline.feed app ~bytes:(Bytebuf.length adu.Adu.payload))
         ()
     in
     let sender =
-      Alf_transport.sender ~sched:(Netsim.Engine.sched engine) ~udp:ua ~peer:2 ~peer_port:9 ~port:10 ~stream:1
+      Alf_transport.sender_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ua) ~peer:2 ~peer_port:9 ~port:10 ~stream:1
         ~policy:Recovery.Transport_buffer
         ~config:{ Alf_transport.default_sender_config with Alf_transport.pace_bps = Some 8e6 }
         ()
@@ -245,7 +245,7 @@ let test_encrypted_alf_over_lossy_link () =
   let sink = Sink.create ~size:file_size in
   let checksums = Hashtbl.create 64 in
   let receiver =
-    Alf_transport.receiver ~sched:(Netsim.Engine.sched engine) ~udp:ub ~port:11 ~stream:1
+    Alf_transport.receiver_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ub) ~port:11 ~stream:1
       ~deliver:(fun sealed ->
         let opened, cksum = Secure.open_adu ~key sealed in
         (match Hashtbl.find_opt checksums opened.Adu.name.Adu.index with
@@ -257,7 +257,7 @@ let test_encrypted_alf_over_lossy_link () =
       ()
   in
   let sender =
-    Alf_transport.sender ~sched:(Netsim.Engine.sched engine) ~udp:ua ~peer:2 ~peer_port:11 ~port:12
+    Alf_transport.sender_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ua) ~peer:2 ~peer_port:11 ~port:12
       ~stream:1 ~policy:Recovery.Transport_buffer ()
   in
   List.iter
@@ -292,11 +292,14 @@ let test_ordered_overlay_over_alf () =
     Ordered.create ~deliver:(fun adu -> stream_order := adu.Adu.name.Adu.index :: !stream_order) ()
   in
   let receiver =
-    Alf_transport.receiver ~sched:(Netsim.Engine.sched engine) ~udp:ub ~port:31 ~stream:1
-      ~deliver:(Ordered.offer ordered) ()
+    Alf_transport.receiver_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ub) ~port:31 ~stream:1
+      ~deliver:(fun adu ->
+        (* Delivered payloads are borrowed: park a copy. *)
+        Ordered.offer ordered (Adu.make adu.Adu.name (Bytebuf.copy adu.Adu.payload)))
+      ()
   in
   let sender =
-    Alf_transport.sender ~sched:(Netsim.Engine.sched engine) ~udp:ua ~peer:2 ~peer_port:31 ~port:32
+    Alf_transport.sender_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ua) ~peer:2 ~peer_port:31 ~port:32
       ~stream:1 ~policy:Recovery.Transport_buffer ()
   in
   let n = 40 in
@@ -331,12 +334,15 @@ let test_ordered_overlay_skips_gone () =
   in
   let receiver = ref None in
   let r =
-    Alf_transport.receiver ~sched:(Netsim.Engine.sched engine) ~udp:ub ~port:31 ~stream:1
-      ~deliver:(Ordered.offer ordered) ()
+    Alf_transport.receiver_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ub) ~port:31 ~stream:1
+      ~deliver:(fun adu ->
+        (* Delivered payloads are borrowed: park a copy. *)
+        Ordered.offer ordered (Adu.make adu.Adu.name (Bytebuf.copy adu.Adu.payload)))
+      ()
   in
   receiver := Some r;
   let sender =
-    Alf_transport.sender ~sched:(Netsim.Engine.sched engine) ~udp:ua ~peer:2 ~peer_port:31 ~port:32
+    Alf_transport.sender_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ua) ~peer:2 ~peer_port:31 ~port:32
       ~stream:1 ~policy:Recovery.No_recovery ()
   in
   let n = 40 in
@@ -454,13 +460,13 @@ let test_seed_determinism () =
     let ub = Transport.Udp.create ~engine ~node:net.Topology.b () in
     let deliveries = ref [] in
     let receiver =
-      Alf_transport.receiver ~sched:(Netsim.Engine.sched engine) ~udp:ub ~port:41 ~stream:1
+      Alf_transport.receiver_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ub) ~port:41 ~stream:1
         ~deliver:(fun adu ->
           deliveries := (Engine.now engine, adu.Adu.name.Adu.index) :: !deliveries)
         ()
     in
     let sender =
-      Alf_transport.sender ~sched:(Netsim.Engine.sched engine) ~udp:ua ~peer:2 ~peer_port:41 ~port:42
+      Alf_transport.sender_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ua) ~peer:2 ~peer_port:41 ~port:42
         ~stream:1 ~policy:Recovery.Transport_buffer ()
     in
     for i = 0 to 29 do

@@ -257,14 +257,15 @@ let test_send_value_end_to_end () =
   in
   let got = ref [] in
   let receiver =
-    Alf_transport.receiver_values ~sched:(Netsim.Engine.sched engine) ~udp:ub ~port:7000 ~stream:1
-      ~plan:recv_plan ~sink:Ilp.Unmarshal_ber
-      ~deliver:(fun name v -> got := (name.Adu.index, v) :: !got)
+    Alf_transport.receiver_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ub) ~port:7000 ~stream:1
+      ~deliver:
+        (Alf_transport.deliver_values ~plan:recv_plan ~sink:Ilp.Unmarshal_ber
+           (fun name v -> got := (name.Adu.index, v) :: !got))
       ()
   in
   let tx_pool = Pool.create ~buf_size:1491 () in
   let sender =
-    Alf_transport.sender ~sched:(Netsim.Engine.sched engine) ~udp:ua ~peer:2 ~peer_port:7000 ~port:7001
+    Alf_transport.sender_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ua) ~peer:2 ~peer_port:7000 ~port:7001
       ~stream:1 ~policy:Recovery.No_recovery ~tx_pool ()
   in
   let values =

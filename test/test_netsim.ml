@@ -282,11 +282,19 @@ let test_link_loss_counted () =
 
 let test_link_duplicate () =
   let engine, link = mk_engine_link ~impair:(Impair.make ~duplicate:1.0 ()) () in
-  let got = ref 0 in
-  Link.set_receiver link (fun _ -> incr got);
-  ignore (Link.send link (mk_packet 0));
+  let got = ref [] in
+  (* Receivers work in place: scribbling on one arrival must leave its
+     twin's bytes as they were sent. *)
+  Link.set_receiver link (fun p ->
+      let b = p.Packet.payload in
+      got := Bufkit.Bytebuf.to_string b :: !got;
+      Bufkit.Bytebuf.fill b '\xee');
+  let sent = mk_packet 0 in
+  let original = Bufkit.Bytebuf.to_string sent.Packet.payload in
+  ignore (Link.send link sent);
   Engine.run_until_idle engine;
-  Alcotest.(check int) "delivered twice" 2 !got;
+  Alcotest.(check (list string)) "delivered twice, each intact"
+    [ original; original ] !got;
   Alcotest.(check int) "dup counted" 1 (Link.stats link).Stats.duplicated
 
 let test_link_corruption_changes_payload () =

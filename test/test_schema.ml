@@ -345,7 +345,7 @@ let test_view_receive_zero_alloc () =
   let plan = [ Ilp.Checksum Checksum.Kind.Crc32; Ilp.Deliver_copy ] in
   let sum = ref 0 in
   let run () =
-    (* In place over the "payload", like receiver_views does. *)
+    (* In place over the "payload", like deliver_views does. *)
     match (Ilp.run_view ~dst:enc plan prog enc).Ilp.view with
     | Ok (view, _) ->
         sum := !sum + View.get_int (View.field view 0);
@@ -427,7 +427,7 @@ let prop_negotiate_single_derivation_consistent =
 
 (* --- end to end: lazy views over the transport --- *)
 
-let test_receiver_views_end_to_end () =
+let test_deliver_views_end_to_end () =
   let engine = Engine.create () in
   let rng = Rng.create ~seed:43L in
   let net =
@@ -451,20 +451,21 @@ let test_receiver_views_end_to_end () =
   in
   let got = ref [] in
   let receiver =
-    Alf_transport.receiver_views ~sched:(Netsim.Engine.sched engine) ~udp:ub
-      ~port:7100 ~stream:3 ~plan:recv_plan ~prog
-      ~deliver:(fun name view ->
-        (* Lazy access during the callback; copy out only what we keep. *)
-        got :=
-          ( name.Adu.index,
-            View.get_int (View.field view 0),
-            View.get_string (View.field view 1),
-            View.get_int (View.elem (View.field view 2) 3) )
-          :: !got)
+    Alf_transport.receiver_io ~sched:(Netsim.Engine.sched engine)
+      ~io:(Dgram.of_udp ub) ~port:7100 ~stream:3
+      ~deliver:
+        (Alf_transport.deliver_views ~plan:recv_plan ~prog (fun name view ->
+             (* Lazy access during the callback; copy out only what we keep. *)
+             got :=
+               ( name.Adu.index,
+                 View.get_int (View.field view 0),
+                 View.get_string (View.field view 1),
+                 View.get_int (View.elem (View.field view 2) 3) )
+               :: !got))
       ()
   in
   let sender =
-    Alf_transport.sender ~sched:(Netsim.Engine.sched engine) ~udp:ua ~peer:2
+    Alf_transport.sender_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ua) ~peer:2
       ~peer_port:7100 ~port:7101 ~stream:3 ~policy:Recovery.No_recovery
       ~tx_pool:(Pool.create ~buf_size:1491 ())
       ()
@@ -532,7 +533,7 @@ let () =
         ] );
       ( "transport",
         [
-          Alcotest.test_case "receiver_views end to end" `Quick
-            test_receiver_views_end_to_end;
+          Alcotest.test_case "deliver_views end to end" `Quick
+            test_deliver_views_end_to_end;
         ] );
     ]

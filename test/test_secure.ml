@@ -240,7 +240,7 @@ let secure_world ~loss =
   let ub = Transport.Udp.create ~engine ~node:net.Topology.b () in
   let delivered = ref [] in
   let receiver =
-    Alf_transport.receiver ~sched:(Netsim.Engine.sched engine) ~udp:ub
+    Alf_transport.receiver_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ub)
       ~port:7000 ~stream:1 ~secure:(record ())
       ~deliver:(fun adu ->
         delivered :=
@@ -249,7 +249,7 @@ let secure_world ~loss =
       ()
   in
   let sender =
-    Alf_transport.sender ~sched:(Netsim.Engine.sched engine) ~udp:ua ~peer:2
+    Alf_transport.sender_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ua) ~peer:2
       ~peer_port:7000 ~port:7001 ~stream:1 ~policy:Recovery.Transport_buffer
       ~secure:(record ()) ()
   in

@@ -692,6 +692,52 @@ let test_lazy_stage2_invalid_total () =
     totals.Server.view_invalid;
   Alcotest.(check int) "no views" 0 totals.Server.views
 
+(* --- a CLOSE total closes the stream above it: no delivery, no ahead
+   entry, and the datagram counted as [drop.window] --- *)
+let test_nothing_beyond_total () =
+  let engine = Engine.create () in
+  let delivered = ref [] in
+  let server =
+    Server.create ~sched:(Engine.sched engine)
+      ~registry:(Obs.Registry.create ())
+      ~on_adu:(fun _ adu -> delivered := adu.Adu.name.Adu.index :: !delivered)
+      ~config:{ Server.default_config with Server.harvest_interval = 0. }
+      ()
+  in
+  let stream = 5 in
+  let send dgram =
+    Server.ingest server ~src:3 ~src_port:2000 (Ctl.seal integrity dgram);
+    Server.pump server
+  in
+  let adu i =
+    match
+      Framing.fragment ~mtu:1400
+        (Adu.make (Adu.name ~stream ~index:i ()) (Bytebuf.of_string "payload"))
+    with
+    | [ f ] -> send f
+    | _ -> Alcotest.fail "expected a single fragment"
+  in
+  send (Ctl.build_close ~stream ~total:4);
+  adu 0;
+  adu 10;
+  send (Ctl.build_gone ~stream [ 11 ]);
+  for i = 1 to 3 do
+    adu i
+  done;
+  adu 10;
+  Alcotest.(check (list int)) "only indices below the total" [ 0; 1; 2; 3 ]
+    (List.sort compare !delivered);
+  Alcotest.(check int) "beyond-total fragments dropped as window" 2
+    (Server.drop_count server Ingress.Window);
+  (match Server.session_view server ~peer:3 ~peer_port:2000 ~stream with
+  | Some v ->
+      Alcotest.(check bool) "completed" true v.Server.v_completed;
+      Alcotest.(check int) "nothing gone" 0 v.Server.v_gone;
+      Alcotest.(check int) "no ahead entry left" 0 v.Server.v_ahead_load
+  | None -> Alcotest.fail "session missing");
+  Alcotest.(check int) "one DONE" 1 (Server.totals server).Server.dones;
+  Server.stop server
+
 let () =
   Alcotest.run "serve"
     [
@@ -709,6 +755,8 @@ let () =
       ( "admission",
         [
           Alcotest.test_case "capacity eviction" `Quick test_admission_eviction;
+          Alcotest.test_case "nothing beyond the total" `Quick
+            test_nothing_beyond_total;
         ] );
       ( "ingress",
         [
