@@ -1308,58 +1308,58 @@ let e20_secure_record () =
      layered implementations worked at (the same grain as the E2/E14
      interpreted ablation; satellite §5 measures the RC4 byte-chain
      version of the same pathology). *)
-  let serial =
-    host "serial" (fun () ->
-        let enc = (Ilp.run_marshal source []).Ilp.output in
-        let ct = Bytebuf.copy enc in
-        let a =
-          Cipher.Aead.create ~key:p.Ilp.aead_key ~n0:p.Ilp.aead_n0
-            ~n1:p.Ilp.aead_n1 ~n2:p.Ilp.aead_n2 ~aad
-        in
-        let bytes, base, len = Bytebuf.backing ct in
-        for i = 0 to len - 1 do
-          Bytes.unsafe_set bytes (base + i)
-            (Char.unsafe_chr
-               (Cipher.Aead.seal_byte a i
-                  (Char.code (Bytes.unsafe_get bytes (base + i)))))
-        done;
-        ignore (Cipher.Aead.tag a);
-        let frame = Bytebuf.copy ct in
-        let fb, fbase, _ = Bytebuf.backing frame in
-        let st = ref Checksum.Crc32.init in
-        for i = 0 to len - 1 do
-          st :=
-            Checksum.Crc32.feed_byte !st
-              (Char.code (Bytes.unsafe_get fb (fbase + i)))
-        done;
-        ignore (Checksum.Crc32.finish !st))
+  let serial_run () =
+    let enc = (Ilp.run_marshal source []).Ilp.output in
+    let ct = Bytebuf.copy enc in
+    let a =
+      Cipher.Aead.create ~key:p.Ilp.aead_key ~n0:p.Ilp.aead_n0
+        ~n1:p.Ilp.aead_n1 ~n2:p.Ilp.aead_n2 ~aad
+    in
+    let bytes, base, len = Bytebuf.backing ct in
+    for i = 0 to len - 1 do
+      Bytes.unsafe_set bytes (base + i)
+        (Char.unsafe_chr
+           (Cipher.Aead.seal_byte a i
+              (Char.code (Bytes.unsafe_get bytes (base + i)))))
+    done;
+    ignore (Cipher.Aead.tag a);
+    let frame = Bytebuf.copy ct in
+    let fb, fbase, _ = Bytebuf.backing frame in
+    let st = ref Checksum.Crc32.init in
+    for i = 0 to len - 1 do
+      st :=
+        Checksum.Crc32.feed_byte !st
+          (Char.code (Bytes.unsafe_get fb (fbase + i)))
+    done;
+    ignore (Checksum.Crc32.finish !st)
   in
+  let serial = host "serial" serial_run in
   (* The same composition hand-optimised to word grain, buffers reused:
      the upper bound for any layered implementation — encode, an
      encryption walk, a MAC walk (AAD ‖ pad ‖ ct ‖ pad ‖ lengths, per
      RFC 8439), a framing-checksum walk — four word-level passes where
      the plan compiler does one. *)
-  let serial_words =
-    host "serial-words" (fun () ->
-        ignore (Ilp.run_marshal ~dst source []);
-        let st =
-          Cipher.Chacha20.create ~key:p.Ilp.aead_key ~n0:p.Ilp.aead_n0
-            ~n1:p.Ilp.aead_n1 ~n2:p.Ilp.aead_n2
-        in
-        Cipher.Chacha20.transform_at st ~pos:0 dst;
-        let k0, k1, k2, k3 = Cipher.Chacha20.poly_key st in
-        let mac = Cipher.Poly1305.create ~k0 ~k1 ~k2 ~k3 in
-        Cipher.Poly1305.feed_sub mac aad;
-        Cipher.Poly1305.pad16 mac;
-        Cipher.Poly1305.feed_sub mac dst;
-        Cipher.Poly1305.pad16 mac;
-        Cipher.Poly1305.feed_word64 mac (Int64.of_int (Bytebuf.length aad));
-        Cipher.Poly1305.feed_word64 mac (Int64.of_int n);
-        ignore (Cipher.Poly1305.finish mac);
-        ignore
-          (Checksum.Crc32.finish
-             (Checksum.Crc32.feed_sub Checksum.Crc32.init dst ~pos:0 ~len:n)))
+  let serial_words_run () =
+    ignore (Ilp.run_marshal ~dst source []);
+    let st =
+      Cipher.Chacha20.create ~key:p.Ilp.aead_key ~n0:p.Ilp.aead_n0
+        ~n1:p.Ilp.aead_n1 ~n2:p.Ilp.aead_n2
+    in
+    Cipher.Chacha20.transform_at st ~pos:0 dst;
+    let k0, k1, k2, k3 = Cipher.Chacha20.poly_key st in
+    let mac = Cipher.Poly1305.create ~k0 ~k1 ~k2 ~k3 in
+    Cipher.Poly1305.feed_sub mac aad;
+    Cipher.Poly1305.pad16 mac;
+    Cipher.Poly1305.feed_sub mac dst;
+    Cipher.Poly1305.pad16 mac;
+    Cipher.Poly1305.feed_word64 mac (Int64.of_int (Bytebuf.length aad));
+    Cipher.Poly1305.feed_word64 mac (Int64.of_int n);
+    ignore (Cipher.Poly1305.finish mac);
+    ignore
+      (Checksum.Crc32.finish
+         (Checksum.Crc32.feed_sub Checksum.Crc32.init dst ~pos:0 ~len:n))
   in
+  let serial_words = host "serial-words" serial_words_run in
   (* The stronger baseline: encrypt+MAC already fused per walk
      (seal_in_place), leaving encode, seal and checksum as three passes. *)
   let seal_crc =
@@ -1372,9 +1372,39 @@ let e20_secure_record () =
           (Checksum.Crc32.finish
              (Checksum.Crc32.feed_sub Checksum.Crc32.init dst ~pos:0 ~len:n)))
   in
-  let fused =
-    host "fused" (fun () -> ignore (Ilp.run_marshal ~dst source tx_plan))
+  (* The per-byte compute floor the record layer adds, kernel by kernel,
+     block-grain over the same bytes: what every composition above pays
+     on top of the marshal, fused or not. *)
+  let db, dbase, _ = Bytebuf.backing dst in
+  let blocks = n / 64 in
+  let ks =
+    Cipher.Chacha20.create ~key:p.Ilp.aead_key ~n0:p.Ilp.aead_n0
+      ~n1:p.Ilp.aead_n1 ~n2:p.Ilp.aead_n2
   in
+  let chacha =
+    host "chacha20-blocks" (fun () ->
+        for k = 0 to blocks - 1 do
+          Cipher.Chacha20.xor_block64 ks ~pos:(64 * k) db
+            ~off:(dbase + (64 * k))
+        done)
+  in
+  let poly =
+    let k0, k1, k2, k3 = Cipher.Chacha20.poly_key ks in
+    host "poly1305-blocks" (fun () ->
+        let mac = Cipher.Poly1305.create ~k0 ~k1 ~k2 ~k3 in
+        for k = 0 to blocks - 1 do
+          Cipher.Poly1305.feed_block64 mac db (dbase + (64 * k))
+        done)
+  in
+  let crc =
+    host "crc32-blocks" (fun () ->
+        let st = ref Checksum.Crc32.init in
+        for k = 0 to blocks - 1 do
+          st := Checksum.Crc32.feed_block64 !st db (dbase + (64 * k))
+        done)
+  in
+  let fused_run () = ignore (Ilp.run_marshal ~dst source tx_plan) in
+  let fused = host "fused" fused_run in
   (* Receive: the record open — MAC over the ciphertext and the decrypt —
      fused into one in-place walk vs the two-walk MAC-then-decrypt. *)
   let sealed = Bytebuf.create n in
@@ -1394,91 +1424,91 @@ let e20_secure_record () =
      the framing layer checks its CRC and strips (a pass and a copy),
      the security layer MACs and decrypts (two more passes), each walk
      one byte at a time. *)
-  let open_serial =
-    host "open-serial" (fun () ->
-        let bytes, base, len = Bytebuf.backing sealed in
-        let st = ref Checksum.Crc32.init in
-        for i = 0 to len - 1 do
-          st :=
-            Checksum.Crc32.feed_byte !st
-              (Char.code (Bytes.unsafe_get bytes (base + i)))
-        done;
-        ignore (Checksum.Crc32.finish !st);
-        let ct = Bytebuf.copy sealed in
-        let cb, cbase, _ = Bytebuf.backing ct in
-        let ks =
-          Cipher.Chacha20.create ~key:p.Ilp.aead_key ~n0:p.Ilp.aead_n0
-            ~n1:p.Ilp.aead_n1 ~n2:p.Ilp.aead_n2
-        in
-        let k0, k1, k2, k3 = Cipher.Chacha20.poly_key ks in
-        let mac = Cipher.Poly1305.create ~k0 ~k1 ~k2 ~k3 in
-        Cipher.Poly1305.feed_sub mac aad;
-        Cipher.Poly1305.pad16 mac;
-        for i = 0 to len - 1 do
-          Cipher.Poly1305.feed_byte mac (Char.code (Bytes.unsafe_get cb (cbase + i)))
-        done;
-        Cipher.Poly1305.pad16 mac;
-        Cipher.Poly1305.feed_word64 mac (Int64.of_int (Bytebuf.length aad));
-        Cipher.Poly1305.feed_word64 mac (Int64.of_int n);
-        ignore (Cipher.Poly1305.finish mac);
-        for i = 0 to len - 1 do
-          Bytes.unsafe_set cb (cbase + i)
-            (Char.unsafe_chr
-               (Char.code (Bytes.unsafe_get cb (cbase + i))
-               lxor Cipher.Chacha20.byte_at ks i))
-        done)
+  let open_serial_run () =
+    let bytes, base, len = Bytebuf.backing sealed in
+    let st = ref Checksum.Crc32.init in
+    for i = 0 to len - 1 do
+      st :=
+        Checksum.Crc32.feed_byte !st
+          (Char.code (Bytes.unsafe_get bytes (base + i)))
+    done;
+    ignore (Checksum.Crc32.finish !st);
+    let ct = Bytebuf.copy sealed in
+    let cb, cbase, _ = Bytebuf.backing ct in
+    let ks =
+      Cipher.Chacha20.create ~key:p.Ilp.aead_key ~n0:p.Ilp.aead_n0
+        ~n1:p.Ilp.aead_n1 ~n2:p.Ilp.aead_n2
+    in
+    let k0, k1, k2, k3 = Cipher.Chacha20.poly_key ks in
+    let mac = Cipher.Poly1305.create ~k0 ~k1 ~k2 ~k3 in
+    Cipher.Poly1305.feed_sub mac aad;
+    Cipher.Poly1305.pad16 mac;
+    for i = 0 to len - 1 do
+      Cipher.Poly1305.feed_byte mac (Char.code (Bytes.unsafe_get cb (cbase + i)))
+    done;
+    Cipher.Poly1305.pad16 mac;
+    Cipher.Poly1305.feed_word64 mac (Int64.of_int (Bytebuf.length aad));
+    Cipher.Poly1305.feed_word64 mac (Int64.of_int n);
+    ignore (Cipher.Poly1305.finish mac);
+    for i = 0 to len - 1 do
+      Bytes.unsafe_set cb (cbase + i)
+        (Char.unsafe_chr
+           (Char.code (Bytes.unsafe_get cb (cbase + i))
+           lxor Cipher.Chacha20.byte_at ks i))
+    done
   in
+  let open_serial = host "open-serial" open_serial_run in
   (* Word-grain layered receiver, buffers reused: CRC walk, MAC walk,
      decrypt walk — three word-level passes. *)
-  let open_words =
-    host "open-words" (fun () ->
-        ignore
-          (Checksum.Crc32.finish
-             (Checksum.Crc32.feed_sub Checksum.Crc32.init sealed ~pos:0 ~len:n));
-        let ks =
-          Cipher.Chacha20.create ~key:p.Ilp.aead_key ~n0:p.Ilp.aead_n0
-            ~n1:p.Ilp.aead_n1 ~n2:p.Ilp.aead_n2
-        in
-        let k0, k1, k2, k3 = Cipher.Chacha20.poly_key ks in
-        let mac = Cipher.Poly1305.create ~k0 ~k1 ~k2 ~k3 in
-        Cipher.Poly1305.feed_sub mac aad;
-        Cipher.Poly1305.pad16 mac;
-        Cipher.Poly1305.feed_sub mac sealed;
-        Cipher.Poly1305.pad16 mac;
-        Cipher.Poly1305.feed_word64 mac (Int64.of_int (Bytebuf.length aad));
-        Cipher.Poly1305.feed_word64 mac (Int64.of_int n);
-        ignore (Cipher.Poly1305.finish mac);
-        Cipher.Chacha20.transform_at ks ~pos:0 sealed;
-        restore ())
+  let open_words_run () =
+    ignore
+      (Checksum.Crc32.finish
+         (Checksum.Crc32.feed_sub Checksum.Crc32.init sealed ~pos:0 ~len:n));
+    let ks =
+      Cipher.Chacha20.create ~key:p.Ilp.aead_key ~n0:p.Ilp.aead_n0
+        ~n1:p.Ilp.aead_n1 ~n2:p.Ilp.aead_n2
+    in
+    let k0, k1, k2, k3 = Cipher.Chacha20.poly_key ks in
+    let mac = Cipher.Poly1305.create ~k0 ~k1 ~k2 ~k3 in
+    Cipher.Poly1305.feed_sub mac aad;
+    Cipher.Poly1305.pad16 mac;
+    Cipher.Poly1305.feed_sub mac sealed;
+    Cipher.Poly1305.pad16 mac;
+    Cipher.Poly1305.feed_word64 mac (Int64.of_int (Bytebuf.length aad));
+    Cipher.Poly1305.feed_word64 mac (Int64.of_int n);
+    ignore (Cipher.Poly1305.finish mac);
+    Cipher.Chacha20.transform_at ks ~pos:0 sealed;
+    restore ()
   in
+  let open_words = host "open-words" open_words_run in
   (* Fused receiver: framing CRC, MAC and decrypt ride one word loop —
      every wire word is loaded once. *)
-  let open_fused =
-    host "open-fused" (fun () ->
-        let a =
-          Cipher.Aead.create ~key:p.Ilp.aead_key ~n0:p.Ilp.aead_n0
-            ~n1:p.Ilp.aead_n1 ~n2:p.Ilp.aead_n2 ~aad
-        in
-        let bytes, base, len = Bytebuf.backing sealed in
-        let st = ref Checksum.Crc32.init in
-        let i = ref 0 in
-        while !i + 8 <= len do
-          let w = Bytes.get_int64_le bytes (base + !i) in
-          st := Checksum.Crc32.feed_word64le !st w;
-          Bytes.set_int64_le bytes (base + !i) (Cipher.Aead.open_word a !i w);
-          i := !i + 8
-        done;
-        while !i < len do
-          let b = Char.code (Bytes.unsafe_get bytes (base + !i)) in
-          st := Checksum.Crc32.feed_byte !st b;
-          Bytes.unsafe_set bytes (base + !i)
-            (Char.unsafe_chr (Cipher.Aead.open_byte a !i b));
-          incr i
-        done;
-        ignore (Checksum.Crc32.finish !st);
-        ignore (Cipher.Aead.tag a);
-        restore ())
+  let open_fused_run () =
+    let a =
+      Cipher.Aead.create ~key:p.Ilp.aead_key ~n0:p.Ilp.aead_n0
+        ~n1:p.Ilp.aead_n1 ~n2:p.Ilp.aead_n2 ~aad
+    in
+    let bytes, base, len = Bytebuf.backing sealed in
+    let st = ref Checksum.Crc32.init in
+    let i = ref 0 in
+    while !i + 8 <= len do
+      let w = Bytes.get_int64_le bytes (base + !i) in
+      st := Checksum.Crc32.feed_word64le !st w;
+      Bytes.set_int64_le bytes (base + !i) (Cipher.Aead.open_word a !i w);
+      i := !i + 8
+    done;
+    while !i < len do
+      let b = Char.code (Bytes.unsafe_get bytes (base + !i)) in
+      st := Checksum.Crc32.feed_byte !st b;
+      Bytes.unsafe_set bytes (base + !i)
+        (Char.unsafe_chr (Cipher.Aead.open_byte a !i b));
+      incr i
+    done;
+    ignore (Checksum.Crc32.finish !st);
+    ignore (Cipher.Aead.tag a);
+    restore ()
   in
+  let open_fused = host "open-fused" open_fused_run in
   Harness.subheading (Printf.sprintf "xdr (%d bytes on the wire)" n);
   Harness.row_header [ "Mb/s" ];
   Harness.row "fused marshal, no stages" [ Harness.f1 mar ];
@@ -1486,45 +1516,74 @@ let e20_secure_record () =
   Harness.row "serial-words: 4 word-grain walks" [ Harness.f1 serial_words ];
   Harness.row "serial-words + seal_in_place" [ Harness.f1 seal_crc ];
   Harness.row "fused: marshal+seal+checksum+deliver" [ Harness.f1 fused ];
+  Harness.row "kernel: ChaCha20 keystream blocks" [ Harness.f1 chacha ];
+  Harness.row "kernel: Poly1305 blocks" [ Harness.f1 poly ];
+  Harness.row "kernel: CRC-32 blocks" [ Harness.f1 crc ];
   Harness.row "rx serial: byte-grain CRC;MAC;decrypt" [ Harness.f1 open_serial ];
   Harness.row "rx words: CRC, MAC, decrypt walks" [ Harness.f1 open_words ];
   Harness.row "rx fused: CRC+MAC+decrypt, one walk" [ Harness.f1 open_fused ];
+  (* The gated ratios: each pair of rows timed again in interleaved
+     windows and reduced to the median, as E2 does. Two rows timed in
+     separate windows let a host-speed swing between them pass for a
+     regression. *)
+  let tx_vs_serial =
+    Harness.paired_speedup ~name:"fused-vs-serial" fused_run serial_run
+  in
+  let tx_vs_words =
+    Harness.paired_speedup ~name:"fused-vs-serial-words" fused_run
+      serial_words_run
+  in
+  let rx_vs_serial =
+    Harness.paired_speedup ~name:"open-fused-vs-serial" open_fused_run
+      open_serial_run
+  in
+  let rx_vs_words =
+    Harness.paired_speedup ~name:"open-fused-vs-words" open_fused_run
+      open_words_run
+  in
   Harness.note
-    "  fused/serial %.2fx (vs word-grain layered %.2fx, vs seal_in_place \
-     composition %.2fx)\n\
-    \  rx fused/serial %.2fx (vs word-grain %.2fx) | record cost vs bare \
-     marshal %.2fx\n"
-    (fused /. serial)
-    (fused /. serial_words)
-    (fused /. seal_crc)
-    (open_fused /. open_serial)
-    (open_fused /. open_words)
+    "  paired medians: fused/serial %.2fx, fused/serial-words %.2fx, \
+     rx fused/serial %.2fx, rx fused/words %.2fx\n\
+    \  vs seal_in_place composition %.2fx | record cost vs bare marshal \
+     %.2fx\n"
+    tx_vs_serial tx_vs_words rx_vs_serial rx_vs_words (fused /. seal_crc)
     (fused /. mar);
+  Harness.note
+    "  compute floor: ChaCha20 + Poly1305 cost %.1fx the CRC-32 per byte\n"
+    ((crc /. chacha) +. (crc /. poly));
   (* The gate row: the fused seal and the in-place open must do no
      steady-state Bytebuf allocation — the record layer adds zero buffer
-     traffic to the send and receive paths. *)
-  let tx_run () = ignore (Ilp.run_marshal ~dst source tx_plan) in
+     traffic to the send and receive paths — and a record open must
+     allocate a fixed handful of GC words, not words per byte. *)
   let rx_run () =
     ignore
       (Cipher.Aead.open_in_place_tag ~key:p.Ilp.aead_key ~n0:p.Ilp.aead_n0
          ~n1:p.Ilp.aead_n1 ~n2:p.Ilp.aead_n2 ~aad sealed);
     restore ()
   in
-  for _ = 1 to 5 do tx_run (); rx_run () done;
+  for _ = 1 to 5 do fused_run (); rx_run () done;
   let before = Bytebuf.created_total () in
-  for _ = 1 to 50 do tx_run () done;
+  for _ = 1 to 50 do fused_run () done;
   let tx_allocs = Bytebuf.created_total () - before in
   let before = Bytebuf.created_total () in
+  let words_before = Gc.minor_words () in
   for _ = 1 to 50 do rx_run () done;
+  let rx_words_per_record = (Gc.minor_words () -. words_before) /. 50.0 in
   let rx_allocs = Bytebuf.created_total () - before in
   Harness.record_row ~name:"gate"
     [
+      ("fused_vs_serial", Obs.Json.Num tx_vs_serial);
+      ("fused_vs_serial_words", Obs.Json.Num tx_vs_words);
+      ("open_fused_vs_serial", Obs.Json.Num rx_vs_serial);
+      ("open_fused_vs_words", Obs.Json.Num rx_vs_words);
       ("steady_allocs", Obs.Json.num_of_int tx_allocs);
       ("rx_steady_allocs", Obs.Json.num_of_int rx_allocs);
+      ("rx_words_per_record", Obs.Json.Num rx_words_per_record);
     ];
   Harness.note
-    "  steady state: %d tx / %d rx Bytebuf allocations over 50 rounds each\n"
-    tx_allocs rx_allocs
+    "  steady state: %d tx / %d rx Bytebuf allocations over 50 rounds each; \
+     %.0f GC words per %d-byte record open\n"
+    tx_allocs rx_allocs rx_words_per_record n
 
 let experiments =
   [

@@ -99,32 +99,48 @@ let finish st = Int32.of_int ((st lxor 0xFFFFFFFF) land 0xFFFFFFFF)
 let digest buf = finish (feed init buf)
 let digest_string s = digest (Bytebuf.of_string s)
 
-(* CRC concatenation without re-reading either input, via the standard
-   GF(2) matrix trick (same construction as zlib's crc32_combine): the
-   effect on the CRC register of appending one zero {e bit} is a linear
-   map over GF(2); squaring it repeatedly gives the map for 2^k zero
-   bytes, and applying the maps selected by the bits of [len2] shifts
-   [crc1] past [len2] bytes of zeros, after which the CRC of the
-   concatenation is that result xor [crc2]. This is what lets a fused
-   send path compute the payload CRC once, in the marshalling loop, and
-   still produce header-spanning digests without touching the payload
-   again. *)
+(* CRC concatenation without re-reading either input, by zlib's
+   (>= 1.2.12) polynomial construction. Over GF(2), appending [len2]
+   zero bytes to a message multiplies its CRC register by x^(8 len2)
+   mod P, so the CRC of the concatenation is [crc1 * x^(8 len2) mod P]
+   xor [crc2]. [x2n_table.(k)] holds x^(2^k) mod P, built once at module
+   init; the power for [len2] is the product of the entries selected by
+   its bits, each a 32-step shift-and-add [multmodp]. No arrays and no
+   matrices per call. This is what lets a fused send path compute the
+   payload CRC once, in the marshalling loop, and still produce
+   header-spanning digests without touching the payload again. *)
 
-let gf2_times mat vec =
-  let sum = ref 0 in
-  let v = ref vec in
-  let i = ref 0 in
-  while !v <> 0 do
-    if !v land 1 = 1 then sum := !sum lxor mat.(!i);
-    v := !v lsr 1;
-    incr i
+(* a * b mod P, reflected (bit 31 is x^0): for each bit of [a] from x^0
+   up, add the current [b] when the bit is set, then multiply [b] by x.
+   Branch-free, 32 steps. *)
+let multmodp a b =
+  let p = ref 0 and b = ref b in
+  for k = 31 downto 0 do
+    p := !p lxor (!b land -((a lsr k) land 1));
+    b := (!b lsr 1) lxor (0xEDB88320 land -(!b land 1))
   done;
-  !sum
+  !p
 
-let gf2_square dst mat =
-  for n = 0 to 31 do
-    dst.(n) <- gf2_times mat mat.(n)
-  done
+let x2n_table =
+  let t = Array.make 32 0 in
+  let p = ref (1 lsl 30) (* x^1 *) in
+  t.(0) <- !p;
+  for k = 1 to 31 do
+    p := multmodp !p !p;
+    t.(k) <- !p
+  done;
+  t
+
+(* x^(8 n) mod P, the register operator for [n] zero bytes: bit j of
+   [n] selects x^(2^(j+3)). *)
+let x8nmodp n =
+  let p = ref (1 lsl 31) (* x^0 *) and n = ref n and k = ref 3 in
+  while !n <> 0 do
+    if !n land 1 = 1 then p := multmodp x2n_table.(!k land 31) !p;
+    n := !n lsr 1;
+    incr k
+  done;
+  !p
 
 let combine crc1 crc2 len2 =
   (* Appending zero bytes is the identity map on the register, but the
@@ -133,33 +149,7 @@ let combine crc1 crc2 len2 =
      non-empty digest spliced at a zero-length offset (empty-payload ADU
      seals), dropping [crc2] would silently corrupt the composition. *)
   if len2 <= 0 then Int32.logxor crc1 crc2
-  else begin
-    let odd = Array.make 32 0 and even = Array.make 32 0 in
-    (* Operator for one zero bit (reflected polynomial). *)
-    odd.(0) <- 0xEDB88320;
-    let row = ref 1 in
-    for n = 1 to 31 do
-      odd.(n) <- !row;
-      row := !row lsl 1
-    done;
-    gf2_square even odd;
-    (* even = 2 zero bits *)
-    gf2_square odd even;
-    (* odd = 4 zero bits *)
-    let crc = ref (Int32.to_int crc1 land 0xFFFFFFFF) in
-    let len = ref len2 in
-    let continue = ref true in
-    while !continue do
-      gf2_square even odd;
-      if !len land 1 = 1 then crc := gf2_times even !crc;
-      len := !len lsr 1;
-      if !len = 0 then continue := false
-      else begin
-        gf2_square odd even;
-        if !len land 1 = 1 then crc := gf2_times odd !crc;
-        len := !len lsr 1;
-        if !len = 0 then continue := false
-      end
-    done;
-    Int32.of_int ((!crc lxor (Int32.to_int crc2 land 0xFFFFFFFF)) land 0xFFFFFFFF)
-  end
+  else
+    let c1 = Int32.to_int crc1 land 0xFFFFFFFF
+    and c2 = Int32.to_int crc2 land 0xFFFFFFFF in
+    Int32.of_int (multmodp (x8nmodp len2) c1 lxor c2)

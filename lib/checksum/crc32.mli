@@ -30,6 +30,8 @@ val digest_string : string -> int32
 val combine : int32 -> int32 -> int -> int32
 (** [combine crc1 crc2 len2] is the CRC of the concatenation [a ^ b]
     given [crc1 = digest a], [crc2 = digest b] and [len2 = length b] —
-    computed in O(log len2) GF(2) matrix steps, without re-reading either
-    input. This lets the fused send path digest the payload once, in the
-    marshalling loop, and still seal header-spanning CRC fields. *)
+    computed in O(log len2) 32-step polynomial products against a table
+    built at module init, without re-reading either input and without
+    allocating per call beyond the result. This lets the fused send path
+    digest the payload once, in the marshalling loop, and still seal
+    header-spanning CRC fields. *)

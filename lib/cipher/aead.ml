@@ -72,12 +72,19 @@ let tag_matches ~lo ~hi (lo', hi') =
 
 (* Whole-buffer forms: the honest serial baseline (separate passes would
    be even slower; this is already the fused-per-call composition) and the
-   oracle the fused plan stages are tested against. *)
+   oracle the fused plan stages are tested against. Whole 64-byte blocks
+   go through the block-grain primitives; only the sub-block tail takes
+   the word and byte combinators. *)
 
 let run_in_place seal ~key ~n0 ~n1 ~n2 ~aad buf =
   let t = create ~key ~n0 ~n1 ~n2 ~aad in
   let bytes, boff, n = Bytebuf.backing buf in
   let i = ref 0 in
+  while !i + 64 <= n do
+    if seal then seal_block64 t ~pos:!i bytes ~off:(boff + !i)
+    else open_block64 t ~pos:!i bytes ~off:(boff + !i);
+    i := !i + 64
+  done;
   while !i + 8 <= n do
     let w = Bytes.get_int64_le bytes (boff + !i) in
     let w' = if seal then seal_word t !i w else open_word t !i w in

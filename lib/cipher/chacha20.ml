@@ -9,9 +9,10 @@ open Bufkit
    [Pad.word64_at] — and what lets out-of-order ADUs decrypt without
    chaining state (contrast [Rc4], the paper's §5 pathology).
 
-   u32 arithmetic rides in native ints under [land mask32]; every
-   intermediate fits 63 bits. Not hardened against timing side channels —
-   this is a protocol-architecture reproduction, not a crypto library. *)
+   The block function's u32 arithmetic rides in unboxed [int64] locals
+   with lazy masking (see [refill]). Not hardened against timing side
+   channels — this is a protocol-architecture reproduction, not a crypto
+   library. *)
 
 type key = int array (* 8 little-endian u32 words *)
 
@@ -54,7 +55,6 @@ let key_of_int64 seed =
 
 type t = {
   state : int array; (* 16 u32 words; slot 12 (counter) rewritten per block *)
-  work : int array; (* double-round scratch *)
   block : Bytes.t; (* 64-byte serialisation of the cached keystream block *)
   mutable cached : int; (* block counter held in [block]; -1 = none *)
 }
@@ -70,111 +70,79 @@ let create ~key ~n0 ~n1 ~n2 =
   state.(13) <- n0 land mask32;
   state.(14) <- n1 land mask32;
   state.(15) <- n2 land mask32;
-  { state; work = Array.make 16 0; block = Bytes.create 64; cached = -1 }
+  { state; block = Bytes.create 64; cached = -1 }
 
-let[@inline] rotl x n = ((x lsl n) lor (x lsr (32 - n))) land mask32
+(* u32 rotate on a word whose bits above 31 may hold garbage: only the
+   right-shifted operand needs its high half cleared. Bits 0..31 of the
+   result are exact. *)
+let[@inline] rotl x n =
+  Int64.logor (Int64.shift_left x n)
+    (Int64.shift_right_logical (Int64.logand x 0xFFFFFFFFL) (32 - n))
 
-(* The 20 rounds as a register-passing recursion: without flambda, the
-   state words must travel as function parameters to stay out of the
-   (bounds-checked) work array — this loop is the whole cost of the
-   cipher, and the straight-line double round below is ~2.5x the array
-   version. The feed-forward add and serialisation happen in the base
-   case, one masked add and four-byte store per word. *)
+(* Feed-forward: add the input word and keep bits 0..31. *)
+let[@inline] store b off x w =
+  Bytes.set_int32_le b off (Int64.to_int32 (Int64.add x (Int64.of_int w)))
+
+(* The 20 rounds on sixteen [int64] locals. Local refs of a boxed number
+   type that never escape are kept unboxed by ocamlopt, so the block
+   costs its arithmetic and no GC words. Masking is lazy: add and xor
+   are exact in bits 0..31 whatever lies above, [rotl] clears only what
+   it shifts down, and the feed-forward store truncates to 32 bits. *)
 let refill t counter =
   let s = t.state and b = t.block in
   let counter = counter land mask32 in
   s.(12) <- counter;
-  let rec go n x0 x1 x2 x3 x4 x5 x6 x7 x8 x9 x10 x11 x12 x13 x14 x15 =
-    if n = 0 then begin
-      Bytes.set_int32_le b 0 (Int32.of_int ((x0 + s.(0)) land mask32));
-      Bytes.set_int32_le b 4 (Int32.of_int ((x1 + s.(1)) land mask32));
-      Bytes.set_int32_le b 8 (Int32.of_int ((x2 + s.(2)) land mask32));
-      Bytes.set_int32_le b 12 (Int32.of_int ((x3 + s.(3)) land mask32));
-      Bytes.set_int32_le b 16 (Int32.of_int ((x4 + s.(4)) land mask32));
-      Bytes.set_int32_le b 20 (Int32.of_int ((x5 + s.(5)) land mask32));
-      Bytes.set_int32_le b 24 (Int32.of_int ((x6 + s.(6)) land mask32));
-      Bytes.set_int32_le b 28 (Int32.of_int ((x7 + s.(7)) land mask32));
-      Bytes.set_int32_le b 32 (Int32.of_int ((x8 + s.(8)) land mask32));
-      Bytes.set_int32_le b 36 (Int32.of_int ((x9 + s.(9)) land mask32));
-      Bytes.set_int32_le b 40 (Int32.of_int ((x10 + s.(10)) land mask32));
-      Bytes.set_int32_le b 44 (Int32.of_int ((x11 + s.(11)) land mask32));
-      Bytes.set_int32_le b 48 (Int32.of_int ((x12 + s.(12)) land mask32));
-      Bytes.set_int32_le b 52 (Int32.of_int ((x13 + s.(13)) land mask32));
-      Bytes.set_int32_le b 56 (Int32.of_int ((x14 + s.(14)) land mask32));
-      Bytes.set_int32_le b 60 (Int32.of_int ((x15 + s.(15)) land mask32))
-    end
-    else begin
-      (* Column quarter-rounds: (0,4,8,12) (1,5,9,13) (2,6,10,14) (3,7,11,15). *)
-      let x0 = (x0 + x4) land mask32 in
-      let x12 = rotl (x12 lxor x0) 16 in
-      let x8 = (x8 + x12) land mask32 in
-      let x4 = rotl (x4 lxor x8) 12 in
-      let x0 = (x0 + x4) land mask32 in
-      let x12 = rotl (x12 lxor x0) 8 in
-      let x8 = (x8 + x12) land mask32 in
-      let x4 = rotl (x4 lxor x8) 7 in
-      let x1 = (x1 + x5) land mask32 in
-      let x13 = rotl (x13 lxor x1) 16 in
-      let x9 = (x9 + x13) land mask32 in
-      let x5 = rotl (x5 lxor x9) 12 in
-      let x1 = (x1 + x5) land mask32 in
-      let x13 = rotl (x13 lxor x1) 8 in
-      let x9 = (x9 + x13) land mask32 in
-      let x5 = rotl (x5 lxor x9) 7 in
-      let x2 = (x2 + x6) land mask32 in
-      let x14 = rotl (x14 lxor x2) 16 in
-      let x10 = (x10 + x14) land mask32 in
-      let x6 = rotl (x6 lxor x10) 12 in
-      let x2 = (x2 + x6) land mask32 in
-      let x14 = rotl (x14 lxor x2) 8 in
-      let x10 = (x10 + x14) land mask32 in
-      let x6 = rotl (x6 lxor x10) 7 in
-      let x3 = (x3 + x7) land mask32 in
-      let x15 = rotl (x15 lxor x3) 16 in
-      let x11 = (x11 + x15) land mask32 in
-      let x7 = rotl (x7 lxor x11) 12 in
-      let x3 = (x3 + x7) land mask32 in
-      let x15 = rotl (x15 lxor x3) 8 in
-      let x11 = (x11 + x15) land mask32 in
-      let x7 = rotl (x7 lxor x11) 7 in
-      (* Diagonal quarter-rounds: (0,5,10,15) (1,6,11,12) (2,7,8,13) (3,4,9,14). *)
-      let x0 = (x0 + x5) land mask32 in
-      let x15 = rotl (x15 lxor x0) 16 in
-      let x10 = (x10 + x15) land mask32 in
-      let x5 = rotl (x5 lxor x10) 12 in
-      let x0 = (x0 + x5) land mask32 in
-      let x15 = rotl (x15 lxor x0) 8 in
-      let x10 = (x10 + x15) land mask32 in
-      let x5 = rotl (x5 lxor x10) 7 in
-      let x1 = (x1 + x6) land mask32 in
-      let x12 = rotl (x12 lxor x1) 16 in
-      let x11 = (x11 + x12) land mask32 in
-      let x6 = rotl (x6 lxor x11) 12 in
-      let x1 = (x1 + x6) land mask32 in
-      let x12 = rotl (x12 lxor x1) 8 in
-      let x11 = (x11 + x12) land mask32 in
-      let x6 = rotl (x6 lxor x11) 7 in
-      let x2 = (x2 + x7) land mask32 in
-      let x13 = rotl (x13 lxor x2) 16 in
-      let x8 = (x8 + x13) land mask32 in
-      let x7 = rotl (x7 lxor x8) 12 in
-      let x2 = (x2 + x7) land mask32 in
-      let x13 = rotl (x13 lxor x2) 8 in
-      let x8 = (x8 + x13) land mask32 in
-      let x7 = rotl (x7 lxor x8) 7 in
-      let x3 = (x3 + x4) land mask32 in
-      let x14 = rotl (x14 lxor x3) 16 in
-      let x9 = (x9 + x14) land mask32 in
-      let x4 = rotl (x4 lxor x9) 12 in
-      let x3 = (x3 + x4) land mask32 in
-      let x14 = rotl (x14 lxor x3) 8 in
-      let x9 = (x9 + x14) land mask32 in
-      let x4 = rotl (x4 lxor x9) 7 in
-      go (n - 1) x0 x1 x2 x3 x4 x5 x6 x7 x8 x9 x10 x11 x12 x13 x14 x15
-    end
-  in
-  go 10 s.(0) s.(1) s.(2) s.(3) s.(4) s.(5) s.(6) s.(7) s.(8) s.(9) s.(10)
-    s.(11) counter s.(13) s.(14) s.(15);
+  let x0 = ref (Int64.of_int s.(0)) and x1 = ref (Int64.of_int s.(1))
+  and x2 = ref (Int64.of_int s.(2)) and x3 = ref (Int64.of_int s.(3))
+  and x4 = ref (Int64.of_int s.(4)) and x5 = ref (Int64.of_int s.(5))
+  and x6 = ref (Int64.of_int s.(6)) and x7 = ref (Int64.of_int s.(7))
+  and x8 = ref (Int64.of_int s.(8)) and x9 = ref (Int64.of_int s.(9))
+  and x10 = ref (Int64.of_int s.(10)) and x11 = ref (Int64.of_int s.(11))
+  and x12 = ref (Int64.of_int counter) and x13 = ref (Int64.of_int s.(13))
+  and x14 = ref (Int64.of_int s.(14)) and x15 = ref (Int64.of_int s.(15)) in
+  let open Int64 in
+  for _ = 1 to 10 do
+    (* Column quarter-rounds: (0,4,8,12) (1,5,9,13) (2,6,10,14) (3,7,11,15). *)
+    x0 := add !x0 !x4; x12 := rotl (logxor !x12 !x0) 16;
+    x8 := add !x8 !x12; x4 := rotl (logxor !x4 !x8) 12;
+    x0 := add !x0 !x4; x12 := rotl (logxor !x12 !x0) 8;
+    x8 := add !x8 !x12; x4 := rotl (logxor !x4 !x8) 7;
+    x1 := add !x1 !x5; x13 := rotl (logxor !x13 !x1) 16;
+    x9 := add !x9 !x13; x5 := rotl (logxor !x5 !x9) 12;
+    x1 := add !x1 !x5; x13 := rotl (logxor !x13 !x1) 8;
+    x9 := add !x9 !x13; x5 := rotl (logxor !x5 !x9) 7;
+    x2 := add !x2 !x6; x14 := rotl (logxor !x14 !x2) 16;
+    x10 := add !x10 !x14; x6 := rotl (logxor !x6 !x10) 12;
+    x2 := add !x2 !x6; x14 := rotl (logxor !x14 !x2) 8;
+    x10 := add !x10 !x14; x6 := rotl (logxor !x6 !x10) 7;
+    x3 := add !x3 !x7; x15 := rotl (logxor !x15 !x3) 16;
+    x11 := add !x11 !x15; x7 := rotl (logxor !x7 !x11) 12;
+    x3 := add !x3 !x7; x15 := rotl (logxor !x15 !x3) 8;
+    x11 := add !x11 !x15; x7 := rotl (logxor !x7 !x11) 7;
+    (* Diagonal quarter-rounds: (0,5,10,15) (1,6,11,12) (2,7,8,13) (3,4,9,14). *)
+    x0 := add !x0 !x5; x15 := rotl (logxor !x15 !x0) 16;
+    x10 := add !x10 !x15; x5 := rotl (logxor !x5 !x10) 12;
+    x0 := add !x0 !x5; x15 := rotl (logxor !x15 !x0) 8;
+    x10 := add !x10 !x15; x5 := rotl (logxor !x5 !x10) 7;
+    x1 := add !x1 !x6; x12 := rotl (logxor !x12 !x1) 16;
+    x11 := add !x11 !x12; x6 := rotl (logxor !x6 !x11) 12;
+    x1 := add !x1 !x6; x12 := rotl (logxor !x12 !x1) 8;
+    x11 := add !x11 !x12; x6 := rotl (logxor !x6 !x11) 7;
+    x2 := add !x2 !x7; x13 := rotl (logxor !x13 !x2) 16;
+    x8 := add !x8 !x13; x7 := rotl (logxor !x7 !x8) 12;
+    x2 := add !x2 !x7; x13 := rotl (logxor !x13 !x2) 8;
+    x8 := add !x8 !x13; x7 := rotl (logxor !x7 !x8) 7;
+    x3 := add !x3 !x4; x14 := rotl (logxor !x14 !x3) 16;
+    x9 := add !x9 !x14; x4 := rotl (logxor !x4 !x9) 12;
+    x3 := add !x3 !x4; x14 := rotl (logxor !x14 !x3) 8;
+    x9 := add !x9 !x14; x4 := rotl (logxor !x4 !x9) 7
+  done;
+  store b 0 !x0 s.(0); store b 4 !x1 s.(1); store b 8 !x2 s.(2);
+  store b 12 !x3 s.(3); store b 16 !x4 s.(4); store b 20 !x5 s.(5);
+  store b 24 !x6 s.(6); store b 28 !x7 s.(7); store b 32 !x8 s.(8);
+  store b 36 !x9 s.(9); store b 40 !x10 s.(10); store b 44 !x11 s.(11);
+  store b 48 !x12 counter; store b 52 !x13 s.(13); store b 56 !x14 s.(14);
+  store b 60 !x15 s.(15);
   t.cached <- counter
 
 let[@inline] seek t counter = if t.cached <> counter then refill t counter

@@ -113,15 +113,12 @@ let process_words t m0 m1 m2 m3 ~hibit =
   t.h3 <- h3;
   t.h4 <- h4
 
+let[@inline] u32 b off =
+  Int32.to_int (Bytes.get_int32_le b off) land 0xFFFFFFFF
+
 let process t ~hibit =
   let b = t.buf in
-  let u32 off =
-    Char.code (Bytes.unsafe_get b off)
-    lor (Char.code (Bytes.unsafe_get b (off + 1)) lsl 8)
-    lor (Char.code (Bytes.unsafe_get b (off + 2)) lsl 16)
-    lor (Char.code (Bytes.unsafe_get b (off + 3)) lsl 24)
-  in
-  process_words t (u32 0) (u32 4) (u32 8) (u32 12) ~hibit
+  process_words t (u32 b 0) (u32 b 4) (u32 b 8) (u32 b 12) ~hibit
 
 let[@inline] compact t =
   if t.buf_len >= 16 then begin

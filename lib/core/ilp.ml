@@ -988,9 +988,15 @@ let run_view_impl plan prog input dst_opt =
   | Ok _ -> ());
   let n = Bytebuf.length input in
   let dst = dst_for dst_opt n in
-  (* Sink plans exclude Byteswap32 ([lower] rejects it before a decoder),
-     so the general transform runs without the swap prologue. *)
-  let view_checksums, view_tags = run_general ~swap_first:false plan input dst in
+  (* In place with nothing to transform or digest, the pass would only
+     copy every byte onto itself: skip it. Otherwise sink plans exclude
+     Byteswap32 ([lower] rejects it before a decoder), so the general
+     transform runs without the swap prologue. *)
+  let view_checksums, view_tags =
+    let copy_only = function Deliver_copy -> true | _ -> false in
+    if dst == input && List.for_all copy_only plan then ([], [])
+    else run_general ~swap_first:false plan input dst
+  in
   { view = Wire.View.make prog dst ~pos:0; view_checksums; view_tags }
 
 let run_view ?dst plan prog input =

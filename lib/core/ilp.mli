@@ -243,7 +243,9 @@ val run_view : ?dst:Bytebuf.t -> plan -> Wire.Schema.prog -> Bytebuf.t -> view_r
 (** [run_view plan prog input] transforms [input] under [plan] (into
     [?dst], defaulting to a fresh buffer; passing [input] itself
     transforms in place — the zero-copy borrowed-ADU form) and validates
-    one [prog]-shaped value at offset 0. Trailing bytes after the value
+    one [prog]-shaped value at offset 0. In place under a plan with no
+    transforming or digesting stage ([[]] or only [Deliver_copy]) no
+    pass runs at all: only the validation reads the bytes. Trailing bytes after the value
     are reflected in the returned length, as with {!Xdr.decode_prefix}.
     The view {e borrows} [dst]; it must not outlive the buffer's owner.
     Raises [Invalid_argument] only on invalid plans (same rules as

@@ -238,17 +238,49 @@ let prop_crc32_chunking =
       go 0;
       Int32.equal (Checksum.Crc32.finish !st) (Checksum.Crc32.digest (buf s)))
 
+(* [b] is up to 80 random bytes, half the time followed by a zero run of
+   up to 2^20 bytes, so [len2] reaches bit 20 and every table entry up
+   to x^(2^23) takes part. *)
 let prop_crc32_combine =
   QCheck.Test.make ~name:"crc32: combine(crc a, crc b, |b|) = crc (a^b)"
     ~count:300
-    QCheck.(pair (string_of_size Gen.(0 -- 80)) (string_of_size Gen.(0 -- 80)))
-    (fun (a, b) ->
+    QCheck.(
+      triple (string_of_size Gen.(0 -- 80)) (string_of_size Gen.(0 -- 80))
+        (make Gen.(oneof [ return 0; int_bound (1 lsl 20) ])))
+    (fun (a, b, zeros) ->
+      let b = b ^ String.make zeros '\000' in
       Int32.equal
         (Checksum.Crc32.combine
            (Checksum.Crc32.digest_string a)
            (Checksum.Crc32.digest_string b)
            (String.length b))
         (Checksum.Crc32.digest_string (a ^ b)))
+
+let test_crc32_combine_lengths () =
+  let a = "ALF header" in
+  List.iter
+    (fun len2 ->
+      let b = String.init len2 (fun i -> Char.chr ((i * 131) land 0xff)) in
+      check Alcotest.int32
+        (Printf.sprintf "len2 = %d" len2)
+        (Checksum.Crc32.digest_string (a ^ b))
+        (Checksum.Crc32.combine
+           (Checksum.Crc32.digest_string a)
+           (Checksum.Crc32.digest_string b)
+           len2))
+    [ 0; 1; 20; 36; 1472; 65536 ]
+
+let test_crc32_combine_words_flat () =
+  (* The powers of x come from a table built at module init: a call
+     allocates at most its boxed result, nothing that grows with [len2]
+     and no 32-entry operator array (33 words). *)
+  let words len2 =
+    let before = Gc.minor_words () in
+    ignore (Checksum.Crc32.combine 0x12345678l 0x9ABCDEF0l len2);
+    int_of_float (Gc.minor_words () -. before)
+  in
+  check Alcotest.int "len2 = 20 vs 10^6" (words 20) (words 1_000_000);
+  check Alcotest.bool "no per-call arrays" true (words 20 < 33)
 
 let test_crc32_combine_known () =
   (* Splitting the check vector anywhere must reproduce it. *)
@@ -388,6 +420,9 @@ let () =
           Alcotest.test_case "fox" `Quick test_crc32_fox;
           Alcotest.test_case "empty" `Quick test_crc32_empty;
           Alcotest.test_case "combine known" `Quick test_crc32_combine_known;
+          Alcotest.test_case "combine lengths" `Quick test_crc32_combine_lengths;
+          Alcotest.test_case "combine words flat" `Quick
+            test_crc32_combine_words_flat;
           qcheck prop_crc32_chunking;
           qcheck prop_crc32_combine;
         ] );

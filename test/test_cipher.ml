@@ -266,6 +266,140 @@ let prop_chacha_word64_at =
           = Cipher.Chacha20.byte_at t (pos + j))
         [ 0; 1; 2; 3; 4; 5; 6; 7 ])
 
+(* The reference block function: RFC 8439's 20 rounds as a
+   register-passing recursion on native ints, every add masked eagerly.
+   The library's block must produce the same 64 bytes for any key,
+   nonce and counter. *)
+let ref_chacha_block key n0 n1 n2 counter =
+  let m = 0xFFFFFFFF in
+  let word i =
+    Char.code key.[4 * i]
+    lor (Char.code key.[(4 * i) + 1] lsl 8)
+    lor (Char.code key.[(4 * i) + 2] lsl 16)
+    lor (Char.code key.[(4 * i) + 3] lsl 24)
+  in
+  let s =
+    [| 0x61707865; 0x3320646e; 0x79622d32; 0x6b206574; word 0; word 1;
+       word 2; word 3; word 4; word 5; word 6; word 7; counter land m;
+       n0 land m; n1 land m; n2 land m |]
+  in
+  let rotl x n = ((x lsl n) lor (x lsr (32 - n))) land m in
+  let out = Bytes.create 64 in
+  let rec go n x0 x1 x2 x3 x4 x5 x6 x7 x8 x9 x10 x11 x12 x13 x14 x15 =
+    if n = 0 then
+      List.iteri
+        (fun i x -> Bytes.set_int32_le out (4 * i) (Int32.of_int ((x + s.(i)) land m)))
+        [ x0; x1; x2; x3; x4; x5; x6; x7; x8; x9; x10; x11; x12; x13; x14; x15 ]
+    else begin
+      let x0 = (x0 + x4) land m in let x12 = rotl (x12 lxor x0) 16 in
+      let x8 = (x8 + x12) land m in let x4 = rotl (x4 lxor x8) 12 in
+      let x0 = (x0 + x4) land m in let x12 = rotl (x12 lxor x0) 8 in
+      let x8 = (x8 + x12) land m in let x4 = rotl (x4 lxor x8) 7 in
+      let x1 = (x1 + x5) land m in let x13 = rotl (x13 lxor x1) 16 in
+      let x9 = (x9 + x13) land m in let x5 = rotl (x5 lxor x9) 12 in
+      let x1 = (x1 + x5) land m in let x13 = rotl (x13 lxor x1) 8 in
+      let x9 = (x9 + x13) land m in let x5 = rotl (x5 lxor x9) 7 in
+      let x2 = (x2 + x6) land m in let x14 = rotl (x14 lxor x2) 16 in
+      let x10 = (x10 + x14) land m in let x6 = rotl (x6 lxor x10) 12 in
+      let x2 = (x2 + x6) land m in let x14 = rotl (x14 lxor x2) 8 in
+      let x10 = (x10 + x14) land m in let x6 = rotl (x6 lxor x10) 7 in
+      let x3 = (x3 + x7) land m in let x15 = rotl (x15 lxor x3) 16 in
+      let x11 = (x11 + x15) land m in let x7 = rotl (x7 lxor x11) 12 in
+      let x3 = (x3 + x7) land m in let x15 = rotl (x15 lxor x3) 8 in
+      let x11 = (x11 + x15) land m in let x7 = rotl (x7 lxor x11) 7 in
+      let x0 = (x0 + x5) land m in let x15 = rotl (x15 lxor x0) 16 in
+      let x10 = (x10 + x15) land m in let x5 = rotl (x5 lxor x10) 12 in
+      let x0 = (x0 + x5) land m in let x15 = rotl (x15 lxor x0) 8 in
+      let x10 = (x10 + x15) land m in let x5 = rotl (x5 lxor x10) 7 in
+      let x1 = (x1 + x6) land m in let x12 = rotl (x12 lxor x1) 16 in
+      let x11 = (x11 + x12) land m in let x6 = rotl (x6 lxor x11) 12 in
+      let x1 = (x1 + x6) land m in let x12 = rotl (x12 lxor x1) 8 in
+      let x11 = (x11 + x12) land m in let x6 = rotl (x6 lxor x11) 7 in
+      let x2 = (x2 + x7) land m in let x13 = rotl (x13 lxor x2) 16 in
+      let x8 = (x8 + x13) land m in let x7 = rotl (x7 lxor x8) 12 in
+      let x2 = (x2 + x7) land m in let x13 = rotl (x13 lxor x2) 8 in
+      let x8 = (x8 + x13) land m in let x7 = rotl (x7 lxor x8) 7 in
+      let x3 = (x3 + x4) land m in let x14 = rotl (x14 lxor x3) 16 in
+      let x9 = (x9 + x14) land m in let x4 = rotl (x4 lxor x9) 12 in
+      let x3 = (x3 + x4) land m in let x14 = rotl (x14 lxor x3) 8 in
+      let x9 = (x9 + x14) land m in let x4 = rotl (x4 lxor x9) 7 in
+      go (n - 1) x0 x1 x2 x3 x4 x5 x6 x7 x8 x9 x10 x11 x12 x13 x14 x15
+    end
+  in
+  go 10 s.(0) s.(1) s.(2) s.(3) s.(4) s.(5) s.(6) s.(7) s.(8) s.(9) s.(10)
+    s.(11) s.(12) s.(13) s.(14) s.(15);
+  Bytes.to_string out
+
+(* Keystream block [counter] read back through the public API: payload
+   position p draws from block 1 + p/64, and block 0 is only exposed as
+   the Poly1305 key (its first 32 bytes). *)
+let chacha_block key n0 n1 n2 counter =
+  let t =
+    Cipher.Chacha20.create ~key:(Cipher.Chacha20.key_of_string key) ~n0 ~n1 ~n2
+  in
+  if counter = 0 then begin
+    let k0, k1, k2, k3 = Cipher.Chacha20.poly_key t in
+    let b = Bytes.create 32 in
+    List.iteri (fun i w -> Bytes.set_int64_le b (8 * i) w) [ k0; k1; k2; k3 ];
+    Bytes.to_string b
+  end
+  else begin
+    let b = Bytes.make 64 '\000' in
+    Cipher.Chacha20.xor_block64 t ~pos:((counter - 1) * 64) b ~off:0;
+    Bytes.to_string b
+  end
+
+let prop_chacha_block_reference =
+  QCheck.Test.make ~name:"chacha20: block = reference recursion" ~count:500
+    QCheck.(
+      triple (string_of_size Gen.(return 32))
+        (triple int64 int64 int64)
+        (make Gen.(oneof [ return 0; return 1; return 0xFFFF_FFFF;
+                           int_range 0 0xFFFF_FFFF ])))
+    (fun (key, (n0, n1, n2), counter) ->
+      let n0 = Int64.to_int n0 and n1 = Int64.to_int n1
+      and n2 = Int64.to_int n2 in
+      let got = chacha_block key n0 n1 n2 counter in
+      got = String.sub (ref_chacha_block key n0 n1 n2 counter) 0 (String.length got))
+
+(* GC words a call allocates. Measured around the call alone, so the
+   figure is exact for a function that does no I/O. *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  int_of_float (Gc.minor_words () -. before)
+
+let test_chacha_block_no_alloc () =
+  let t =
+    Cipher.Chacha20.create ~key:(Cipher.Chacha20.key_of_int64 7L) ~n0:1 ~n1:2
+      ~n2:3
+  in
+  let b = Bytes.create 64 in
+  Cipher.Chacha20.xor_block64 t ~pos:0 b ~off:0;
+  let words =
+    minor_words (fun () ->
+        for k = 1 to 1000 do
+          Cipher.Chacha20.xor_block64 t ~pos:(64 * k) b ~off:0
+        done)
+  in
+  Alcotest.(check int) "GC words over 1000 fresh keystream blocks" 0 words
+
+let test_aead_words_flat () =
+  (* Whole blocks take the block-grain path: a record's GC words are its
+     fixed set-up (cipher, MAC and tag), whatever its length. *)
+  let key = Cipher.Chacha20.key_of_int64 11L and aad = buf "aad bytes" in
+  let words n f =
+    let b = Bytebuf.create n in
+    ignore (f ~key ~n0:1 ~n1:2 ~n2:3 ~aad b);
+    minor_words (fun () -> ignore (f ~key ~n0:1 ~n1:2 ~n2:3 ~aad b))
+  in
+  Alcotest.(check int) "seal_in_place: 64 B = 4096 B"
+    (words 64 Cipher.Aead.seal_in_place)
+    (words 4096 Cipher.Aead.seal_in_place);
+  Alcotest.(check int) "open_in_place_tag: 64 B = 4096 B"
+    (words 64 Cipher.Aead.open_in_place_tag)
+    (words 4096 Cipher.Aead.open_in_place_tag)
+
 let test_chacha_derive () =
   let key = Cipher.Chacha20.key_of_int64 42L in
   let k1 = Cipher.Chacha20.derive key ~n0:1 ~n1:0 ~n2:0 in
@@ -437,6 +571,9 @@ let () =
           Alcotest.test_case "out-of-order halves" `Quick test_chacha_out_of_order;
           Alcotest.test_case "epoch derivation" `Quick test_chacha_derive;
           qcheck prop_chacha_word64_at;
+          qcheck prop_chacha_block_reference;
+          Alcotest.test_case "block allocates nothing" `Quick
+            test_chacha_block_no_alloc;
         ] );
       ( "poly1305",
         [
@@ -447,6 +584,8 @@ let () =
         [
           Alcotest.test_case "rfc 8439 seal/open" `Quick test_aead_vector;
           Alcotest.test_case "tamper rejected" `Quick test_aead_tamper;
+          Alcotest.test_case "words independent of length" `Quick
+            test_aead_words_flat;
           qcheck prop_aead_fused_combinators;
         ] );
       ( "chain",

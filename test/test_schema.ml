@@ -358,6 +358,32 @@ let test_view_receive_zero_alloc () =
   Alcotest.(check int) "zero Bytebuf creations across 50 lazy receives" 0
     (Bytebuf.created_total () - before)
 
+let test_view_in_place_noop () =
+  (* In place with nothing to transform or digest, run_view skips its
+     pass: the view reads the caller's slice as it was handed over. *)
+  let s = Xdr.S_struct [ Xdr.S_int; Xdr.S_string; Xdr.S_array Xdr.S_int ] in
+  let v =
+    Value.List
+      [ Value.Int 7; Value.Utf8 "in place"; Value.List [ Value.Int 1; Value.Int 2 ] ]
+  in
+  let prog = Schema.prog_of_xdr s in
+  let enc = Xdr.encode s v in
+  let before = Bytebuf.to_string enc in
+  List.iter
+    (fun plan ->
+      let r = Ilp.run_view ~dst:enc plan prog enc in
+      Alcotest.(check int) "no digests" 0 (List.length r.Ilp.view_checksums);
+      Alcotest.(check int) "no tags" 0 (List.length r.Ilp.view_tags);
+      (match r.Ilp.view with
+      | Ok (view, len) ->
+          Alcotest.(check bool) "view over the input slice" true
+            (View.buffer view == enc);
+          Alcotest.(check int) "whole encoding" (Bytebuf.length enc) len;
+          Alcotest.(check bool) "same value" true (View.to_value view = v)
+      | Error e -> Alcotest.fail e);
+      Alcotest.(check string) "bytes untouched" before (Bytebuf.to_string enc))
+    [ []; [ Ilp.Deliver_copy ] ]
+
 (* --- the program cache --- *)
 
 let test_prog_cache_hits () =
@@ -533,6 +559,8 @@ let () =
         ] );
       ( "transport",
         [
+          Alcotest.test_case "in-place view without stages is a no-op" `Quick
+            test_view_in_place_noop;
           Alcotest.test_case "deliver_views end to end" `Quick
             test_deliver_views_end_to_end;
         ] );
