@@ -19,7 +19,7 @@ let table =
    tables where [tk.(b)] is the register effect of byte [b] followed by
    [k] zero bytes, so one 64-bit load advances the CRC with eight
    independent lookups instead of eight chained byte steps. This is what
-   lets the fused ILP word loop keep a CRC stage at word speed. *)
+   lets the fused ILP block op keep a CRC stage at word speed. *)
 let table1, table2, table3, table4, table5, table6, table7 =
   let next t8 prev =
     let t = Array.make 256 0 in

@@ -1,10 +1,11 @@
 open Bufkit
 
-(* RFC 8439 AEAD_CHACHA20_POLY1305, decomposed into word-at-a-time
-   combinators so the whole construction — XOR with keystream, MAC over
-   the ciphertext — runs inside one fused ILP pass. The caller drives the
-   payload through [seal_word]/[open_word] in position order (the plan
-   compiler's word loop already does), then closes with [tag].
+(* RFC 8439 AEAD_CHACHA20_POLY1305, decomposed into block, word and
+   byte combinators so the whole construction — XOR with keystream, MAC
+   over the ciphertext — runs inside one fused ILP pass. The caller
+   drives the payload through them in position order (the plan
+   compiler's block driver takes [seal_block64]/[open_block64] per
+   block and the byte forms for the tail), then closes with [tag].
 
    MAC input: AAD ‖ pad16 ‖ ciphertext ‖ pad16 ‖ len(AAD)_LE64 ‖
    len(ct)_LE64, keyed by ChaCha20 block 0; payload keystream starts at

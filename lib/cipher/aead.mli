@@ -1,8 +1,8 @@
-(** RFC 8439 ChaCha20-Poly1305 AEAD as fused word-at-a-time combinators.
+(** RFC 8439 ChaCha20-Poly1305 AEAD as fused block/word/byte combinators.
 
     One {!t} seals or opens exactly one record: feed the payload through
-    {!seal_word}/{!open_word} (and byte-tail variants) in position order,
-    then read the 128-bit {!tag}. Encrypt, MAC and (in the caller's loop)
+    {!seal_block64}/{!open_block64} (and the word and byte variants for
+    a tail) in position order, then read the 128-bit {!tag}. Encrypt, MAC and (in the caller's loop)
     copy/checksum all happen in the same pass over the data — the ILP
     thesis applied to real crypto. The MAC covers
     [AAD ‖ pad16 ‖ ct ‖ pad16 ‖ len(AAD) ‖ len(ct)]. *)

@@ -3,7 +3,7 @@
     Accumulates 16-byte blocks into [h = (h + m)·r mod 2^130 - 5] with the
     key's [s] half added at the end. All limb arithmetic fits OCaml's
     native 63-bit ints, so feeding and finishing allocate nothing — the
-    MAC can ride inside the fused ILP word loop.
+    MAC can ride inside the fused ILP block loop.
 
     The one-time key arrives as four little-endian 64-bit words (the shape
     {!Chacha20.poly_key} produces); [r] clamping per RFC 8439 §2.5 is
