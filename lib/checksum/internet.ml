@@ -20,37 +20,6 @@ let feed_byte st b =
   if st.odd then { sum = maybe_fold (st.sum + b); odd = false }
   else { sum = maybe_fold (st.sum + (b lsl 8)); odd = true }
 
-(* Eight bytes at once, packed little-endian in [w] (octet 0 = first data
-   byte). On an even byte boundary the four 16-bit LE lanes of [w] are the
-   byte-swaps of the four big-endian data words, and one's-complement
-   addition commutes with byte order (RFC 1071 §2.B): summing the lanes and
-   swapping the folded result yields the big-endian partial sum. Pure int64
-   arithmetic — no host-endianness dependence. *)
-let feed_word64le st w =
-  if st.odd then begin
-    (* Odd parity: absorb octet by octet so word parity is preserved. *)
-    let st = ref st in
-    for i = 0 to 7 do
-      st :=
-        feed_byte !st
-          (Int64.to_int (Int64.shift_right_logical w (8 * i)) land 0xff)
-    done;
-    !st
-  end
-  else
-    let lanes =
-      Int64.add
-        (Int64.add
-           (Int64.logand w 0xFFFFL)
-           (Int64.logand (Int64.shift_right_logical w 16) 0xFFFFL))
-        (Int64.add
-           (Int64.logand (Int64.shift_right_logical w 32) 0xFFFFL)
-           (Int64.shift_right_logical w 48))
-    in
-    let le = fold16 (Int64.to_int lanes) in
-    let be = ((le land 0xff) lsl 8) lor (le lsr 8) in
-    { sum = maybe_fold (st.sum + be); odd = false }
-
 let feed_sub st buf ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytebuf.length buf then
     raise

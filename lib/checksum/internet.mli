@@ -16,15 +16,6 @@ val feed_byte : state -> int -> state
 (** [feed_byte st b] absorbs one byte (0–255). Byte parity is tracked, so
     feeding a buffer bytewise equals feeding it in one call. *)
 
-val feed_word64le : state -> int64 -> state
-(** [feed_word64le st w] absorbs eight data bytes packed little-endian in
-    [w] (the byte for the lowest stream position in the low octet — the
-    layout produced by [Bytes.get_int64_le], or by [Bytes.get_int64_ne] on
-    a little-endian host). Equivalent to eight {!feed_byte} calls; on even
-    byte parity it sums the four 16-bit lanes directly and converts the
-    folded result with one byte swap (RFC 1071 §2.B), which is what lets a
-    fused word-at-a-time loop feed the checksum without unpacking. *)
-
 val feed : state -> Bytebuf.t -> state
 (** Absorb a whole slice (word-at-a-time fast path). *)
 

@@ -58,18 +58,6 @@ let feeder_byte f b =
   | F_adler st -> F_adler (Adler32.feed_byte st b)
   | F_crc st -> F_crc (Crc32.feed_byte st b)
 
-let feeder_word64le f w =
-  match f with
-  | F_internet st -> F_internet (Internet.feed_word64le st w)
-  | F_fletcher16 _ | F_fletcher32 _ | F_adler _ | F_crc _ ->
-      let f = ref f in
-      for i = 0 to 7 do
-        f :=
-          feeder_byte !f
-            (Int64.to_int (Int64.shift_right_logical w (8 * i)) land 0xff)
-      done;
-      !f
-
 let feeder_buf f buf =
   match f with
   | F_internet st -> F_internet (Internet.feed st buf)

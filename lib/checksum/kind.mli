@@ -23,12 +23,6 @@ type feeder
 val feeder : t -> feeder
 val feeder_byte : feeder -> int -> feeder
 
-val feeder_word64le : feeder -> int64 -> feeder
-(** Absorb eight data bytes packed little-endian in the word (low octet =
-    first byte), equivalent to eight {!feeder_byte} calls. Internet gets
-    the 64-bit-lane fast path ({!Internet.feed_word64le}); the other
-    algorithms unpack, but still without per-byte allocation. *)
-
 val feeder_buf : feeder -> Bytebuf.t -> feeder
 val feeder_finish : feeder -> int
 val pp : Format.formatter -> t -> unit

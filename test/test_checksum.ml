@@ -326,51 +326,7 @@ let prop_kind_feeder_matches_digest =
       via_feeder = Checksum.Kind.digest kind b
       && via_bytes = Checksum.Kind.digest kind b)
 
-(* --- word-at-a-time feeders (the ILP compiler's substrate) --- *)
-
-let word_of_string s =
-  (* Low octet = first byte, as the compiled loop's LE load produces. *)
-  let w = ref 0L in
-  String.iteri
-    (fun i c ->
-      w := Int64.logor !w (Int64.shift_left (Int64.of_int (Char.code c)) (8 * i)))
-    s;
-  !w
-
-let prop_internet_feed_word64le =
-  QCheck.Test.make ~name:"internet: feed_word64le = 8 feed_byte" ~count:500
-    QCheck.(pair (string_of_size Gen.(return 8)) (string_of_size Gen.(0 -- 9)))
-    (fun (word, prefix) ->
-      (* [prefix] varies the starting byte parity: odd-length prefixes
-         exercise the slow (misaligned) path of feed_word64le. *)
-      let seed = ref Checksum.Internet.init in
-      String.iter (fun c -> seed := Checksum.Internet.feed_byte !seed (Char.code c)) prefix;
-      let by_word = Checksum.Internet.feed_word64le !seed (word_of_string word) in
-      let by_bytes = ref !seed in
-      String.iter
-        (fun c -> by_bytes := Checksum.Internet.feed_byte !by_bytes (Char.code c))
-        word;
-      Checksum.Internet.finish by_word = Checksum.Internet.finish !by_bytes)
-
-let prop_kind_feeder_word64le =
-  let kind_gen = QCheck.Gen.oneofl Checksum.Kind.all in
-  QCheck.Test.make ~name:"kind: feeder_word64le = 8 feeder_byte" ~count:300
-    QCheck.(pair (make kind_gen) (string_of_size Gen.(map (fun n -> n * 8) (0 -- 6))))
-    (fun (kind, s) ->
-      let by_word = ref (Checksum.Kind.feeder kind) in
-      let by_byte = ref (Checksum.Kind.feeder kind) in
-      let n = String.length s in
-      let i = ref 0 in
-      while !i < n do
-        by_word :=
-          Checksum.Kind.feeder_word64le !by_word (word_of_string (String.sub s !i 8));
-        i := !i + 8
-      done;
-      String.iter
-        (fun c -> by_byte := Checksum.Kind.feeder_byte !by_byte (Char.code c))
-        s;
-      Checksum.Kind.feeder_finish !by_word = Checksum.Kind.feeder_finish !by_byte
-      && Checksum.Kind.feeder_finish !by_word = Checksum.Kind.digest kind (buf s))
+(* --- byte feeders (the ILP compiler's tail op) --- *)
 
 let prop_fletcher32_feed_byte =
   QCheck.Test.make ~name:"fletcher32: feed32_byte stream = digest32" ~count:300
@@ -396,7 +352,6 @@ let () =
           qcheck prop_internet_feed_sub_split;
           Alcotest.test_case "feed_sub odd resume" `Quick
             test_internet_feed_sub_odd_resume;
-          qcheck prop_internet_feed_word64le;
         ] );
       ( "fletcher",
         [
@@ -430,6 +385,5 @@ let () =
         [
           Alcotest.test_case "names" `Quick test_kind_names;
           qcheck prop_kind_feeder_matches_digest;
-          qcheck prop_kind_feeder_word64le;
         ] );
     ]
