@@ -33,14 +33,14 @@ bench-smoke:
 	ALFNET_BENCH_QUOTA=0.05 dune exec bench/main.exe -- table1 ilp-fusion fused-convert ilp-parallel ilp-compile ilp-marshal schema-marshal secure-record
 
 # Quick perf gate: run the fusion experiments at a tiny quota, then fail
-# if fused does not beat serial (E2, the median of interleaved timing
-# pairs), the compiled 3-stage plan does not
+# if fused does not beat serial (E2), the compiled 3-stage plan does not
 # beat serial layered execution by >= 2x (E14), or the fused marshal
 # does not beat the encode-then-checksum-then-copy composition by
 # >= 1.5x per codec (E15), or the schema-compiled marshal/lazy view
-# falls below the interpreters, allocates in steady state, or stops
-# hitting its program cache (E19). Ratios compare measurements within
-# one run, so the short quota does not skew them.
+# falls below the interpreters, allocates a Bytebuf or more than 256 GC
+# words per run, or stops hitting its program cache (E19). Ratios
+# compare measurements within one run, so the short quota does not skew
+# them; E2's, E15's and E19's are medians of interleaved timing pairs.
 perf-smoke:
 	ALFNET_BENCH_QUOTA=0.05 ALFNET_BENCH_JSON=BENCH_smoke.json dune exec bench/main.exe -- ilp-fusion ilp-compile ilp-marshal schema-marshal
 	dune exec bench/perfcheck.exe -- BENCH_smoke.json

@@ -659,7 +659,7 @@ let ilp_cmd =
        ~doc:
          "Compile a declarative manipulation plan and race the three \
           executors: layered passes, per-byte interpreted fusion, and the \
-          word-at-a-time compiled loop (paper \\u{00a7}8).")
+          block-at-a-time compiled loop (paper \\u{00a7}8).")
     Term.(ret (const run_ilp $ plan $ size))
 
 (* --- marshal: fused presentation conversion on the send path --- *)
