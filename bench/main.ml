@@ -1084,7 +1084,14 @@ let e14_ilp_compile () =
             (Adu.name ~stream:0 ~index:0 ~dest_off:0 ~dest_len:adu_bytes ())
             payload))
   in
-  let push_adu () = List.iter (Framing.push reasm) frags in
+  (* Each push re-opens index 0 ([unretire] drops the mark its last
+     completion left), so every one reassembles and delivers. *)
+  let pushes = ref 0 in
+  let push_adu () =
+    Framing.unretire reasm ~index:0;
+    List.iter (Framing.push reasm) frags;
+    incr pushes
+  in
   push_adu () (* warm the pools and the plan cache *);
   let snap = Bytebuf.created_total () in
   let rounds = 512 in
@@ -1097,6 +1104,10 @@ let e14_ilp_compile () =
       (Printf.sprintf "E14: pooled receive allocated %d buffers in %d ADUs"
          creates rounds);
   let rx = Harness.measure_mbps "pooled-receive" ~bytes:adu_bytes push_adu in
+  if !processed <> !pushes then
+    failwith
+      (Printf.sprintf "E14: pooled receive delivered %d ADUs for %d pushes"
+         !processed !pushes);
   Harness.note
     "Pooled receive (reassemble + fused decrypt/verify, %d-byte ADUs):\n\
     \  %.1f Mb/s, %d Bytebuf allocations across %d steady-state ADUs\n\

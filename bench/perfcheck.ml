@@ -48,9 +48,10 @@
 
    With --udp it gates BENCH_udp.json (`alfnet udp --bench`) instead:
    the fused send path must stay zero-allocation in steady state over
-   real loopback sockets (steady_allocs_per_adu = 0), hold the stream's
-   own invariants (ok = true), and both backends must post a positive
-   throughput.
+   real loopback sockets (steady_allocs_per_adu = 0), the whole stream
+   may allocate at most 1024 GC minor words per ADU over the same window
+   (steady_words_per_adu), it must hold its own invariants (ok = true),
+   and both backends must post a positive throughput.
 
    With --serve it gates BENCH_scale.json (`alfnet serve --bench`): every
    sessions x domains point must hold the serve engine's invariants
@@ -355,13 +356,24 @@ let () =
         die "fused UDP send path allocated %.3f Bytebufs/ADU in steady state"
           a
     | _ -> die "steady_allocs_per_adu is not a number");
+    (* Zero allocation means GC words too: the whole process's minor
+       words per ADU over the steady window. A per-byte regression on the
+       1 KB ADU would add about a thousand. *)
+    let words =
+      match field "udp/fused-send" "steady_words_per_adu" with
+      | Obs.Json.Num w when w <= 1024.0 -> w
+      | Obs.Json.Num w ->
+          die "udp stream allocated %.1f GC words/ADU in steady state (bound 1024)"
+            w
+      | _ -> die "steady_words_per_adu is not a number"
+    in
     (match field "udp/fused-send" "ok" with
     | Obs.Json.Bool true -> ()
     | _ -> die "udp stream violated its own invariants (ok = false)");
     Printf.printf
       "perfcheck: udp %.1f Mb/s vs netsim %.1f Mb/s, zero steady-state \
-       allocations — gate holds in %s\n"
-      udp sim path;
+       allocations, %.1f GC words/ADU — gate holds in %s\n"
+      udp sim words path;
     exit 0
   end;
   let failures = ref 0 in

@@ -10,7 +10,7 @@
      metrics    run an instrumented workload and dump the metrics registry
      soak       sweep impairment x recovery-policy x FEC under fault plans
      udp        the same transport over real loopback UDP sockets (Rt loop)
-     secure     the fused AEAD record layer: soak selftest and fused-vs-serial bench
+     secure     the fused AEAD record layer: soak selftest and zero-alloc gate
      serve      the sharded many-session server engine under a load generator
 
    Examples:
@@ -29,7 +29,6 @@
      alfnet udp --bench --out BENCH_udp.json
      alfnet udp --soak --smoke
      alfnet secure --selftest --smoke
-     alfnet secure --bench --out BENCH_secure.json
      alfnet serve --sessions 100000 --backend both
      alfnet serve --bench --out BENCH_scale.json
      alfnet serve --hostile --backend both --sessions 4000
@@ -990,6 +989,7 @@ type stream_report = {
   sr_payload_bytes : int;
   sr_mbps : float;
   sr_steady_allocs : int;  (* Bytebufs created inside the steady window *)
+  sr_steady_words : float;  (* GC minor words inside the steady window *)
   sr_measured : int;  (* ADUs inside the steady window *)
   sr_delivered : int;
   sr_mismatches : int;
@@ -1002,9 +1002,11 @@ type stream_report = {
 (* Stream [adus] fused-send ADUs sender->receiver over one loopback
    [Rt.Udp_link]. The feeder paces itself: up to 32 ADUs per 1 ms timer
    tick, far below what the (drained-every-wakeup) socket buffer absorbs.
-   After [warmup] deliveries the Bytebuf creation counter and the wall
-   clock are snapshotted; the window closes when the last ADU arrives,
-   before CLOSE/DONE (which allocate control datagrams) go out. *)
+   After [warmup] deliveries the Bytebuf creation counter, the GC's
+   minor words and the wall clock are snapshotted; the window closes
+   when the last ADU arrives, before CLOSE/DONE go out. The words cover
+   the whole process: sender, loop, sockets, receiver and the check of
+   each delivered payload, which compares it in place. *)
 let run_udp_stream ~adus () =
   let loop = Rt.Loop.create () in
   let sched = Rt.Loop.sched loop in
@@ -1014,14 +1016,14 @@ let run_udp_stream ~adus () =
   let v = udp_workload_value in
   let source = Ilp.Marshal_ber v in
   let payload_bytes = Ilp.marshal_size source in
-  let expected = Bytebuf.to_string (Wire.Ber.encode v) in
+  let expected = Wire.Ber.encode v in
   let delivered = ref 0 and mismatches = ref 0 in
   let reasm_pool = Pool.create ~buf_size:2048 () in
   let receiver =
     Alf_transport.receiver_io ~sched ~io ~port:9000 ~stream:1 ~reasm_pool
       ~deliver:(fun adu ->
         incr delivered;
-        if Bytebuf.to_string adu.Adu.payload <> expected then incr mismatches)
+        if not (Bytebuf.equal adu.Adu.payload expected) then incr mismatches)
       ()
   in
   let tx_pool = Pool.create ~buf_size:2048 () in
@@ -1055,9 +1057,11 @@ let run_udp_stream ~adus () =
   feeder ();
   ignore (Rt.Loop.run_until loop ~timeout:30.0 (fun () -> !delivered >= warmup));
   let alloc0 = Bytebuf.created_total () in
+  let words0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   ignore (Rt.Loop.run_until loop ~timeout:120.0 (fun () -> !delivered >= adus));
   let t1 = Unix.gettimeofday () in
+  let words1 = Gc.minor_words () in
   let alloc1 = Bytebuf.created_total () in
   Alf_transport.close sender;
   ignore
@@ -1076,6 +1080,7 @@ let run_udp_stream ~adus () =
       sr_payload_bytes = payload_bytes;
       sr_mbps = mbps;
       sr_steady_allocs = alloc1 - alloc0;
+      sr_steady_words = words1 -. words0;
       sr_measured = measured;
       sr_delivered = !delivered;
       sr_mismatches = !mismatches;
@@ -1138,13 +1143,15 @@ let stream_ok r =
   && r.sr_steady_allocs = 0
   && r.sr_pending_timers = 0
 
+let per_adu r x = if r.sr_measured = 0 then nan else x /. float_of_int r.sr_measured
+
 let pp_stream_report ppf r =
   Format.fprintf ppf
     "udp stream: %d ADUs x %dB  %.1f Mb/s  steady allocs %d/%d ADUs  \
-     delivered %d  mismatches %d  complete %b finished %b  pending timers %d  \
-     send_dropped %d"
+     %.1f GC words/ADU  delivered %d  mismatches %d  complete %b finished \
+     %b  pending timers %d  send_dropped %d"
     r.sr_adus r.sr_payload_bytes r.sr_mbps r.sr_steady_allocs r.sr_measured
-    r.sr_delivered r.sr_mismatches r.sr_complete r.sr_finished
+    (per_adu r r.sr_steady_words) r.sr_delivered r.sr_mismatches r.sr_complete r.sr_finished
     r.sr_pending_timers r.sr_send_dropped
 
 let run_udp_selftest adus =
@@ -1174,9 +1181,8 @@ let run_udp_bench adus out =
             ("adus", i r.sr_adus);
             ("payload_bytes", i r.sr_payload_bytes);
             ( "steady_allocs_per_adu",
-              Obs.Json.Num
-                (if r.sr_measured = 0 then nan
-                 else float_of_int r.sr_steady_allocs /. float_of_int r.sr_measured) );
+              Obs.Json.Num (per_adu r (float_of_int r.sr_steady_allocs)) );
+            ("steady_words_per_adu", Obs.Json.Num (per_adu r r.sr_steady_words));
             ("ok", Obs.Json.Bool (stream_ok r));
           ];
         Obs.Json.Obj
@@ -1265,9 +1271,8 @@ let udp_cmd =
 
 (* --- secure: the fused AEAD record layer (E20) from the CLI --- *)
 
-(* The E15/E19 presentation-heavy shape at a CLI-friendly size — the same
-   regime bench/main.ml's E20 measures, so the --bench ratios are directly
-   comparable with the secure-record/* rows in BENCH_ilp.json. *)
+(* The E15/E19 presentation-heavy shape that E20 measures, sealed as one
+   record. *)
 let secure_workload () =
   let value =
     Wire.Value.List
@@ -1283,69 +1288,41 @@ let secure_workload () =
   let schema = Wire.Xdr.schema_of_value value in
   let source = Ilp.Marshal_xdr (schema, value) in
   let n = Ilp.marshal_size source in
-  let rc = Secure.Record.of_int64 0x5EC0BE7CA57L in
-  let name = Adu.name ~dest_off:0 ~dest_len:n ~stream:1 ~index:0 () in
-  let _, p = Secure.Record.seal_params rc name in
-  (* One immutable AAD copy so every row MACs identical bytes without
-     touching the record handle's scratch inside the timed loops. *)
-  let aad = Bytebuf.create (Bytebuf.length p.Ilp.aead_aad) in
-  Bytebuf.blit ~src:p.Ilp.aead_aad ~src_pos:0 ~dst:aad ~dst_pos:0
-    ~len:(Bytebuf.length aad);
-  (source, n, { p with Ilp.aead_aad = aad })
+  ( source,
+    n,
+    Secure.Record.of_int64 0x5EC0BE7CA57L,
+    Adu.name ~dest_off:0 ~dest_len:n ~stream:1 ~index:0 () )
 
-let secure_tx_plan p =
-  [ Ilp.Aead_seal p; Ilp.Checksum Checksum.Kind.Crc32; Ilp.Deliver_copy ]
-
-(* The fused one-walk open: framing CRC, Poly1305 and the ChaCha20
-   decrypt ride one word loop over the sealed frame, in place. *)
-let secure_open_fused p dst n =
-  let a =
-    Cipher.Aead.create ~key:p.Ilp.aead_key ~n0:p.Ilp.aead_n0
-      ~n1:p.Ilp.aead_n1 ~n2:p.Ilp.aead_n2 ~aad:p.Ilp.aead_aad
-  in
-  let bytes, base, _ = Bytebuf.backing dst in
-  let st = ref Checksum.Crc32.init in
-  let i = ref 0 in
-  while !i + 8 <= n do
-    let w = Bytes.get_int64_le bytes (base + !i) in
-    st := Checksum.Crc32.feed_word64le !st w;
-    Bytes.set_int64_le bytes (base + !i) (Cipher.Aead.open_word a !i w);
-    i := !i + 8
-  done;
-  while !i < n do
-    let b = Char.code (Bytes.unsafe_get bytes (base + !i)) in
-    st := Checksum.Crc32.feed_byte !st b;
-    Bytes.unsafe_set bytes (base + !i)
-      (Char.unsafe_chr (Cipher.Aead.open_byte a !i b));
-    incr i
-  done;
-  ignore (Checksum.Crc32.finish !st);
-  ignore (Cipher.Aead.tag a)
-
-(* Steady-state Bytebuf deltas for the fused seal (tx) and the fused
-   one-walk open (rx) — the acceptance gate's created_total check, run
-   directly so the CLI can vouch for it without the bench harness. *)
+(* Steady-state Bytebuf deltas for the fused seal (tx) and the production
+   record open, {!Secure.Record.open_payload} (rx) — the acceptance
+   gate's created_total check, run directly so the CLI can vouch for it
+   without the bench harness. *)
 let secure_alloc_gate () =
-  let source, n, p = secure_workload () in
+  let source, n, rc, name = secure_workload () in
   let dst = Bytebuf.create n in
-  let plan = secure_tx_plan p in
-  ignore (Ilp.run_marshal ~dst source plan);
+  let seal () =
+    let _, p = Secure.Record.seal_params rc name in
+    ignore
+      (Ilp.run_marshal ~dst source
+         [ Ilp.Aead_seal p; Ilp.Checksum Checksum.Kind.Crc32; Ilp.Deliver_copy ])
+  in
+  seal ();
   let a0 = Bytebuf.created_total () in
   for _ = 1 to 50 do
-    ignore (Ilp.run_marshal ~dst source plan)
+    seal ()
   done;
   let tx = Bytebuf.created_total () - a0 in
-  (* A sealed frame to re-open, restored after every round so each open
-     sees the same ciphertext. *)
+  (* A sealed record, ct ‖ epoch ‖ tag, restored after every open so each
+     open sees the same ciphertext. *)
   ignore (Ilp.run_marshal ~dst source []);
-  ignore
-    (Cipher.Aead.seal_in_place ~key:p.Ilp.aead_key ~n0:p.Ilp.aead_n0
-       ~n1:p.Ilp.aead_n1 ~n2:p.Ilp.aead_n2 ~aad:p.Ilp.aead_aad dst);
-  let ct_copy = Bytebuf.create n in
-  Bytebuf.blit ~src:dst ~src_pos:0 ~dst:ct_copy ~dst_pos:0 ~len:n;
+  let sealed = (Secure.Record.seal_adu rc (Adu.make name dst)).Adu.payload in
+  let copy = Bytebuf.copy sealed in
   let open_once () =
-    secure_open_fused p dst n;
-    Bytebuf.blit ~src:ct_copy ~src_pos:0 ~dst ~dst_pos:0 ~len:n
+    (match Secure.Record.open_payload rc name sealed with
+    | Ok _ -> ()
+    | Error e -> failwith ("secure selftest: " ^ e));
+    Bytebuf.blit ~src:copy ~src_pos:0 ~dst:sealed ~dst_pos:0
+      ~len:(Bytebuf.length sealed)
   in
   open_once ();
   let b0 = Bytebuf.created_total () in
@@ -1389,160 +1366,6 @@ let run_secure_selftest smoke seed =
         Printf.sprintf "steady-state Bytebuf allocations: tx %d rx %d (want 0)"
           tx_allocs rx_allocs )
 
-let run_secure_bench out =
-  let source, n, p = secure_workload () in
-  let dst = Bytebuf.create n in
-  let aad = p.Ilp.aead_aad in
-  let time f =
-    f ();
-    let t0 = Unix.gettimeofday () in
-    let iters = ref 0 in
-    let stop = t0 +. 0.2 in
-    while Unix.gettimeofday () < stop do
-      f ();
-      incr iters
-    done;
-    float_of_int (n * !iters) *. 8.0 /. ((Unix.gettimeofday () -. t0) *. 1e6)
-  in
-  (* The serial baseline: the layered reference stack — presentation
-     encodes into its own PDU, the security layer copies and runs
-     encrypt-then-MAC byte by byte, framing copies again and checksums
-     byte by byte (the same byte-grain composition E20's serial row and
-     the E2/E14 interpreted ablations measure). *)
-  let serial =
-    time (fun () ->
-        let enc = (Ilp.run_marshal source []).Ilp.output in
-        let ct = Bytebuf.copy enc in
-        let a =
-          Cipher.Aead.create ~key:p.Ilp.aead_key ~n0:p.Ilp.aead_n0
-            ~n1:p.Ilp.aead_n1 ~n2:p.Ilp.aead_n2 ~aad
-        in
-        let bytes, base, len = Bytebuf.backing ct in
-        for i = 0 to len - 1 do
-          Bytes.unsafe_set bytes (base + i)
-            (Char.unsafe_chr
-               (Cipher.Aead.seal_byte a i
-                  (Char.code (Bytes.unsafe_get bytes (base + i)))))
-        done;
-        ignore (Cipher.Aead.tag a);
-        let frame = Bytebuf.copy ct in
-        let fb, fbase, _ = Bytebuf.backing frame in
-        let st = ref Checksum.Crc32.init in
-        for i = 0 to len - 1 do
-          st :=
-            Checksum.Crc32.feed_byte !st
-              (Char.code (Bytes.unsafe_get fb (fbase + i)))
-        done;
-        ignore (Checksum.Crc32.finish !st))
-  in
-  let fused =
-    time (fun () -> ignore (Ilp.run_marshal ~dst source (secure_tx_plan p)))
-  in
-  (* Receive: seal a frame once, then race the layered byte-grain open
-     (CRC pass + copy, MAC pass, decrypt pass) against the one-walk
-     fused open. *)
-  let sealed = Bytebuf.create n in
-  ignore (Ilp.run_marshal ~dst:sealed source []);
-  ignore
-    (Cipher.Aead.seal_in_place ~key:p.Ilp.aead_key ~n0:p.Ilp.aead_n0
-       ~n1:p.Ilp.aead_n1 ~n2:p.Ilp.aead_n2 ~aad sealed);
-  let ct_copy = Bytebuf.create n in
-  Bytebuf.blit ~src:sealed ~src_pos:0 ~dst:ct_copy ~dst_pos:0 ~len:n;
-  let open_serial =
-    time (fun () ->
-        let bytes, base, len = Bytebuf.backing sealed in
-        let st = ref Checksum.Crc32.init in
-        for i = 0 to len - 1 do
-          st :=
-            Checksum.Crc32.feed_byte !st
-              (Char.code (Bytes.unsafe_get bytes (base + i)))
-        done;
-        ignore (Checksum.Crc32.finish !st);
-        let ct = Bytebuf.copy sealed in
-        let cb, cbase, _ = Bytebuf.backing ct in
-        let ks =
-          Cipher.Chacha20.create ~key:p.Ilp.aead_key ~n0:p.Ilp.aead_n0
-            ~n1:p.Ilp.aead_n1 ~n2:p.Ilp.aead_n2
-        in
-        let k0, k1, k2, k3 = Cipher.Chacha20.poly_key ks in
-        let mac = Cipher.Poly1305.create ~k0 ~k1 ~k2 ~k3 in
-        Cipher.Poly1305.feed_sub mac aad;
-        Cipher.Poly1305.pad16 mac;
-        for i = 0 to len - 1 do
-          Cipher.Poly1305.feed_byte mac
-            (Char.code (Bytes.unsafe_get cb (cbase + i)))
-        done;
-        Cipher.Poly1305.pad16 mac;
-        Cipher.Poly1305.feed_word64 mac (Int64.of_int (Bytebuf.length aad));
-        Cipher.Poly1305.feed_word64 mac (Int64.of_int n);
-        ignore (Cipher.Poly1305.finish mac);
-        for i = 0 to len - 1 do
-          Bytes.unsafe_set cb (cbase + i)
-            (Char.unsafe_chr
-               (Char.code (Bytes.unsafe_get cb (cbase + i))
-               lxor Cipher.Chacha20.byte_at ks i))
-        done)
-  in
-  let open_fused =
-    time (fun () ->
-        secure_open_fused p sealed n;
-        Bytebuf.blit ~src:ct_copy ~src_pos:0 ~dst:sealed ~dst_pos:0 ~len:n)
-  in
-  let tx_allocs, rx_allocs = secure_alloc_gate () in
-  let tx_ratio = fused /. serial and rx_ratio = open_fused /. open_serial in
-  Format.printf "secure bench (xdr, %d bytes on the wire)@." n;
-  Format.printf "  serial: layered stack, byte grain     %8.1f Mb/s@." serial;
-  Format.printf "  fused: marshal+seal+CRC, one pass     %8.1f Mb/s  (%.2fx)@."
-    fused tx_ratio;
-  Format.printf "  rx serial: byte-grain CRC;MAC;decrypt %8.1f Mb/s@."
-    open_serial;
-  Format.printf "  rx fused: CRC+MAC+decrypt, one walk   %8.1f Mb/s  (%.2fx)@."
-    open_fused rx_ratio;
-  Format.printf "  steady-state Bytebuf allocs: tx %d, rx %d@." tx_allocs
-    rx_allocs;
-  let ok =
-    tx_ratio >= 1.5 && rx_ratio >= 1.3 && tx_allocs = 0 && rx_allocs = 0
-  in
-  let rows =
-    Obs.Json.Arr
-      [
-        Obs.Json.Obj
-          [ ("name", Obs.Json.Str "secure/xdr/serial"); ("mbps", Obs.Json.Num serial) ];
-        Obs.Json.Obj
-          [ ("name", Obs.Json.Str "secure/xdr/fused"); ("mbps", Obs.Json.Num fused) ];
-        Obs.Json.Obj
-          [
-            ("name", Obs.Json.Str "secure/xdr/open-serial");
-            ("mbps", Obs.Json.Num open_serial);
-          ];
-        Obs.Json.Obj
-          [
-            ("name", Obs.Json.Str "secure/xdr/open-fused");
-            ("mbps", Obs.Json.Num open_fused);
-          ];
-        Obs.Json.Obj
-          [
-            ("name", Obs.Json.Str "secure/gate");
-            ("steady_allocs", Obs.Json.Num (float_of_int tx_allocs));
-            ("rx_steady_allocs", Obs.Json.Num (float_of_int rx_allocs));
-            ("ok", Obs.Json.Bool ok);
-          ];
-      ]
-  in
-  let oc = open_out out in
-  output_string oc (Obs.Json.to_string_pretty rows);
-  output_char oc '\n';
-  close_out oc;
-  Format.printf "secure bench -> %s@." out;
-  if ok then `Ok ()
-  else
-    `Error
-      ( false,
-        Printf.sprintf
-          "secure record gate failed: tx %.2fx (floor 1.5), rx %.2fx (floor \
-           1.3), allocs tx %d rx %d (want 0)"
-          tx_ratio rx_ratio tx_allocs rx_allocs )
-
 let secure_cmd =
   let selftest =
     Arg.(
@@ -1551,14 +1374,6 @@ let secure_cmd =
           ~doc:
             "Run the secure soak cases on both backends plus the zero-alloc \
              gate (the default).")
-  in
-  let bench =
-    Arg.(
-      value & flag
-      & info [ "bench" ]
-          ~doc:
-            "Race the fused single-pass seal/open against the layered \
-             byte-grain composition and write the rows to $(docv).")
   in
   let smoke =
     Arg.(
@@ -1570,25 +1385,19 @@ let secure_cmd =
       value & opt int 42
       & info [ "seed" ] ~docv:"SEED" ~doc:"Root RNG seed for the soak cases.")
   in
-  let out =
-    Arg.(
-      value & opt string "BENCH_secure.json"
-      & info [ "out" ] ~docv:"PATH" ~doc:"Where to write the JSON report.")
-  in
-  let run selftest bench smoke seed out =
+  let run selftest smoke seed =
     ignore selftest;
-    if bench then run_secure_bench out else run_secure_selftest smoke seed
+    run_secure_selftest smoke seed
   in
   Cmd.v
     (Cmd.info "secure"
        ~doc:
-         "Exercise the fused AEAD record layer: by default the secure soak \
-          cases (mid-stream rekey under loss, tag-targeted corruption) on \
-          both the simulator and real loopback UDP plus the zero-allocation \
-          steady-state gate; $(b,--bench) races the one-pass \
-          marshal+ChaCha20+Poly1305+CRC-32 seal (and the one-walk open) \
-          against the layered byte-grain reference stack.")
-    Term.(ret (const run $ selftest $ bench $ smoke $ seed $ out))
+         "Exercise the fused AEAD record layer: the secure soak cases \
+          (mid-stream rekey under loss, tag-targeted corruption) on both \
+          the simulator and real loopback UDP plus the zero-allocation \
+          steady-state gate for the fused seal and the record open. The \
+          fused-vs-layered timings are E20's, in $(b,make secure-smoke).")
+    Term.(ret (const run $ selftest $ smoke $ seed))
 
 (* --- serve: the sharded many-session engine under a load generator --- *)
 
@@ -2149,9 +1958,9 @@ let stage0_overhead_row ~payload clean =
       (List.map (Ctl.seal integrity)
          (Framing.fragment ~mtu:65507 adu
          @ [
-             Ctl.build_close ~stream:7 ~total:2;
-             Ctl.build_done ~stream:7;
-             Ctl.build_nack ~stream:7 ~have_below:0 [ 1; 2 ];
+             Ctl.build (Ctl.write_close ~stream:7 ~total:2);
+             Ctl.build (Ctl.write_done ~stream:7);
+             Ctl.build (fun b -> Ctl.write_nack b ~stream:7 ~have_below:0 [ 1; 2 ]);
            ]))
   in
   let k = Array.length dgs in

@@ -50,6 +50,11 @@ let set t i c =
 
 let get_uint8 t i = Char.code (get t i)
 
+let set_be t pos v ~bytes =
+  for i = 0 to bytes - 1 do
+    set t (pos + i) (Char.unsafe_chr ((v asr (8 * (bytes - 1 - i))) land 0xff))
+  done
+
 let set_uint8 t i v =
   if v < 0 || v > 0xff then invalid_arg "Bytebuf.set_uint8: not a byte";
   set t i (Char.unsafe_chr v)
@@ -57,6 +62,8 @@ let set_uint8 t i v =
 let unsafe_get t i = Bytes.unsafe_get t.data (t.off + i)
 let unsafe_set t i c = Bytes.unsafe_set t.data (t.off + i) c
 let backing t = (t.data, t.off, t.len)
+let data t = t.data
+let offset t = t.off
 
 let blit ~src ~src_pos ~dst ~dst_pos ~len =
   check_range src src_pos len "Bytebuf.blit (src)";
@@ -91,13 +98,10 @@ let concat ts =
 let to_string t = Bytes.sub_string t.data t.off t.len
 let to_bytes t = Bytes.sub t.data t.off t.len
 
-let equal a b =
-  a.len = b.len
-  &&
-  let rec go i =
-    i >= a.len || (unsafe_get a i = unsafe_get b i && go (i + 1))
-  in
-  go 0
+let rec equal_from a b i =
+  i >= a.len || (unsafe_get a i = unsafe_get b i && equal_from a b (i + 1))
+
+let equal a b = a.len = b.len && equal_from a b 0
 
 let compare a b = String.compare (to_string a) (to_string b)
 

@@ -67,6 +67,10 @@ val set : t -> int -> char -> unit
 val get_uint8 : t -> int -> int
 val set_uint8 : t -> int -> int -> unit
 
+val set_be : t -> int -> int -> bytes:int -> unit
+(** [set_be t pos v ~bytes] stores the low [bytes] bytes of [v] at [pos],
+    big-endian (sign-extended beyond 63 bits). *)
+
 val unsafe_get : t -> int -> char
 val unsafe_set : t -> int -> char -> unit
 
@@ -74,6 +78,11 @@ val backing : t -> Bytes.t * int * int
 (** [backing t] is [(bytes, off, len)]: the raw components of the view.
     Intended for fused inner loops (see [Alf_core.Kernels]) that need direct
     [Bytes] access after a single up-front bounds check. *)
+
+val data : t -> Bytes.t
+val offset : t -> int
+(** The storage and offset halves of {!backing}, for per-datagram loops
+    that must not allocate its tuple. *)
 
 (** {1 Bulk operations} *)
 

@@ -49,10 +49,6 @@ let create ?(capacity = 64) ?max_outstanding ~buf_size () =
     exhausted = 0;
   }
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
 let acquire_locked t =
   let buf =
     match t.free with
@@ -77,42 +73,61 @@ let at_cap t =
       true
   | _ -> false
 
+(* [acquire] and [release] sit on per-datagram paths: they take the lock
+   by hand, with no closure, and allocate nothing beyond a fresh buffer
+   or a free-list cell. *)
 let acquire t =
-  locked t (fun () ->
-      if at_cap t then raise Exhausted;
-      acquire_locked t)
+  Mutex.lock t.lock;
+  let capped = at_cap t in
+  let buf = if capped then Bytebuf.empty else acquire_locked t in
+  Mutex.unlock t.lock;
+  if capped then raise Exhausted;
+  buf
 
 let try_acquire t =
-  locked t (fun () -> if at_cap t then None else Some (acquire_locked t))
+  match acquire t with b -> Some b | exception Exhausted -> None
+
+let rec mem_phys buf = function
+  | [] -> false
+  | b :: rest -> b == buf || mem_phys buf rest
 
 let release t buf =
   if Bytebuf.length buf <> t.buf_size then
     invalid_arg "Pool.release: buffer size does not match pool";
-  locked t (fun () ->
-      (* A double release would push the same buffer onto the free list
-         twice; two later acquires would then hand out one aliased buffer —
-         silent data corruption. Detect both symptoms: the buffer already
-         sitting in the free list, and more releases than acquires. *)
-      if List.exists (fun b -> b == buf) t.free then
-        invalid_arg "Pool.release: buffer already released";
-      if t.outstanding = 0 then
-        invalid_arg "Pool.release: more releases than acquires";
+  Mutex.lock t.lock;
+  (* A double release would push the same buffer onto the free list
+     twice; two later acquires would then hand out one aliased buffer —
+     silent data corruption. Detect both symptoms: the buffer already
+     sitting in the free list, and more releases than acquires. *)
+  let error =
+    if mem_phys buf t.free then "Pool.release: buffer already released"
+    else if t.outstanding = 0 then "Pool.release: more releases than acquires"
+    else begin
       t.outstanding <- t.outstanding - 1;
       if t.free_count < t.capacity then begin
         t.free <- buf :: t.free;
         t.free_count <- t.free_count + 1
-      end)
+      end;
+      ""
+    end
+  in
+  Mutex.unlock t.lock;
+  if error <> "" then invalid_arg error
 
 let stats t =
-  locked t (fun () ->
-      {
-        buf_size = t.buf_size;
-        allocated = t.allocated;
-        reused = t.reused;
-        outstanding = t.outstanding;
-        high_water = t.high_water;
-        exhausted = t.exhausted;
-      })
+  Mutex.lock t.lock;
+  let s =
+    {
+      buf_size = t.buf_size;
+      allocated = t.allocated;
+      reused = t.reused;
+      outstanding = t.outstanding;
+      high_water = t.high_water;
+      exhausted = t.exhausted;
+    }
+  in
+  Mutex.unlock t.lock;
+  s
 
 let pp_stats ppf (s : stats) =
   Format.fprintf ppf

@@ -82,46 +82,30 @@ let auth_corrupting_dgram ~rng ~rate ~integrity (d : Alf_core.Dgram.t) =
       if body <= adu_pos + Adu.header_size + Secure.Record.overhead then buf
       else
         match Framing.parse_fragment_res (Bytebuf.take buf body) with
-        | Error _ -> buf
-        | Ok f ->
-            if f.Framing.nfrags <> 1 || Bytebuf.length f.Framing.chunk < body - adu_pos
-            then buf
-            else begin
-              let buf = Bytebuf.copy buf in
-              (* One bit, somewhere in the 16-byte tag at the very end of
-                 the sealed payload. *)
-              let pos = body - 1 - Rng.int rng ~bound:16 in
-              Bytebuf.set_uint8 buf pos
-                (Bytebuf.get_uint8 buf pos lxor (1 lsl Rng.int rng ~bound:8));
-              (* Re-true the ADU CRC (computed with its own field zeroed,
-                 see Adu.encode) ... *)
-              let plen = body - adu_pos - Adu.header_size in
-              let crc =
-                let st =
-                  Checksum.Crc32.feed_sub Checksum.Crc32.init buf ~pos:adu_pos
-                    ~len:32
-                in
-                let st = ref st in
-                for _ = 1 to 4 do
-                  st := Checksum.Crc32.feed_byte !st 0
-                done;
-                Checksum.Crc32.finish
-                  (Checksum.Crc32.feed_sub !st buf
-                     ~pos:(adu_pos + Adu.header_size)
-                     ~len:plen)
-              in
-              let p = adu_pos + 32 in
-              Bytebuf.set_uint8 buf p
-                (Int32.to_int (Int32.shift_right_logical crc 24) land 0xff);
-              Bytebuf.set_uint8 buf (p + 1)
-                (Int32.to_int (Int32.shift_right_logical crc 16) land 0xff);
-              Bytebuf.set_uint8 buf (p + 2)
-                (Int32.to_int (Int32.shift_right_logical crc 8) land 0xff);
-              Bytebuf.set_uint8 buf (p + 3) (Int32.to_int crc land 0xff);
-              (* ... and the datagram trailer over the whole unit. *)
-              ignore (Ctl.seal_in_place integrity buf ~len:body);
-              buf
-            end
+        | Ok f
+          when f.Framing.nfrags = 1
+               && Bytebuf.length f.Framing.chunk = body - adu_pos -> (
+            match Adu.decode_view_res f.Framing.chunk with
+            | Error _ -> buf
+            | Ok adu ->
+                let buf = Bytebuf.copy buf in
+                (* One bit, somewhere in the 16-byte tag at the very end
+                   of the sealed payload. *)
+                let pos = body - 1 - Rng.int rng ~bound:16 in
+                Bytebuf.set_uint8 buf pos
+                  (Bytebuf.get_uint8 buf pos lxor (1 lsl Rng.int rng ~bound:8));
+                (* Re-true the ADU CRC and the datagram trailer over the
+                   damaged bytes: the same writer the sender used. *)
+                let payload = adu_pos + Adu.header_size in
+                ignore
+                  (Framing.seal_single integrity buf ~stream:f.Framing.stream
+                     adu.Adu.name ~plen:(body - payload)
+                     ~payload_crc:
+                       (Checksum.Crc32.digest
+                          (Bytebuf.sub buf ~pos:payload
+                             ~len:(body - payload))));
+                buf)
+        | Ok _ | Error _ -> buf
     in
     {
       d with

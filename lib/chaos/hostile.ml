@@ -160,56 +160,23 @@ let send t ~src_port ~len ~malformed cat =
     t.stats.by_category.(category_index cat) + 1;
   if not ok then t.stats.send_failed <- t.stats.send_failed + 1
 
-(* A fully valid sealed single-fragment ADU datagram in [t.scratch] —
-   the same layout the honest load generator emits — returned as its
-   total length. Payload bytes derive from the rng so replays of the
-   same (stream, index) still verify: the CRC is patched in place. *)
+(* A fully valid sealed single-fragment ADU datagram in [t.scratch],
+   written by the same datagram writer as every honest sender, returned
+   as its total length. Payload bytes derive from (stream, index) so
+   replays of the same pair still verify. *)
 let write_valid_frag t ~stream ~index =
   let plen = t.cfg.payload_len in
-  let w = Cursor.writer t.scratch in
-  Cursor.put_u8 w Framing.frag_magic;
-  Cursor.put_u16be w stream;
-  Cursor.put_int_as_u32be w index;
-  Cursor.put_u16be w 0;
-  Cursor.put_u16be w 1;
-  Cursor.put_int_as_u32be w (Adu.header_size + plen);
-  Cursor.put_int_as_u32be w 0;
-  let adu_pos = Framing.fragment_header_size in
-  Cursor.put_u16be w Adu.magic;
-  Cursor.put_u16be w stream;
-  Cursor.put_int_as_u32be w index;
-  Cursor.put_u64be w (Int64.of_int (index * plen));
-  Cursor.put_int_as_u32be w plen;
-  Cursor.put_u64be w 0L;
-  Cursor.put_int_as_u32be w plen;
-  Cursor.put_u32be w 0l (* ADU CRC, patched below *);
+  let pos = Framing.fragment_header_size + Adu.header_size in
   for j = 0 to plen - 1 do
-    Cursor.put_u8 w (((stream * 197) + (index * 31) + (j * 11) + 3) land 0xff)
+    Bytebuf.set_uint8 t.scratch (pos + j)
+      (((stream * 197) + (index * 31) + (j * 11) + 3) land 0xff)
   done;
-  let body = Bytebuf.length (Cursor.written w) in
-  let crc =
-    let st =
-      Checksum.Crc32.feed_sub Checksum.Crc32.init t.scratch ~pos:adu_pos
-        ~len:32
-    in
-    let st = ref st in
-    for _ = 1 to 4 do
-      st := Checksum.Crc32.feed_byte !st 0
-    done;
-    Checksum.Crc32.finish
-      (Checksum.Crc32.feed_sub !st t.scratch
-         ~pos:(adu_pos + Adu.header_size)
-         ~len:plen)
+  let name =
+    { Adu.stream; index; dest_off = index * plen; dest_len = plen;
+      timestamp_us = 0L }
   in
-  let p = adu_pos + 32 in
-  Bytebuf.set_uint8 t.scratch p
-    (Int32.to_int (Int32.shift_right_logical crc 24) land 0xff);
-  Bytebuf.set_uint8 t.scratch (p + 1)
-    (Int32.to_int (Int32.shift_right_logical crc 16) land 0xff);
-  Bytebuf.set_uint8 t.scratch (p + 2)
-    (Int32.to_int (Int32.shift_right_logical crc 8) land 0xff);
-  Bytebuf.set_uint8 t.scratch (p + 3) (Int32.to_int crc land 0xff);
-  Ctl.seal_in_place t.cfg.integrity t.scratch ~len:body
+  Framing.seal_single t.cfg.integrity t.scratch ~stream name ~plen
+    ~payload_crc:(Checksum.Crc32.digest (Bytebuf.sub t.scratch ~pos ~len:plen))
 
 let fresh_stream t =
   let s = t.churn_stream in
@@ -311,5 +278,3 @@ let step t ~budget =
   budget
 
 let stats t = t.stats
-let malformed_sent t = t.stats.malformed
-let wellformed_sent t = t.stats.wellformed

@@ -79,7 +79,7 @@ let feed_sub st buf ~pos ~len =
          (Printf.sprintf "Crc32.feed_sub: pos=%d len=%d in slice of %d" pos
             len (Bytebuf.length buf)));
   let t = table in
-  let bytes, base, _ = Bytebuf.backing buf in
+  let bytes = Bytebuf.data buf and base = Bytebuf.offset buf in
   let st = ref st in
   let i = ref pos in
   let word_end = pos + (len land lnot 7) in
@@ -96,6 +96,8 @@ let feed_sub st buf ~pos ~len =
 
 let feed st buf = feed_sub st buf ~pos:0 ~len:(Bytebuf.length buf)
 let finish st = Int32.of_int ((st lxor 0xFFFFFFFF) land 0xFFFFFFFF)
+let digest_sub buf ~pos ~len =
+  (feed_sub init buf ~pos ~len lxor 0xFFFFFFFF) land 0xFFFFFFFF
 let digest buf = finish (feed init buf)
 let digest_string s = digest (Bytebuf.of_string s)
 

@@ -25,6 +25,11 @@ val feed : state -> Bytebuf.t -> state
 val feed_sub : state -> Bytebuf.t -> pos:int -> len:int -> state
 val finish : state -> int32
 val digest : Bytebuf.t -> int32
+
+val digest_sub : Bytebuf.t -> pos:int -> len:int -> int
+(** The CRC-32 of [len] bytes at [pos], widened to a non-negative [int]:
+    no sub-buffer and no boxed result, for per-datagram seals. *)
+
 val digest_string : string -> int32
 
 val combine : int32 -> int32 -> int -> int32

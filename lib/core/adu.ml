@@ -24,28 +24,37 @@ let make name payload = { name; payload }
 let header_size = 36
 let magic = 0xADF0
 
-let encoded_size t = header_size + Bytebuf.length t.payload
-
 exception Decode_error of string
+
+(* Header layout: magic(2) stream(2) index(4) dest_off(8) dest_len(4)
+   timestamp_us(8) plen(4) crc(4). *)
+let write_header buf ~pos name ~plen ~payload_crc =
+  let put off v ~bytes = Bytebuf.set_be buf (pos + off) v ~bytes in
+  put 0 magic ~bytes:2;
+  put 2 name.stream ~bytes:2;
+  put 4 name.index ~bytes:4;
+  put 8 name.dest_off ~bytes:8;
+  put 16 name.dest_len ~bytes:4;
+  let ts = name.timestamp_us in
+  put 20 (Int64.to_int (Int64.shift_right_logical ts 32)) ~bytes:4;
+  put 24 (Int64.to_int ts) ~bytes:4;
+  put 28 plen ~bytes:4;
+  put 32 0 ~bytes:4;
+  (* The CRC covers the header with its own field zeroed, then the
+     payload: extend the header's digest by the payload's. *)
+  let hcrc =
+    Checksum.Crc32.finish
+      (Checksum.Crc32.feed_sub Checksum.Crc32.init buf ~pos ~len:header_size)
+  in
+  put 32 (Int32.to_int (Checksum.Crc32.combine hcrc payload_crc plen)) ~bytes:4
 
 let encode t =
   let plen = Bytebuf.length t.payload in
   let buf = Bytebuf.create (header_size + plen) in
-  let w = Cursor.writer buf in
-  Cursor.put_u16be w magic;
-  Cursor.put_u16be w t.name.stream;
-  Cursor.put_int_as_u32be w t.name.index;
-  Cursor.put_u64be w (Int64.of_int t.name.dest_off);
-  Cursor.put_int_as_u32be w t.name.dest_len;
-  Cursor.put_u64be w t.name.timestamp_us;
-  Cursor.put_int_as_u32be w plen;
-  Cursor.put_u32be w 0l (* CRC-32 placeholder, bytes 32-35 *);
-  Cursor.put_bytes w t.payload;
-  let crc = Checksum.Crc32.digest buf in
-  Bytebuf.set_uint8 buf 32 (Int32.to_int (Int32.shift_right_logical crc 24) land 0xff);
-  Bytebuf.set_uint8 buf 33 (Int32.to_int (Int32.shift_right_logical crc 16) land 0xff);
-  Bytebuf.set_uint8 buf 34 (Int32.to_int (Int32.shift_right_logical crc 8) land 0xff);
-  Bytebuf.set_uint8 buf 35 (Int32.to_int crc land 0xff);
+  Bytebuf.blit ~src:t.payload ~src_pos:0 ~dst:buf ~dst_pos:header_size
+    ~len:plen;
+  write_header buf ~pos:0 t.name ~plen
+    ~payload_crc:(Checksum.Crc32.digest t.payload);
   buf
 
 (* The total decoder: malformed input is an [Error _], never an

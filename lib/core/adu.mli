@@ -42,16 +42,22 @@ val header_size : int
 (** 36 bytes. *)
 
 val magic : int
-(** The 16-bit wire magic at bytes 0–1 of every encoded ADU (0xADF0) —
-    exposed so fused send paths can lay the header down in place. *)
-
-val encoded_size : t -> int
+(** The 16-bit wire magic at bytes 0–1 of every encoded ADU (0xADF0),
+    stored by {!write_header}. *)
 
 exception Decode_error of string
 
+val write_header :
+  Bytebuf.t -> pos:int -> name -> plen:int -> payload_crc:int32 -> unit
+(** Lay the 36-byte header (magic, name, payload length, CRC-32) at [pos]
+    in [buf] for the [plen]-byte payload that follows it. The payload is
+    not read: its CRC-32 [payload_crc] extends the header's digest
+    through {!Checksum.Crc32.combine}. Every ADU header is written
+    here. *)
+
 val encode : t -> Bytebuf.t
-(** Header (magic, name, payload length, CRC-32 of everything) followed by
-    payload, in one fresh buffer. *)
+(** Header followed by payload, in one fresh buffer: a copy of the
+    payload plus {!write_header}. *)
 
 val decode : Bytebuf.t -> t
 (** Raises {!Decode_error} on truncation, bad magic or CRC mismatch. The

@@ -2,10 +2,8 @@ open Bufkit
 open Netsim
 
 (* Wire dialect — control tags, integrity trailer, message codecs — lives
-   in {!Ctl}, shared with the sharded {!Serve} engine. *)
-let trailer_size = Ctl.trailer_size
-let seal = Ctl.seal
-let unseal = Ctl.unseal
+   in {!Ctl}, shared with the sharded {!Serve} engine; the data datagram
+   layout lives in {!Adu} and {!Framing}. *)
 
 type sender_config = {
   mtu : int;
@@ -30,14 +28,14 @@ let default_sender_config =
 
 let fec_enabled c = c.fec_loss_threshold <= 1.0 && c.fec_k >= 2
 
+let trailer c = match c.integrity with Some _ -> Ctl.trailer_size | None -> 0
+
 (* Wire budget left for a fragment once the trailer (and, when FEC may
    activate mid-stream, the FEC tag + header + length prefix) is
    reserved. Reserved up front so fragment sizes do not change when FEC
    switches on. *)
 let frag_budget c =
-  let t = match c.integrity with Some _ -> trailer_size | None -> 0 in
-  let f = if fec_enabled c then 1 + Fec.header_size + 2 else 0 in
-  c.mtu - t - f
+  c.mtu - trailer c - if fec_enabled c then 1 + Fec.header_size + 2 else 0
 
 type sender_stats = {
   mutable adus_sent : int;
@@ -51,18 +49,19 @@ type sender_stats = {
   mutable nack_backoff_resets : int;
 }
 
-(* One queued wire block. The fused send path queues pre-sealed pooled
-   datagrams: [presealed] skips the allocating [seal] at transmission
-   time, and [release] returns the buffer to its pool once the send has
-   handed the bytes to the substrate (Udp copies synchronously). *)
-type outq_item = {
-  oq_index : int;
-  oq_frag : Bytebuf.t;
-  oq_presealed : bool;
-  oq_release : unit -> unit;
+(* The output queue is a ring of sealed datagrams: slot [i] holds
+   [len] bytes at the front of [dg], for ADU [idx]. A [pooled] buffer
+   goes back to the sender's tx pool once the send has handed its bytes
+   to the substrate ([Dgram.send] borrows them only for the call). Slots
+   are reused, so queueing a datagram allocates nothing. *)
+type slot = {
+  mutable dg : Bytebuf.t;
+  mutable len : int;
+  mutable idx : int;
+  mutable pooled : bool;
 }
 
-let no_release = ignore
+let empty_slot () = { dg = Bytebuf.empty; len = 0; idx = 0; pooled = false }
 
 type sender = {
   sched : Rt.Sched.t;
@@ -75,8 +74,12 @@ type sender = {
   config : sender_config;
   stats : sender_stats;
   s_secure : Secure.Record.t option;  (* AEAD record layer, when keyed *)
-  tx_pool : Pool.t option;  (* pooled datagrams for the fused send path *)
-  outq : outq_item Queue.t;
+  tx_pool : Pool.t option;  (* pooled datagram buffers *)
+  pool_buf : int;  (* the pool's buffer size; 0 without a pool *)
+  mutable ring : slot array;  (* the output queue *)
+  mutable head : int;
+  mutable queued : int;
+  mutable scratch : Bytebuf.t;  (* multi-fragment ADUs and control *)
   queued_frags : (int, int ref) Hashtbl.t;  (* blocks still queued per index *)
   mutable pacing : bool;  (* a pace event is scheduled *)
   mutable pace_timer : Rt.Sched.timer option;
@@ -106,7 +109,7 @@ let set_sender_tracer s f = s.s_tracer <- Some f
 let sender_stats s = s.stats
 
 let sender_table_sizes s =
-  ( Queue.length s.outq,
+  ( s.queued,
     Hashtbl.length s.queued_frags,
     Hashtbl.length s.gone_announced )
 let store_footprint s = Recovery.footprint s.store
@@ -114,34 +117,84 @@ let finished s = s.done_received
 let sender_gave_up s = s.s_gave_up
 let fec_active s = s.fec_on
 
-let push_presealed s buf =
+(* A scratch buffer of at least [n] bytes, grown geometrically. Its
+   contents are dead between calls: whatever is marshalled or written
+   into it is copied into datagrams, or sent, before the call returns. *)
+let scratch s n =
+  if Bytebuf.length s.scratch < n then
+    s.scratch <- Bytebuf.create (max n (2 * Bytebuf.length s.scratch));
+  s.scratch
+
+let send_sealed s buf len =
   if not s.s_killed then
     ignore
-      (s.io.Dgram.send ~dst:s.peer ~dst_port:s.peer_port ~src_port:s.port buf)
+      (s.io.Dgram.send ~dst:s.peer ~dst_port:s.peer_port ~src_port:s.port
+         (if Bytebuf.length buf = len then buf else Bytebuf.take buf len))
 
-let push_datagram s buf = push_presealed s (seal s.config.integrity buf)
+(* Control goes out at once, written and sealed in the scratch buffer. *)
+let send_ctl_now s ~room write =
+  let buf = scratch s (room + Ctl.trailer_size) in
+  send_sealed s buf (Ctl.seal_in_place s.config.integrity buf ~len:(write buf))
+
+(* The free slot at the ring's tail, holding a buffer with room for a
+   [dlen]-byte datagram: pooled when the pool has one that fits, else
+   fresh. Not queued until {!commit}. *)
+let reserve s ~dlen =
+  if s.queued = Array.length s.ring then begin
+    let n = Array.length s.ring in
+    s.ring <-
+      Array.init (2 * n) (fun i ->
+          if i < n then s.ring.((s.head + i) mod n) else empty_slot ());
+    s.head <- 0
+  end;
+  let sl = s.ring.((s.head + s.queued) mod Array.length s.ring) in
+  sl.pooled <-
+    (match s.tx_pool with
+    | Some pool when s.pool_buf >= dlen -> (
+        match Pool.acquire pool with
+        | b ->
+            sl.dg <- b;
+            true
+        | exception Pool.Exhausted -> false)
+    | _ -> false);
+  if not sl.pooled then sl.dg <- Bytebuf.create dlen;
+  sl
+
+let release_slot s sl =
+  (match s.tx_pool with
+  | Some pool when sl.pooled -> Pool.release pool sl.dg
+  | _ -> ());
+  sl.dg <- Bytebuf.empty
+
+let commit s sl ~index ~len =
+  sl.idx <- index;
+  sl.len <- len;
+  s.queued <- s.queued + 1;
+  match Hashtbl.find s.queued_frags index with
+  | n -> incr n
+  | exception Not_found -> Hashtbl.replace s.queued_frags index (ref 1)
 
 let dequeue_and_send s =
-  let it = Queue.pop s.outq in
-  (match Hashtbl.find_opt s.queued_frags it.oq_index with
-  | Some n ->
+  let sl = s.ring.(s.head) in
+  s.head <- (s.head + 1) mod Array.length s.ring;
+  s.queued <- s.queued - 1;
+  (match Hashtbl.find s.queued_frags sl.idx with
+  | n ->
       decr n;
-      if !n <= 0 then Hashtbl.remove s.queued_frags it.oq_index
-  | None -> ());
-  if it.oq_presealed then push_presealed s it.oq_frag
-  else push_datagram s it.oq_frag;
-  let len = Bytebuf.length it.oq_frag in
-  it.oq_release ();
-  len
+      if !n <= 0 then Hashtbl.remove s.queued_frags sl.idx
+  | exception Not_found -> ());
+  send_sealed s sl.dg sl.len;
+  release_slot s sl;
+  sl.len
 
 let rec pace s =
-  match (Queue.is_empty s.outq, s.config.pace_bps) with
+  match (s.queued = 0, s.config.pace_bps) with
   | true, _ ->
       s.pacing <- false;
       s.pace_timer <- None
   | false, None ->
       (* Unpaced: drain everything now. *)
-      while not (Queue.is_empty s.outq) do
+      while s.queued > 0 do
         ignore (dequeue_and_send s)
       done;
       s.pacing <- false;
@@ -170,8 +223,11 @@ let stop_sender_timers s =
   s.close_timer <- None
 
 let flush_outq s =
-  Queue.iter (fun it -> it.oq_release ()) s.outq;
-  Queue.clear s.outq;
+  for i = 0 to s.queued - 1 do
+    release_slot s s.ring.((s.head + i) mod Array.length s.ring)
+  done;
+  s.head <- 0;
+  s.queued <- 0;
   Hashtbl.reset s.queued_frags
 
 (* Every sender exit path — DONE received, killed, CLOSE budget exhausted
@@ -184,48 +240,45 @@ let teardown_sender s =
   Hashtbl.reset s.gone_announced;
   Recovery.release_below s.store (s.max_index + 1)
 
-(* Graceful degradation: once active, fragment batches are XOR-protected
-   and each block is prefixed with the FEC tag so the receiver routes it
-   through its decoder. Group numbers stay monotone across batches —
-   otherwise a retransmitted ADU's group 0 would collide with the first
-   ADU's at the decoder. *)
-let fec_wrap s frags =
-  if not s.fec_on then frags
+(* Queue the sealed fragments of one encoded ADU, each copied straight
+   from [encoded] into its own datagram buffer. Under FEC the fragments
+   are written unsealed into fresh buffers, XOR-protected as a batch,
+   and each block goes out with the FEC tag in front, sealed. Group
+   numbers stay monotone across batches — otherwise a retransmitted
+   ADU's group 0 would collide with the first ADU's at the decoder. *)
+let enqueue_frags s ~index encoded ~total_len =
+  let mtu = frag_budget s.config in
+  if not s.fec_on then begin
+    let chunk = mtu - Framing.fragment_header_size in
+    for frag_idx = 0 to Framing.fragment_count ~mtu total_len - 1 do
+      let len = min chunk (total_len - (frag_idx * chunk)) in
+      let dlen = Framing.fragment_header_size + len + trailer s.config in
+      let sl = reserve s ~dlen in
+      commit s sl ~index
+        ~len:
+          (Framing.write_fragment s.config.integrity sl.dg ~mtu
+             ~stream:s.stream ~index encoded ~total_len ~frag_idx)
+    done
+  end
   else begin
+    let frags =
+      Framing.fragment_encoded ~mtu ~stream:s.stream ~index
+        (Bytebuf.take encoded total_len)
+    in
     let k = s.config.fec_k in
     let blocks = Fec.protect ~first_group:s.next_fec_group ~k frags in
     s.next_fec_group <-
       (s.next_fec_group + Fec.group_count ~k (List.length frags)) land 0xffff;
-    List.map
+    List.iter
       (fun b ->
-        let out = Bytebuf.create (1 + Bytebuf.length b) in
-        Bytebuf.set_uint8 out 0 Ctl.tag_fec;
-        Bytebuf.blit ~src:b ~src_pos:0 ~dst:out ~dst_pos:1
-          ~len:(Bytebuf.length b);
-        out)
+        let n = Bytebuf.length b in
+        let sl = reserve s ~dlen:(1 + n + trailer s.config) in
+        Bytebuf.set_uint8 sl.dg 0 Ctl.tag_fec;
+        Bytebuf.blit ~src:b ~src_pos:0 ~dst:sl.dg ~dst_pos:1 ~len:n;
+        commit s sl ~index
+          ~len:(Ctl.seal_in_place s.config.integrity sl.dg ~len:(1 + n)))
       blocks
-  end
-
-let enqueue_item s it =
-  let counter =
-    match Hashtbl.find_opt s.queued_frags it.oq_index with
-    | Some n -> n
-    | None ->
-        let n = ref 0 in
-        Hashtbl.replace s.queued_frags it.oq_index n;
-        n
-  in
-  incr counter;
-  Queue.push it s.outq
-
-let enqueue_frags s ~index frags =
-  let frags = fec_wrap s frags in
-  List.iter
-    (fun frag ->
-      enqueue_item s
-        { oq_index = index; oq_frag = frag; oq_presealed = false;
-          oq_release = no_release })
-    frags;
+  end;
   kick s
 
 let send_gone s indices =
@@ -242,7 +295,8 @@ let send_gone s indices =
       s.stats.adus_gone <- s.stats.adus_gone + List.length fresh;
       Obs.Counter.add (Obs.Registry.counter "alf.sender.adus_gone")
         (List.length fresh);
-      push_datagram s (Ctl.build_gone ~stream:s.stream indices)
+      send_ctl_now s ~room:(5 + (4 * List.length indices)) (fun buf ->
+          Ctl.write_gone buf ~stream:s.stream indices)
 
 let handle_nack s ~have_below ~indices =
   s.stats.nacks_received <- s.stats.nacks_received + 1;
@@ -287,9 +341,7 @@ let handle_nack s ~have_below ~indices =
             Obs.Counter.add
               (Obs.Registry.counter "alf.sender.bytes_retransmitted")
               (Bytebuf.length encoded);
-            enqueue_frags s ~index
-              (Framing.fragment_encoded ~mtu:(frag_budget s.config)
-                 ~stream:s.stream ~index encoded)
+            enqueue_frags s ~index encoded ~total_len:(Bytebuf.length encoded)
         | Recovery.Gone -> gone := index :: !gone)
     indices;
   send_gone s (List.rev !gone)
@@ -299,7 +351,7 @@ let rec close_loop s =
     (* Announce the total only once the paced data queue has drained:
        announcing earlier would make everything still queued look lost to
        the receiver. *)
-    if Queue.is_empty s.outq then begin
+    if s.queued = 0 then begin
       if s.close_sent >= s.config.close_attempts then begin
         (* The receiver has vanished: stop retrying and stop holding
            retransmission copies for a peer that will never ask. *)
@@ -311,7 +363,8 @@ let rec close_loop s =
       end
       else begin
         s.close_sent <- s.close_sent + 1;
-        push_datagram s (Ctl.build_close ~stream:s.stream ~total:(s.max_index + 1))
+        send_ctl_now s ~room:7 (fun buf ->
+            Ctl.write_close buf ~stream:s.stream ~total:(s.max_index + 1))
       end
     end;
     if not s.s_gave_up then begin
@@ -328,7 +381,7 @@ let rec close_loop s =
 let sender_handle s ~src:_ ~src_port:_ payload =
   if s.s_killed then ()
   else
-    match unseal s.config.integrity payload with
+    match Ctl.unseal s.config.integrity payload with
     | None ->
         Obs.Counter.incr
           (Obs.Registry.counter "alf.sender.ctl_corrupt_dropped")
@@ -367,6 +420,12 @@ let sender_io ~sched ~io ~peer ~peer_port ~port ~stream ~policy ?secure
       config;
       s_secure = secure;
       tx_pool;
+      pool_buf =
+        (match tx_pool with Some p -> (Pool.stats p).Pool.buf_size | None -> 0);
+      ring = Array.init 16 (fun _ -> empty_slot ());
+      head = 0;
+      queued = 0;
+      scratch = Bytebuf.empty;
       stats =
         {
           adus_sent = 0;
@@ -379,7 +438,6 @@ let sender_io ~sched ~io ~peer ~peer_port ~port ~stream ~policy ?secure
           store_peak = 0;
           nack_backoff_resets = 0;
         };
-      outq = Queue.create ();
       queued_frags = Hashtbl.create 64;
       pacing = false;
       pace_timer = None;
@@ -414,245 +472,97 @@ let account_sent s ~index ~encoded_len ~nfrags =
     (Obs.Registry.gauge "alf.sender.store_peak_bytes")
     (float_of_int s.stats.store_peak)
 
-let send_adu s adu =
+(* The payload's CRC-32: the last digest, from the stage [transmit]
+   appends after every user stage. *)
+let rec last_checksum = function
+  | [ (_, v) ] -> Int32.of_int v
+  | _ :: tl -> last_checksum tl
+  | [] -> assert false
+
+(* The one transmit path. [fill dst stages] writes the [n]-byte payload
+   into [dst] in one pass, running [stages] — a CRC-32, and the AEAD seal
+   before it when the sender has a record layer — over it on the way. A
+   sealed payload is [ct ‖ epoch ‖ tag]; its digest is extended over the
+   20-byte record trailer with [combine], and {!Adu.write_header} folds
+   it into the header CRC, so the payload is read exactly once.
+
+   A one-fragment ADU is filled straight into its datagram. A longer one
+   is filled into the sender's scratch buffer — or into a fresh buffer
+   when the recovery policy keeps it — and each fragment is copied from
+   there into its own datagram. Either way every queued datagram is
+   sealed. *)
+let transmit s (name : Adu.name) ~n fill =
+  let index = name.Adu.index in
+  let sec =
+    Option.map (fun rc -> Secure.Record.seal_params rc name) s.s_secure
+  in
+  let plen = match sec with None -> n | Some _ -> n + Secure.Record.overhead in
+  let stages =
+    match sec with
+    | None -> [ Ilp.Checksum Checksum.Kind.Crc32; Ilp.Deliver_copy ]
+    | Some (_, p) ->
+        [ Ilp.Aead_seal p; Ilp.Checksum Checksum.Kind.Crc32; Ilp.Deliver_copy ]
+  in
+  (* The payload at [pos] in [buf]; returns its CRC-32. *)
+  let fill_payload buf ~pos =
+    let (r : Ilp.result) = fill (Bytebuf.sub buf ~pos ~len:n) stages in
+    let crc = last_checksum r.Ilp.checksums in
+    match (sec, r.Ilp.tags) with
+    | None, _ -> crc
+    | Some (e, _), [ tag ] ->
+        let tail = Bytebuf.sub buf ~pos:(pos + n) ~len:Secure.Record.overhead in
+        Secure.Record.write_trailer tail ~e ~tag;
+        Checksum.Crc32.combine crc (Checksum.Crc32.digest tail)
+          Secure.Record.overhead
+    | Some _, _ -> assert false (* exactly one Aead_seal in stages *)
+  in
+  let encoded_len = Adu.header_size + plen in
+  let retains =
+    match Recovery.policy s.store with
+    | Recovery.Transport_buffer -> true
+    | Recovery.App_recompute _ | Recovery.No_recovery -> false
+  in
+  let nfrags = Framing.fragment_count ~mtu:(frag_budget s.config) encoded_len in
+  if nfrags = 1 && (not s.fec_on) && not retains then begin
+    let payload = Framing.fragment_header_size + Adu.header_size in
+    let sl = reserve s ~dlen:(payload + plen + trailer s.config) in
+    (* Compiled sizing can defer a schema/value mismatch to emit time, so
+       the fill may raise after the reserve: hand the buffer back. *)
+    let payload_crc =
+      try fill_payload sl.dg ~pos:payload
+      with e ->
+        release_slot s sl;
+        raise e
+    in
+    commit s sl ~index
+      ~len:
+        (Framing.seal_single s.config.integrity sl.dg ~stream:s.stream name
+           ~plen ~payload_crc);
+    kick s
+  end
+  else begin
+    let buf =
+      if retains then Bytebuf.create encoded_len else scratch s encoded_len
+    in
+    Adu.write_header buf ~pos:0 name ~plen
+      ~payload_crc:(fill_payload buf ~pos:Adu.header_size);
+    if retains then Recovery.remember s.store ~index buf;
+    enqueue_frags s ~index buf ~total_len:encoded_len
+  end;
+  account_sent s ~index ~encoded_len ~nfrags
+
+let send_adu s (adu : Adu.t) =
   if s.closing then invalid_arg "Alf_transport.send_adu: sender closed";
   if s.s_killed then invalid_arg "Alf_transport.send_adu: sender killed";
-  let adu =
-    match s.s_secure with
-    | Some rc -> Secure.Record.seal_adu rc adu
-    | None -> adu
-  in
-  let index = adu.Adu.name.Adu.index in
-  let encoded = Adu.encode adu in
-  Recovery.remember s.store ~index encoded;
-  let frags =
-    Framing.fragment_encoded ~mtu:(frag_budget s.config) ~stream:s.stream
-      ~index encoded
-  in
-  account_sent s ~index ~encoded_len:(Bytebuf.length encoded)
-    ~nfrags:(List.length frags);
-  enqueue_frags s ~index frags
-
-(* --- The fused send path ---
-
-   [send_value] never materialises the encoded value as its own buffer:
-   {!Ilp.run_marshal} encodes straight into the datagram (or ADU) slice
-   while a piggybacked CRC-32 stage digests the payload in the same
-   loop. Every digest that spans a header plus the payload — the ADU's
-   CRC field and the datagram integrity trailer — is then assembled with
-   {!Checksum.Crc32.combine}, so the payload is read exactly once. *)
-
-(* The 36-byte ADU header with its CRC field zeroed; patched once the
-   payload digest is known. *)
-let put_adu_header w (name : Adu.name) ~plen =
-  Cursor.put_u16be w Adu.magic;
-  Cursor.put_u16be w name.Adu.stream;
-  Cursor.put_int_as_u32be w name.Adu.index;
-  Cursor.put_u64be w (Int64.of_int name.Adu.dest_off);
-  Cursor.put_int_as_u32be w name.Adu.dest_len;
-  Cursor.put_u64be w name.Adu.timestamp_us;
-  Cursor.put_int_as_u32be w plen;
-  Cursor.put_u32be w 0l
-
-let patch_be32 buf off v =
-  Bytebuf.set_uint8 buf off ((v lsr 24) land 0xff);
-  Bytebuf.set_uint8 buf (off + 1) ((v lsr 16) land 0xff);
-  Bytebuf.set_uint8 buf (off + 2) ((v lsr 8) land 0xff);
-  Bytebuf.set_uint8 buf (off + 3) (v land 0xff)
-
-(* The payload digest captured by the appended CRC-32 stage (the last
-   CRC-32 entry — an identical user stage earlier in the plan saw the
-   data before later ciphers). *)
-let crc32_of_checksums checksums =
-  let rec last acc = function
-    | [] -> acc
-    | (Checksum.Kind.Crc32, v) :: tl -> last (Some v) tl
-    | _ :: tl -> last acc tl
-  in
-  match last None checksums with
-  | Some v -> Int32.of_int v
-  | None -> assert false (* the stage was appended by send_value *)
-
-let crc32_prefix buf ~pos ~len =
-  Checksum.Crc32.finish (Checksum.Crc32.feed_sub Checksum.Crc32.init buf ~pos ~len)
+  let payload = adu.Adu.payload in
+  transmit s adu.Adu.name ~n:(Bytebuf.length payload) (fun dst stages ->
+      Ilp.run_fused ~dst stages payload)
 
 let send_value s ~name ?(plan = []) source =
   if s.closing then invalid_arg "Alf_transport.send_value: sender closed";
   if s.s_killed then invalid_arg "Alf_transport.send_value: sender killed";
-  let index = name.Adu.index in
-  let n = Ilp.marshal_size source in
-  (* With a record layer the marshalled bytes are sealed in the same
-     fused pass ([Aead_seal] slots in just before the CRC stage, so the
-     trailer digests ciphertext) and the payload grows by the 20-byte
-     record trailer: ct ‖ epoch ‖ tag. *)
-  let sec =
-    match s.s_secure with
-    | None -> None
-    | Some rc ->
-        let e, p = Secure.Record.seal_params rc name in
-        Some (e, p)
-  in
-  let sec_over =
-    match sec with None -> 0 | Some _ -> Secure.Record.overhead
-  in
-  let plen = n + sec_over in
-  let encoded_len = Adu.header_size + plen in
-  let plan' =
-    match sec with
-    | None -> plan @ [ Ilp.Checksum Checksum.Kind.Crc32; Ilp.Deliver_copy ]
-    | Some (_, p) ->
-        plan
-        @ [ Ilp.Aead_seal p; Ilp.Checksum Checksum.Kind.Crc32;
-            Ilp.Deliver_copy ]
-  in
-  let budget = frag_budget s.config in
-  let tsize =
-    match s.config.integrity with Some _ -> trailer_size | None -> 0
-  in
-  let dlen = Framing.fragment_header_size + encoded_len + tsize in
-  let body_off = Framing.fragment_header_size + Adu.header_size in
-  let fast =
-    if s.fec_on || Framing.fragment_header_size + encoded_len > budget then None
-    else
-      match s.tx_pool with
-      | None -> None
-      | Some pool -> (
-          match Pool.try_acquire pool with
-          | Some full when Bytebuf.length full >= dlen -> Some (pool, full)
-          | Some full ->
-              Pool.release pool full;
-              None
-          | None -> None)
-  in
-  match fast with
-  | Some (pool, full) ->
-      (* Single fragment, straight into a pooled datagram:
-         [frag hdr | adu hdr | payload | trailer], pre-sealed. *)
-      let dg = Bytebuf.take full dlen in
-      let w = Cursor.writer dg in
-      Cursor.put_u8 w Framing.frag_magic;
-      Cursor.put_u16be w s.stream;
-      Cursor.put_int_as_u32be w index;
-      Cursor.put_u16be w 0 (* frag_idx *);
-      Cursor.put_u16be w 1 (* nfrags *);
-      Cursor.put_int_as_u32be w encoded_len;
-      Cursor.put_int_as_u32be w 0 (* frag_off *);
-      put_adu_header w name ~plen;
-      (* Compiled sizing can defer a schema/value mismatch to emit time
-         (static subtrees are never walked by [marshal_size]), so the
-         fused encode may now raise after the pool acquire — release the
-         datagram on the way out or the slot leaks. *)
-      let r =
-        try
-          Ilp.run_marshal ~dst:(Bytebuf.sub dg ~pos:body_off ~len:n) source
-            plan'
-        with e ->
-          Pool.release pool full;
-          raise e
-      in
-      let crc_ct = crc32_of_checksums r.Ilp.checksums in
-      (* The record trailer is spliced after the ciphertext the same way
-         the payload CRC is spliced into the headers: write the 20 bytes,
-         digest just them, and [combine] extends the fused-pass ciphertext
-         digest — the payload is still read exactly once. *)
-      let crc_payload =
-        match sec with
-        | None -> crc_ct
-        | Some (e, _) ->
-            let tail = Bytebuf.sub dg ~pos:(body_off + n) ~len:sec_over in
-            (match r.Ilp.tags with
-            | [ tag ] -> Secure.Record.write_trailer tail ~e ~tag
-            | _ -> assert false (* exactly one Aead_seal in plan' *));
-            Checksum.Crc32.combine crc_ct
-              (crc32_prefix dg ~pos:(body_off + n) ~len:sec_over)
-              sec_over
-      in
-      let adu_crc =
-        Checksum.Crc32.combine
-          (crc32_prefix dg ~pos:Framing.fragment_header_size
-             ~len:Adu.header_size)
-          crc_payload plen
-      in
-      patch_be32 dg
-        (Framing.fragment_header_size + 32)
-        (Int32.to_int adu_crc land 0xFFFFFFFF);
-      (match s.config.integrity with
-      | None -> ()
-      | Some kind ->
-          let body_len = Framing.fragment_header_size + encoded_len in
-          let d =
-            match kind with
-            | Checksum.Kind.Crc32 ->
-                (* Trailer = crc(headers ++ payload): combine the
-                   55-byte header prefix (ADU CRC now patched) with the
-                   payload digest from the fused pass. *)
-                Int32.to_int
-                  (Checksum.Crc32.combine
-                     (crc32_prefix dg ~pos:0 ~len:body_off)
-                     crc_payload plen)
-                land 0xFFFFFFFF
-            | kind ->
-                Checksum.Kind.digest kind (Bytebuf.sub dg ~pos:0 ~len:body_len)
-                land 0xFFFFFFFF
-          in
-          patch_be32 dg body_len d);
-      (* Only a policy that actually retains data pays for a copy; the
-         pooled datagram itself is recycled after transmission. *)
-      (match Recovery.policy s.store with
-      | Recovery.Transport_buffer ->
-          Recovery.remember s.store ~index
-            (Bytebuf.copy
-               (Bytebuf.sub dg ~pos:Framing.fragment_header_size
-                  ~len:encoded_len))
-      | Recovery.App_recompute _ | Recovery.No_recovery -> ());
-      account_sent s ~index ~encoded_len ~nfrags:1;
-      enqueue_item s
-        {
-          oq_index = index;
-          oq_frag = dg;
-          oq_presealed = true;
-          oq_release = (fun () -> Pool.release pool full);
-        };
-      kick s
-  | None ->
-      (* General path (multi-fragment, FEC active, or no pool): fused
-         marshal into a fresh ADU buffer, then the standard
-         fragment/FEC/seal machinery. Still one pass over the payload. *)
-      let buf = Bytebuf.create encoded_len in
-      let w = Cursor.writer buf in
-      put_adu_header w name ~plen;
-      let r =
-        Ilp.run_marshal
-          ~dst:(Bytebuf.sub buf ~pos:Adu.header_size ~len:n)
-          source plan'
-      in
-      let crc_ct = crc32_of_checksums r.Ilp.checksums in
-      let crc_payload =
-        match sec with
-        | None -> crc_ct
-        | Some (e, _) ->
-            let tail =
-              Bytebuf.sub buf ~pos:(Adu.header_size + n) ~len:sec_over
-            in
-            (match r.Ilp.tags with
-            | [ tag ] -> Secure.Record.write_trailer tail ~e ~tag
-            | _ -> assert false);
-            Checksum.Crc32.combine crc_ct
-              (crc32_prefix buf ~pos:(Adu.header_size + n) ~len:sec_over)
-              sec_over
-      in
-      let adu_crc =
-        Checksum.Crc32.combine
-          (crc32_prefix buf ~pos:0 ~len:Adu.header_size)
-          crc_payload plen
-      in
-      patch_be32 buf 32 (Int32.to_int adu_crc land 0xFFFFFFFF);
-      Recovery.remember s.store ~index buf;
-      let frags =
-        Framing.fragment_encoded ~mtu:budget ~stream:s.stream ~index buf
-      in
-      account_sent s ~index ~encoded_len ~nfrags:(List.length frags);
-      enqueue_frags s ~index frags
+  transmit s name ~n:(Ilp.marshal_size source) (fun dst stages ->
+      Ilp.run_marshal ~dst source (plan @ stages))
 
 let close s =
   if (not s.closing) && not s.s_killed then begin
@@ -709,6 +619,7 @@ type receiver = {
   adu_deadline : float;  (* max seconds an index may stay missing *)
   giveup_idle : float;  (* silence after which the sender is presumed dead *)
   r_integrity : Checksum.Kind.t option;
+  r_ctl : Bytebuf.t;  (* control scratch *)
   nack_rto : Transport.Rto.t;  (* paces the repair loop *)
   jitter : Rng.t;  (* desynchronises repair rounds, deterministically *)
   reqs : (int, req) Hashtbl.t;
@@ -744,15 +655,20 @@ let on_complete t f = t.complete_cb <- f
 let settled t index = Rx.settled t.rx index
 let missing t = Rx.missing t.env t.rx ~cap:max_int
 
-let send_ctl t build =
+(* Control is written and sealed in the receiver's scratch buffer, which
+   fits the largest NACK. *)
+let max_nack_indices = 512
+
+let send_ctl t write =
   match t.sender_addr with
   | None -> ()
   | Some (addr, port) ->
+      let len = Ctl.seal_in_place t.r_integrity t.r_ctl ~len:(write t.r_ctl) in
       ignore
         (t.r_io.Dgram.send ~dst:addr ~dst_port:port ~src_port:t.r_port
-           (seal t.r_integrity (build ())))
+           (Bytebuf.take t.r_ctl len))
 
-let send_done t = send_ctl t (fun () -> Ctl.build_done ~stream:t.r_stream)
+let send_done t = send_ctl t (fun buf -> Ctl.write_done buf ~stream:t.r_stream)
 
 (* The stream just completed: answer with one DONE. Nothing more will be
    asked for, so drop all repair bookkeeping (a long-lived receiver must
@@ -769,11 +685,12 @@ let completed t =
 let after_settle t = function Rx.Completed -> completed t | _ -> ()
 
 let send_nack t indices =
-  let indices = if List.length indices > 512 then List.filteri (fun i _ -> i < 512) indices else indices in
+  let indices = List.filteri (fun i _ -> i < max_nack_indices) indices in
   t.r_stats.nacks_sent <- t.r_stats.nacks_sent + 1;
   Obs.Counter.incr (Obs.Registry.counter "alf.receiver.nacks_sent");
-  send_ctl t (fun () ->
-      Ctl.build_nack ~stream:t.r_stream ~have_below:(Rx.frontier t.rx) indices)
+  send_ctl t (fun buf ->
+      Ctl.write_nack buf ~stream:t.r_stream ~have_below:(Rx.frontier t.rx)
+        indices)
 
 (* Local loss declaration: the repair budget or deadline for [index] is
    exhausted, so stop asking and report the loss in application terms —
@@ -930,7 +847,8 @@ let fec_decoder t =
         Fec.decoder
           ~deliver:(fun block ->
             (* Source and recovered blocks alike are ordinary fragments. *)
-            if Bytebuf.length block > 0 && Bytebuf.get_uint8 block 0 = 0xAD
+            if Bytebuf.length block > 0
+               && Bytebuf.get_uint8 block 0 = Framing.frag_magic
             then handle_fragment t block)
           ()
       in
@@ -960,7 +878,7 @@ let handle_control t payload =
   | Some _ | None -> ()
 
 let receiver_handle t ~src ~src_port payload =
-  match unseal t.r_integrity payload with
+  match Ctl.unseal t.r_integrity payload with
   | None ->
       (* Stage-1 integrity: a flipped bit anywhere in the datagram stops
          here, before it can poison reassembly or forge control. *)
@@ -1016,6 +934,7 @@ let receiver_io ~sched ~io ~port ~stream ?(nack_interval = 0.02)
       adu_deadline;
       giveup_idle;
       r_integrity = integrity;
+      r_ctl = Bytebuf.create (9 + (4 * max_nack_indices) + Ctl.trailer_size);
       nack_rto =
         Transport.Rto.create ~initial_rto:nack_interval
           ~min_rto:nack_interval ~max_rto:1.0 ();

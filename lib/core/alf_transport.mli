@@ -89,13 +89,12 @@ val sender_io :
     simulator, [Dgram.of_rt] over real sockets, [Dgram.of_atm] over
     cells, or a {!Mux.stream_io} endpoint shared with other streams.
 
-    With [?tx_pool], {!send_value} builds single-fragment datagrams in
-    pooled buffers, recycled the moment the fragment has been handed to
-    the wire (the substrate copies synchronously) — steady-state transmit
-    then performs zero buffer allocations per ADU under [No_recovery] /
-    [App_recompute]. Pool buffers must be at least
-    [mtu + fragment_header_size] bytes; undersized or exhausted pools
-    fall back to plain allocation. *)
+    Every datagram is written and sealed in place by the {!Framing}
+    writer. With [?tx_pool] each one is a pooled buffer, recycled once it
+    has been handed to the wire; buffers too small for a datagram, or an
+    exhausted pool, fall back to fresh ones. Steady-state transmit then
+    creates no buffer per ADU unless the recovery policy is
+    [Transport_buffer], which must keep a copy. *)
 
 val send_adu : sender -> Adu.t -> unit
 (** Queue an ADU. Indices must be used once each; they need not arrive
@@ -103,19 +102,14 @@ val send_adu : sender -> Adu.t -> unit
 
 val send_value : sender -> name:Adu.name -> ?plan:Ilp.plan -> Ilp.source -> unit
 (** The integrated send path (§4 of the paper as an API): marshal the
-    value, run the [plan]'s transform stages, compute the ADU CRC and
-    the datagram integrity trailer, and lay the result into the outgoing
-    datagram — all in {e one pass} over the payload bytes, which never
-    exist as a standalone encoding ({!Ilp.run_marshal}). Header-spanning
-    CRC fields are derived from the in-loop payload digest with
-    {!Checksum.Crc32.combine} rather than a second read.
-
-    When the encoding fits one fragment and the sender has a [tx_pool],
-    the datagram is built pre-sealed in a pooled buffer and released
-    after transmission — zero allocations per ADU in steady state unless
-    the recovery policy is [Transport_buffer] (which must retain an
-    owned copy). Multi-fragment or FEC-active sends fall back to the
-    standard fragmentation machinery, still encoding in a single pass.
+    value and run the [plan]'s transform stages, the record seal and a
+    CRC-32 over it in {e one pass} ({!Ilp.run_marshal}), straight into
+    the outgoing datagram when the ADU fits one fragment, else into the
+    sender's reused scratch buffer, from which each fragment is copied
+    into its datagram. The ADU header's CRC is derived from the in-loop
+    digest with {!Checksum.Crc32.combine}, not a second read. {!send_adu}
+    is the same path with a copy ({!Ilp.run_fused}) in place of the
+    marshal.
 
     [plan] must be valid for marshalling (no [Byteswap32]); the receiver
     mirrors it in {!deliver_values}. [name.index] obeys the same

@@ -20,31 +20,26 @@ let tag_fec = 0xFE
 
 let trailer_size = 4
 
-let put_be32 buf off v =
-  Bytebuf.set_uint8 buf off ((v lsr 24) land 0xff);
-  Bytebuf.set_uint8 buf (off + 1) ((v lsr 16) land 0xff);
-  Bytebuf.set_uint8 buf (off + 2) ((v lsr 8) land 0xff);
-  Bytebuf.set_uint8 buf (off + 3) (v land 0xff)
-
 let seal_in_place integrity buf ~len =
   match integrity with
   | None -> len
   | Some kind ->
       let d =
-        Checksum.Kind.digest kind (Bytebuf.sub buf ~pos:0 ~len) land 0xFFFFFFFF
+        match kind with
+        | Checksum.Kind.Crc32 -> Checksum.Crc32.digest_sub buf ~pos:0 ~len
+        | kind -> Checksum.Kind.digest kind (Bytebuf.sub buf ~pos:0 ~len)
       in
-      put_be32 buf len d;
+      Bytebuf.set_be buf len d ~bytes:4;
       len + trailer_size
 
 let seal integrity buf =
   match integrity with
   | None -> buf
-  | Some kind ->
+  | Some _ ->
       let n = Bytebuf.length buf in
       let out = Bytebuf.create (n + trailer_size) in
       Bytebuf.blit ~src:buf ~src_pos:0 ~dst:out ~dst_pos:0 ~len:n;
-      let d = Checksum.Kind.digest kind buf land 0xFFFFFFFF in
-      put_be32 out n d;
+      ignore (seal_in_place integrity out ~len:n);
       out
 
 let unseal integrity buf =
@@ -66,9 +61,8 @@ let unseal integrity buf =
         else None
 
 (* Writers lay the message into the front of [buf] and return the body
-   length, so pooled buffers can be filled and sealed in place; the
-   [build_*] variants allocate exactly-sized buffers for callers without
-   a pool. *)
+   length, so pooled or scratch buffers can be filled and sealed in
+   place. *)
 
 let write_done buf ~stream =
   let w = Cursor.writer buf in
@@ -100,35 +94,20 @@ let write_gone buf ~stream indices =
   List.iter (fun i -> Cursor.put_int_as_u32be w i) indices;
   Bytebuf.length (Cursor.written w)
 
-let build size write =
-  let buf = Bytebuf.create size in
-  Bytebuf.take buf (write buf)
-
-let build_done ~stream = build 3 (fun b -> write_done b ~stream)
-
-let build_close ~stream ~total =
-  build 7 (fun b -> write_close b ~stream ~total)
-
-let build_nack ~stream ~have_below indices =
-  build
-    (1 + 2 + 4 + 2 + (4 * List.length indices))
-    (fun b -> write_nack b ~stream ~have_below indices)
-
-let build_gone ~stream indices =
-  build
-    (1 + 2 + 2 + (4 * List.length indices))
-    (fun b -> write_gone b ~stream indices)
+let build write =
+  let rec go size =
+    let buf = Bytebuf.create size in
+    match write buf with
+    | len -> Bytebuf.take buf len
+    | exception Cursor.Overflow _ -> go (2 * size)
+  in
+  go 64
 
 type msg =
   | Nack of { stream : int; have_below : int; indices : int list }
   | Close of { stream : int; total : int }
   | Done of { stream : int }
   | Gone of { stream : int; indices : int list }
-
-let stream_of = function
-  | Nack { stream; _ } | Close { stream; _ } | Done { stream }
-  | Gone { stream; _ } ->
-      stream
 
 let read_indices r count =
   let rec go n acc =

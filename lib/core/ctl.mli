@@ -20,15 +20,16 @@ val tag_fec : int
 
 val trailer_size : int
 
-val seal : Checksum.Kind.t option -> Bytebuf.t -> Bytebuf.t
-(** Append the 4-byte big-endian digest of [buf] (identity when the kind
-    is [None]). Allocates the sealed datagram. *)
-
 val seal_in_place : Checksum.Kind.t option -> Bytebuf.t -> len:int -> int
 (** Seal the [len]-byte body already sitting at the front of [buf],
-    writing the trailer at [len]; returns the total datagram length.
-    [buf] must have at least [len + trailer_size] bytes of room. The
-    allocation-free path for pooled control buffers. *)
+    writing the 4-byte big-endian digest of the body at [len] (nothing
+    when the kind is [None]); returns the total datagram length. [buf]
+    must have at least [len + trailer_size] bytes of room. Every sender
+    seals this way, into pooled or scratch datagram buffers. *)
+
+val seal : Checksum.Kind.t option -> Bytebuf.t -> Bytebuf.t
+(** {!seal_in_place} on a fresh copy of [buf] (identity when the kind is
+    [None]): for tests and tools that build datagrams by hand. *)
 
 val unseal : Checksum.Kind.t option -> Bytebuf.t -> Bytebuf.t option
 (** Verify and strip the trailer; [None] on mismatch or truncation. The
@@ -47,21 +48,18 @@ type msg =
   | Gone of { stream : int; indices : int list }
       (** Sender → receiver: [indices] are unrecoverable; stop asking. *)
 
-val stream_of : msg -> int
-
 val parse : Bytebuf.t -> msg option
 (** Parse an unsealed control body. [None] on an unknown tag or a
     truncated message — the caller drops, it never throws. *)
 
 (** Writers lay the message at the front of [buf] and return the body
-    length (ready for {!seal_in_place}); [build_*] allocate exactly-sized
-    bodies. *)
+    length, ready for {!seal_in_place}. *)
 
 val write_done : Bytebuf.t -> stream:int -> int
 val write_close : Bytebuf.t -> stream:int -> total:int -> int
 val write_nack : Bytebuf.t -> stream:int -> have_below:int -> int list -> int
 val write_gone : Bytebuf.t -> stream:int -> int list -> int
-val build_done : stream:int -> Bytebuf.t
-val build_close : stream:int -> total:int -> Bytebuf.t
-val build_nack : stream:int -> have_below:int -> int list -> Bytebuf.t
-val build_gone : stream:int -> int list -> Bytebuf.t
+
+val build : (Bytebuf.t -> int) -> Bytebuf.t
+(** The body one writer lays down, in a fresh buffer of its length: for
+    tests and tools, e.g. [build (write_close ~stream ~total)]. *)

@@ -14,7 +14,11 @@ type handler = src:Packet.addr -> src_port:int -> Bytebuf.t -> unit
 
 type t = {
   send : dst:Packet.addr -> dst_port:int -> src_port:int -> Bytebuf.t -> bool;
-      (** Fire and forget; [false] when the first hop refused it. *)
+      (** Fire and forget; [false] when the first hop refused it. The
+          payload is borrowed only for the duration of the call: the
+          substrate copies or transmits it before returning, so the
+          caller may reuse or recycle the buffer at once (every sender's
+          pooled and scratch datagrams rely on this). *)
   bind : port:int -> handler -> unit;
       (** Register the handler for a local port (replacing any previous). *)
   max_payload : int;

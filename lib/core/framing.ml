@@ -27,16 +27,6 @@ let frames_of_values ~stream ~syntax values =
       Adu.make name payload)
     (List.combine values places)
 
-let frames_of_timed ~stream triples =
-  List.mapi
-    (fun index (timestamp_us, payload, dest_off) ->
-      let name =
-        Adu.name ~dest_off ~dest_len:(Bytebuf.length payload) ~timestamp_us
-          ~stream ~index ()
-      in
-      Adu.make name payload)
-    triples
-
 (* Fragment wire format:
    magic(1)=0xAD stream(2) index(4) frag_idx(2) nfrags(2) total_len(4)
    frag_off(4) = 19 bytes, then the chunk. Fragments carry slices of the
@@ -44,27 +34,51 @@ let frames_of_timed ~stream triples =
 let fragment_header_size = 19
 let frag_magic = 0xAD
 
-let fragment_encoded ~mtu ~stream ~index encoded =
+let fragment_count ~mtu total_len =
   if mtu <= fragment_header_size then
     invalid_arg "Framing.fragment: mtu too small";
-  let total_len = Bytebuf.length encoded in
-  let chunk_size = mtu - fragment_header_size in
-  let nfrags = max 1 ((total_len + chunk_size - 1) / chunk_size) in
+  let chunk = mtu - fragment_header_size in
+  let nfrags = max 1 ((total_len + chunk - 1) / chunk) in
   if nfrags > 0xFFFF then invalid_arg "Framing.fragment: too many fragments";
-  List.init nfrags (fun frag_idx ->
-      let frag_off = frag_idx * chunk_size in
-      let len = min chunk_size (total_len - frag_off) in
-      let buf = Bytebuf.create (fragment_header_size + len) in
-      let w = Cursor.writer buf in
-      Cursor.put_u8 w frag_magic;
-      Cursor.put_u16be w stream;
-      Cursor.put_int_as_u32be w index;
-      Cursor.put_u16be w frag_idx;
-      Cursor.put_u16be w nfrags;
-      Cursor.put_int_as_u32be w total_len;
-      Cursor.put_int_as_u32be w frag_off;
-      Cursor.put_bytes w (Bytebuf.sub encoded ~pos:frag_off ~len);
-      Cursor.written w)
+  nfrags
+
+let seal_fragment integrity dg ~stream ~index ~nfrags ~frag_idx ~total_len
+    ~frag_off ~len =
+  Bytebuf.set_be dg 0 frag_magic ~bytes:1;
+  Bytebuf.set_be dg 1 stream ~bytes:2;
+  Bytebuf.set_be dg 3 index ~bytes:4;
+  Bytebuf.set_be dg 7 frag_idx ~bytes:2;
+  Bytebuf.set_be dg 9 nfrags ~bytes:2;
+  Bytebuf.set_be dg 11 total_len ~bytes:4;
+  Bytebuf.set_be dg 15 frag_off ~bytes:4;
+  Ctl.seal_in_place integrity dg ~len:(fragment_header_size + len)
+
+let write_fragment integrity dg ~mtu ~stream ~index encoded ~total_len
+    ~frag_idx =
+  let nfrags = fragment_count ~mtu total_len in
+  let frag_off = frag_idx * (mtu - fragment_header_size) in
+  let len = min (mtu - fragment_header_size) (total_len - frag_off) in
+  Bytebuf.blit ~src:encoded ~src_pos:frag_off ~dst:dg
+    ~dst_pos:fragment_header_size ~len;
+  seal_fragment integrity dg ~stream ~index ~nfrags ~frag_idx ~total_len
+    ~frag_off ~len
+
+let seal_single integrity dg ~stream name ~plen ~payload_crc =
+  let total_len = Adu.header_size + plen in
+  Adu.write_header dg ~pos:fragment_header_size name ~plen ~payload_crc;
+  seal_fragment integrity dg ~stream ~index:name.Adu.index ~nfrags:1
+    ~frag_idx:0 ~total_len ~frag_off:0 ~len:total_len
+
+let fragment_encoded ~mtu ~stream ~index encoded =
+  let total_len = Bytebuf.length encoded in
+  let chunk = mtu - fragment_header_size in
+  List.init (fragment_count ~mtu total_len) (fun frag_idx ->
+      let len = min chunk (total_len - (frag_idx * chunk)) in
+      let dg = Bytebuf.create (fragment_header_size + len) in
+      ignore
+        (write_fragment None dg ~mtu ~stream ~index encoded ~total_len
+           ~frag_idx);
+      dg)
 
 let fragment ~mtu adu =
   fragment_encoded ~mtu ~stream:adu.Adu.name.Adu.stream
@@ -151,9 +165,6 @@ let reassembler ?pool ~deliver () =
 let stats t = t.stats
 let pending_adus t = Hashtbl.length t.partials
 let retired_count t = Hashtbl.length t.retired
-
-let pending_bytes t =
-  Hashtbl.fold (fun _ p acc -> acc + p.bytes) t.partials 0
 
 let release_owner t p =
   match (t.pool, p.owner) with

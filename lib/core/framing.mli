@@ -31,24 +31,57 @@ val frames_of_values :
     the encoding in the receiver's stream. Raises [Wire.Syntax.Error] if a
     value does not fit the syntax. *)
 
-val frames_of_timed :
-  stream:int -> (int64 * Bytebuf.t * int) list -> Adu.t list
-(** For continuous media: [(timestamp_us, payload, dest_off)] triples,
-    e.g. (frame time, tile bytes, tile id). *)
-
 (** {1 Fragmentation} *)
 
 val fragment_header_size : int
 (** 19 bytes. *)
 
 val frag_magic : int
-(** First byte of every fragment (0xAD) — exposed so fused send paths can
-    lay the fragment header down in place. *)
+(** First byte of every fragment (0xAD). *)
+
+(** {2 The datagram writer}
+
+    Every data datagram, [frag hdr | chunk | trailer], is written in
+    place into a buffer the caller supplies, pooled or fresh, and sealed
+    with {!Ctl.seal_in_place}. *)
+
+val fragment_count : mtu:int -> int -> int
+(** Fragments of at most [mtu] bytes, header included, that an encoded
+    ADU of the given length needs. Raises [Invalid_argument] if [mtu]
+    does not exceed the header or the count exceeds 0xFFFF. *)
+
+val write_fragment :
+  Checksum.Kind.t option ->
+  Bytebuf.t ->
+  mtu:int ->
+  stream:int ->
+  index:int ->
+  Bytebuf.t ->
+  total_len:int ->
+  frag_idx:int ->
+  int
+(** [write_fragment integrity dg ~mtu ~stream ~index src ~total_len
+    ~frag_idx] copies fragment [frag_idx] of the [total_len]-byte encoded
+    ADU at the front of [src] into [dg] behind its header and seals it,
+    allocating nothing under CRC-32 integrity. Returns the datagram's
+    length. *)
+
+val seal_single :
+  Checksum.Kind.t option ->
+  Bytebuf.t ->
+  stream:int ->
+  Adu.name ->
+  plen:int ->
+  payload_crc:int32 ->
+  int
+(** A one-fragment ADU datagram whose [plen]-byte payload, of CRC-32
+    [payload_crc], already sits at [fragment_header_size +
+    Adu.header_size] in [dg]: lays both headers ({!Adu.write_header})
+    and seals. Returns the datagram's length. *)
 
 val fragment : mtu:int -> Adu.t -> Bytebuf.t list
-(** Wire-format fragments of the encoded ADU, each at most [mtu] bytes
-    including the fragment header. [mtu] must exceed the header size.
-    A small ADU yields a single fragment. *)
+(** Unsealed wire-format fragments of the encoded ADU, each at most
+    [mtu] bytes including the fragment header. *)
 
 val fragment_encoded :
   mtu:int -> stream:int -> index:int -> Bytebuf.t -> Bytebuf.t list
@@ -109,8 +142,6 @@ val stats : reassembler -> reasm_stats
 
 val pending_adus : reassembler -> int
 (** ADUs with at least one but not all fragments. *)
-
-val pending_bytes : reassembler -> int
 
 val forget : reassembler -> index:int -> unit
 (** Drop partial state for an ADU (e.g. the sender declared it gone) and

@@ -119,10 +119,7 @@ module Record = struct
   (* Trailer: epoch u32be ‖ tag lo64 LE ‖ tag hi64 LE — 20 bytes appended
      to the ciphertext inside the ADU payload (plen = ct + 20). *)
   let write_trailer slice ~e ~tag:(lo, hi) =
-    Bytebuf.set_uint8 slice 0 ((e lsr 24) land 0xff);
-    Bytebuf.set_uint8 slice 1 ((e lsr 16) land 0xff);
-    Bytebuf.set_uint8 slice 2 ((e lsr 8) land 0xff);
-    Bytebuf.set_uint8 slice 3 (e land 0xff);
+    Bytebuf.set_be slice 0 e ~bytes:4;
     for i = 0 to 7 do
       Bytebuf.set_uint8 slice (4 + i)
         (Int64.to_int (Int64.shift_right_logical lo (8 * i)) land 0xff);
@@ -205,19 +202,22 @@ module Record = struct
           if accept t ~e ~expected [ computed ] then Ok ct
           else Error "record authentication failed"
 
-  (* Allocating convenience for the non-fused send path: seal a whole ADU
-     into a fresh payload (ct ‖ trailer), name unchanged. *)
-  let seal_adu ?epoch t (adu : Adu.t) =
-    let n = Bytebuf.length adu.Adu.payload in
-    let e, p = seal_params ?epoch t adu.Adu.name in
-    let out = Bytebuf.create (n + overhead) in
-    Bytebuf.blit ~src:adu.Adu.payload ~src_pos:0 ~dst:out ~dst_pos:0 ~len:n;
-    let ct = Bytebuf.take out n in
+  (* The mirror of [open_payload]: [payload] is [ct ‖ trailer room]. *)
+  let seal_payload ?epoch t (name : Adu.name) payload =
+    let n = Bytebuf.length payload - overhead in
+    let e, p = seal_params ?epoch t name in
     let tag =
       Cipher.Aead.seal_in_place ~key:p.Ilp.aead_key ~n0:p.Ilp.aead_n0
-        ~n1:p.Ilp.aead_n1 ~n2:p.Ilp.aead_n2 ~aad:p.Ilp.aead_aad ct
+        ~n1:p.Ilp.aead_n1 ~n2:p.Ilp.aead_n2 ~aad:p.Ilp.aead_aad
+        (Bytebuf.take payload n)
     in
-    write_trailer (Bytebuf.shift out n) ~e ~tag;
+    write_trailer (Bytebuf.shift payload n) ~e ~tag
+
+  let seal_adu ?epoch t (adu : Adu.t) =
+    let n = Bytebuf.length adu.Adu.payload in
+    let out = Bytebuf.create (n + overhead) in
+    Bytebuf.blit ~src:adu.Adu.payload ~src_pos:0 ~dst:out ~dst_pos:0 ~len:n;
+    seal_payload ?epoch t adu.Adu.name out;
     Adu.make adu.Adu.name out
 
   let open_adu t (adu : Adu.t) =

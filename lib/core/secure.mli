@@ -123,10 +123,15 @@ module Record : sig
       [Error] means the unit must be dropped (the prefix then holds
       garbage). One fused MAC+decrypt pass, no allocation. *)
 
+  val seal_payload : ?epoch:int -> t -> Adu.name -> Bytebuf.t -> unit
+  (** Whole-payload seal, in place, the mirror of {!open_payload}: the
+      first [length - overhead] bytes of [payload] are encrypted and the
+      record trailer is written after them. [?epoch] as in
+      {!seal_params}. *)
+
   val seal_adu : ?epoch:int -> t -> Adu.t -> Adu.t
-  (** Allocating convenience: seal a whole ADU into a fresh payload
-      [ct ‖ trailer] (name unchanged, length + {!overhead}). [?epoch]
-      as in {!seal_params}. *)
+  (** {!seal_payload} into a fresh copy: the ADU with payload
+      [ct ‖ trailer] (name unchanged, length + {!overhead}). *)
 
   val open_adu : t -> Adu.t -> (Adu.t, string) result
   (** {!open_payload} lifted to an ADU. *)

@@ -69,96 +69,7 @@ let session_of t ~port ~stream =
 
 let payload_byte k index j = (k * 131) + (index * 31) + (j * 7) + 5
 
-(* One reusable scratch holds the whole sealed datagram — the substrates
-   copy (or transmit) synchronously, so nothing is retained. *)
-let emit_adu t k index =
-  let cfg = t.cfg in
-  let plen = cfg.payload_len in
-  (* Sealed payloads carry the 20-byte record trailer after the
-     ciphertext; every length field below speaks [splen]. *)
-  let splen =
-    plen + match t.sec with None -> 0 | Some _ -> Secure.Record.overhead
-  in
-  let w = Cursor.writer t.scratch in
-  Cursor.put_u8 w Framing.frag_magic;
-  Cursor.put_u16be w (stream_of t k);
-  Cursor.put_int_as_u32be w index;
-  Cursor.put_u16be w 0;
-  Cursor.put_u16be w 1;
-  Cursor.put_int_as_u32be w (Adu.header_size + splen);
-  Cursor.put_int_as_u32be w 0;
-  let adu_pos = Framing.fragment_header_size in
-  Cursor.put_u16be w Adu.magic;
-  Cursor.put_u16be w (stream_of t k);
-  Cursor.put_int_as_u32be w index;
-  Cursor.put_u64be w (Int64.of_int (index * plen)) (* dest_off *);
-  Cursor.put_int_as_u32be w plen (* dest_len *);
-  Cursor.put_u64be w 0L;
-  Cursor.put_int_as_u32be w splen;
-  Cursor.put_u32be w 0l (* ADU CRC, patched below *);
-  for j = 0 to plen - 1 do
-    Cursor.put_u8 w (payload_byte k index j land 0xff)
-  done;
-  (match t.sec with
-  | None -> ()
-  | Some rc ->
-      let name =
-        Adu.name ~dest_off:(index * plen) ~dest_len:plen
-          ~stream:(stream_of t k) ~index ()
-      in
-      let e, pr = Secure.Record.seal_params rc name in
-      let ct =
-        Bytebuf.sub t.scratch ~pos:(adu_pos + Adu.header_size) ~len:plen
-      in
-      let tag =
-        Cipher.Aead.seal_in_place ~key:pr.Ilp.aead_key ~n0:pr.Ilp.aead_n0
-          ~n1:pr.Ilp.aead_n1 ~n2:pr.Ilp.aead_n2 ~aad:pr.Ilp.aead_aad ct
-      in
-      Secure.Record.write_trailer
-        (Bytebuf.sub t.scratch
-           ~pos:(adu_pos + Adu.header_size + plen)
-           ~len:Secure.Record.overhead)
-        ~e ~tag);
-  let body = adu_pos + Adu.header_size + splen in
-  (* The ADU CRC is computed with its own field zeroed (see Adu.encode). *)
-  let crc =
-    let st =
-      Checksum.Crc32.feed_sub Checksum.Crc32.init t.scratch ~pos:adu_pos
-        ~len:32
-    in
-    let st = ref st in
-    for _ = 1 to 4 do
-      st := Checksum.Crc32.feed_byte !st 0
-    done;
-    Checksum.Crc32.finish
-      (Checksum.Crc32.feed_sub !st t.scratch
-         ~pos:(adu_pos + Adu.header_size)
-         ~len:splen)
-  in
-  let p = adu_pos + 32 in
-  Bytebuf.set_uint8 t.scratch p
-    (Int32.to_int (Int32.shift_right_logical crc 24) land 0xff);
-  Bytebuf.set_uint8 t.scratch (p + 1)
-    (Int32.to_int (Int32.shift_right_logical crc 16) land 0xff);
-  Bytebuf.set_uint8 t.scratch (p + 2)
-    (Int32.to_int (Int32.shift_right_logical crc 8) land 0xff);
-  Bytebuf.set_uint8 t.scratch (p + 3) (Int32.to_int crc land 0xff);
-  let total = Ctl.seal_in_place cfg.integrity t.scratch ~len:body in
-  let ok =
-    t.io.Dgram.send ~dst:cfg.server ~dst_port:cfg.server_port
-      ~src_port:(port_of t k)
-      (Bytebuf.take t.scratch total)
-  in
-  t.stats.sent_datagrams <- t.stats.sent_datagrams + 1;
-  t.stats.sent_bytes <- t.stats.sent_bytes + total;
-  if not ok then t.stats.send_failed <- t.stats.send_failed + 1
-
-let emit_close t k =
-  let body =
-    Ctl.write_close t.scratch ~stream:(stream_of t k)
-      ~total:t.cfg.adus_per_session
-  in
-  let total = Ctl.seal_in_place t.cfg.integrity t.scratch ~len:body in
+let send t k total =
   let ok =
     t.io.Dgram.send ~dst:t.cfg.server ~dst_port:t.cfg.server_port
       ~src_port:(port_of t k)
@@ -167,6 +78,40 @@ let emit_close t k =
   t.stats.sent_datagrams <- t.stats.sent_datagrams + 1;
   t.stats.sent_bytes <- t.stats.sent_bytes + total;
   if not ok then t.stats.send_failed <- t.stats.send_failed + 1
+
+(* One reusable scratch holds the whole sealed datagram — the substrates
+   copy (or transmit) synchronously, so nothing is retained. The payload
+   is written in place and the datagram writer lays both headers around
+   it. *)
+let emit_adu t k index =
+  let plen = t.cfg.payload_len in
+  let pos = Framing.fragment_header_size + Adu.header_size in
+  for j = 0 to plen - 1 do
+    Bytebuf.set_uint8 t.scratch (pos + j) (payload_byte k index j land 0xff)
+  done;
+  let stream = stream_of t k in
+  let name =
+    { Adu.stream; index; dest_off = index * plen; dest_len = plen;
+      timestamp_us = 0L }
+  in
+  (* A sealed payload carries the record trailer after the ciphertext. *)
+  let splen =
+    plen + if Option.is_some t.sec then Secure.Record.overhead else 0
+  in
+  let payload = Bytebuf.sub t.scratch ~pos ~len:splen in
+  (match t.sec with
+  | Some rc -> Secure.Record.seal_payload rc name payload
+  | None -> ());
+  send t k
+    (Framing.seal_single t.cfg.integrity t.scratch ~stream name ~plen:splen
+       ~payload_crc:(Checksum.Crc32.digest payload))
+
+let emit_close t k =
+  let body =
+    Ctl.write_close t.scratch ~stream:(stream_of t k)
+      ~total:t.cfg.adus_per_session
+  in
+  send t k (Ctl.seal_in_place t.cfg.integrity t.scratch ~len:body)
 
 let is_done t k = Bytes.get t.done_flags k <> '\000'
 
@@ -273,7 +218,6 @@ let nudge t =
     if not (is_done t k) then Queue.add k t.reclose
   done
 
-let pending_repairs t = Queue.length t.regen + Queue.length t.reclose
 let done_count t = t.done_total
 let finished t = emitted_all t && t.done_total = t.cfg.sessions
 let stats t = t.stats

@@ -248,8 +248,16 @@ and emit_fields fs s b =
       emit_value v s b;
       emit_fields tl s b
 
+(* One stack per domain, reused across calls: [sizes_push] grows it
+   geometrically, and the grown array stays, so a steady stream of
+   values allocates nothing here. [emit] never runs inside itself. *)
+let sizes_key =
+  Domain.DLS.new_key (fun () -> { sz = Array.make 64 0; wr = 0; rd = 0 })
+
 let emit (v : Value.t) s =
-  let b = { sz = Array.make 64 0; wr = 0; rd = 0 } in
+  let b = Domain.DLS.get sizes_key in
+  b.wr <- 0;
+  b.rd <- 0;
   ignore (measure v b : int);
   emit_value v s b
 

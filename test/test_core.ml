@@ -872,19 +872,19 @@ let test_alf_one_done_per_close () =
     feed_adu i
   done;
   Alcotest.(check int) "no DONE before CLOSE" 0 !dones;
-  feed (Ctl.build_close ~stream:1 ~total:10);
+  feed (Ctl.build (Ctl.write_close ~stream:1 ~total:10));
   Alcotest.(check bool) "complete" true (Alf_transport.complete receiver);
   Alcotest.(check int) "one DONE for the completing CLOSE" 1 !dones;
-  feed (Ctl.build_close ~stream:1 ~total:10);
-  feed (Ctl.build_close ~stream:1 ~total:10);
+  feed (Ctl.build (Ctl.write_close ~stream:1 ~total:10));
+  feed (Ctl.build (Ctl.write_close ~stream:1 ~total:10));
   Alcotest.(check int) "one more per re-CLOSE" 3 !dones
 
 let test_alf_nothing_beyond_total () =
   let receiver, feed, feed_adu, _, delivered = hand_receiver () in
-  feed (Ctl.build_close ~stream:1 ~total:4);
+  feed (Ctl.build (Ctl.write_close ~stream:1 ~total:4));
   feed_adu 0;
   feed_adu 10;
-  feed (Ctl.build_gone ~stream:1 [ 11 ]);
+  feed (Ctl.build (fun b -> Ctl.write_gone b ~stream:1 [ 11 ]));
   for i = 1 to 3 do
     feed_adu i
   done;

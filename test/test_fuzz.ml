@@ -174,10 +174,10 @@ let test_serve_dispatch_storm () =
            List.map seal
              (single @ multi
              @ [
-                 Ctl.build_close ~stream ~total:(stream mod 5);
-                 Ctl.build_done ~stream;
-                 Ctl.build_nack ~stream ~have_below:0 [ 1; 2 ];
-                 Ctl.build_gone ~stream [ 0; 3 ];
+                 Ctl.build (Ctl.write_close ~stream ~total:(stream mod 5));
+                 Ctl.build (Ctl.write_done ~stream);
+                 Ctl.build (fun b -> Ctl.write_nack b ~stream ~have_below:0 [ 1; 2 ]);
+                 Ctl.build (fun b -> Ctl.write_gone b ~stream [ 0; 3 ]);
                ]))
          [ 1; 2; 3; 4; 5; 6; 7; 8 ])
   in
@@ -246,7 +246,7 @@ let test_serve_dispatch_storm () =
   Server.pump server;
   (* Close the honest session after the storm: still there, completes. *)
   Server.ingest server ~src:5 ~src_port:honest_port
-    (seal (Ctl.build_close ~stream:honest_stream ~total:2));
+    (seal (Ctl.build (Ctl.write_close ~stream:honest_stream ~total:2)));
   Server.pump server;
   (match
      Server.session_view server ~peer:5 ~peer_port:honest_port

@@ -342,8 +342,13 @@ let test_send_value_matches_send_adu_wire () =
   Alcotest.(check string) "identical wire bytes" classic fused
 
 let test_send_value_zero_alloc () =
-  (* Steady-state fused transmit performs zero Bytebuf creations per
-     ADU: pooled datagram, take/sub views, combine-derived CRCs. *)
+  (* Steady-state fused transmit creates no Bytebuf per ADU, one
+     fragment or four: a one-fragment ADU is marshalled into its pooled
+     datagram, a longer one into the sender's reused scratch and copied
+     from there into pooled datagrams. And the writer allocates nothing
+     per fragment: [send_value] costs the same GC words at 1 and at 4
+     fragments. (The drain that follows hands each queued datagram to
+     the substrate as a view, outside the measured call.) *)
   let engine = Engine.create () in
   let io =
     {
@@ -357,32 +362,368 @@ let test_send_value_zero_alloc () =
     Alf_transport.sender_io ~sched:(Netsim.Engine.sched engine) ~io ~peer:2 ~peer_port:7000 ~port:7001
       ~stream:1 ~policy:Recovery.No_recovery ~tx_pool ()
   in
-  let plan =
-    [ Ilp.Checksum Checksum.Kind.Internet; Ilp.Xor_pad { key = 7L; pos = 0L } ]
-  in
-  let v = Value.int_array (Array.init 100 (fun i -> i * 17)) in
-  let now = ref 0.0 in
-  let send i =
-    Alf_transport.send_value sender
-      ~name:(Adu.name ~stream:1 ~index:i ())
-      ~plan (Ilp.Marshal_ber v);
+  (* No [Xor_pad]: its block op allocates per block, which would swamp
+     the per-fragment comparison below. *)
+  let plan = [ Ilp.Checksum Checksum.Kind.Internet ] in
+  let one = Ilp.Marshal_ber (Value.int_array (Array.init 100 (fun i -> i * 17)))
+  and four = Ilp.Marshal_ber (Value.Octets (String.make 5000 'f')) in
+  let next = ref 0 and now = ref 0.0 in
+  let send source =
+    let i = !next in
+    incr next;
+    let w0 = Gc.minor_words () in
+    Alf_transport.send_value sender ~name:(Adu.name ~stream:1 ~index:i ())
+      ~plan source;
+    let w = Gc.minor_words () -. w0 in
     (* steady state = the engine drains (and the pool recycles) between
        sends, as it would on a live wire *)
     now := !now +. 0.001;
-    Engine.run ~until:!now engine
+    Engine.run ~until:!now engine;
+    int_of_float w
   in
-  (* Warmup: pool buffer, obs metrics, plan lowering all come into being. *)
-  for i = 0 to 4 do
-    send i
-  done;
-  let before = Bytebuf.created_total () in
-  for i = 5 to 54 do
-    send i
-  done;
-  Alcotest.(check int) "zero Bytebuf creations across 50 sends" 0
-    (Bytebuf.created_total () - before);
   let st = Alf_transport.sender_stats sender in
-  Alcotest.(check int) "all sent" 55 st.Alf_transport.adus_sent
+  let steady label source ~frags =
+    (* Warmup: pool buffers, scratch, obs metrics, plan lowering. *)
+    for _ = 1 to 5 do
+      ignore (send source)
+    done;
+    let f0 = st.Alf_transport.frags_sent in
+    let before = Bytebuf.created_total () in
+    let words = List.init 50 (fun _ -> send source) in
+    Alcotest.(check int)
+      (label ^ ": zero Bytebuf creations across 50 sends")
+      0
+      (Bytebuf.created_total () - before);
+    Alcotest.(check int) (label ^ ": fragments") (50 * frags)
+      (st.Alf_transport.frags_sent - f0);
+    List.fold_left min max_int words
+  in
+  let w1 = steady "1 fragment" one ~frags:1 in
+  let w4 = steady "4 fragments" four ~frags:4 in
+  Alcotest.(check int) "GC words per send: 4 fragments = 1 fragment" w1 w4;
+  Alcotest.(check int) "all sent" 110 st.Alf_transport.adus_sent;
+  Alcotest.(check int) "pool drained" 0 (Pool.stats tx_pool).Pool.outstanding
+
+(* --- One datagram writer: byte identity with the layered writer --- *)
+
+(* A layered datagram writer, written apart from the library's: encode
+   the ADU into a fresh buffer, cut it into fresh fragment buffers, then
+   seal each into a fresh copy. The oracle every sender's bytes must
+   equal. *)
+module Oracle = struct
+  let patch_be32 buf off v =
+    for i = 0 to 3 do
+      Bytebuf.set_uint8 buf (off + i) ((v lsr (8 * (3 - i))) land 0xff)
+    done
+
+  let adu_encode (name : Adu.name) payload =
+    let plen = Bytebuf.length payload in
+    let buf = Bytebuf.create (36 + plen) in
+    let w = Cursor.writer buf in
+    Cursor.put_u16be w 0xADF0;
+    Cursor.put_u16be w name.Adu.stream;
+    Cursor.put_int_as_u32be w name.Adu.index;
+    Cursor.put_u64be w (Int64.of_int name.Adu.dest_off);
+    Cursor.put_int_as_u32be w name.Adu.dest_len;
+    Cursor.put_u64be w name.Adu.timestamp_us;
+    Cursor.put_int_as_u32be w plen;
+    Cursor.put_u32be w 0l;
+    Cursor.put_bytes w payload;
+    patch_be32 buf 32
+      (Int32.to_int (Checksum.Crc32.digest buf) land 0xFFFFFFFF);
+    buf
+
+  let fragments ~mtu ~stream ~index encoded =
+    let total_len = Bytebuf.length encoded in
+    let chunk = mtu - 19 in
+    let nfrags = max 1 ((total_len + chunk - 1) / chunk) in
+    List.init nfrags (fun frag_idx ->
+        let frag_off = frag_idx * chunk in
+        let len = min chunk (total_len - frag_off) in
+        let buf = Bytebuf.create (19 + len) in
+        let w = Cursor.writer buf in
+        Cursor.put_u8 w 0xAD;
+        Cursor.put_u16be w stream;
+        Cursor.put_int_as_u32be w index;
+        Cursor.put_u16be w frag_idx;
+        Cursor.put_u16be w nfrags;
+        Cursor.put_int_as_u32be w total_len;
+        Cursor.put_int_as_u32be w frag_off;
+        Cursor.put_bytes w (Bytebuf.sub encoded ~pos:frag_off ~len);
+        buf)
+
+  let seal integrity buf =
+    match integrity with
+    | None -> buf
+    | Some kind ->
+        let n = Bytebuf.length buf in
+        let out = Bytebuf.create (n + 4) in
+        Bytebuf.blit ~src:buf ~src_pos:0 ~dst:out ~dst_pos:0 ~len:n;
+        patch_be32 out n (Checksum.Kind.digest kind buf land 0xFFFFFFFF);
+        out
+
+  (* One sealed single-fragment datagram, as Loadgen and Hostile send. *)
+  let single integrity name payload =
+    match
+      fragments ~mtu:max_int ~stream:name.Adu.stream ~index:name.Adu.index
+        (adu_encode name payload)
+    with
+    | [ f ] -> Bytebuf.to_string (seal integrity f)
+    | _ -> assert false
+end
+
+(* The bytes a transport endpoint sends: every datagram handed to [io],
+   in order, and the handler it binds (to feed it NACKs). *)
+let capture_io () =
+  let sent = ref [] and handler = ref None in
+  let io =
+    {
+      Dgram.send =
+        (fun ~dst:_ ~dst_port:_ ~src_port:_ b ->
+          sent := Bytebuf.to_string b :: !sent;
+          true);
+      bind = (fun ~port:_ h -> handler := Some h);
+      max_payload = 65507;
+    }
+  in
+  (io, sent, handler)
+
+(* Data datagrams only: fragments (0xAD) and FEC blocks (0xFE). *)
+let data_only l =
+  List.filter
+    (fun d -> d <> "" && (Char.code d.[0] = 0xAD || Char.code d.[0] = 0xFE))
+    (List.rev l)
+
+type writer_case = {
+  size : int;  (* payload bytes, 0-6000 *)
+  via_value : bool;  (* send_value, else send_adu *)
+  integrity : Checksum.Kind.t option;
+  secure : bool;
+  fec : bool;
+  pool : int;  (* 0 none, 1 roomy, 2 too small, 3 capped at one buffer *)
+  policy : int;  (* 0 none, 1 transport buffer, 2 app recompute *)
+}
+
+let print_writer_case c =
+  Printf.sprintf
+    "size=%d value=%b integrity=%s secure=%b fec=%b pool=%d policy=%d" c.size
+    c.via_value
+    (match c.integrity with
+    | None -> "none"
+    | Some k -> Checksum.Kind.to_string k)
+    c.secure c.fec c.pool c.policy
+
+let writer_case_gen =
+  let open QCheck.Gen in
+  let* size =
+    frequency
+      [ (1, return 0); (3, 0 -- 6000); (2, map (fun k -> (1449 * k) - 40 + (k mod 3)) (1 -- 4)) ]
+  in
+  let* via_value = bool in
+  let* integrity =
+    oneofl [ None; Some Checksum.Kind.Crc32; Some Checksum.Kind.Internet ]
+  in
+  let* secure = bool in
+  let* fec = bool in
+  let* pool = 0 -- 3 in
+  let* policy = 0 -- 2 in
+  return { size; via_value; integrity; secure; fec; pool; policy }
+
+(* [send_value], [send_adu] and NACK retransmission emit, byte for byte,
+   what the oracle writes for the same ADUs: two ADUs of the case's size
+   sent, drained, then both NACKed (repaired under a retaining policy,
+   declared gone otherwise). With [fec], the sender is switched to FEC
+   by an early NACK before the first send. *)
+let prop_writer_matches_oracle =
+  QCheck.Test.make ~count:150 ~name:"datagram writer = layered oracle"
+    (QCheck.make ~print:print_writer_case writer_case_gen)
+    (fun c ->
+      let key = 0x5EC0DEL in
+      let io, sent, handler = capture_io () in
+      let engine = Engine.create () in
+      let value i = Value.Octets (String.make c.size (Char.chr (65 + i))) in
+      let plain i =
+        if c.via_value then Ber.encode (value i)
+        else Bytebuf.of_string (String.make c.size (Char.chr (97 + i)))
+      in
+      let name i = Adu.name ~dest_off:(i * 7) ~dest_len:c.size ~stream:3 ~index:i () in
+      let oracle_rc = Secure.Record.of_int64 key in
+      let encoded i =
+        let p = plain i in
+        let p =
+          if c.secure then
+            (Secure.Record.seal_adu oracle_rc (Adu.make (name i) p)).Adu.payload
+          else p
+        in
+        Oracle.adu_encode (name i) p
+      in
+      let policy =
+        match c.policy with
+        | 0 -> Recovery.No_recovery
+        | 1 -> Recovery.Transport_buffer
+        | _ ->
+            Recovery.App_recompute
+              (fun i -> if i <= 1 then Some (encoded i) else None)
+      in
+      let tx_pool =
+        match c.pool with
+        | 0 -> None
+        | 1 -> Some (Pool.create ~buf_size:2048 ())
+        | 2 -> Some (Pool.create ~buf_size:200 ())
+        | _ -> Some (Pool.create ~max_outstanding:1 ~buf_size:2048 ())
+      in
+      let config =
+        {
+          Alf_transport.default_sender_config with
+          integrity = c.integrity;
+          fec_loss_threshold = (if c.fec then 0.1 else 2.0);
+        }
+      in
+      let sender =
+        Alf_transport.sender_io ~sched:(Netsim.Engine.sched engine) ~io ~peer:2
+          ~peer_port:7000 ~port:7001 ~stream:3 ~policy
+          ?secure:(if c.secure then Some (Secure.Record.of_int64 key) else None)
+          ?tx_pool ~config ()
+      in
+      let nack indices =
+        match !handler with
+        | Some h ->
+            h ~src:2 ~src_port:7000
+              (Ctl.seal c.integrity
+                 (Ctl.build (fun b -> Ctl.write_nack b ~stream:3 ~have_below:0 indices)))
+        | None -> assert false
+      in
+      let drain () = Engine.run ~until:(Engine.now engine +. 1.0) engine in
+      if c.fec then nack [ 99 ];
+      assert (Alf_transport.fec_active sender = c.fec);
+      for i = 0 to 1 do
+        if c.via_value then
+          Alf_transport.send_value sender ~name:(name i) (Ilp.Marshal_ber (value i))
+        else Alf_transport.send_adu sender (Adu.make (name i) (plain i))
+      done;
+      drain ();
+      let first = data_only !sent in
+      sent := [];
+      nack [ 0; 1 ];
+      drain ();
+      let repaired = data_only !sent in
+      let mtu =
+        config.Alf_transport.mtu
+        - (match c.integrity with Some _ -> 4 | None -> 0)
+        - if c.fec then 1 + Fec.header_size + 2 else 0
+      in
+      let group = ref 0 in
+      let oracle i =
+        let frags = Oracle.fragments ~mtu ~stream:3 ~index:i (encoded i) in
+        let dgs =
+          if not c.fec then frags
+          else begin
+            let blocks = Fec.protect ~first_group:!group ~k:4 frags in
+            group := (!group + Fec.group_count ~k:4 (List.length frags)) land 0xffff;
+            List.map
+              (fun b -> Bytebuf.concat [ Bytebuf.of_string "\xfe"; b ])
+              blocks
+          end
+        in
+        List.map (fun d -> Bytebuf.to_string (Oracle.seal c.integrity d)) dgs
+      in
+      (* In send order: FEC group numbers run on across ADUs. *)
+      let both () =
+        let a = oracle 0 in
+        a @ oracle 1
+      in
+      let expect_first = both () in
+      let expect_repaired = if c.policy = 0 then [] else both () in
+      let drained =
+        match tx_pool with
+        | Some p -> (Pool.stats p).Pool.outstanding = 0
+        | None -> true
+      in
+      if first <> expect_first then
+        QCheck.Test.fail_reportf "first pass: %d datagrams, oracle %d"
+          (List.length first) (List.length expect_first)
+      else if repaired <> expect_repaired then
+        QCheck.Test.fail_reportf "repair: %d datagrams, oracle %d"
+          (List.length repaired) (List.length expect_repaired)
+      else drained)
+
+let test_loadgen_hostile_match_oracle () =
+  (* Loadgen and Hostile lay their datagrams down with the same writer:
+     every honest datagram, and every valid one Hostile sends, equals
+     the oracle's encoding of the ADU its headers name. *)
+  let io, sent, _ = capture_io () in
+  List.iter
+    (fun (secure, integrity) ->
+      sent := [];
+      let cfg =
+        {
+          Alf_serve.Loadgen.default_config with
+          sessions = 3;
+          adus_per_session = 2;
+          payload_len = 48;
+          integrity;
+          secure =
+            (if secure then Some (Secure.Record.of_int64 0x10AD6E4L) else None);
+        }
+      in
+      let lg = Alf_serve.Loadgen.create ~io cfg in
+      ignore (Alf_serve.Loadgen.step lg ~budget:6);
+      let oracle_rc = Secure.Record.of_int64 0x10AD6E4L in
+      List.iteri
+        (fun cursor d ->
+          let k = cursor mod 3 and index = cursor / 3 in
+          let name =
+            Adu.name ~dest_off:(index * 48) ~dest_len:48
+              ~stream:(Alf_serve.Loadgen.session_stream lg k)
+              ~index ()
+          in
+          let plain =
+            Bytebuf.init 48 (fun j ->
+                Char.chr (((k * 131) + (index * 31) + (j * 7) + 5) land 0xff))
+          in
+          let payload =
+            if secure then
+              (Secure.Record.seal_adu oracle_rc (Adu.make name plain)).Adu.payload
+            else plain
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "loadgen secure=%b session %d ADU %d" secure k index)
+            (Oracle.single integrity name payload)
+            d)
+        (List.rev !sent))
+    [
+      (false, Some Checksum.Kind.Crc32);
+      (true, Some Checksum.Kind.Crc32);
+      (false, None);
+    ];
+  sent := [];
+  let h =
+    Alf_chaos.Hostile.create ~io
+      {
+        Alf_chaos.Hostile.default_config with
+        payload_len = 40;
+        mix = Alf_chaos.Hostile.[ (Replay, 1); (Churn, 1); (Drip, 1); (Forged, 1) ];
+      }
+  in
+  ignore (Alf_chaos.Hostile.step h ~budget:64);
+  Alcotest.(check int) "hostile datagrams" 64 (List.length !sent);
+  List.iter
+    (fun d ->
+      let b = Bytebuf.of_string d in
+      let stream = (Bytebuf.get_uint8 b 1 lsl 8) lor Bytebuf.get_uint8 b 2 in
+      let index =
+        Int32.to_int (Cursor.u32be (Cursor.reader (Bytebuf.sub b ~pos:3 ~len:4)))
+      in
+      let payload =
+        Bytebuf.init 40 (fun j ->
+            Char.chr (((stream * 197) + (index * 31) + (j * 11) + 3) land 0xff))
+      in
+      let name = Adu.name ~dest_off:(index * 40) ~dest_len:40 ~stream ~index () in
+      Alcotest.(check string)
+        (Printf.sprintf "hostile stream %d ADU %d" stream index)
+        (Oracle.single (Some Checksum.Kind.Crc32) name payload)
+        d)
+    (List.rev !sent)
 
 (* --- The block seam: one 64-byte block ABI under every runner --- *)
 
@@ -585,5 +926,8 @@ let () =
             test_send_value_matches_send_adu_wire;
           Alcotest.test_case "zero-alloc transmit" `Quick
             test_send_value_zero_alloc;
+          qcheck prop_writer_matches_oracle;
+          Alcotest.test_case "loadgen and hostile = oracle" `Quick
+            test_loadgen_hostile_match_oracle;
         ] );
     ]

@@ -36,10 +36,10 @@ let demux_matches_oracle =
         List.map (Ctl.seal integrity)
           (Framing.fragment ~mtu:60 adu
           @ [
-              Ctl.build_close ~stream ~total:4;
-              Ctl.build_done ~stream;
-              Ctl.build_nack ~stream ~have_below:1 [ 2; 3 ];
-              Ctl.build_gone ~stream [ 1 ];
+              Ctl.build (Ctl.write_close ~stream ~total:4);
+              Ctl.build (Ctl.write_done ~stream);
+              Ctl.build (fun b -> Ctl.write_nack b ~stream ~have_below:1 [ 2; 3 ]);
+              Ctl.build (fun b -> Ctl.write_gone b ~stream [ 1 ]);
             ])
       in
       List.length datagrams > 4
@@ -314,10 +314,10 @@ let test_ingress_verdicts () =
   let adu = Adu.make (Adu.name ~stream:9 ~index:1 ()) payload in
   let frag = seal (List.hd (Framing.fragment ~mtu:1200 adu)) in
   accept "valid fragment" 9 frag;
-  accept "valid close" 9 (seal (Ctl.build_close ~stream:9 ~total:2));
-  accept "valid done" 9 (seal (Ctl.build_done ~stream:9));
-  accept "valid nack" 9 (seal (Ctl.build_nack ~stream:9 ~have_below:0 [ 1 ]));
-  accept "valid gone" 9 (seal (Ctl.build_gone ~stream:9 [ 1 ]));
+  accept "valid close" 9 (seal (Ctl.build (Ctl.write_close ~stream:9 ~total:2)));
+  accept "valid done" 9 (seal (Ctl.build (Ctl.write_done ~stream:9)));
+  accept "valid nack" 9 (seal (Ctl.build (fun b -> Ctl.write_nack b ~stream:9 ~have_below:0 [ 1 ])));
+  accept "valid gone" 9 (seal (Ctl.build (fun b -> Ctl.write_gone b ~stream:9 [ 1 ])));
   reject "empty" Ingress.Runt (Bytebuf.of_string "");
   reject "trailer-only" Ingress.Runt (Bytebuf.of_string "\xAD\x00\x00\x00\x00");
   reject "oversize" Ingress.Oversize (Bytebuf.create 513);
@@ -337,7 +337,7 @@ let test_ingress_verdicts () =
    (* total_len > max_total_len: attacker-controlled allocation *)
    reject "huge total_len" Ingress.Frag_header b);
   reject "truncated fragment" Ingress.Frag_header (Bytebuf.take frag 30);
-  (let b = seal (Ctl.build_nack ~stream:9 ~have_below:0 [ 1; 2; 3 ]) in
+  (let b = seal (Ctl.build (fun b -> Ctl.write_nack b ~stream:9 ~have_below:0 [ 1; 2; 3 ])) in
    reject "nack count disagrees" Ingress.Ctl_malformed
      (Bytebuf.take b (Bytebuf.length b - 8)));
   (let b = Bytebuf.create 40 in
@@ -421,7 +421,7 @@ let test_eviction_releases_partials () =
     (fun f -> Server.ingest server ~src:3 ~src_port:2000 (seal f))
     (Framing.fragment ~mtu:77 adu);
   Server.ingest server ~src:3 ~src_port:2000
-    (seal (Ctl.build_close ~stream ~total:1));
+    (seal (Ctl.build (Ctl.write_close ~stream ~total:1)));
   Server.pump server;
   (match Server.session_view server ~peer:3 ~peer_port:2000 ~stream with
   | Some v -> Alcotest.(check bool) "fresh session completed" true v.Server.v_completed
@@ -717,10 +717,10 @@ let test_nothing_beyond_total () =
     | [ f ] -> send f
     | _ -> Alcotest.fail "expected a single fragment"
   in
-  send (Ctl.build_close ~stream ~total:4);
+  send (Ctl.build (Ctl.write_close ~stream ~total:4));
   adu 0;
   adu 10;
-  send (Ctl.build_gone ~stream [ 11 ]);
+  send (Ctl.build (fun b -> Ctl.write_gone b ~stream [ 11 ]));
   for i = 1 to 3 do
     adu i
   done;

@@ -380,6 +380,31 @@ let test_ber_sizeof_allocation () =
   Alcotest.(check int) "ber: sizeof allocates 0 words" 0
     (int_of_float (Gc.minor_words () -. before))
 
+let test_ber_emit_stack_reused () =
+  (* [Ber.emit]'s SEQUENCE-length stack is kept per domain: once it has
+     grown to fit, emitting a value of 4,097 SEQUENCEs again costs no
+     direct major-heap allocation (a fresh 4,097-slot stack per call
+     would go straight to the major heap). *)
+  let v =
+    Value.List (List.init 4096 (fun i -> Value.List [ Value.Int i ]))
+  in
+  let n = Ber.sizeof v in
+  let dst = Bytebuf.create n in
+  let emit () = Ber.emit v (Sink.create ~block:ignore dst) in
+  emit ();
+  let direct () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let before = direct () in
+  for _ = 1 to 20 do
+    emit ()
+  done;
+  Alcotest.(check int) "direct major words over 20 emits" 0
+    (int_of_float (direct () -. before));
+  Alcotest.(check bool) "bytes = Ber.encode" true
+    (Bytebuf.equal dst (Ber.encode v))
+
 (* --- Syntax --- *)
 
 let all_syntaxes v =
@@ -560,6 +585,8 @@ let () =
           Alcotest.test_case "sink block hook" `Quick test_sink_block_hook;
           Alcotest.test_case "xdr int-array range" `Quick test_xdr_int_array_range;
           Alcotest.test_case "encode allocation" `Quick test_encode_allocation;
+          Alcotest.test_case "ber emit stack reused" `Quick
+            test_ber_emit_stack_reused;
           Alcotest.test_case "ber sizeof allocates nothing" `Quick
             test_ber_sizeof_allocation;
           qcheck prop_ber_emit_equal;
