@@ -73,16 +73,24 @@ let at_cap t =
       true
   | _ -> false
 
-(* [acquire] and [release] sit on per-datagram paths: they take the lock
-   by hand, with no closure, and allocate nothing beyond a fresh buffer
-   or a free-list cell. *)
-let acquire t =
+(* Run [f t x] under the lock and unlock on the way out, also when [f]
+   raises. [acquire] and [release] sit on per-datagram paths: they pass
+   top-level functions, so taking the lock allocates no closure. *)
+let with_lock t f x =
   Mutex.lock t.lock;
-  let capped = at_cap t in
-  let buf = if capped then Bytebuf.empty else acquire_locked t in
-  Mutex.unlock t.lock;
-  if capped then raise Exhausted;
-  buf
+  match f t x with
+  | r ->
+      Mutex.unlock t.lock;
+      r
+  | exception e ->
+      Mutex.unlock t.lock;
+      raise e
+
+let acquire_capped t () =
+  if at_cap t then raise Exhausted;
+  acquire_locked t
+
+let acquire t = with_lock t acquire_capped ()
 
 let try_acquire t =
   match acquire t with b -> Some b | exception Exhausted -> None
@@ -91,43 +99,37 @@ let rec mem_phys buf = function
   | [] -> false
   | b :: rest -> b == buf || mem_phys buf rest
 
-let release t buf =
-  if Bytebuf.length buf <> t.buf_size then
-    invalid_arg "Pool.release: buffer size does not match pool";
-  Mutex.lock t.lock;
+let release_locked t buf =
   (* A double release would push the same buffer onto the free list
      twice; two later acquires would then hand out one aliased buffer —
      silent data corruption. Detect both symptoms: the buffer already
      sitting in the free list, and more releases than acquires. *)
-  let error =
-    if mem_phys buf t.free then "Pool.release: buffer already released"
-    else if t.outstanding = 0 then "Pool.release: more releases than acquires"
-    else begin
-      t.outstanding <- t.outstanding - 1;
-      if t.free_count < t.capacity then begin
-        t.free <- buf :: t.free;
-        t.free_count <- t.free_count + 1
-      end;
-      ""
-    end
-  in
-  Mutex.unlock t.lock;
-  if error <> "" then invalid_arg error
+  if mem_phys buf t.free then
+    invalid_arg "Pool.release: buffer already released";
+  if t.outstanding = 0 then
+    invalid_arg "Pool.release: more releases than acquires";
+  t.outstanding <- t.outstanding - 1;
+  if t.free_count < t.capacity then begin
+    t.free <- buf :: t.free;
+    t.free_count <- t.free_count + 1
+  end
 
-let stats t =
-  Mutex.lock t.lock;
-  let s =
-    {
-      buf_size = t.buf_size;
-      allocated = t.allocated;
-      reused = t.reused;
-      outstanding = t.outstanding;
-      high_water = t.high_water;
-      exhausted = t.exhausted;
-    }
-  in
-  Mutex.unlock t.lock;
-  s
+let release t buf =
+  if Bytebuf.length buf <> t.buf_size then
+    invalid_arg "Pool.release: buffer size does not match pool";
+  with_lock t release_locked buf
+
+let snapshot t () =
+  {
+    buf_size = t.buf_size;
+    allocated = t.allocated;
+    reused = t.reused;
+    outstanding = t.outstanding;
+    high_water = t.high_water;
+    exhausted = t.exhausted;
+  }
+
+let stats t = with_lock t snapshot ()
 
 let pp_stats ppf (s : stats) =
   Format.fprintf ppf

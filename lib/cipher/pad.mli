@@ -30,6 +30,13 @@ val word64_at : t -> int64 -> int64
     a fused word loop XOR a pad whose stream offset is not word-aligned
     (ADUs land at arbitrary [dest_off]). Positions must be non-negative. *)
 
+val xor_at : t -> pos:int64 -> i:int -> Bytes.t -> off:int -> len:int -> unit
+(** [xor_at t ~pos ~i bytes ~off ~len] XORs the [len] bytes at
+    [bytes.(off..)] in place with keystream positions [pos + i ..
+    pos + i + len - 1], eight at a time and then bytewise. The position
+    comes as an [int64] base plus an [int] offset so a fused loop over a
+    fixed base boxes nothing: it allocates nothing. *)
+
 val transform_at : t -> pos:int64 -> Bytebuf.t -> unit
 (** XOR the slice in place with keystream bytes [pos, pos+len). Encryption
     and decryption are the same operation; ranges may be processed in any

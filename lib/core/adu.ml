@@ -24,6 +24,8 @@ let make name payload = { name; payload }
 let header_size = 36
 let magic = 0xADF0
 
+let encoded_size t = header_size + Bytebuf.length t.payload
+
 exception Decode_error of string
 
 (* Header layout: magic(2) stream(2) index(4) dest_off(8) dest_len(4)

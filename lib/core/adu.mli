@@ -45,6 +45,8 @@ val magic : int
 (** The 16-bit wire magic at bytes 0–1 of every encoded ADU (0xADF0),
     stored by {!write_header}. *)
 
+val encoded_size : t -> int
+
 exception Decode_error of string
 
 val write_header :

@@ -109,6 +109,11 @@ type msg =
   | Done of { stream : int }
   | Gone of { stream : int; indices : int list }
 
+let stream_of = function
+  | Nack { stream; _ } | Close { stream; _ } | Done { stream }
+  | Gone { stream; _ } ->
+      stream
+
 let read_indices r count =
   let rec go n acc =
     if n = 0 then List.rev acc

@@ -48,6 +48,8 @@ type msg =
   | Gone of { stream : int; indices : int list }
       (** Sender → receiver: [indices] are unrecoverable; stop asking. *)
 
+val stream_of : msg -> int
+
 val parse : Bytebuf.t -> msg option
 (** Parse an unsealed control body. [None] on an unknown tag or a
     truncated message — the caller drops, it never throws. *)

@@ -27,6 +27,16 @@ let frames_of_values ~stream ~syntax values =
       Adu.make name payload)
     (List.combine values places)
 
+let frames_of_timed ~stream triples =
+  List.mapi
+    (fun index (timestamp_us, payload, dest_off) ->
+      let name =
+        Adu.name ~dest_off ~dest_len:(Bytebuf.length payload) ~timestamp_us
+          ~stream ~index ()
+      in
+      Adu.make name payload)
+    triples
+
 (* Fragment wire format:
    magic(1)=0xAD stream(2) index(4) frag_idx(2) nfrags(2) total_len(4)
    frag_off(4) = 19 bytes, then the chunk. Fragments carry slices of the
@@ -165,6 +175,9 @@ let reassembler ?pool ~deliver () =
 let stats t = t.stats
 let pending_adus t = Hashtbl.length t.partials
 let retired_count t = Hashtbl.length t.retired
+
+let pending_bytes t =
+  Hashtbl.fold (fun _ p acc -> acc + p.bytes) t.partials 0
 
 let release_owner t p =
   match (t.pool, p.owner) with

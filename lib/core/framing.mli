@@ -31,6 +31,11 @@ val frames_of_values :
     the encoding in the receiver's stream. Raises [Wire.Syntax.Error] if a
     value does not fit the syntax. *)
 
+val frames_of_timed :
+  stream:int -> (int64 * Bytebuf.t * int) list -> Adu.t list
+(** For continuous media: [(timestamp_us, payload, dest_off)] triples,
+    e.g. (frame time, tile bytes, tile id). *)
+
 (** {1 Fragmentation} *)
 
 val fragment_header_size : int
@@ -142,6 +147,8 @@ val stats : reassembler -> reasm_stats
 
 val pending_adus : reassembler -> int
 (** ADUs with at least one but not all fragments. *)
+
+val pending_bytes : reassembler -> int
 
 val forget : reassembler -> index:int -> unit
 (** Drop partial state for an ADU (e.g. the sender declared it gone) and

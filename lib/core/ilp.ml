@@ -424,18 +424,16 @@ let rt_tail rt db off i len =
         crc := Checksum.Crc32.feed_byte !crc b
       done;
       s.crc <- !crc
-  | R_pad _ | R_rc4 _ | R_aead _ ->
+  | R_pad { pad; pos } -> Cipher.Pad.xor_at pad ~pos ~i db ~off ~len
+  | R_rc4 _ | R_aead _ ->
       for j = 0 to len - 1 do
         let b = Char.code (Bytes.unsafe_get db (off + j)) in
         let b =
           match rt with
-          | R_pad { pad; pos } ->
-              b
-              lxor Cipher.Pad.byte_at pad (Int64.add pos (Int64.of_int (i + j)))
           | R_rc4 rc4 -> b lxor Cipher.Rc4.keystream_byte rc4
           | R_aead { a; seal = true } -> Cipher.Aead.seal_byte a (i + j) b
           | R_aead { a; seal = false } -> Cipher.Aead.open_byte a (i + j) b
-          | R_inet _ | R_gen _ | R_crc32 _ | R_copy -> b
+          | R_inet _ | R_gen _ | R_crc32 _ | R_pad _ | R_copy -> b
         in
         Bytes.unsafe_set db (off + j) (Char.unsafe_chr b)
       done
@@ -443,7 +441,7 @@ let rt_tail rt db off i len =
 
 (* The block op: 64 bytes in place at [db.(off..)], stream position [i]
    (64-aligned). The production stages — Internet, CRC-32, AEAD and
-   copy — allocate nothing here. *)
+   copy — and the pad allocate nothing here. *)
 let rt_block rt db off i =
   match rt with
   | R_inet s ->
@@ -463,14 +461,7 @@ let rt_block rt db off i =
       if seal then Cipher.Aead.seal_block64 a ~pos:i db ~off
       else Cipher.Aead.open_block64 a ~pos:i db ~off
   | R_copy -> ()
-  | R_pad { pad; pos } ->
-      for k = 0 to 7 do
-        let o = off + (8 * k) in
-        let ks =
-          Cipher.Pad.word64_at pad (Int64.add pos (Int64.of_int (i + (8 * k))))
-        in
-        Bytes.set_int64_le db o (Int64.logxor (Bytes.get_int64_le db o) ks)
-      done
+  | R_pad { pad; pos } -> Cipher.Pad.xor_at pad ~pos ~i db ~off ~len:64
   | R_gen _ | R_rc4 _ -> rt_tail rt db off i 64
 
 let rt_finish = function

@@ -218,6 +218,7 @@ let nudge t =
     if not (is_done t k) then Queue.add k t.reclose
   done
 
+let pending_repairs t = Queue.length t.regen + Queue.length t.reclose
 let done_count t = t.done_total
 let finished t = emitted_all t && t.done_total = t.cfg.sessions
 let stats t = t.stats

@@ -69,6 +69,7 @@ val emitted_all : t -> bool
 (** The initial emission schedule (all ADUs + one CLOSE per session) has
     gone out. *)
 
+val pending_repairs : t -> int
 val done_count : t -> int
 
 val finished : t -> bool

@@ -362,9 +362,9 @@ let test_send_value_zero_alloc () =
     Alf_transport.sender_io ~sched:(Netsim.Engine.sched engine) ~io ~peer:2 ~peer_port:7000 ~port:7001
       ~stream:1 ~policy:Recovery.No_recovery ~tx_pool ()
   in
-  (* No [Xor_pad]: its block op allocates per block, which would swamp
-     the per-fragment comparison below. *)
-  let plan = [ Ilp.Checksum Checksum.Kind.Internet ] in
+  let plan =
+    [ Ilp.Checksum Checksum.Kind.Internet; Ilp.Xor_pad { key = 7L; pos = 0L } ]
+  in
   let one = Ilp.Marshal_ber (Value.int_array (Array.init 100 (fun i -> i * 17)))
   and four = Ilp.Marshal_ber (Value.Octets (String.make 5000 'f')) in
   let next = ref 0 and now = ref 0.0 in
@@ -888,6 +888,7 @@ let test_block_ops_allocate_nothing () =
       Ilp.Checksum Checksum.Kind.Crc32;
       Ilp.Aead_seal aead_params;
       Ilp.Aead_open aead_params;
+      Ilp.Xor_pad { key = 7L; pos = 3L };
       Ilp.Deliver_copy;
     ]
 
