@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build check test bench bench-quick bench-smoke bench-udp bench-serve bench-hostile perf-smoke secure-smoke udp-smoke serve-smoke hostile-smoke perfbench-smoke soak soak-smoke udp-soak examples cli clean outputs
+.PHONY: all build check test bench bench-quick bench-smoke bench-udp bench-serve bench-hostile perf-smoke secure-smoke udp-smoke serve-smoke hostile-smoke perfbench-smoke ledger-check soak soak-smoke udp-soak examples cli clean outputs
 
 all: build
 
@@ -9,9 +9,9 @@ all: build
 # quota), the fused AEAD record-layer gate (E20), the real-socket
 # loopback self-test with its zero-allocation gate (E16), the sharded
 # many-session engine self-test on both backends (E17), the
-# adversarial-ingress self-test under byzantine load (E18), and the
-# end-to-end benchmark's smoke test (perfbench/).
-check: test perf-smoke secure-smoke udp-smoke serve-smoke hostile-smoke perfbench-smoke
+# adversarial-ingress self-test under byzantine load (E18), the
+# end-to-end benchmark's smoke test (perfbench/), and the count ledger.
+check: test perf-smoke secure-smoke udp-smoke serve-smoke hostile-smoke perfbench-smoke ledger-check
 
 build:
 	dune build @all
@@ -100,6 +100,14 @@ hostile-smoke:
 # negative case; and serve-lossy's repeatability across processes.
 perfbench-smoke:
 	python3 perfbench/smoke.py
+
+# The count ledger: every workload traced at small sizes, failing when a
+# per-layer GC-words count, a per-ADU count or serve-lossy's repair
+# signature rises above bench/baselines/LEDGER.json by more than the
+# spread recorded with it. A change that lowers a count rewrites the
+# file (python3 bench/ledger.py --write) in the same commit.
+ledger-check:
+	python3 bench/ledger.py
 
 # The soak matrix on real sockets: loss/corruption injected at the
 # datagram seam, same six robustness invariants as `make soak`.

@@ -826,12 +826,13 @@ let e11_fec_vs_retransmission () =
       let reasm =
         Framing.reassembler ~deliver:(fun _ -> incr complete) ()
       in
+      let v = Framing.view () in
       let d =
         Fec.decoder ~deliver:(fun frag ->
             incr got;
-            match Framing.parse_fragment frag with
-            | info -> Framing.push reasm info
-            | exception Framing.Frag_error _ -> ())
+            match Framing.read v None frag with
+            | Framing.Valid -> Framing.push reasm v
+            | _ -> ())
           ()
       in
       List.iter
@@ -1078,18 +1079,22 @@ let e14_ilp_compile () =
   let reasm = Framing.reassembler ~pool:reasm_pool ~deliver:(Stage2.deliver_fn stage) () in
   let payload = Bytebuf.take (fresh_workload ()) adu_bytes in
   let frags =
-    List.map Framing.parse_fragment
-      (Framing.fragment ~mtu:1500
-         (Adu.make
-            (Adu.name ~stream:0 ~index:0 ~dest_off:0 ~dest_len:adu_bytes ())
-            payload))
+    Framing.fragment ~mtu:1500
+      (Adu.make
+         (Adu.name ~stream:0 ~index:0 ~dest_off:0 ~dest_len:adu_bytes ())
+         payload)
   in
   (* Each push re-opens index 0 ([unretire] drops the mark its last
-     completion left), so every one reassembles and delivers. *)
+     completion left), so every one reassembles and delivers. Each
+     fragment is read in place, as a receiver reads it. *)
+  let v = Framing.view () in
   let pushes = ref 0 in
   let push_adu () =
     Framing.unretire reasm ~index:0;
-    List.iter (Framing.push reasm) frags;
+    List.iter
+      (fun dg ->
+        if Framing.read v None dg = Framing.Valid then Framing.push reasm v)
+      frags;
     incr pushes
   in
   push_adu () (* warm the pools and the plan cache *);

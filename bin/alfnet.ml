@@ -1942,13 +1942,10 @@ let run_serve_backend ?hostile ?secure backend ~sessions ~adus ~payload
 let stage0_overhead_row ~payload clean =
   let integrity = Serve.default_config.Serve.integrity in
   let rx_buf_size = serve_rx_buf_size ~payload in
-  let limits =
-    {
-      Ingress.trailer =
-        (match integrity with Some _ -> Ctl.trailer_size | None -> 0);
-      max_len = rx_buf_size;
-      max_total_len = Serve.default_config.Serve.max_adu + Adu.header_size;
-    }
+  let view =
+    Framing.view ~max_len:rx_buf_size
+      ~max_total_len:(Serve.default_config.Serve.max_adu + Adu.header_size)
+      ()
   in
   let payload_buf = Bytebuf.create payload in
   Rng.fill_bytes (Rng.create ~seed:0x57A6E0L) payload_buf;
@@ -1968,9 +1965,11 @@ let stage0_overhead_row ~payload clean =
   let sink = ref 0 in
   let spin n =
     for i = 0 to n - 1 do
-      match Ingress.validate limits dgs.(i mod k) with
-      | Ingress.Accept s -> sink := !sink + s
-      | Ingress.Reject _ -> ()
+      match
+        Ingress.validate view (Framing.read_layout view integrity dgs.(i mod k))
+      with
+      | None -> sink := !sink + view.Framing.stream
+      | Some _ -> ()
     done
   in
   spin (iters / 10);

@@ -16,10 +16,12 @@ let created = Atomic.make 0
 
 let created_total () = Atomic.get created
 
-let create len =
-  if len < 0 then invalid_arg "Bytebuf.create: negative length";
+let create_padded len ~pad =
+  if len < 0 || pad < 0 then invalid_arg "Bytebuf.create: negative length";
   Atomic.incr created;
-  { data = Bytes.make len '\000'; off = 0; len }
+  { data = Bytes.make (len + pad) '\000'; off = 0; len }
+
+let create len = create_padded len ~pad:0
 
 let of_bytes b = { data = b; off = 0; len = Bytes.length b }
 let of_string s = of_bytes (Bytes.of_string s)
@@ -54,6 +56,14 @@ let set_be t pos v ~bytes =
   for i = 0 to bytes - 1 do
     set t (pos + i) (Char.unsafe_chr ((v asr (8 * (bytes - 1 - i))) land 0xff))
   done
+
+let get_be t pos ~bytes =
+  check_range t pos bytes "Bytebuf.get_be";
+  let v = ref 0 in
+  for i = 0 to bytes - 1 do
+    v := (!v lsl 8) lor Char.code (Bytes.unsafe_get t.data (t.off + pos + i))
+  done;
+  !v
 
 let set_uint8 t i v =
   if v < 0 || v > 0xff then invalid_arg "Bytebuf.set_uint8: not a byte";

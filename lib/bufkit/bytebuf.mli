@@ -22,6 +22,11 @@ val create : int -> t
 (** [create len] is a fresh zero-filled slice of [len] bytes backed by new
     storage. Raises [Invalid_argument] if [len < 0]. *)
 
+val create_padded : int -> pad:int -> t
+(** [create_padded len ~pad] is [create len] over storage with [pad]
+    spare bytes past the view, which the slice's owner may use for its
+    own bookkeeping ({!Pool} marks its free buffers there). *)
+
 val of_bytes : Bytes.t -> t
 (** [of_bytes b] views all of [b]. The slice aliases [b]: writes through
     either are visible to both. *)
@@ -70,6 +75,11 @@ val set_uint8 : t -> int -> int -> unit
 val set_be : t -> int -> int -> bytes:int -> unit
 (** [set_be t pos v ~bytes] stores the low [bytes] bytes of [v] at [pos],
     big-endian (sign-extended beyond 63 bits). *)
+
+val get_be : t -> int -> bytes:int -> int
+(** [get_be t pos ~bytes] reads [bytes] bytes at [pos] as a big-endian
+    unsigned integer, the mirror of {!set_be} (an 8-byte value keeps its
+    low 63 bits). One range check, no allocation. *)
 
 val unsafe_get : t -> int -> char
 val unsafe_set : t -> int -> char -> unit

@@ -19,7 +19,7 @@ type t = {
   buf_size : int;
   capacity : int;
   max_outstanding : int option;
-  mutable free : Bytebuf.t list;
+  free : Bytebuf.t array;  (* a stack: slots [0, free_count) are free *)
   mutable free_count : int;
   mutable allocated : int;
   mutable reused : int;
@@ -40,7 +40,7 @@ let create ?(capacity = 64) ?max_outstanding ~buf_size () =
     buf_size;
     capacity;
     max_outstanding;
-    free = [];
+    free = Array.make capacity Bytebuf.empty;
     free_count = 0;
     allocated = 0;
     reused = 0;
@@ -49,18 +49,32 @@ let create ?(capacity = 64) ?max_outstanding ~buf_size () =
     exhausted = 0;
   }
 
+(* A buffer the pool makes carries one byte past its [buf_size]-byte
+   view: [free_mark] while it sits in the free stack, 0 otherwise. A
+   2,049-byte [Bytes] takes the same heap words as a 2,048-byte one. *)
+let free_mark = '\001'
+
+let is_pools t buf =
+  Bytebuf.offset buf = 0 && Bytes.length (Bytebuf.data buf) = t.buf_size + 1
+
+let set_mark t buf c =
+  if is_pools t buf then Bytes.unsafe_set (Bytebuf.data buf) t.buf_size c
+
 let acquire_locked t =
   let buf =
-    match t.free with
-    | b :: rest ->
-        t.free <- rest;
-        t.free_count <- t.free_count - 1;
-        t.reused <- t.reused + 1;
-        Bytebuf.fill b '\000';
-        b
-    | [] ->
-        t.allocated <- t.allocated + 1;
-        Bytebuf.create t.buf_size
+    if t.free_count > 0 then begin
+      t.free_count <- t.free_count - 1;
+      let b = t.free.(t.free_count) in
+      t.free.(t.free_count) <- Bytebuf.empty;
+      t.reused <- t.reused + 1;
+      set_mark t b '\000';
+      Bytebuf.fill b '\000';
+      b
+    end
+    else begin
+      t.allocated <- t.allocated + 1;
+      Bytebuf.create_padded t.buf_size ~pad:1
+    end
   in
   t.outstanding <- t.outstanding + 1;
   if t.outstanding > t.high_water then t.high_water <- t.outstanding;
@@ -95,23 +109,31 @@ let acquire t = with_lock t acquire_capped ()
 let try_acquire t =
   match acquire t with b -> Some b | exception Exhausted -> None
 
-let rec mem_phys buf = function
-  | [] -> false
-  | b :: rest -> b == buf || mem_phys buf rest
+let in_free t buf =
+  let i = ref 0 in
+  while !i < t.free_count && t.free.(!i) != buf do
+    incr i
+  done;
+  !i < t.free_count
 
 let release_locked t buf =
-  (* A double release would push the same buffer onto the free list
+  (* A double release would push the same buffer onto the free stack
      twice; two later acquires would then hand out one aliased buffer —
      silent data corruption. Detect both symptoms: the buffer already
-     sitting in the free list, and more releases than acquires. *)
-  if mem_phys buf t.free then
-    invalid_arg "Pool.release: buffer already released";
+     sitting in the free stack, and more releases than acquires. Only a
+     buffer whose mark says free, or one the pool did not make, is
+     looked for in the stack, so a legal release costs O(1). *)
+  if
+    ((not (is_pools t buf)) || Bytes.get (Bytebuf.data buf) t.buf_size = free_mark)
+    && in_free t buf
+  then invalid_arg "Pool.release: buffer already released";
   if t.outstanding = 0 then
     invalid_arg "Pool.release: more releases than acquires";
   t.outstanding <- t.outstanding - 1;
   if t.free_count < t.capacity then begin
-    t.free <- buf :: t.free;
-    t.free_count <- t.free_count + 1
+    t.free.(t.free_count) <- buf;
+    t.free_count <- t.free_count + 1;
+    set_mark t buf free_mark
   end
 
 let release t buf =

@@ -50,7 +50,11 @@ val release : t -> Bytebuf.t -> unit
     outstanding buffers at all. [stats.outstanding] therefore never goes
     negative. The check is best-effort: a double release of a buffer the
     pool dropped at capacity, or a release of a foreign same-sized buffer
-    while others are outstanding, cannot be told apart from legal use. *)
+    while others are outstanding, cannot be told apart from legal use.
+
+    A buffer the pool made marks itself while it is free, so releasing it
+    is O(1) and allocates nothing, however many buffers are free; a
+    foreign buffer is looked for in the free list. *)
 
 val stats : t -> stats
 val pp_stats : Format.formatter -> stats -> unit

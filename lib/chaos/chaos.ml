@@ -73,39 +73,35 @@ let auth_corrupting_dgram ~rng ~rate ~integrity (d : Alf_core.Dgram.t) =
   else
     let open Bufkit in
     let open Alf_core in
-    let trailer =
-      match integrity with Some _ -> Ctl.trailer_size | None -> 0
-    in
-    let adu_pos = Framing.fragment_header_size in
+    let v = Framing.view () in
     let flip buf =
-      let body = Bytebuf.length buf - trailer in
-      if body <= adu_pos + Adu.header_size + Secure.Record.overhead then buf
-      else
-        match Framing.parse_fragment_res (Bytebuf.take buf body) with
-        | Ok f
-          when f.Framing.nfrags = 1
-               && Bytebuf.length f.Framing.chunk = body - adu_pos -> (
-            match Adu.decode_view_res f.Framing.chunk with
-            | Error _ -> buf
-            | Ok adu ->
-                let buf = Bytebuf.copy buf in
-                (* One bit, somewhere in the 16-byte tag at the very end
-                   of the sealed payload. *)
-                let pos = body - 1 - Rng.int rng ~bound:16 in
-                Bytebuf.set_uint8 buf pos
-                  (Bytebuf.get_uint8 buf pos lxor (1 lsl Rng.int rng ~bound:8));
-                (* Re-true the ADU CRC and the datagram trailer over the
-                   damaged bytes: the same writer the sender used. *)
-                let payload = adu_pos + Adu.header_size in
-                ignore
-                  (Framing.seal_single integrity buf ~stream:f.Framing.stream
-                     adu.Adu.name ~plen:(body - payload)
-                     ~payload_crc:
-                       (Checksum.Crc32.digest
-                          (Bytebuf.sub buf ~pos:payload
-                             ~len:(body - payload))));
-                buf)
-        | Ok _ | Error _ -> buf
+      (* The layout only: the trailer is about to be re-trued anyway. *)
+      match Framing.read_layout v integrity buf with
+      | Framing.Valid
+        when v.Framing.kind = Framing.Data
+             && v.Framing.nfrags = 1
+             && v.Framing.chunk_len > Adu.header_size + Secure.Record.overhead
+             && Adu.read_header v.Framing.adu buf ~pos:v.Framing.chunk_off
+                  ~len:v.Framing.chunk_len ->
+          let body = v.Framing.chunk_off + v.Framing.chunk_len in
+          let buf = Bytebuf.copy buf in
+          (* One bit, somewhere in the 16-byte tag at the very end of the
+             sealed payload. *)
+          let pos = body - 1 - Rng.int rng ~bound:16 in
+          Bytebuf.set_uint8 buf pos
+            (Bytebuf.get_uint8 buf pos lxor (1 lsl Rng.int rng ~bound:8));
+          (* Re-true the ADU CRC and the datagram trailer over the damaged
+             bytes: the same writer the sender used. *)
+          let payload = v.Framing.chunk_off + Adu.header_size in
+          ignore
+            (Framing.seal_single integrity buf ~stream:v.Framing.stream
+               (Adu.of_header v.Framing.adu buf ~pos:v.Framing.chunk_off).Adu.name
+               ~plen:(body - payload)
+               ~payload_crc:
+                 (Checksum.Crc32.digest
+                    (Bytebuf.sub buf ~pos:payload ~len:(body - payload))));
+          buf
+      | _ -> buf
     in
     {
       d with

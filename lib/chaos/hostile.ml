@@ -278,5 +278,3 @@ let step t ~budget =
   budget
 
 let stats t = t.stats
-let malformed_sent t = t.stats.malformed
-let wellformed_sent t = t.stats.wellformed

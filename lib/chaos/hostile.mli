@@ -69,5 +69,3 @@ val step : t -> budget:int -> int
     returns the number sent. Allocation-free per datagram. *)
 
 val stats : t -> stats
-val malformed_sent : t -> int
-val wellformed_sent : t -> int

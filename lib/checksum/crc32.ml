@@ -95,9 +95,9 @@ let feed_sub st buf ~pos ~len =
   !st
 
 let feed st buf = feed_sub st buf ~pos:0 ~len:(Bytebuf.length buf)
-let finish st = Int32.of_int ((st lxor 0xFFFFFFFF) land 0xFFFFFFFF)
-let digest_sub buf ~pos ~len =
-  (feed_sub init buf ~pos ~len lxor 0xFFFFFFFF) land 0xFFFFFFFF
+let finish_int st = (st lxor 0xFFFFFFFF) land 0xFFFFFFFF
+let finish st = Int32.of_int (finish_int st)
+let digest_sub buf ~pos ~len = finish_int (feed_sub init buf ~pos ~len)
 let digest buf = finish (feed init buf)
 let digest_string s = digest (Bytebuf.of_string s)
 

@@ -24,6 +24,10 @@ val feed_block64 : state -> Bytes.t -> int -> state
 val feed : state -> Bytebuf.t -> state
 val feed_sub : state -> Bytebuf.t -> pos:int -> len:int -> state
 val finish : state -> int32
+
+val finish_int : state -> int
+(** {!finish} widened to a non-negative [int]: no boxed result. *)
+
 val digest : Bytebuf.t -> int32
 
 val digest_sub : Bytebuf.t -> pos:int -> len:int -> int

@@ -24,10 +24,6 @@ let make name payload = { name; payload }
 let header_size = 36
 let magic = 0xADF0
 
-let encoded_size t = header_size + Bytebuf.length t.payload
-
-exception Decode_error of string
-
 (* Header layout: magic(2) stream(2) index(4) dest_off(8) dest_len(4)
    timestamp_us(8) plen(4) crc(4). *)
 let write_header buf ~pos name ~plen ~payload_crc =
@@ -59,57 +55,55 @@ let encode t =
     ~payload_crc:(Checksum.Crc32.digest t.payload);
   buf
 
-(* The total decoder: malformed input is an [Error _], never an
-   exception. After the length check every read below is within the
-   36-byte header, so no [Cursor.Underflow] can escape. The raising
-   {!decode_view} is a thin wrapper kept for existing callers. *)
-let decode_view_res buf =
-  if Bytebuf.length buf < header_size then
-    Error
-      (Printf.sprintf "ADU of %d bytes is shorter than the header"
-         (Bytebuf.length buf))
-  else
-    let r = Cursor.reader buf in
-    if Cursor.u16be r <> magic then Error "bad ADU magic"
-    else
-      let stream = Cursor.u16be r in
-      let index = Int32.to_int (Cursor.u32be r) land 0xFFFFFFFF in
-      let dest_off = Int64.to_int (Cursor.u64be r) in
-      let dest_len = Int32.to_int (Cursor.u32be r) land 0xFFFFFFFF in
-      let timestamp_us = Cursor.u64be r in
-      let plen = Int32.to_int (Cursor.u32be r) land 0xFFFFFFFF in
-      let got_crc = Cursor.u32be r in
-      if Bytebuf.length buf <> header_size + plen then
-        Error
-          (Printf.sprintf "ADU length field %d does not match %d available"
-             plen
-             (Bytebuf.length buf - header_size))
-      else
-        (* The CRC is computed with its own field zeroed: feed the bytes
-           around the field plus four literal zeros instead of copying the
-           whole unit into a zeroed scratch buffer. *)
-        let crc =
-          let st = Checksum.Crc32.feed_sub Checksum.Crc32.init buf ~pos:0 ~len:32 in
-          let st = ref st in
-          for _ = 1 to 4 do
-            st := Checksum.Crc32.feed_byte !st 0
-          done;
-          Checksum.Crc32.finish
-            (Checksum.Crc32.feed_sub !st buf ~pos:header_size ~len:plen)
-        in
-        if not (Int32.equal crc got_crc) then Error "ADU CRC mismatch"
-        else
-          let payload = Bytebuf.sub buf ~pos:header_size ~len:plen in
-          Ok { name = { stream; index; dest_off; dest_len; timestamp_us }; payload }
+type header = {
+  mutable h_stream : int;
+  mutable h_index : int;
+  mutable h_dest_off : int;
+  mutable h_dest_len : int;
+  mutable h_ts_hi : int;
+  mutable h_ts_lo : int;
+  mutable h_plen : int;
+}
 
-let decode_view buf =
-  match decode_view_res buf with
-  | Ok t -> t
-  | Error msg -> raise (Decode_error msg)
+let header () =
+  { h_stream = 0; h_index = 0; h_dest_off = 0; h_dest_len = 0; h_ts_hi = 0;
+    h_ts_lo = 0; h_plen = 0 }
 
-let decode buf =
-  let t = decode_view buf in
-  { t with payload = Bytebuf.copy t.payload }
+(* The mirror of [write_header], total: every read sits inside the bytes
+   the length checks prove present. The CRC runs with its own field
+   zeroed — the bytes around it plus four literal zeros, no copy. *)
+let read_header h buf ~pos ~len =
+  len >= header_size
+  && pos >= 0
+  && pos + len <= Bytebuf.length buf
+  && Bytebuf.get_be buf pos ~bytes:2 = magic
+  && begin
+       h.h_stream <- Bytebuf.get_be buf (pos + 2) ~bytes:2;
+       h.h_index <- Bytebuf.get_be buf (pos + 4) ~bytes:4;
+       h.h_dest_off <- Bytebuf.get_be buf (pos + 8) ~bytes:8;
+       h.h_dest_len <- Bytebuf.get_be buf (pos + 16) ~bytes:4;
+       h.h_ts_hi <- Bytebuf.get_be buf (pos + 20) ~bytes:4;
+       h.h_ts_lo <- Bytebuf.get_be buf (pos + 24) ~bytes:4;
+       h.h_plen <- Bytebuf.get_be buf (pos + 28) ~bytes:4;
+       len = header_size + h.h_plen
+     end
+  &&
+  let open Checksum.Crc32 in
+  let st = feed_sub init buf ~pos ~len:32 in
+  let st = feed_byte (feed_byte (feed_byte (feed_byte st 0) 0) 0) 0 in
+  finish_int (feed_sub st buf ~pos:(pos + header_size) ~len:h.h_plen)
+  = Bytebuf.get_be buf (pos + 32) ~bytes:4
+
+let of_header h buf ~pos =
+  let timestamp_us =
+    Int64.logor (Int64.shift_left (Int64.of_int h.h_ts_hi) 32) (Int64.of_int h.h_ts_lo)
+  in
+  {
+    name =
+      { stream = h.h_stream; index = h.h_index; dest_off = h.h_dest_off;
+        dest_len = h.h_dest_len; timestamp_us };
+    payload = Bytebuf.sub buf ~pos:(pos + header_size) ~len:h.h_plen;
+  }
 
 let pp ppf t =
   Format.fprintf ppf "%a len=%d" pp_name t.name (Bytebuf.length t.payload)

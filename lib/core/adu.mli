@@ -45,10 +45,6 @@ val magic : int
 (** The 16-bit wire magic at bytes 0–1 of every encoded ADU (0xADF0),
     stored by {!write_header}. *)
 
-val encoded_size : t -> int
-
-exception Decode_error of string
-
 val write_header :
   Bytebuf.t -> pos:int -> name -> plen:int -> payload_crc:int32 -> unit
 (** Lay the 36-byte header (magic, name, payload length, CRC-32) at [pos]
@@ -61,20 +57,28 @@ val encode : t -> Bytebuf.t
 (** Header followed by payload, in one fresh buffer: a copy of the
     payload plus {!write_header}. *)
 
-val decode : Bytebuf.t -> t
-(** Raises {!Decode_error} on truncation, bad magic or CRC mismatch. The
-    payload is a fresh copy. *)
+type header = private {
+  mutable h_stream : int;
+  mutable h_index : int;
+  mutable h_dest_off : int;
+  mutable h_dest_len : int;
+  mutable h_ts_hi : int;  (** [timestamp_us]'s upper 32 bits, unboxed. *)
+  mutable h_ts_lo : int;
+  mutable h_plen : int;
+}
+(** One header's fields, filled in place by {!read_header} into a record
+    the caller owns and reuses. *)
 
-val decode_view : Bytebuf.t -> t
-(** Like {!decode}, but the payload {e aliases} the input buffer — zero
-    copies, zero allocations. The caller owns the lifetime question: if
-    the buffer is pooled or reused (e.g. a {!Bufkit.Pool} reassembly
-    buffer), the payload is only valid until the buffer is released, so
-    consume or copy it before then. *)
+val header : unit -> header
 
-val decode_view_res : Bytebuf.t -> (t, string) result
-(** Total form of {!decode_view}: malformed input (truncation, bad magic,
-    length mismatch, CRC mismatch) is an [Error _], never an exception.
-    The form server dispatch and other hostile-input paths use. *)
+val read_header : header -> Bytebuf.t -> pos:int -> len:int -> bool
+(** Check the [len]-byte encoded ADU at [pos] — length, magic, payload
+    length, CRC-32 — and fill [h]; [false] (and garbage in [h]) when a
+    check fails. Total, and allocates nothing. Every ADU header is read
+    here. *)
+
+val of_header : header -> Bytebuf.t -> pos:int -> t
+(** The ADU {!read_header} checked at [pos]. Its payload {e aliases}
+    [buf]: consume or copy it before a pooled buffer is reused. *)
 
 val pp : Format.formatter -> t -> unit

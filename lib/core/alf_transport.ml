@@ -96,6 +96,7 @@ type sender = {
   mutable next_fec_group : int;  (* monotone across batches, mod 0x10000 *)
   mutable gone_announced : (int, unit) Hashtbl.t;
   mutable s_tracer : (string -> unit) option;
+  s_view : Framing.view;  (* the reader's view of each control datagram *)
 }
 
 let trace tracer fmt =
@@ -298,7 +299,8 @@ let send_gone s indices =
       send_ctl_now s ~room:(5 + (4 * List.length indices)) (fun buf ->
           Ctl.write_gone buf ~stream:s.stream indices)
 
-let handle_nack s ~have_below ~indices =
+let handle_nack s (v : Framing.view) =
+  let have_below = v.Framing.have_below and count = v.Framing.count in
   s.stats.nacks_received <- s.stats.nacks_received + 1;
   Obs.Counter.incr (Obs.Registry.counter "alf.sender.nacks_received");
   (* Evidence the receiver is alive: CLOSE announcements can return to
@@ -312,7 +314,6 @@ let handle_nack s ~have_below ~indices =
   (* The NACK volume against what is still outstanding is a (noisy) loss
      estimate; an EWMA of it decides when always-send-parity beats
      per-loss round trips. *)
-  let count = List.length indices in
   let outstanding = max 1 (s.max_index + 1 - have_below) in
   let sample = min 1.0 (float_of_int count /. float_of_int outstanding) in
   s.loss_ewma <- (0.8 *. s.loss_ewma) +. (0.2 *. sample);
@@ -325,25 +326,25 @@ let handle_nack s ~have_below ~indices =
     Obs.Counter.incr (Obs.Registry.counter "alf.sender.fec_activated")
   end;
   let gone = ref [] in
-  List.iter
-    (fun index ->
-      (* A request for an ADU whose fragments are still waiting in the
-         output queue is stale: the data is already on its way. *)
-      if not (Hashtbl.mem s.queued_frags index) then
-        match Recovery.recall s.store ~index with
-        | Recovery.Data encoded ->
-            strace s "retransmit ADU %d (%d bytes)" index
-              (Bytebuf.length encoded);
-            s.stats.adus_retransmitted <- s.stats.adus_retransmitted + 1;
-            s.stats.bytes_retransmitted <-
-              s.stats.bytes_retransmitted + Bytebuf.length encoded;
-            Obs.Counter.incr (Obs.Registry.counter "alf.sender.retransmits");
-            Obs.Counter.add
-              (Obs.Registry.counter "alf.sender.bytes_retransmitted")
-              (Bytebuf.length encoded);
-            enqueue_frags s ~index encoded ~total_len:(Bytebuf.length encoded)
-        | Recovery.Gone -> gone := index :: !gone)
-    indices;
+  for i = 0 to count - 1 do
+    let index = Framing.index_at v i in
+    (* A request for an ADU whose fragments are still waiting in the
+       output queue is stale: the data is already on its way. *)
+    if not (Hashtbl.mem s.queued_frags index) then
+      match Recovery.recall s.store ~index with
+      | Recovery.Data encoded ->
+          strace s "retransmit ADU %d (%d bytes)" index
+            (Bytebuf.length encoded);
+          s.stats.adus_retransmitted <- s.stats.adus_retransmitted + 1;
+          s.stats.bytes_retransmitted <-
+            s.stats.bytes_retransmitted + Bytebuf.length encoded;
+          Obs.Counter.incr (Obs.Registry.counter "alf.sender.retransmits");
+          Obs.Counter.add
+            (Obs.Registry.counter "alf.sender.bytes_retransmitted")
+            (Bytebuf.length encoded);
+          enqueue_frags s ~index encoded ~total_len:(Bytebuf.length encoded)
+      | Recovery.Gone -> gone := index :: !gone
+  done;
   send_gone s (List.rev !gone)
 
 let rec close_loop s =
@@ -378,21 +379,20 @@ let rec close_loop s =
   end
   else s.close_timer <- None
 
-let sender_handle s ~src:_ ~src_port:_ payload =
+let sender_handle s ~src:_ ~src_port:_ dg =
   if s.s_killed then ()
   else
-    match Ctl.unseal s.config.integrity payload with
-    | None ->
+    let v = s.s_view in
+    match Framing.read v s.config.integrity dg with
+    | Framing.Bad_crc ->
         Obs.Counter.incr
           (Obs.Registry.counter "alf.sender.ctl_corrupt_dropped")
-    | Some payload -> (
-        (* Truncated or foreign control parses to [None] and is ignored. *)
-        match Ctl.parse payload with
-        | Some (Ctl.Nack { stream; have_below; indices })
-          when stream = s.stream && not s.done_received ->
-            handle_nack s ~have_below ~indices
-        | Some (Ctl.Done { stream })
-          when stream = s.stream && not s.done_received ->
+    | Framing.Valid
+      when v.Framing.stream = s.stream && not s.done_received -> (
+        (* Malformed or foreign traffic is ignored. *)
+        match v.Framing.kind with
+        | Framing.Nack -> handle_nack s v
+        | Framing.Done ->
             (* Duplicate DONEs (the first one's answer crossed a re-CLOSE)
                are idempotent. Everything is confirmed delivered (or
                gone): the transport no longer needs its retransmission
@@ -401,7 +401,8 @@ let sender_handle s ~src:_ ~src_port:_ payload =
                closures keep firing into a dead session. *)
             s.done_received <- true;
             teardown_sender s
-        | Some _ | None -> ())
+        | Framing.Data | Framing.Close | Framing.Gone | Framing.Fec -> ())
+    | _ -> ()
 
 let sender_io ~sched ~io ~peer ~peer_port ~port ~stream ~policy ?secure
     ?tx_pool ?(config = default_sender_config) () =
@@ -454,6 +455,7 @@ let sender_io ~sched ~io ~peer ~peer_port ~port ~stream ~policy ?secure
       next_fec_group = 0;
       gone_announced = Hashtbl.create 16;
       s_tracer = None;
+      s_view = Framing.view ();
     }
   in
   io.Dgram.bind ~port (sender_handle s);
@@ -636,6 +638,7 @@ type receiver = {
   mutable r_abandoned : bool;
   mutable complete_cb : unit -> unit;
   mutable r_tracer : (string -> unit) option;
+  r_view : Framing.view;  (* the reader's, for datagrams and FEC blocks *)
 }
 
 let rtrace t fmt = trace t.r_tracer fmt
@@ -815,13 +818,19 @@ let deliver_complete t adu =
     (Bytebuf.length adu.Adu.payload);
   t.app_deliver adu
 
-(* Fragments for another stream, malformed headers, indices outside the
-   stream (beyond the CLOSE total) and bad ADUs are ignored: the repair
-   loop fetches whatever is still missing. *)
-let handle_fragment t payload =
-  match Framing.parse_fragment_res payload with
-  | Ok frag when frag.Framing.stream = t.r_stream -> (
-      match Rx.fragment t.env t.rx frag with
+(* One datagram the reader took, or one block an FEC decoder handed back.
+   Traffic for another stream, indices outside the stream (beyond the
+   CLOSE total) and bad ADUs are ignored: the repair loop fetches
+   whatever is still missing. *)
+let rec handle t (v : Framing.view) =
+  match v.Framing.kind with
+  | Framing.Fec ->
+      (* Bytes 1-2 of an FEC block are its group, not a stream. *)
+      Fec.push (fec_decoder t)
+        (Bytebuf.sub v.Framing.dg ~pos:v.Framing.chunk_off ~len:v.Framing.chunk_len)
+  | _ when v.Framing.stream <> t.r_stream -> ()
+  | Framing.Data -> (
+      match Rx.fragment t.env t.rx v with
       | Rx.Completed -> completed t
       | Rx.Duplicate -> t.r_stats.duplicates <- t.r_stats.duplicates + 1
       | Rx.Auth ->
@@ -830,62 +839,61 @@ let handle_fragment t payload =
           t.r_stats.adus_auth_dropped <- t.r_stats.adus_auth_dropped + 1;
           Obs.Counter.incr (Obs.Registry.counter "alf.receiver.auth_dropped");
           rtrace t "ADU %d failed record authentication: dropped"
-            frag.Framing.index
-      | Rx.Bad_adu when frag.Framing.nfrags = 1 ->
+            v.Framing.index
+      | Rx.Bad_adu when v.Framing.nfrags = 1 ->
           (* The reassembler counts the multi-fragment ones. *)
           t.corrupt_single <- t.corrupt_single + 1
       | Rx.Pending | Rx.Settled | Rx.Already_complete | Rx.Window | Rx.Bad_adu
       | Rx.Bad_frag ->
           ())
-  | Ok _ | Error _ -> ()
-
-let fec_decoder t =
-  match t.fec_rx with
-  | Some d -> d
-  | None ->
-      let d =
-        Fec.decoder
-          ~deliver:(fun block ->
-            (* Source and recovered blocks alike are ordinary fragments. *)
-            if Bytebuf.length block > 0
-               && Bytebuf.get_uint8 block 0 = Framing.frag_magic
-            then handle_fragment t block)
-          ()
-      in
-      t.fec_rx <- Some d;
-      d
-
-let handle_control t payload =
-  match Ctl.parse payload with
-  | Some (Ctl.Close { stream; total }) when stream = t.r_stream -> (
-      match Rx.close t.rx total with
+  | Framing.Close -> (
+      match Rx.close t.rx v.Framing.total with
       | Rx.Completed -> completed t
       | Rx.Already_complete ->
           (* A re-CLOSE after completion means our DONE was lost. *)
           send_done t
       | _ -> ())
-  | Some (Ctl.Gone { stream; indices }) when stream = t.r_stream ->
-      List.iter
-        (fun index ->
-          match Rx.gone t.env t.rx index with
-          | (Rx.Settled | Rx.Completed) as v ->
-              Hashtbl.remove t.reqs index;
-              t.r_stats.adus_lost <- t.r_stats.adus_lost + 1;
-              Obs.Counter.incr (Obs.Registry.counter "alf.receiver.adus_lost");
-              after_settle t v
-          | _ -> ())
-        indices
-  | Some _ | None -> ()
+  | Framing.Gone ->
+      for i = 0 to v.Framing.count - 1 do
+        let index = Framing.index_at v i in
+        match Rx.gone t.env t.rx index with
+        | (Rx.Settled | Rx.Completed) as r ->
+            Hashtbl.remove t.reqs index;
+            t.r_stats.adus_lost <- t.r_stats.adus_lost + 1;
+            Obs.Counter.incr (Obs.Registry.counter "alf.receiver.adus_lost");
+            after_settle t r
+        | _ -> ()
+      done
+  | Framing.Done | Framing.Nack -> ()
 
-let receiver_handle t ~src ~src_port payload =
-  match Ctl.unseal t.r_integrity payload with
+and fec_decoder t =
+  match t.fec_rx with
+  | Some d -> d
   | None ->
+      let v = t.r_view in
+      let d =
+        Fec.decoder
+          ~deliver:(fun block ->
+            (* Source and recovered blocks alike are unsealed fragments,
+               read once the datagram that carried them is done with the
+               view. *)
+            match Framing.read v None block with
+            | Framing.Valid when v.Framing.kind = Framing.Data -> handle t v
+            | _ -> ())
+          ()
+      in
+      t.fec_rx <- Some d;
+      d
+
+let receiver_handle t ~src ~src_port dg =
+  match Framing.read t.r_view t.r_integrity dg with
+  | Framing.Bad_crc ->
       (* Stage-1 integrity: a flipped bit anywhere in the datagram stops
          here, before it can poison reassembly or forge control. *)
       t.r_stats.frags_corrupt_dropped <- t.r_stats.frags_corrupt_dropped + 1;
       Obs.Counter.incr
         (Obs.Registry.counter "alf.receiver.frags_corrupt_dropped")
-  | Some payload ->
+  | verdict -> (
       (* Only integrity-verified traffic counts as liveness or identifies
          the sender — garbage must not latch a spoofed repair address. *)
       t.last_rx <- Rt.Sched.now t.r_sched;
@@ -894,13 +902,7 @@ let receiver_handle t ~src ~src_port payload =
         t.r_abandoned <- false;
         nack_loop t
       end;
-      let b0 =
-        if Bytebuf.length payload > 0 then Bytebuf.get_uint8 payload 0 else -1
-      in
-      if b0 = Framing.frag_magic then handle_fragment t payload
-      else if b0 = Ctl.tag_fec then
-        Fec.push (fec_decoder t) (Bytebuf.shift payload 1)
-      else handle_control t payload
+      match verdict with Framing.Valid -> handle t t.r_view | _ -> ())
 
 let receiver_io ~sched ~io ~port ~stream ?(nack_interval = 0.02)
     ?(nack_holdoff = 0.06) ?(nack_budget = 50) ?(adu_deadline = 10.0)
@@ -968,6 +970,7 @@ let receiver_io ~sched ~io ~port ~stream ?(nack_interval = 0.02)
       r_abandoned = false;
       complete_cb = (fun () -> ());
       r_tracer = None;
+      r_view = Framing.view ();
     }
   in
   on_deliver := deliver_complete t;

@@ -42,24 +42,6 @@ let seal integrity buf =
       ignore (seal_in_place integrity out ~len:n);
       out
 
-let unseal integrity buf =
-  match integrity with
-  | None -> Some buf
-  | Some kind ->
-      let n = Bytebuf.length buf in
-      if n < trailer_size then None
-      else
-        let body = Bytebuf.sub buf ~pos:0 ~len:(n - trailer_size) in
-        let stored =
-          (Bytebuf.get_uint8 buf (n - 4) lsl 24)
-          lor (Bytebuf.get_uint8 buf (n - 3) lsl 16)
-          lor (Bytebuf.get_uint8 buf (n - 2) lsl 8)
-          lor Bytebuf.get_uint8 buf (n - 1)
-        in
-        if Checksum.Kind.digest kind body land 0xFFFFFFFF = stored then
-          Some body
-        else None
-
 (* Writers lay the message into the front of [buf] and return the body
    length, so pooled or scratch buffers can be filled and sealed in
    place. *)
@@ -102,46 +84,3 @@ let build write =
     | exception Cursor.Overflow _ -> go (2 * size)
   in
   go 64
-
-type msg =
-  | Nack of { stream : int; have_below : int; indices : int list }
-  | Close of { stream : int; total : int }
-  | Done of { stream : int }
-  | Gone of { stream : int; indices : int list }
-
-let stream_of = function
-  | Nack { stream; _ } | Close { stream; _ } | Done { stream }
-  | Gone { stream; _ } ->
-      stream
-
-let read_indices r count =
-  let rec go n acc =
-    if n = 0 then List.rev acc
-    else go (n - 1) ((Int32.to_int (Cursor.u32be r) land 0xFFFFFFFF) :: acc)
-  in
-  go count []
-
-let parse buf =
-  if Bytebuf.length buf = 0 then None
-  else
-    let r = Cursor.reader buf in
-    try
-      match Cursor.u8 r with
-      | t when t = tag_nack ->
-          let stream = Cursor.u16be r in
-          let have_below = Int32.to_int (Cursor.u32be r) land 0xFFFFFFFF in
-          let count = Cursor.u16be r in
-          Some (Nack { stream; have_below; indices = read_indices r count })
-      | t when t = tag_close ->
-          let stream = Cursor.u16be r in
-          let total = Int32.to_int (Cursor.u32be r) land 0xFFFFFFFF in
-          Some (Close { stream; total })
-      | t when t = tag_done ->
-          let stream = Cursor.u16be r in
-          Some (Done { stream })
-      | t when t = tag_gone ->
-          let stream = Cursor.u16be r in
-          let count = Cursor.u16be r in
-          Some (Gone { stream; indices = read_indices r count })
-      | _ -> None
-    with Cursor.Underflow _ -> None

@@ -1,12 +1,12 @@
-(** The transport's control-message codec and per-datagram integrity
+(** The transport's control-message writers and per-datagram integrity
     trailer, factored out of {!Alf_transport} so the single-session
     endpoints and the {!Serve} sharded engine speak one wire dialect.
+    {!Framing.read} reads both back.
 
     Control messages share the datagram space with data fragments
     ({!Framing.frag_magic} = 0xAD) and FEC blocks ([tag_fec]); the first
     byte discriminates, and every message keeps the stream id at bytes
-    1–2 — the fixed position {!Mux} and the serve demux dispatch on
-    without parsing the rest. *)
+    1–2 — the fixed position {!Mux} and the serve demux dispatch on. *)
 
 open Bufkit
 
@@ -31,36 +31,24 @@ val seal : Checksum.Kind.t option -> Bytebuf.t -> Bytebuf.t
 (** {!seal_in_place} on a fresh copy of [buf] (identity when the kind is
     [None]): for tests and tools that build datagrams by hand. *)
 
-val unseal : Checksum.Kind.t option -> Bytebuf.t -> Bytebuf.t option
-(** Verify and strip the trailer; [None] on mismatch or truncation. The
-    returned body is a view into [buf]. *)
+(** {1 Messages}
 
-(** {1 Messages} *)
-
-type msg =
-  | Nack of { stream : int; have_below : int; indices : int list }
-      (** Receiver → sender: everything below [have_below] is settled;
-          [indices] are missing. *)
-  | Close of { stream : int; total : int }
-      (** Sender → receiver: the stream holds exactly [total] ADUs. *)
-  | Done of { stream : int }
-      (** Receiver → sender: every index settled; release everything. *)
-  | Gone of { stream : int; indices : int list }
-      (** Sender → receiver: [indices] are unrecoverable; stop asking. *)
-
-val stream_of : msg -> int
-
-val parse : Bytebuf.t -> msg option
-(** Parse an unsealed control body. [None] on an unknown tag or a
-    truncated message — the caller drops, it never throws. *)
-
-(** Writers lay the message at the front of [buf] and return the body
+    Writers lay the message at the front of [buf] and return the body
     length, ready for {!seal_in_place}. *)
 
 val write_done : Bytebuf.t -> stream:int -> int
+(** Receiver → sender: every index settled; release everything. *)
+
 val write_close : Bytebuf.t -> stream:int -> total:int -> int
+(** Sender → receiver: the stream holds exactly [total] ADUs. *)
+
 val write_nack : Bytebuf.t -> stream:int -> have_below:int -> int list -> int
+(** Receiver → sender: everything below [have_below] is settled; the
+    listed indices are missing. *)
+
 val write_gone : Bytebuf.t -> stream:int -> int list -> int
+(** Sender → receiver: the listed indices are unrecoverable; stop
+    asking. *)
 
 val build : (Bytebuf.t -> int) -> Bytebuf.t
 (** The body one writer lays down, in a fresh buffer of its length: for

@@ -27,16 +27,6 @@ let frames_of_values ~stream ~syntax values =
       Adu.make name payload)
     (List.combine values places)
 
-let frames_of_timed ~stream triples =
-  List.mapi
-    (fun index (timestamp_us, payload, dest_off) ->
-      let name =
-        Adu.name ~dest_off ~dest_len:(Bytebuf.length payload) ~timestamp_us
-          ~stream ~index ()
-      in
-      Adu.make name payload)
-    triples
-
 (* Fragment wire format:
    magic(1)=0xAD stream(2) index(4) frag_idx(2) nfrags(2) total_len(4)
    frag_off(4) = 19 bytes, then the chunk. Fragments carry slices of the
@@ -94,46 +84,135 @@ let fragment ~mtu adu =
   fragment_encoded ~mtu ~stream:adu.Adu.name.Adu.stream
     ~index:adu.Adu.name.Adu.index (Adu.encode adu)
 
-type frag_info = {
-  stream : int;
-  index : int;
-  frag_idx : int;
-  nfrags : int;
-  total_len : int;
-  frag_off : int;
-  chunk : Bytebuf.t;
+(* ---- The datagram reader: the writer's mirror ----
+
+   Each read follows the length check that proves it in range, so the
+   reader is total; it fills the caller's view, and allocates nothing
+   but the sub-buffer a digest other than CRC-32 takes. *)
+
+type kind = Data | Close | Done | Nack | Gone | Fec
+type verdict = Valid | Runt | Oversize | Bad_kind | Bad_frag | Bad_ctl | Bad_crc
+
+type view = {
+  max_len : int;
+  max_total_len : int;
+  mutable dg : Bytebuf.t;
+  mutable kind : kind;
+  mutable stream : int;
+  mutable index : int;
+  mutable frag_idx : int;
+  mutable nfrags : int;
+  mutable total_len : int;
+  mutable frag_off : int;
+  mutable chunk_off : int;
+  mutable chunk_len : int;
+  mutable total : int;
+  mutable have_below : int;
+  mutable count : int;
+  adu : Adu.header;
 }
 
-exception Frag_error of string
+let view ?(max_len = max_int) ?(max_total_len = max_int) () =
+  { max_len; max_total_len; dg = Bytebuf.empty; kind = Data; stream = -1;
+    index = 0; frag_idx = 0; nfrags = 0; total_len = 0; frag_off = 0;
+    chunk_off = 0; chunk_len = 0; total = 0; have_below = 0; count = 0;
+    adu = Adu.header () }
 
-(* The total parser: every malformed input is a [Error _], never an
-   exception — the form server dispatch and other hostile-input paths
-   consume. The raising {!parse_fragment} below is a thin wrapper kept
-   for existing callers. *)
-let parse_fragment_res buf =
-  if Bytebuf.length buf < fragment_header_size then
-    Error (Printf.sprintf "fragment of %d bytes" (Bytebuf.length buf))
+let get v pos bytes = Bytebuf.get_be v.dg pos ~bytes
+
+(* The header [seal_fragment] writes. A lone fragment carries its whole
+   ADU, and no ADU is shorter than its header. *)
+let read_frag v ~body =
+  v.index <- get v 3 4;
+  v.frag_idx <- get v 7 2;
+  v.nfrags <- get v 9 2;
+  v.total_len <- get v 11 4;
+  v.frag_off <- get v 15 4;
+  v.chunk_off <- fragment_header_size;
+  v.chunk_len <- body - fragment_header_size;
+  if
+    v.nfrags = 0 || v.frag_idx >= v.nfrags
+    || v.total_len < Adu.header_size
+    || v.total_len > v.max_total_len
+    || v.frag_off + v.chunk_len > v.total_len
+    || (v.nfrags = 1 && (v.frag_off <> 0 || v.chunk_len <> v.total_len))
+  then Bad_frag
+  else Valid
+
+(* A NACK's or GONE's [count] and then exactly that many indices. *)
+let read_list v ~body ~at =
+  v.count <- get v (at - 2) 2;
+  v.chunk_off <- at;
+  if body = at + (4 * v.count) then Valid else Bad_ctl
+
+(* After the kind byte and the stream id, the bodies [Ctl]'s writers lay:
+   CLOSE total(4); NACK have_below(4) count(2) indices; GONE count(2)
+   indices. *)
+let layout v ~body =
+  if body < 3 then Runt
+  else if Bytebuf.length v.dg > v.max_len then Oversize
   else
-    let r = Cursor.reader buf in
-    if Cursor.u8 r <> frag_magic then Error "bad fragment magic"
-    else
-      let stream = Cursor.u16be r in
-      let index = Int32.to_int (Cursor.u32be r) land 0xFFFFFFFF in
-      let frag_idx = Cursor.u16be r in
-      let nfrags = Cursor.u16be r in
-      let total_len = Int32.to_int (Cursor.u32be r) land 0xFFFFFFFF in
-      let frag_off = Int32.to_int (Cursor.u32be r) land 0xFFFFFFFF in
-      let chunk = Cursor.rest r in
-      if nfrags = 0 || frag_idx >= nfrags then
-        Error "fragment indices inconsistent"
-      else if frag_off + Bytebuf.length chunk > total_len then
-        Error "fragment overruns its ADU"
-      else Ok { stream; index; frag_idx; nfrags; total_len; frag_off; chunk }
+    let b0 = get v 0 1 in
+    if b0 = frag_magic then begin
+      v.kind <- Data;
+      if body < fragment_header_size then Bad_frag else read_frag v ~body
+    end
+    else if b0 = Ctl.tag_close then begin
+      v.kind <- Close;
+      if body <> 7 then Bad_ctl else (v.total <- get v 3 4; Valid)
+    end
+    else if b0 = Ctl.tag_done then begin
+      v.kind <- Done;
+      if body = 3 then Valid else Bad_ctl
+    end
+    else if b0 = Ctl.tag_nack then begin
+      v.kind <- Nack;
+      if body < 9 then Bad_ctl
+      else (v.have_below <- get v 3 4; read_list v ~body ~at:9)
+    end
+    else if b0 = Ctl.tag_gone then begin
+      v.kind <- Gone;
+      if body < 5 then Bad_ctl else read_list v ~body ~at:5
+    end
+    else if b0 = Ctl.tag_fec then begin
+      v.kind <- Fec;
+      v.chunk_off <- 1;
+      v.chunk_len <- body - 1;
+      Valid
+    end
+    else Bad_kind
 
-let parse_fragment buf =
-  match parse_fragment_res buf with
-  | Ok f -> f
-  | Error msg -> raise (Frag_error msg)
+(* Bytes 1-2, the stream id of every fragment and control message, are
+   taken whatever the verdict: routing keys on them. *)
+let start v dg =
+  v.dg <- dg;
+  v.stream <- (if Bytebuf.length dg >= 3 then get v 1 2 else -1)
+
+let trailer = function Some _ -> Ctl.trailer_size | None -> 0
+
+let read_layout v integrity dg =
+  start v dg;
+  layout v ~body:(Bytebuf.length dg - trailer integrity)
+
+(* The digest [Ctl.seal_in_place] wrote behind the body. *)
+let read v integrity dg =
+  start v dg;
+  let body = Bytebuf.length dg - trailer integrity in
+  match integrity with
+  | None -> layout v ~body
+  | Some _ when body < 0 -> Bad_crc
+  | Some kind ->
+      let digest =
+        match kind with
+        | Checksum.Kind.Crc32 -> Checksum.Crc32.digest_sub dg ~pos:0 ~len:body
+        | kind -> Checksum.Kind.digest kind (Bytebuf.sub dg ~pos:0 ~len:body)
+      in
+      if digest land 0xFFFFFFFF <> get v body 4 then Bad_crc
+      else layout v ~body
+
+let index_at v i =
+  if i < 0 || i >= v.count then invalid_arg "Framing.index_at";
+  get v (v.chunk_off + (4 * i)) 4
 
 type partial = {
   total_len : int;
@@ -142,7 +221,6 @@ type partial = {
   owner : Bytebuf.t option;  (* pooled backing buffer, released on retire *)
   have : Bytes.t;  (* fragment bitmap *)
   mutable have_count : int;
-  mutable bytes : int;
 }
 
 type reasm_stats = {
@@ -155,6 +233,7 @@ type reasm_stats = {
 type reassembler = {
   deliver : Adu.t -> unit;
   stats : reasm_stats;
+  hdr : Adu.header;  (* the completed ADU's header, read in place *)
   partials : (int, partial) Hashtbl.t;  (* keyed by ADU index *)
   retired : (int, unit) Hashtbl.t;  (* completed or forgotten indices *)
   mutable floor : int;  (* every index below is implicitly retired *)
@@ -166,6 +245,7 @@ let reassembler ?pool ~deliver () =
     deliver;
     stats =
       { completed = 0; duplicate_frags = 0; corrupt_adus = 0; inconsistent_frags = 0 };
+    hdr = Adu.header ();
     partials = Hashtbl.create 32;
     retired = Hashtbl.create 32;
     floor = 0;
@@ -175,9 +255,6 @@ let reassembler ?pool ~deliver () =
 let stats t = t.stats
 let pending_adus t = Hashtbl.length t.partials
 let retired_count t = Hashtbl.length t.retired
-
-let pending_bytes t =
-  Hashtbl.fold (fun _ p acc -> acc + p.bytes) t.partials 0
 
 let release_owner t p =
   match (t.pool, p.owner) with
@@ -247,74 +324,76 @@ let bit_set bytes i =
   Bytes.set bytes (i / 8)
     (Char.chr (Char.code (Bytes.get bytes (i / 8)) lor (1 lsl (i mod 8))))
 
-let push t (f : frag_info) =
+let push t (v : view) =
+  let index = v.index in
   (* A fragment for an index that already completed (or was forgotten) is
      a late retransmission crossing the repair that satisfied it. Short-
      circuit before any buffer acquisition or copy work: without this
      check a retired index would re-open a partial — re-allocating a
      reassembly buffer, re-blitting the chunk, and (for single-fragment
      ADUs) re-delivering the ADU. *)
-  if f.index < t.floor || Hashtbl.mem t.retired f.index then
+  if index < t.floor || Hashtbl.mem t.retired index then
     t.stats.duplicate_frags <- t.stats.duplicate_frags + 1
   else
   let p =
-    match Hashtbl.find_opt t.partials f.index with
+    match Hashtbl.find_opt t.partials index with
     | Some p -> p
     | None ->
         (* Reassemble into a pooled buffer when one fits; fall back to a
            fresh allocation for oversized ADUs or an exhausted pool. *)
         let buf, owner =
           match t.pool with
-          | Some (pool, buf_size) when f.total_len <= buf_size -> (
+          | Some (pool, buf_size) when v.total_len <= buf_size -> (
               match Pool.try_acquire pool with
-              | Some full -> (Bytebuf.take full f.total_len, Some full)
-              | None -> (Bytebuf.create f.total_len, None))
-          | _ -> (Bytebuf.create f.total_len, None)
+              | Some full -> (Bytebuf.take full v.total_len, Some full)
+              | None -> (Bytebuf.create v.total_len, None))
+          | _ -> (Bytebuf.create v.total_len, None)
         in
         let p =
           {
-            total_len = f.total_len;
-            nfrags = f.nfrags;
+            total_len = v.total_len;
+            nfrags = v.nfrags;
             buf;
             owner;
-            have = Bytes.make ((f.nfrags + 7) / 8) '\000';
+            have = Bytes.make ((v.nfrags + 7) / 8) '\000';
             have_count = 0;
-            bytes = 0;
           }
         in
-        Hashtbl.replace t.partials f.index p;
+        Hashtbl.replace t.partials index p;
         p
   in
-  if p.total_len <> f.total_len || p.nfrags <> f.nfrags then
+  if p.total_len <> v.total_len || p.nfrags <> v.nfrags then
     t.stats.inconsistent_frags <- t.stats.inconsistent_frags + 1
-  else if bit_get p.have f.frag_idx then
+  else if bit_get p.have v.frag_idx then
     t.stats.duplicate_frags <- t.stats.duplicate_frags + 1
   else begin
-    bit_set p.have f.frag_idx;
+    bit_set p.have v.frag_idx;
     p.have_count <- p.have_count + 1;
-    let len = Bytebuf.length f.chunk in
-    Bytebuf.blit ~src:f.chunk ~src_pos:0 ~dst:p.buf ~dst_pos:f.frag_off ~len;
-    p.bytes <- p.bytes + len;
+    Bytebuf.blit ~src:v.dg ~src_pos:v.chunk_off ~dst:p.buf ~dst_pos:v.frag_off
+      ~len:v.chunk_len;
     if p.have_count = p.nfrags then begin
-      Hashtbl.remove t.partials f.index;
-      Hashtbl.replace t.retired f.index ();
-      (* Deliver a zero-copy view: the payload aliases the reassembly
-         buffer, which (when pooled) is recycled as soon as [deliver]
-         returns — the stage-2 borrow contract. *)
-      Fun.protect
-        ~finally:(fun () -> release_owner t p)
-        (fun () ->
-          match Adu.decode_view_res p.buf with
-          | Ok adu ->
-              t.stats.completed <- t.stats.completed + 1;
-              t.deliver adu
-          | Error _ ->
-              (* A reassembled unit that fails its own CRC (e.g. mixed
-                 fragments of two repair incarnations) must stay
-                 repairable: drop the retired mark so a later whole
-                 retransmission re-opens a partial instead of being
-                 silently ignored until the NACK budget runs out. *)
-              Hashtbl.remove t.retired f.index;
-              t.stats.corrupt_adus <- t.stats.corrupt_adus + 1)
+      Hashtbl.remove t.partials index;
+      Hashtbl.replace t.retired index ();
+      if Adu.read_header t.hdr p.buf ~pos:0 ~len:p.total_len then begin
+        t.stats.completed <- t.stats.completed + 1;
+        (* Deliver a zero-copy view: the payload aliases the reassembly
+           buffer, which (when pooled) is recycled as soon as [deliver]
+           returns — the stage-2 borrow contract. *)
+        match t.deliver (Adu.of_header t.hdr p.buf ~pos:0) with
+        | () -> release_owner t p
+        | exception e ->
+            release_owner t p;
+            raise e
+      end
+      else begin
+        (* A reassembled unit that fails its own CRC (e.g. mixed fragments
+           of two repair incarnations) must stay repairable: drop the
+           retired mark so a later whole retransmission re-opens a partial
+           instead of being silently ignored until the NACK budget runs
+           out. *)
+        Hashtbl.remove t.retired index;
+        t.stats.corrupt_adus <- t.stats.corrupt_adus + 1;
+        release_owner t p
+      end
     end
   end

@@ -31,11 +31,6 @@ val frames_of_values :
     the encoding in the receiver's stream. Raises [Wire.Syntax.Error] if a
     value does not fit the syntax. *)
 
-val frames_of_timed :
-  stream:int -> (int64 * Bytebuf.t * int) list -> Adu.t list
-(** For continuous media: [(timestamp_us, payload, dest_off)] triples,
-    e.g. (frame time, tile bytes, tile id). *)
-
 (** {1 Fragmentation} *)
 
 val fragment_header_size : int
@@ -93,24 +88,57 @@ val fragment_encoded :
 (** Like {!fragment} for an ADU already in encoded form (e.g. recalled
     from a {!Recovery.store}), avoiding a re-encode. *)
 
-type frag_info = {
-  stream : int;
-  index : int;  (** ADU index. *)
-  frag_idx : int;
-  nfrags : int;
-  total_len : int;  (** Encoded-ADU bytes. *)
-  frag_off : int;
-  chunk : Bytebuf.t;
+(** {2 The datagram reader}
+
+    The writer's mirror. {!read} checks a received datagram's integrity
+    trailer, then the layout of its kind, into a {!view} the caller owns
+    and reuses, and returns a constant verdict. It never raises, and it
+    allocates nothing under integrity [None] or CRC-32 (tested). The
+    fragment header, each control body and the trailer are read here and
+    nowhere else. *)
+
+type kind = Data | Close | Done | Nack | Gone | Fec
+type verdict = Valid | Runt | Oversize | Bad_kind | Bad_frag | Bad_ctl | Bad_crc
+
+type view = private {
+  max_len : int;  (** Longest datagram admitted, trailer included. *)
+  max_total_len : int;  (** Largest encoded ADU a fragment may claim. *)
+  mutable dg : Bytebuf.t;  (** The datagram last read. *)
+  mutable kind : kind;
+  mutable stream : int;
+      (** Bytes 1–2 whatever the verdict (an FEC block's group number);
+          [-1] under 3 bytes. *)
+  mutable index : int;
+  mutable frag_idx : int;
+  mutable nfrags : int;
+  mutable total_len : int;
+  mutable frag_off : int;
+  mutable chunk_off : int;  (** Where the chunk, FEC block or index list starts. *)
+  mutable chunk_len : int;
+  mutable total : int;  (** A CLOSE's. *)
+  mutable have_below : int;  (** A NACK's. *)
+  mutable count : int;  (** Indices a NACK or GONE lists: {!index_at}. *)
+  adu : Adu.header;  (** For {!Adu.read_header} on a lone fragment's chunk. *)
 }
+(** After a rejection, fields hold whatever was read before it. *)
 
-exception Frag_error of string
+val view : ?max_len:int -> ?max_total_len:int -> unit -> view
+(** Both limits default to [max_int]. *)
 
-val parse_fragment : Bytebuf.t -> frag_info
-(** Raises {!Frag_error} on malformed input. [chunk] aliases the input. *)
+val read : view -> Checksum.Kind.t option -> Bytebuf.t -> verdict
+(** [Bad_crc] when the trailer is short or wrong. Then the layout: under
+    3 body bytes is a [Runt], over [max_len] [Oversize], an unknown first
+    byte [Bad_kind]; a fragment needs its header, [frag_idx < nfrags],
+    [Adu.header_size <= total_len <= max_total_len], its chunk within
+    [total_len] and, when alone, all of it; a control body has its exact
+    length; an FEC block is any bytes after its tag. *)
 
-val parse_fragment_res : Bytebuf.t -> (frag_info, string) result
-(** Total form of {!parse_fragment}: malformed input is an [Error _],
-    never an exception. [chunk] aliases the input. *)
+val read_layout : view -> Checksum.Kind.t option -> Bytebuf.t -> verdict
+(** {!read} taking only the trailer's length, not its digest: stage 0's
+    check on the I/O thread. *)
+
+val index_at : view -> int -> int
+(** The [i]th index a NACK or GONE lists, [0 <= i < count]. *)
 
 (** {1 Reassembly (receive stage 1)} *)
 
@@ -128,7 +156,7 @@ val reassembler :
 (** Complete ADUs are delivered the moment their last fragment arrives —
     in arrival order, not index order.
 
-    Delivered payloads {e alias} the reassembly buffer ({!Adu.decode_view});
+    Delivered payloads {e alias} the reassembly buffer ({!Adu.of_header});
     no per-ADU copy is made. With [?pool], reassembly buffers come from the
     pool whenever the encoded ADU fits [buf_size] (falling back to fresh
     allocation otherwise), and are recycled {e as soon as [deliver]
@@ -137,18 +165,17 @@ val reassembler :
     per ADU and the payload stays valid indefinitely. Steady state with a
     pool performs zero buffer allocations per ADU. *)
 
-val push : reassembler -> frag_info -> unit
-(** An index that already completed (or was {!forget}-gotten) is
-    {e retired}: further fragments for it — late retransmissions crossing
-    the repair that satisfied them — count as [duplicate_frags] and are
-    dropped before any buffer acquisition or copy work. *)
+val push : reassembler -> view -> unit
+(** Add the fragment a [Valid] {!read} left in the view. An index that
+    already completed (or was {!forget}-gotten) is {e retired}: further
+    fragments for it — late retransmissions crossing the repair that
+    satisfied them — count as [duplicate_frags] and are dropped before
+    any buffer acquisition or copy work. *)
 
 val stats : reassembler -> reasm_stats
 
 val pending_adus : reassembler -> int
 (** ADUs with at least one but not all fragments. *)
-
-val pending_bytes : reassembler -> int
 
 val forget : reassembler -> index:int -> unit
 (** Drop partial state for an ADU (e.g. the sender declared it gone) and

@@ -5,22 +5,22 @@ type t = {
   mux_io : Dgram.t;
   mux_port : int;
   handlers : (int, src:Packet.addr -> src_port:int -> Bytebuf.t -> unit) Hashtbl.t;
+  view : Framing.view;
   mutable unrouted : int;
 }
 
 (* Data fragments (0xAD...) and every control message put the stream id
-   in bytes 1-2, big-endian; see Framing and Alf_transport. *)
-let stream_of payload =
-  if Bytebuf.length payload < 3 then None
-  else Some ((Bytebuf.get_uint8 payload 1 lsl 8) lor Bytebuf.get_uint8 payload 2)
-
+   in bytes 1-2, which the reader leaves in the view whatever its verdict;
+   each stream's handler reads the datagram again, with its trailer. *)
 let create ~io ~port =
-  let t = { mux_io = io; mux_port = port; handlers = Hashtbl.create 8; unrouted = 0 } in
+  let view = Framing.view () in
+  let t = { mux_io = io; mux_port = port; handlers = Hashtbl.create 8; view; unrouted = 0 } in
   io.Dgram.bind ~port (fun ~src ~src_port payload ->
-      match stream_of payload with
-      | Some stream when Hashtbl.mem t.handlers stream ->
-          (Hashtbl.find t.handlers stream) ~src ~src_port payload
-      | Some _ | None -> t.unrouted <- t.unrouted + 1);
+      ignore (Framing.read_layout view None payload : Framing.verdict);
+      let stream = view.Framing.stream in
+      if Hashtbl.mem t.handlers stream then
+        (Hashtbl.find t.handlers stream) ~src ~src_port payload
+      else t.unrouted <- t.unrouted + 1);
   t
 
 let port t = t.mux_port

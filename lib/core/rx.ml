@@ -130,32 +130,33 @@ let reassembler env t =
 
 (* [Framing.push] reports malformed outcomes through its counters; the
    deltas attribute this fragment to exactly one verdict. *)
-let push env t frag =
+let push env t v =
   let r = reassembler env t in
   let st = Framing.stats r in
   let dups = st.Framing.duplicate_frags
   and corrupt = st.Framing.corrupt_adus
   and inconsistent = st.Framing.inconsistent_frags in
   env.outcome <- Pending;
-  Framing.push r frag;
+  Framing.push r v;
   if st.Framing.corrupt_adus > corrupt then Bad_adu
   else if st.Framing.inconsistent_frags > inconsistent then Bad_frag
   else if st.Framing.duplicate_frags > dups then Duplicate
   else env.outcome
 
-let fragment env t (frag : Framing.frag_info) =
-  let index = frag.Framing.index in
+let fragment env t (v : Framing.view) =
+  let index = v.Framing.index in
   if settled t index then Duplicate
   else if not (admissible env t index) then Window
   else begin
     if index > t.highest then t.highest <- index;
-    if frag.Framing.nfrags = 1 then
-      (* The whole encoded ADU is already in the datagram: decode a view,
-         no reassembler, no copy. *)
-      match Adu.decode_view_res frag.Framing.chunk with
-      | Error _ -> Bad_adu
-      | Ok adu -> deliver env t adu
-    else push env t frag
+    if v.Framing.nfrags = 1 then
+      (* The whole encoded ADU is already in the datagram: read its header
+         in place, no reassembler, no copy. *)
+      let h = v.Framing.adu and pos = v.Framing.chunk_off in
+      if Adu.read_header h v.Framing.dg ~pos ~len:v.Framing.chunk_len then
+        deliver env t (Adu.of_header h v.Framing.dg ~pos)
+      else Bad_adu
+    else push env t v
   end
 
 let close t total =

@@ -62,11 +62,13 @@ val create : 'o -> 'o t
 
 val owner : 'o t -> 'o
 
-val fragment : 'o env -> 'o t -> Framing.frag_info -> verdict
-(** One data fragment of this stream. Admission ([Duplicate], [Window])
-    comes first. A single-fragment ADU is then decoded in place and
-    delivered with no reassembler and no copy; other fragments go to the
-    reassembler, which delivers on the last one. *)
+val fragment : 'o env -> 'o t -> Framing.view -> verdict
+(** One data fragment of this stream, as a [Valid] {!Framing.read} left
+    it in the view. Admission ([Duplicate], [Window]) comes first. A
+    single-fragment ADU's header is then read in place
+    ({!Adu.read_header} into the view) and the ADU delivered with no
+    reassembler and no copy; other fragments go to the reassembler, which
+    delivers on the last one. *)
 
 val close : 'o t -> int -> verdict
 (** A CLOSE with the stream's total; the first total wins. [Completed]

@@ -1,5 +1,3 @@
-open Bufkit
-
 (* SplitMix64's finalizer: a full-avalanche mix so sessions that differ
    only in the low bits of the stream id (the load generator's layout)
    still spread uniformly across shards. *)
@@ -24,15 +22,3 @@ let shard_of ~shards ~peer ~peer_port ~stream =
     (Int64.rem
        (Int64.logand (hash ~peer ~peer_port ~stream) Int64.max_int)
        (Int64.of_int shards))
-
-(* Data fragments and control messages keep the stream id at bytes 1–2
-   (the {!Mux} dispatch position), so the demux reads it before
-   unsealing: routing never touches the payload, and integrity
-   verification happens on the owning shard's domain. An FEC block does
-   not: after its tag byte comes the [Fec] header — group (2 bytes),
-   position, k, flag — so bytes 1–2 hold the FEC group number. That is
-   why stage 0 rejects FEC ([fec_unsupported]) and why FEC streams cannot
-   share a {!Mux} endpoint. *)
-let stream_of_datagram buf =
-  if Bytebuf.length buf < 3 then None
-  else Some ((Bytebuf.get_uint8 buf 1 lsl 8) lor Bytebuf.get_uint8 buf 2)

@@ -1,4 +1,3 @@
-open Bufkit
 open Alf_core
 
 (* Stage-0 ingress validation: a total, allocation-free classification of
@@ -7,7 +6,8 @@ open Alf_core
    kinds, self-inconsistent fragment headers, malformed control bodies —
    is refused here for O(1) work, so no byte sequence can raise, reach a
    session table, or cost more than a bounded header inspection before
-   it is classified. Every rejection maps to exactly one {!reason}. *)
+   it is classified. {!Framing.read_layout} reads the datagram; this
+   module maps its verdict to exactly one {!reason}. *)
 
 type reason =
   | Runt
@@ -93,62 +93,15 @@ let is_malformed = function
     ->
       false
 
-type limits = {
-  trailer : int;  (** Integrity-trailer bytes at the end (0 or 4). *)
-  max_len : int;  (** Largest acceptable datagram, trailer included. *)
-  max_total_len : int;  (** Largest acceptable encoded-ADU [total_len]. *)
-}
-
-type verdict = Accept of int | Reject of reason
-
-let u16 buf off = (Bytebuf.get_uint8 buf off lsl 8) lor Bytebuf.get_uint8 buf (off + 1)
-
-let u32 buf off =
-  (Bytebuf.get_uint8 buf off lsl 24)
-  lor (Bytebuf.get_uint8 buf (off + 1) lsl 16)
-  lor (Bytebuf.get_uint8 buf (off + 2) lsl 8)
-  lor Bytebuf.get_uint8 buf (off + 3)
-
-(* Every branch reads only fixed offsets already proven in range by the
-   body-length checks, so the function is total by inspection: no
-   exception, no allocation, O(1) work per datagram. The trailer CRC is
-   NOT verified here — that costs O(len) hashing and happens on the
-   owning shard's domain — but its length accounting is: a body too
-   short to carry the declared structure plus the trailer never reaches
-   a shard. *)
-let validate limits buf =
-  let len = Bytebuf.length buf in
-  let body = len - limits.trailer in
-  if body < 3 then Reject Runt
-  else if len > limits.max_len then Reject Oversize
-  else
-    let stream = u16 buf 1 in
-    match Bytebuf.get_uint8 buf 0 with
-    | b0 when b0 = Framing.frag_magic ->
-        if body < Framing.fragment_header_size then Reject Frag_header
-        else
-          let frag_idx = u16 buf 7 in
-          let nfrags = u16 buf 9 in
-          let total_len = u32 buf 11 in
-          let frag_off = u32 buf 15 in
-          let chunk = body - Framing.fragment_header_size in
-          if
-            nfrags = 0 || frag_idx >= nfrags
-            || total_len < Adu.header_size
-            || total_len > limits.max_total_len
-            || frag_off + chunk > total_len
-            || (nfrags = 1 && (frag_off <> 0 || chunk <> total_len))
-          then Reject Frag_header
-          else Accept stream
-    | b0 when b0 = Ctl.tag_close ->
-        if body = 7 then Accept stream else Reject Ctl_malformed
-    | b0 when b0 = Ctl.tag_done ->
-        if body = 3 then Accept stream else Reject Ctl_malformed
-    | b0 when b0 = Ctl.tag_nack ->
-        if body >= 9 && body = 9 + (4 * u16 buf 7) then Accept stream
-        else Reject Ctl_malformed
-    | b0 when b0 = Ctl.tag_gone ->
-        if body >= 5 && body = 5 + (4 * u16 buf 3) then Accept stream
-        else Reject Ctl_malformed
-    | b0 when b0 = Ctl.tag_fec -> Reject Fec_unsupported
-    | _ -> Reject Bad_kind
+(* Each verdict is one reason. An FEC block is well formed but not
+   served. The same map serves the shards after {!Framing.read}, which
+   adds the trailer's [Bad_crc]. *)
+let validate (v : Framing.view) = function
+  | Framing.Valid ->
+      if v.Framing.kind = Framing.Fec then Some Fec_unsupported else None
+  | Framing.Runt -> Some Runt
+  | Framing.Oversize -> Some Oversize
+  | Framing.Bad_kind -> Some Bad_kind
+  | Framing.Bad_frag -> Some Frag_header
+  | Framing.Bad_ctl -> Some Ctl_malformed
+  | Framing.Bad_crc -> Some Bad_crc

@@ -3,12 +3,13 @@
 
     The serve engine's invariants were proven against cooperative peers;
     this module is the first line against adversarial ones. Every
-    datagram is classified in O(1) header inspection before it can touch
-    a shard: either [Accept stream] (route it) or [Reject reason] (count
-    it under exactly one [serve.drop.*] reason and drop it). No byte
-    sequence can raise or allocate here. *)
+    datagram is classified by {!Alf_core.Framing.read_layout} in O(1)
+    header inspection before it can touch a shard, and {!validate} maps
+    the verdict to [None] (route it) or [Some reason] (count it under
+    exactly one [serve.drop.*] reason and drop it). No byte sequence can
+    raise or allocate here. *)
 
-open Bufkit
+open Alf_core
 
 (** Why a datagram was dropped. The first eight and [Auth] are
     {e malformed-shape} reasons (the bytes themselves are bad); the rest
@@ -55,18 +56,10 @@ val is_malformed : reason -> bool
 (** [true] for malformed-shape reasons, [false] for policy drops — the
     split that lets tests equate injected-malformed totals with drop sums. *)
 
-type limits = {
-  trailer : int;  (** Integrity-trailer bytes at the end (0 or 4). *)
-  max_len : int;  (** Largest acceptable datagram, trailer included. *)
-  max_total_len : int;  (** Largest acceptable encoded-ADU [total_len]. *)
-}
-
-type verdict = Accept of int  (** The stream id at bytes 1–2. *) | Reject of reason
-
-val validate : limits -> Bytebuf.t -> verdict
-(** Classify a sealed datagram. Total: never raises, never allocates,
-    reads only fixed header offsets proven in range. [max_total_len]
-    bounds the reassembly buffer any fragment can demand, closing the
-    attacker-controlled-allocation hole. The integrity trailer's {e CRC}
-    is not verified here (that is O(len) and happens on the owning
-    shard); its {e length} accounting is. *)
+val validate : Framing.view -> Framing.verdict -> reason option
+(** The drop reason for a verdict of {!Framing.read_layout} (stage 0) or
+    {!Framing.read} (on the shard, which adds [Bad_crc]); [None] for a
+    datagram to route. A valid FEC block is [Fec_unsupported]. Stage 0's
+    view bounds [max_len] by the staging buffers and [max_total_len] by
+    the reassembly pool, closing the attacker-controlled-allocation
+    hole. *)

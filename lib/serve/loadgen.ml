@@ -50,6 +50,7 @@ type t = {
   regen : (int * int) Queue.t;  (* (session, index) repairs from NACKs *)
   reclose : int Queue.t;
   stats : stats;
+  view : Framing.view;  (* the reader's view of each reply *)
 }
 
 (* Session k lives at (base_port + k / streams_per_port,
@@ -116,28 +117,26 @@ let emit_close t k =
 let is_done t k = Bytes.get t.done_flags k <> '\000'
 
 let handle t ~port buf =
-  match Ctl.unseal t.cfg.integrity buf with
-  | None -> ()
-  | Some body -> (
-      match Ctl.parse body with
-      | Some (Ctl.Done { stream }) -> (
-          t.stats.dones_rx <- t.stats.dones_rx + 1;
-          match session_of t ~port ~stream with
-          | Some k when not (is_done t k) ->
-              Bytes.set t.done_flags k '\001';
-              t.done_total <- t.done_total + 1
-          | Some _ | None -> ())
-      | Some (Ctl.Nack { stream; indices; _ }) -> (
-          t.stats.nacks_rx <- t.stats.nacks_rx + 1;
-          match session_of t ~port ~stream with
-          | Some k ->
-              List.iter
-                (fun i ->
-                  if i >= 0 && i < t.cfg.adus_per_session then
-                    Queue.add (k, i) t.regen)
-                indices
-          | None -> ())
-      | Some (Ctl.Close _) | Some (Ctl.Gone _) | None -> ())
+  let v = t.view in
+  if Framing.read v t.cfg.integrity buf = Framing.Valid then
+    match (v.Framing.kind, session_of t ~port ~stream:v.Framing.stream) with
+    | Framing.Done, k -> (
+        t.stats.dones_rx <- t.stats.dones_rx + 1;
+        match k with
+        | Some k when not (is_done t k) ->
+            Bytes.set t.done_flags k '\001';
+            t.done_total <- t.done_total + 1
+        | Some _ | None -> ())
+    | Framing.Nack, k -> (
+        t.stats.nacks_rx <- t.stats.nacks_rx + 1;
+        match k with
+        | Some k ->
+            for j = 0 to v.Framing.count - 1 do
+              let i = Framing.index_at v j in
+              if i >= 0 && i < t.cfg.adus_per_session then Queue.add (k, i) t.regen
+            done
+        | None -> ())
+    | _ -> ()
 
 let create ~io cfg =
   if cfg.sessions < 1 then invalid_arg "Loadgen.create: sessions";
@@ -173,6 +172,7 @@ let create ~io cfg =
           regens = 0;
           recloses = 0;
         };
+      view = Framing.view ();
     }
   in
   for p = 0 to ports_used cfg - 1 do
@@ -218,7 +218,6 @@ let nudge t =
     if not (is_done t k) then Queue.add k t.reclose
   done
 
-let pending_repairs t = Queue.length t.regen + Queue.length t.reclose
 let done_count t = t.done_total
 let finished t = emitted_all t && t.done_total = t.cfg.sessions
 let stats t = t.stats

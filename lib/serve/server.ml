@@ -136,6 +136,7 @@ type shard = {
   reasm_pool : Pool.t;
   ctr : counters;
   env : key Rx.env;  (* window, reassembly pool, record layer, stage 2 *)
+  view : Framing.view;  (* the reader's view of each staged datagram *)
   admit_police : Police.t;  (* session creation, under the shard lock *)
   ctl_police : Police.t;  (* control traffic, under the shard lock *)
   mutable peak_sessions : int;
@@ -149,7 +150,7 @@ type t = {
   io : Dgram.t option;
   pool : Par.Pool.t option;
   shards : shard array;
-  limits : Ingress.limits;
+  view : Framing.view;  (* stage 0's, on the ingest thread *)
   on_complete : (key -> delivered:int -> gone:int -> unit) option;
   mutable load : load_state;
   mutable load_pending : load_state;  (* candidate next state... *)
@@ -205,6 +206,13 @@ let stage2 config ~prog ~on_adu ~on_view scratch ctr key (adu : Adu.t) =
   Obs.Counter.incr ctr.c_delivered;
   Obs.Counter.add ctr.c_bytes plen;
   match on_adu with Some f -> f key adu | None -> ()
+
+(* Stage 0 and the shards read with the same bounds: no datagram longer
+   than a staging buffer, no ADU larger than a reassembly buffer. *)
+let view_of config =
+  Framing.view ~max_len:config.rx_buf_size
+    ~max_total_len:(config.max_adu + Adu.header_size)
+    ()
 
 let make_shard config registry ~prog ~on_adu ~on_view sid =
   let c name =
@@ -275,6 +283,7 @@ let make_shard config registry ~prog ~on_adu ~on_view sid =
         ~deliver:(fun key adu ->
           stage2 config ~prog ~on_adu ~on_view scratch ctr key adu)
         ();
+    view = view_of config;
     admit_police =
       Police.create ~buckets:config.police_buckets ~rate:config.admit_rate
         ~burst:config.admit_burst ();
@@ -417,17 +426,6 @@ let gated_admit t sh k now =
       then Error Ingress.Policed_new
       else Ok (admit t sh k now)
 
-let handle_fragment t sh now ~src ~src_port body =
-  match Framing.parse_fragment_res body with
-  | Error _ -> Some Ingress.Frag_header
-  | Ok frag -> (
-      let k = { peer = src; peer_port = src_port; stream = frag.Framing.stream } in
-      match gated_admit t sh k now with
-      | Error reason -> Some reason
-      | Ok s ->
-          s.last_rx <- now;
-          judge t sh s (Rx.fragment sh.env s.rx frag))
-
 (* Sender GONEs and local give-ups settle indices one at a time; the one
    that completes the session sends its DONE. *)
 let count_gone t sh s counter = function
@@ -437,50 +435,40 @@ let count_gone t sh s counter = function
       completed t sh s
   | _ -> ()
 
-let handle_control t sh now ~src ~src_port body =
-  if
-    not
-      (Police.allow sh.ctl_police
-         ~key:(Demux.hash ~peer:src ~peer_port:src_port ~stream:0)
-         ~now)
-  then Some Ingress.Policed_ctl
-  else
-    match Ctl.parse body with
-    | None -> Some Ingress.Ctl_malformed
-    | Some (Ctl.Close { stream; total }) -> (
-        match
-          gated_admit t sh { peer = src; peer_port = src_port; stream } now
-        with
-        | Error reason -> Some reason
-        | Ok s ->
-            s.last_rx <- now;
-            judge t sh s (Rx.close s.rx total))
-    | Some (Ctl.Gone { stream; indices }) -> (
-        match
-          gated_admit t sh { peer = src; peer_port = src_port; stream } now
-        with
-        | Error reason -> Some reason
-        | Ok s ->
-            s.last_rx <- now;
-            (* Same admission as fragments: forged GONE indices cannot
-               grow the ahead table; ignored ones cost nothing. *)
-            List.iter
-              (fun i -> count_gone t sh s sh.ctr.c_gone (Rx.gone sh.env s.rx i))
-              indices;
-            None)
-    | Some (Ctl.Nack _) | Some (Ctl.Done _) -> None
-
-let dispatch t sh now p =
-  match Ctl.unseal t.config.integrity p.p_buf with
-  | None -> Some Ingress.Bad_crc
-  | Some body ->
-      if Bytebuf.length body = 0 then Some Ingress.Runt
-      else
-        let b0 = Bytebuf.get_uint8 body 0 in
-        if b0 = Framing.frag_magic then
-          handle_fragment t sh now ~src:p.p_src ~src_port:p.p_src_port body
-        else if b0 = Ctl.tag_fec then Some Ingress.Fec_unsupported
-        else handle_control t sh now ~src:p.p_src ~src_port:p.p_src_port body
+(* The staged copy is read again, now with its trailer: the digest is the
+   shard's work, and layout verdicts repeat stage 0's. Control is policed
+   per peer first; data, CLOSE and GONE then meet one admission, so
+   forged GONE indices cannot grow the ahead table either. *)
+let dispatch t (sh : shard) now p =
+  let v = sh.view in
+  let verdict = Framing.read v t.config.integrity p.p_buf in
+  let kind = v.Framing.kind in
+  match Ingress.validate v verdict with
+  | Some reason -> Some reason
+  | None
+    when kind <> Framing.Data
+         && not
+              (Police.allow sh.ctl_police
+                 ~key:(Demux.hash ~peer:p.p_src ~peer_port:p.p_src_port ~stream:0)
+                 ~now) ->
+      Some Ingress.Policed_ctl
+  | None when kind = Framing.Nack || kind = Framing.Done -> None
+  | None -> (
+      let k = { peer = p.p_src; peer_port = p.p_src_port; stream = v.Framing.stream } in
+      match gated_admit t sh k now with
+      | Error reason -> Some reason
+      | Ok s when kind = Framing.Gone ->
+          s.last_rx <- now;
+          for i = 0 to v.Framing.count - 1 do
+            count_gone t sh s sh.ctr.c_gone
+              (Rx.gone sh.env s.rx (Framing.index_at v i))
+          done;
+          None
+      | Ok s ->
+          s.last_rx <- now;
+          judge t sh s
+            (if kind = Framing.Close then Rx.close s.rx v.Framing.total
+             else Rx.fragment sh.env s.rx v))
 
 let process_pending t sh now p =
   Obs.Counter.incr sh.ctr.c_datagrams;
@@ -508,21 +496,22 @@ let process_shard t sh =
 
 let ingest t ~src ~src_port buf =
   let len = Bytebuf.length buf in
-  (* Route first (runts land on shard 0) so that every arrival — and the
-     accept or single drop reason it resolves to — is charged to exactly
-     one shard: per-shard [arrivals = accepted + Σ drops] holds by
-     construction. *)
+  let v = t.view in
+  let verdict = Framing.read_layout v t.config.integrity buf in
+  (* Route first (datagrams under 3 bytes land on shard 0) so that every
+     arrival — and the accept or single drop reason it resolves to — is
+     charged to exactly one shard: per-shard [arrivals = accepted + Σ
+     drops] holds by construction. *)
   let sh =
-    match Demux.stream_of_datagram buf with
-    | None -> t.shards.(0)
-    | Some stream ->
-        t.shards.(Demux.shard_of ~shards:t.config.shards ~peer:src
-                    ~peer_port:src_port ~stream)
+    if v.Framing.stream < 0 then t.shards.(0)
+    else
+      t.shards.(Demux.shard_of ~shards:t.config.shards ~peer:src
+                  ~peer_port:src_port ~stream:v.Framing.stream)
   in
   Obs.Counter.incr sh.ctr.c_arrivals;
-  match Ingress.validate t.limits buf with
-  | Ingress.Reject reason -> count_drop sh reason
-  | Ingress.Accept _ -> (
+  match Ingress.validate v verdict with
+  | Some reason -> count_drop sh reason
+  | None -> (
       match Pool.try_acquire sh.rx_pool with
       | None ->
           (* The shard's staging budget is spent: admission control by
@@ -742,14 +731,6 @@ let create ~sched ?io ?pool ?registry ?on_adu ?on_view ?on_complete
     Array.init config.shards
       (make_shard config registry ~prog ~on_adu ~on_view)
   in
-  let limits =
-    {
-      Ingress.trailer =
-        (match config.integrity with Some _ -> Ctl.trailer_size | None -> 0);
-      max_len = config.rx_buf_size;
-      max_total_len = config.max_adu + Adu.header_size;
-    }
-  in
   let t =
     {
       config;
@@ -757,7 +738,7 @@ let create ~sched ?io ?pool ?registry ?on_adu ?on_view ?on_complete
       io;
       pool;
       shards;
-      limits;
+      view = view_of config;
       on_complete;
       load = Normal;
       load_pending = Normal;

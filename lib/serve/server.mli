@@ -22,7 +22,8 @@
     counted ([drop.backpressure]) — backpressure, not allocation.
 
     {b Adversarial ingress.} Every arrival passes the total, alloc-free
-    {!Ingress.validate} before demux, so no byte sequence can raise or
+    stage 0 ({!Alf_core.Framing.read_layout}, then {!Ingress.validate})
+    before demux, so no byte sequence can raise or
     touch shard state un-classified; each shard rate-limits session
     creation and control traffic per peer through fixed-size {!Police}
     tables; and the engine runs an explicit load-state ladder

@@ -312,6 +312,35 @@ let test_pool_double_release () =
   Pool.release p b;
   check Alcotest.int "outstanding" 0 (Pool.stats p).Pool.outstanding
 
+(* The guard stays exact at any free depth: with 1 and with 1,024
+   buffers free, re-releasing the first buffer released (the bottom of
+   the free stack) or the last (its top) raises, and a legal release at
+   depth 1,024 costs no GC words. *)
+let test_pool_deep_double_release () =
+  List.iter
+    (fun depth ->
+      let p = Pool.create ~capacity:(depth + 1) ~buf_size:2048 () in
+      let bufs = Array.init depth (fun _ -> Pool.acquire p) in
+      let spare = Pool.acquire p in
+      Array.iter (Pool.release p) bufs;
+      List.iter
+        (fun (which, b) ->
+          match Pool.release p b with
+          | () ->
+              Alcotest.failf "depth %d: re-releasing the %s buffer passed" depth
+                which
+          | exception Invalid_argument msg ->
+              check Alcotest.string "the double-release guard"
+                "Pool.release: buffer already released" msg)
+        [ ("first", bufs.(0)); ("last", bufs.(depth - 1)) ];
+      let w0 = Gc.minor_words () in
+      Pool.release p spare;
+      let words = Gc.minor_words () -. w0 in
+      check (Alcotest.float 0.) (Printf.sprintf "release words at depth %d" depth)
+        0. words;
+      check Alcotest.int "outstanding" 0 (Pool.stats p).Pool.outstanding)
+    [ 1; 1024 ]
+
 let test_pool_over_release () =
   let p = Pool.create ~capacity:0 ~buf_size:8 () in
   let a = Pool.acquire p in
@@ -457,6 +486,8 @@ let () =
           Alcotest.test_case "high water" `Quick test_pool_high_water;
           Alcotest.test_case "wrong size" `Quick test_pool_wrong_size;
           Alcotest.test_case "double release" `Quick test_pool_double_release;
+          Alcotest.test_case "double release at depth" `Quick
+            test_pool_deep_double_release;
           Alcotest.test_case "over release" `Quick test_pool_over_release;
           Alcotest.test_case "capacity cap" `Quick test_pool_capacity_cap;
           Alcotest.test_case "multi-domain accounting" `Quick

@@ -446,11 +446,22 @@ let arb_adu =
   in
   QCheck.make ~print:(Format.asprintf "%a" Adu.pp) gen
 
+(* An encoded ADU read in place: [Some] the ADU, its payload a view of
+   [wire], or [None] when the header does not check. *)
+let read_adu wire =
+  let h = Adu.header () in
+  if Adu.read_header h wire ~pos:0 ~len:(Bytebuf.length wire) then
+    Some (Adu.of_header h wire ~pos:0)
+  else None
+
 let prop_adu_round_trip =
   QCheck.Test.make ~name:"adu: decode(encode) round trip" ~count:300 arb_adu
     (fun adu ->
-      let back = Adu.decode (Adu.encode adu) in
-      back.Adu.name = adu.Adu.name && Bytebuf.equal back.Adu.payload adu.Adu.payload)
+      match read_adu (Adu.encode adu) with
+      | Some back ->
+          back.Adu.name = adu.Adu.name
+          && Bytebuf.equal back.Adu.payload adu.Adu.payload
+      | None -> false)
 
 let prop_adu_corruption_detected =
   QCheck.Test.make ~name:"adu: any byte flip detected" ~count:300
@@ -459,9 +470,7 @@ let prop_adu_corruption_detected =
       let wire = Adu.encode adu in
       let i = pos mod Bytebuf.length wire in
       Bytebuf.set_uint8 wire i (Bytebuf.get_uint8 wire i lxor flip);
-      match Adu.decode wire with
-      | _ -> false
-      | exception Adu.Decode_error _ -> true)
+      read_adu wire = None)
 
 let test_adu_name_validation () =
   (match Adu.name ~stream:(-1) ~index:0 () with
@@ -471,26 +480,36 @@ let test_adu_name_validation () =
   | _ -> Alcotest.fail "negative index"
   | exception Invalid_argument _ -> ()
 
-let test_adu_decode_view_aliases () =
+let test_adu_read_aliases () =
   let adu = Adu.make (Adu.name ~stream:1 ~index:2 ()) (buf "view payload") in
-  let wire = Adu.encode adu in
-  let v = Adu.decode_view wire in
+  (* At an offset, as inside a datagram. *)
+  let enc = Adu.encode adu in
+  let len = Bytebuf.length enc in
+  let wire = Bytebuf.create (7 + len + 5) in
+  Bytebuf.blit ~src:enc ~src_pos:0 ~dst:wire ~dst_pos:7 ~len;
+  let h = Adu.header () in
+  Alcotest.(check bool) "short length fails" false
+    (Adu.read_header h wire ~pos:7 ~len:(len - 1));
+  Alcotest.(check bool) "reads" true (Adu.read_header h wire ~pos:7 ~len);
+  let v = Adu.of_header h wire ~pos:7 in
   Alcotest.(check bool) "payload equal" true
     (Bytebuf.equal v.Adu.payload adu.Adu.payload);
   Alcotest.(check bool) "name equal" true (v.Adu.name = adu.Adu.name);
   (* The view aliases the wire buffer — no copy was made. *)
-  Bytebuf.set_uint8 wire Adu.header_size
-    (Bytebuf.get_uint8 wire Adu.header_size lxor 0xff);
+  let at = 7 + Adu.header_size in
+  Bytebuf.set_uint8 wire at (Bytebuf.get_uint8 wire at lxor 0xff);
   Alcotest.(check bool) "aliases wire" false
-    (Bytebuf.equal v.Adu.payload adu.Adu.payload);
-  (* decode still owns its payload. *)
-  let wire2 = Adu.encode adu in
-  let d = Adu.decode wire2 in
-  Bytebuf.set_uint8 wire2 Adu.header_size 0;
-  Alcotest.(check bool) "decode copies" true
-    (Bytebuf.equal d.Adu.payload adu.Adu.payload)
+    (Bytebuf.equal v.Adu.payload adu.Adu.payload)
 
 (* --- Framing --- *)
+
+(* Push one unsealed fragment datagram, read in place as a receiver
+   reads it. *)
+let push_dg r dg =
+  let v = Framing.view () in
+  match Framing.read v None dg with
+  | Framing.Valid -> Framing.push r v
+  | _ -> Alcotest.fail "fragment does not read"
 
 let test_framing_buffer_partition () =
   let data = Bytebuf.of_string (String.init 1000 (fun i -> Char.chr (i land 0xff))) in
@@ -525,13 +544,12 @@ let prop_framing_fragment_round_trip =
     QCheck.(triple arb_adu (int_range 64 512) int64)
     (fun (adu, mtu, seed) ->
       let frags = Framing.fragment ~mtu adu in
-      let infos = List.map (fun f -> Framing.parse_fragment f) frags in
       (* Shuffle fragment arrival. *)
-      let arr = Array.of_list infos in
+      let arr = Array.of_list frags in
       Rng.shuffle (Rng.create ~seed) arr;
       let got = ref [] in
       let r = Framing.reassembler ~deliver:(fun a -> got := a :: !got) () in
-      Array.iter (Framing.push r) arr;
+      Array.iter (push_dg r) arr;
       match !got with
       | [ back ] ->
           back.Adu.name = adu.Adu.name
@@ -557,26 +575,26 @@ let test_framing_fragment_sizes () =
 
 let test_framing_duplicate_fragments () =
   let adu = Adu.make (Adu.name ~stream:0 ~index:5 ()) (Bytebuf.create 600) in
-  let frags = List.map Framing.parse_fragment (Framing.fragment ~mtu:256 adu) in
+  let frags = Framing.fragment ~mtu:256 adu in
   let got = ref 0 in
   let r = Framing.reassembler ~deliver:(fun _ -> incr got) () in
   (* Feed everything except the last fragment, twice: duplicates are
      absorbed and counted, nothing delivered. (De-duplication of whole
      completed ADUs is the transport's job, not the reassembler's.) *)
   let all_but_last = List.filteri (fun i _ -> i < List.length frags - 1) frags in
-  List.iter (Framing.push r) all_but_last;
-  List.iter (Framing.push r) all_but_last;
+  List.iter (push_dg r) all_but_last;
+  List.iter (push_dg r) all_but_last;
   Alcotest.(check int) "nothing delivered yet" 0 !got;
   Alcotest.(check int) "duplicates counted"
     (List.length all_but_last)
     (Framing.stats r).Framing.duplicate_frags;
-  List.iter (Framing.push r) frags;
+  List.iter (push_dg r) frags;
   Alcotest.(check int) "delivered once" 1 !got
 
 let test_framing_interleaved_adus () =
   let mk i = Adu.make (Adu.name ~stream:0 ~index:i ()) (Bytebuf.create 500) in
-  let f0 = List.map Framing.parse_fragment (Framing.fragment ~mtu:200 (mk 0)) in
-  let f1 = List.map Framing.parse_fragment (Framing.fragment ~mtu:200 (mk 1)) in
+  let f0 = Framing.fragment ~mtu:200 (mk 0) in
+  let f1 = Framing.fragment ~mtu:200 (mk 1) in
   let rec interleave xs ys =
     match (xs, ys) with
     | [], rest | rest, [] -> rest
@@ -585,14 +603,14 @@ let test_framing_interleaved_adus () =
   let order = ref [] in
   let r = Framing.reassembler ~deliver:(fun a -> order := a.Adu.name.Adu.index :: !order) () in
   (* Interleave but give ADU 1 its last fragment first: it completes first. *)
-  List.iter (Framing.push r) (interleave (List.rev f1) f0);
+  List.iter (push_dg r) (interleave (List.rev f1) f0);
   Alcotest.(check int) "both complete" 2 (List.length !order)
 
 let test_framing_forget () =
   let adu = Adu.make (Adu.name ~stream:0 ~index:9 ()) (Bytebuf.create 600) in
-  let frags = List.map Framing.parse_fragment (Framing.fragment ~mtu:256 adu) in
+  let frags = Framing.fragment ~mtu:256 adu in
   let r = Framing.reassembler ~deliver:(fun _ -> Alcotest.fail "must not deliver") () in
-  (match frags with f :: _ -> Framing.push r f | [] -> ());
+  (match frags with f :: _ -> push_dg r f | [] -> ());
   Alcotest.(check int) "pending" 1 (Framing.pending_adus r);
   Framing.forget r ~index:9;
   Alcotest.(check int) "forgotten" 0 (Framing.pending_adus r)
@@ -609,13 +627,12 @@ let test_framing_pooled_zero_alloc () =
   in
   let payload = Bytebuf.of_string (String.init 700 (fun i -> Char.chr (i land 0xff))) in
   let frags i =
-    List.map Framing.parse_fragment
-      (Framing.fragment ~mtu:256 (Adu.make (Adu.name ~stream:3 ~index:i ()) payload))
+    Framing.fragment ~mtu:256 (Adu.make (Adu.name ~stream:3 ~index:i ()) payload)
   in
   let batches = List.init 12 frags in
-  (match batches with b :: _ -> List.iter (Framing.push r) b | [] -> ());
+  (match batches with b :: _ -> List.iter (push_dg r) b | [] -> ());
   let snap = Bytebuf.created_total () in
-  List.iteri (fun i b -> if i > 0 then List.iter (Framing.push r) b) batches;
+  List.iteri (fun i b -> if i > 0 then List.iter (push_dg r) b) batches;
   Alcotest.(check int) "zero creates per ADU after warmup" snap
     (Bytebuf.created_total ());
   Alcotest.(check int) "all adus delivered" (12 * 700) !delivered;
@@ -627,8 +644,8 @@ let test_framing_pooled_oversize_falls_back () =
   let got = ref 0 in
   let r = Framing.reassembler ~pool ~deliver:(fun _ -> incr got) () in
   let adu = Adu.make (Adu.name ~stream:0 ~index:0 ()) (Bytebuf.create 500) in
-  List.iter (Framing.push r)
-    (List.map Framing.parse_fragment (Framing.fragment ~mtu:200 adu));
+  List.iter (push_dg r)
+    (Framing.fragment ~mtu:200 adu);
   Alcotest.(check int) "delivered" 1 !got;
   Alcotest.(check int) "pool untouched" 0 (Pool.stats pool).Pool.allocated
 
@@ -836,12 +853,13 @@ let hand_receiver () =
   let engine = Engine.create () in
   let handler = ref None and dones = ref 0 and delivered = ref [] in
   let integrity = Some Checksum.Kind.Crc32 in
+  let view = Framing.view () in
   let io =
     {
       Dgram.send =
         (fun ~dst:_ ~dst_port:_ ~src_port:_ buf ->
-          (match Option.map Ctl.parse (Ctl.unseal integrity buf) with
-          | Some (Some (Ctl.Done _)) -> incr dones
+          (match Framing.read view integrity buf with
+          | Framing.Valid when view.Framing.kind = Framing.Done -> incr dones
           | _ -> ());
           true);
       bind = (fun ~port:_ h -> handler := Some h);
@@ -1075,11 +1093,15 @@ let rx_matches_model =
       in
       let rx = ref (Rx.create ()) and completions = ref 0 in
       let note v = if v = Rx.Completed then incr completions in
+      let view = Framing.view () in
       (* Each arrival is a fresh datagram: the record opens in place. *)
       let feed b =
         note
           (Rx.fragment env !rx
-             (Result.get_ok (Framing.parse_fragment_res (Bytebuf.copy b))))
+             (let b = Bytebuf.copy b in
+              if Framing.read view None b <> Framing.Valid then
+                model_fail "a fragment does not read";
+              view))
       in
       let settle_gone i v =
         note v;
@@ -2026,7 +2048,7 @@ let () =
       ( "adu",
         [
           Alcotest.test_case "name validation" `Quick test_adu_name_validation;
-          Alcotest.test_case "decode_view aliases" `Quick test_adu_decode_view_aliases;
+          Alcotest.test_case "read aliases the buffer" `Quick test_adu_read_aliases;
           qcheck prop_adu_round_trip;
           qcheck prop_adu_corruption_detected;
         ] );

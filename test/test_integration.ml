@@ -103,12 +103,12 @@ let test_adus_over_atm_with_cell_loss () =
   let reasm =
     Aal5.reassembler
       ~deliver:(fun frame ->
-        match Adu.decode frame with
-        | adu ->
-            Alcotest.(check int) "payload intact" adu_payload
-              (Bytebuf.length adu.Adu.payload);
-            incr delivered
-        | exception Adu.Decode_error _ -> Alcotest.fail "corrupt ADU delivered")
+        let h = Adu.header () in
+        if Adu.read_header h frame ~pos:0 ~len:(Bytebuf.length frame) then begin
+          Alcotest.(check int) "payload intact" adu_payload h.Adu.h_plen;
+          incr delivered
+        end
+        else Alcotest.fail "corrupt ADU delivered")
       ()
   in
   let lost_frames = ref 0 in

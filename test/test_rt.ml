@@ -545,21 +545,28 @@ let two_frag_adu ~index =
   let adu = Adu.make (Adu.name ~stream:1 ~index ()) payload in
   let frags = Framing.fragment ~mtu:200 adu in
   Alcotest.(check int) "fixture is two fragments" 2 (List.length frags);
-  List.map Framing.parse_fragment frags
+  frags
+
+(* Push one unsealed fragment datagram, read in place. *)
+let push r dg =
+  let v = Framing.view () in
+  match Framing.read v None dg with
+  | Framing.Valid -> Framing.push r v
+  | _ -> Alcotest.fail "fragment does not read"
 
 let test_reassembler_retired_duplicates () =
   let delivered = ref 0 in
   let r = Framing.reassembler ~deliver:(fun _ -> incr delivered) () in
   let frags = two_frag_adu ~index:0 in
-  List.iter (Framing.push r) frags;
+  List.iter (push r) frags;
   Alcotest.(check int) "delivered once" 1 !delivered;
   let st = Framing.stats r in
   Alcotest.(check int) "completed" 1 st.Framing.completed;
   (* Late retransmissions of a completed ADU: counted and dropped before
      any buffer or copy work — no reopened partial, no reallocation. *)
   let created0 = Bytebuf.created_total () in
-  List.iter (Framing.push r) frags;
-  List.iter (Framing.push r) frags;
+  List.iter (push r) frags;
+  List.iter (push r) frags;
   Alcotest.(check int) "no re-delivery" 1 !delivered;
   Alcotest.(check int) "duplicates counted" 4 st.Framing.duplicate_frags;
   Alcotest.(check int) "no partial reopened" 0 (Framing.pending_adus r);
@@ -571,12 +578,12 @@ let test_reassembler_forget_retires () =
   let delivered = ref 0 in
   let r = Framing.reassembler ~deliver:(fun _ -> incr delivered) () in
   let frags = two_frag_adu ~index:7 in
-  Framing.push r (List.hd frags);
+  push r (List.hd frags);
   Alcotest.(check int) "partial open" 1 (Framing.pending_adus r);
   Framing.forget r ~index:7;
   Alcotest.(check int) "partial dropped" 0 (Framing.pending_adus r);
   (* The straggler that raced the gone-declaration must not reopen it. *)
-  List.iter (Framing.push r) frags;
+  List.iter (push r) frags;
   Alcotest.(check int) "nothing delivered" 0 !delivered;
   Alcotest.(check int) "no partial reopened" 0 (Framing.pending_adus r);
   Alcotest.(check int) "stragglers counted as duplicates" 2

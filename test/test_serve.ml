@@ -42,15 +42,16 @@ let demux_matches_oracle =
               Ctl.build (fun b -> Ctl.write_gone b ~stream [ 1 ]);
             ])
       in
+      let v = Framing.view () in
       List.length datagrams > 4
       && List.for_all
            (fun d ->
-             match Demux.stream_of_datagram d with
-             | None -> false
-             | Some s ->
-                 s = stream
-                 && oracle >= 0 && oracle < shards
-                 && Demux.shard_of ~shards ~peer ~peer_port ~stream:s = oracle)
+             Framing.read_layout v integrity d = Framing.Valid
+             &&
+             let s = v.Framing.stream in
+             s = stream
+             && oracle >= 0 && oracle < shards
+             && Demux.shard_of ~shards ~peer ~peer_port ~stream:s = oracle)
            datagrams)
 
 (* A datagram substrate that captures sends instead of carrying them:
@@ -287,27 +288,21 @@ let test_admission_eviction () =
 (* --- stage-0 ingress: the total pre-demux classifier --- *)
 
 let test_ingress_verdicts () =
-  let limits =
-    {
-      Ingress.trailer = Ctl.trailer_size;
-      max_len = 512;
-      max_total_len = 4096 + Adu.header_size;
-    }
-  in
+  let v = Framing.view ~max_len:512 ~max_total_len:(4096 + Adu.header_size) () in
   let seal = Ctl.seal integrity in
-  let verdict buf = Ingress.validate limits buf in
+  let verdict buf = Ingress.validate v (Framing.read_layout v integrity buf) in
   let reject name expect buf =
     match verdict buf with
-    | Ingress.Reject r when r = expect -> ()
-    | Ingress.Reject r ->
+    | Some r when r = expect -> ()
+    | Some r ->
         Alcotest.failf "%s: dropped as %s, expected %s" name
           (Ingress.reason_name r) (Ingress.reason_name expect)
-    | Ingress.Accept _ -> Alcotest.failf "%s: accepted" name
+    | None -> Alcotest.failf "%s: accepted" name
   in
   let accept name stream buf =
     match verdict buf with
-    | Ingress.Accept s -> Alcotest.(check int) name stream s
-    | Ingress.Reject r ->
+    | None -> Alcotest.(check int) name stream v.Framing.stream
+    | Some r ->
         Alcotest.failf "%s: rejected as %s" name (Ingress.reason_name r)
   in
   let payload = Bytebuf.of_string (String.make 60 'p') in
@@ -319,7 +314,11 @@ let test_ingress_verdicts () =
   accept "valid nack" 9 (seal (Ctl.build (fun b -> Ctl.write_nack b ~stream:9 ~have_below:0 [ 1 ])));
   accept "valid gone" 9 (seal (Ctl.build (fun b -> Ctl.write_gone b ~stream:9 [ 1 ])));
   reject "empty" Ingress.Runt (Bytebuf.of_string "");
-  reject "trailer-only" Ingress.Runt (Bytebuf.of_string "\xAD\x00\x00\x00\x00");
+  reject "trailer-only" Ingress.Runt (Bytebuf.of_string "\xAD\x12\x34\x00\x00");
+  (* A runt of 3 bytes or more still names the stream it is routed by. *)
+  Alcotest.(check int) "runt routed by bytes 1-2" 0x1234 v.Framing.stream;
+  reject "two bytes" Ingress.Runt (Bytebuf.of_string "\xAD\x12");
+  Alcotest.(check int) "no stream under 3 bytes" (-1) v.Framing.stream;
   reject "oversize" Ingress.Oversize (Bytebuf.create 513);
   reject "unknown kind" Ingress.Bad_kind (Bytebuf.of_string "\x99aaaaaaa");
   (let b = Bytebuf.copy frag in
