@@ -30,7 +30,7 @@ bench-quick:
 # Tiny-quota pass over the microbenchmark experiments only: seconds, not
 # minutes, and still writes a valid BENCH_ilp.json for comparison.
 bench-smoke:
-	ALFNET_BENCH_QUOTA=0.05 dune exec bench/main.exe -- table1 ilp-fusion fused-convert ilp-parallel ilp-compile ilp-marshal schema-marshal secure-record
+	ALFNET_BENCH_QUOTA=0.05 dune exec bench/main.exe -- table1 ilp-fusion fused-convert ilp-parallel ilp-compile ilp-marshal schema-marshal secure-record serve-dispatch
 
 # Quick perf gate: run the fusion experiments at a tiny quota, then fail
 # if fused does not beat serial (E2), the compiled 3-stage plan does not

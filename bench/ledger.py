@@ -7,8 +7,11 @@ committed values.
 
 Builds perfbench's binary the way perfbench/smoke.py does (release
 profile, through perfbench/run.py) and runs each workload traced, at
-small sizes, with its traces in a temporary directory. These counts
-repeat exactly run to run. A check fails when a count rises above its
+small sizes, with its traces in a temporary directory. Besides the
+metrics of the JSON result it reads two counts from the detail of the
+traced run's layers.txt: the serve engine's fallback allocations and
+the GC words of one rt.send span. These counts repeat exactly run to
+run. A check fails when a count rises above its
 committed value by more than the spread its three runs showed when the
 file was written; a count that falls passes, and the change that lowers
 it rewrites the file. Exits 1 on a failure, 0 when every count holds.
@@ -37,6 +40,9 @@ CASES = [
 ]
 
 COUNTS = ["rt.sends_per_adu", "tx.frags_per_adu", "serve.pool_outstanding"]
+# Not BENCHMARK.json metrics: read from the detail of layers.txt, where a
+# workload has them.
+DETAIL = ["serve.fallback_allocs", "span.rt.send.self_words"]
 REPAIR = ["serve.nacks", "gen.regens", "gen.recloses", "serve.harvested",
           "serve.redelivered"]
 
@@ -46,6 +52,7 @@ def wanted(case, metrics):
     the counts; serve-lossy adds its repair signature."""
     names = [k for k in metrics if "words" in k and k != "gc.promoted_words_per_adu"]
     names += COUNTS
+    names += [k for k in DETAIL if k in metrics and k not in names]
     if case.startswith("serve-lossy"):
         names += REPAIR
     return sorted(names)
@@ -63,7 +70,25 @@ def measure(workload, seed, extra, out_dir):
     result = json.loads(lines[-1])
     if result["correct"] is not True:
         sys.exit("ledger: %s seed %d failed its correctness gate" % (workload, seed))
-    return {k: v["value"] for k, v in result["metrics"].items()}
+    got = {k: v["value"] for k, v in result["metrics"].items()}
+    got.update(detail(os.path.join(out_dir, "%s-seed%d.layers.txt" % (workload, seed))))
+    return got
+
+
+def detail(path):
+    """The DETAIL counts a traced run's layers.txt lists: lines of
+    `name value unit` after its `detail` heading."""
+    found = {}
+    with open(path) as f:
+        in_detail = False
+        for line in f:
+            if line.startswith("detail"):
+                in_detail = True
+                continue
+            fields = line.split()
+            if in_detail and len(fields) == 3 and fields[0] in DETAIL:
+                found[fields[0]] = float(fields[1])
+    return found
 
 
 def write(out_dir):

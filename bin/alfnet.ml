@@ -1505,9 +1505,9 @@ let drive_serve ~backend ~sessions ~adus ~payload ~shards ~domains ~budget
     emitted := !emitted + sent;
     (match !window_base with
     | None when !emitted >= half_data && !emitted < data_emissions ->
-        window_base := Some (Serve.data_pool_allocated server)
+        window_base := Some (Serve.pool_allocated server)
     | Some base when (not !window_closed) && !emitted >= data_emissions ->
-        window_allocs := Serve.data_pool_allocated server - base;
+        window_allocs := Serve.pool_allocated server - base;
         window_closed := true
     | _ -> ());
     turn ();

@@ -98,8 +98,8 @@ let auth_corrupting_dgram ~rng ~rate ~integrity (d : Alf_core.Dgram.t) =
                (Adu.of_header v.Framing.adu buf ~pos:v.Framing.chunk_off).Adu.name
                ~plen:(body - payload)
                ~payload_crc:
-                 (Checksum.Crc32.digest
-                    (Bytebuf.sub buf ~pos:payload ~len:(body - payload))));
+                 (Checksum.Crc32.digest_sub buf ~pos:payload
+                    ~len:(body - payload)));
           buf
       | _ -> buf
     in

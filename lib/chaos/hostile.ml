@@ -176,7 +176,7 @@ let write_valid_frag t ~stream ~index =
       timestamp_us = 0L }
   in
   Framing.seal_single t.cfg.integrity t.scratch ~stream name ~plen
-    ~payload_crc:(Checksum.Crc32.digest (Bytebuf.sub t.scratch ~pos ~len:plen))
+    ~payload_crc:(Checksum.Crc32.digest_sub t.scratch ~pos ~len:plen)
 
 let fresh_stream t =
   let s = t.churn_stream in

@@ -150,8 +150,4 @@ let combine crc1 crc2 len2 =
      0, so for a genuinely empty suffix this is [crc1] — and for a
      non-empty digest spliced at a zero-length offset (empty-payload ADU
      seals), dropping [crc2] would silently corrupt the composition. *)
-  if len2 <= 0 then Int32.logxor crc1 crc2
-  else
-    let c1 = Int32.to_int crc1 land 0xFFFFFFFF
-    and c2 = Int32.to_int crc2 land 0xFFFFFFFF in
-    Int32.of_int (multmodp (x8nmodp len2) c1 lxor c2)
+  if len2 <= 0 then crc1 lxor crc2 else multmodp (x8nmodp len2) crc1 lxor crc2

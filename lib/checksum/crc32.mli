@@ -36,11 +36,12 @@ val digest_sub : Bytebuf.t -> pos:int -> len:int -> int
 
 val digest_string : string -> int32
 
-val combine : int32 -> int32 -> int -> int32
+val combine : int -> int -> int -> int
 (** [combine crc1 crc2 len2] is the CRC of the concatenation [a ^ b]
-    given [crc1 = digest a], [crc2 = digest b] and [len2 = length b] —
-    computed in O(log len2) 32-step polynomial products against a table
-    built at module init, without re-reading either input and without
-    allocating per call beyond the result. This lets the fused send path
-    digest the payload once, in the marshalling loop, and still seal
-    header-spanning CRC fields. *)
+    given [crc1] and [crc2], the digests of [a] and [b] widened to
+    non-negative [int]s (as {!finish_int} and {!digest_sub} return
+    them), and [len2 = length b] — computed in O(log len2) 32-step
+    polynomial products against a table built at module init, without
+    re-reading either input and without allocating. This lets the fused
+    send path digest the payload once, in the marshalling loop, and
+    still seal header-spanning CRC fields. *)

@@ -27,24 +27,23 @@ let magic = 0xADF0
 (* Header layout: magic(2) stream(2) index(4) dest_off(8) dest_len(4)
    timestamp_us(8) plen(4) crc(4). *)
 let write_header buf ~pos name ~plen ~payload_crc =
-  let put off v ~bytes = Bytebuf.set_be buf (pos + off) v ~bytes in
-  put 0 magic ~bytes:2;
-  put 2 name.stream ~bytes:2;
-  put 4 name.index ~bytes:4;
-  put 8 name.dest_off ~bytes:8;
-  put 16 name.dest_len ~bytes:4;
+  Bytebuf.set_be buf pos magic ~bytes:2;
+  Bytebuf.set_be buf (pos + 2) name.stream ~bytes:2;
+  Bytebuf.set_be buf (pos + 4) name.index ~bytes:4;
+  Bytebuf.set_be buf (pos + 8) name.dest_off ~bytes:8;
+  Bytebuf.set_be buf (pos + 16) name.dest_len ~bytes:4;
   let ts = name.timestamp_us in
-  put 20 (Int64.to_int (Int64.shift_right_logical ts 32)) ~bytes:4;
-  put 24 (Int64.to_int ts) ~bytes:4;
-  put 28 plen ~bytes:4;
-  put 32 0 ~bytes:4;
+  Bytebuf.set_be buf (pos + 20) (Int64.to_int (Int64.shift_right_logical ts 32))
+    ~bytes:4;
+  Bytebuf.set_be buf (pos + 24) (Int64.to_int ts) ~bytes:4;
+  Bytebuf.set_be buf (pos + 28) plen ~bytes:4;
+  Bytebuf.set_be buf (pos + 32) 0 ~bytes:4;
   (* The CRC covers the header with its own field zeroed, then the
      payload: extend the header's digest by the payload's. *)
-  let hcrc =
-    Checksum.Crc32.finish
-      (Checksum.Crc32.feed_sub Checksum.Crc32.init buf ~pos ~len:header_size)
-  in
-  put 32 (Int32.to_int (Checksum.Crc32.combine hcrc payload_crc plen)) ~bytes:4
+  let hcrc = Checksum.Crc32.digest_sub buf ~pos ~len:header_size in
+  Bytebuf.set_be buf (pos + 32)
+    (Checksum.Crc32.combine hcrc payload_crc plen)
+    ~bytes:4
 
 let encode t =
   let plen = Bytebuf.length t.payload in
@@ -52,7 +51,7 @@ let encode t =
   Bytebuf.blit ~src:t.payload ~src_pos:0 ~dst:buf ~dst_pos:header_size
     ~len:plen;
   write_header buf ~pos:0 t.name ~plen
-    ~payload_crc:(Checksum.Crc32.digest t.payload);
+    ~payload_crc:(Checksum.Crc32.digest_sub t.payload ~pos:0 ~len:plen);
   buf
 
 type header = {

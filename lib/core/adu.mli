@@ -46,12 +46,13 @@ val magic : int
     stored by {!write_header}. *)
 
 val write_header :
-  Bytebuf.t -> pos:int -> name -> plen:int -> payload_crc:int32 -> unit
+  Bytebuf.t -> pos:int -> name -> plen:int -> payload_crc:int -> unit
 (** Lay the 36-byte header (magic, name, payload length, CRC-32) at [pos]
     in [buf] for the [plen]-byte payload that follows it. The payload is
-    not read: its CRC-32 [payload_crc] extends the header's digest
-    through {!Checksum.Crc32.combine}. Every ADU header is written
-    here. *)
+    not read: its CRC-32 [payload_crc] (a non-negative [int], as
+    {!Checksum.Crc32.digest_sub} returns it) extends the header's digest
+    through {!Checksum.Crc32.combine}. Allocates nothing. Every ADU
+    header is written here. *)
 
 val encode : t -> Bytebuf.t
 (** Header followed by payload, in one fresh buffer: a copy of the

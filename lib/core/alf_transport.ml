@@ -477,7 +477,7 @@ let account_sent s ~index ~encoded_len ~nfrags =
 (* The payload's CRC-32: the last digest, from the stage [transmit]
    appends after every user stage. *)
 let rec last_checksum = function
-  | [ (_, v) ] -> Int32.of_int v
+  | [ (_, v) ] -> v
   | _ :: tl -> last_checksum tl
   | [] -> assert false
 
@@ -514,7 +514,8 @@ let transmit s (name : Adu.name) ~n fill =
     | Some (e, _), [ tag ] ->
         let tail = Bytebuf.sub buf ~pos:(pos + n) ~len:Secure.Record.overhead in
         Secure.Record.write_trailer tail ~e ~tag;
-        Checksum.Crc32.combine crc (Checksum.Crc32.digest tail)
+        Checksum.Crc32.combine crc
+          (Checksum.Crc32.digest_sub tail ~pos:0 ~len:Secure.Record.overhead)
           Secure.Record.overhead
     | Some _, _ -> assert false (* exactly one Aead_seal in stages *)
   in

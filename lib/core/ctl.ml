@@ -44,37 +44,52 @@ let seal integrity buf =
 
 (* Writers lay the message into the front of [buf] and return the body
    length, so pooled or scratch buffers can be filled and sealed in
-   place. *)
+   place. Each checks its room once, raising {!Cursor.Overflow} as a
+   cursor would (so {!build} can grow its buffer), then stores; none
+   allocates. *)
+
+let room buf n =
+  if Bytebuf.length buf < n then
+    raise
+      (Cursor.Overflow
+         (Printf.sprintf "Ctl: need %d bytes of room, %d remain" n
+            (Bytebuf.length buf)))
+
+let rec put_indices buf pos = function
+  | [] -> pos
+  | i :: tl ->
+      Bytebuf.set_be buf pos i ~bytes:4;
+      put_indices buf (pos + 4) tl
+
+let head buf tag ~stream =
+  Bytebuf.set_be buf 0 tag ~bytes:1;
+  Bytebuf.set_be buf 1 stream ~bytes:2
 
 let write_done buf ~stream =
-  let w = Cursor.writer buf in
-  Cursor.put_u8 w tag_done;
-  Cursor.put_u16be w stream;
-  Bytebuf.length (Cursor.written w)
+  room buf 3;
+  head buf tag_done ~stream;
+  3
 
 let write_close buf ~stream ~total =
-  let w = Cursor.writer buf in
-  Cursor.put_u8 w tag_close;
-  Cursor.put_u16be w stream;
-  Cursor.put_int_as_u32be w total;
-  Bytebuf.length (Cursor.written w)
+  room buf 7;
+  head buf tag_close ~stream;
+  Bytebuf.set_be buf 3 total ~bytes:4;
+  7
 
 let write_nack buf ~stream ~have_below indices =
-  let w = Cursor.writer buf in
-  Cursor.put_u8 w tag_nack;
-  Cursor.put_u16be w stream;
-  Cursor.put_int_as_u32be w have_below;
-  Cursor.put_u16be w (List.length indices);
-  List.iter (fun i -> Cursor.put_int_as_u32be w i) indices;
-  Bytebuf.length (Cursor.written w)
+  let count = List.length indices in
+  room buf (9 + (4 * count));
+  head buf tag_nack ~stream;
+  Bytebuf.set_be buf 3 have_below ~bytes:4;
+  Bytebuf.set_be buf 7 count ~bytes:2;
+  put_indices buf 9 indices
 
 let write_gone buf ~stream indices =
-  let w = Cursor.writer buf in
-  Cursor.put_u8 w tag_gone;
-  Cursor.put_u16be w stream;
-  Cursor.put_u16be w (List.length indices);
-  List.iter (fun i -> Cursor.put_int_as_u32be w i) indices;
-  Bytebuf.length (Cursor.written w)
+  let count = List.length indices in
+  room buf (5 + (4 * count));
+  head buf tag_gone ~stream;
+  Bytebuf.set_be buf 3 count ~bytes:2;
+  put_indices buf 5 indices
 
 let build write =
   let rec go size =

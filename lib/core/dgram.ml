@@ -56,10 +56,7 @@ let of_rt link =
     send =
       (fun ~dst ~dst_port ~src_port payload ->
         Rt.Udp_link.send link ~dst ~dst_port ~src_port payload);
-    bind =
-      (fun ~port handler ->
-        Rt.Udp_link.bind link ~port (fun ~src ~src_port payload ->
-            handler ~src ~src_port payload));
+    bind = (fun ~port handler -> Rt.Udp_link.bind link ~port handler);
     max_payload = Rt.Udp_link.max_payload;
   }
 

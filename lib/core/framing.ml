@@ -148,9 +148,9 @@ let read_list v ~body ~at =
 (* After the kind byte and the stream id, the bodies [Ctl]'s writers lay:
    CLOSE total(4); NACK have_below(4) count(2) indices; GONE count(2)
    indices. *)
-let layout v ~body =
+let layout v ~len ~body =
   if body < 3 then Runt
-  else if Bytebuf.length v.dg > v.max_len then Oversize
+  else if len > v.max_len then Oversize
   else
     let b0 = get v 0 1 in
     if b0 = frag_magic then begin
@@ -184,22 +184,25 @@ let layout v ~body =
 
 (* Bytes 1-2, the stream id of every fragment and control message, are
    taken whatever the verdict: routing keys on them. *)
-let start v dg =
+let start v dg ~len =
   v.dg <- dg;
-  v.stream <- (if Bytebuf.length dg >= 3 then get v 1 2 else -1)
+  v.stream <- (if len >= 3 then get v 1 2 else -1)
 
 let trailer = function Some _ -> Ctl.trailer_size | None -> 0
 
 let read_layout v integrity dg =
-  start v dg;
-  layout v ~body:(Bytebuf.length dg - trailer integrity)
+  let len = Bytebuf.length dg in
+  start v dg ~len;
+  layout v ~len ~body:(len - trailer integrity)
 
 (* The digest [Ctl.seal_in_place] wrote behind the body. *)
-let read v integrity dg =
-  start v dg;
-  let body = Bytebuf.length dg - trailer integrity in
+let read_prefix v integrity dg ~len =
+  if len < 0 || len > Bytebuf.length dg then
+    invalid_arg "Framing.read_prefix: len outside the buffer";
+  start v dg ~len;
+  let body = len - trailer integrity in
   match integrity with
-  | None -> layout v ~body
+  | None -> layout v ~len ~body
   | Some _ when body < 0 -> Bad_crc
   | Some kind ->
       let digest =
@@ -208,7 +211,9 @@ let read v integrity dg =
         | kind -> Checksum.Kind.digest kind (Bytebuf.sub dg ~pos:0 ~len:body)
       in
       if digest land 0xFFFFFFFF <> get v body 4 then Bad_crc
-      else layout v ~body
+      else layout v ~len ~body
+
+let read v integrity dg = read_prefix v integrity dg ~len:(Bytebuf.length dg)
 
 let index_at v i =
   if i < 0 || i >= v.count then invalid_arg "Framing.index_at";

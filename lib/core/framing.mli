@@ -72,12 +72,13 @@ val seal_single :
   stream:int ->
   Adu.name ->
   plen:int ->
-  payload_crc:int32 ->
+  payload_crc:int ->
   int
 (** A one-fragment ADU datagram whose [plen]-byte payload, of CRC-32
     [payload_crc], already sits at [fragment_header_size +
     Adu.header_size] in [dg]: lays both headers ({!Adu.write_header})
-    and seals. Returns the datagram's length. *)
+    and seals. Returns the datagram's length. Allocates nothing under
+    CRC-32 integrity. *)
 
 val fragment : mtu:int -> Adu.t -> Bytebuf.t list
 (** Unsealed wire-format fragments of the encoded ADU, each at most
@@ -132,6 +133,13 @@ val read : view -> Checksum.Kind.t option -> Bytebuf.t -> verdict
     [Adu.header_size <= total_len <= max_total_len], its chunk within
     [total_len] and, when alone, all of it; a control body has its exact
     length; an FEC block is any bytes after its tag. *)
+
+val read_prefix :
+  view -> Checksum.Kind.t option -> Bytebuf.t -> len:int -> verdict
+(** {!read} of a datagram held in the first [len] bytes of a longer
+    buffer, such as a staging slot, without a sub-slice: [dg] in the view
+    is then the whole buffer, and every field stays within [len]. Raises
+    [Invalid_argument] when [len] is outside the buffer. *)
 
 val read_layout : view -> Checksum.Kind.t option -> Bytebuf.t -> verdict
 (** {!read} taking only the trailer's length, not its digest: stage 0's

@@ -352,9 +352,9 @@ let fold16 s =
 
 let swap16 s = ((s land 0xff) lsl 8) lor ((s lsr 8) land 0xff)
 
-(* Per-run stage state. Built fresh each run from the plan (keys and
+(* Stage state. An instance builds it once from the plan (keys and
    stream positions are run-time parameters, not part of the cached
-   shape). *)
+   shape) and resets it in place before each run after its first. *)
 type rt =
   | R_inet of { mutable sum : int }
       (* Internet checksum in little-endian lane order: a block adds each
@@ -367,34 +367,35 @@ type rt =
       (* CRC-32 on its own unboxed path: eight sliced word steps per
          block — the framing stage every secure plan runs. *)
   | R_pad of { pad : Cipher.Pad.t; pos : int64 }
-  | R_rc4 of Cipher.Rc4.t
-  | R_aead of { a : Cipher.Aead.t; seal : bool }
+  | R_rc4 of { key : string; mutable rc4 : Cipher.Rc4.t }
+  | R_aead of { p : aead_params; seal : bool; mutable a : Cipher.Aead.t }
   | R_copy
+
+let aead_of p =
+  Cipher.Aead.create ~key:p.aead_key ~n0:p.aead_n0 ~n1:p.aead_n1 ~n2:p.aead_n2
+    ~aad:p.aead_aad
 
 let rt_of_stage = function
   | Checksum Checksum.Kind.Internet -> R_inet { sum = 0 }
   | Checksum Checksum.Kind.Crc32 -> R_crc32 { crc = Checksum.Crc32.init }
   | Checksum kind -> R_gen { kind; f = Checksum.Kind.feeder kind }
   | Xor_pad { key; pos } -> R_pad { pad = Cipher.Pad.create ~key; pos }
-  | Rc4_stream { key } -> R_rc4 (Cipher.Rc4.create ~key)
-  | Aead_seal { aead_key; aead_n0; aead_n1; aead_n2; aead_aad } ->
-      R_aead
-        {
-          a =
-            Cipher.Aead.create ~key:aead_key ~n0:aead_n0 ~n1:aead_n1
-              ~n2:aead_n2 ~aad:aead_aad;
-          seal = true;
-        }
-  | Aead_open { aead_key; aead_n0; aead_n1; aead_n2; aead_aad } ->
-      R_aead
-        {
-          a =
-            Cipher.Aead.create ~key:aead_key ~n0:aead_n0 ~n1:aead_n1
-              ~n2:aead_n2 ~aad:aead_aad;
-          seal = false;
-        }
+  | Rc4_stream { key } -> R_rc4 { key; rc4 = Cipher.Rc4.create ~key }
+  | Aead_seal p -> R_aead { p; seal = true; a = aead_of p }
+  | Aead_open p -> R_aead { p; seal = false; a = aead_of p }
   | Deliver_copy -> R_copy
   | Byteswap32 -> assert false (* the driver performs it on the way in *)
+
+(* Back to the state [rt_of_stage] built. The production stages reset
+   without allocating; the ciphers that carry a record or a keystream
+   position start a new one. *)
+let rt_reset = function
+  | R_inet s -> s.sum <- 0
+  | R_gen s -> s.f <- Checksum.Kind.feeder s.kind
+  | R_crc32 s -> s.crc <- Checksum.Crc32.init
+  | R_rc4 s -> s.rc4 <- Cipher.Rc4.create ~key:s.key
+  | R_aead s -> s.a <- aead_of s.p
+  | R_pad _ | R_copy -> ()
 
 (* The tail op: the last [len] (< 64) bytes at [db.(off..)], stream
    position [i] (64-aligned), a byte at a time. The byte-grain stages
@@ -430,9 +431,9 @@ let rt_tail rt db off i len =
         let b = Char.code (Bytes.unsafe_get db (off + j)) in
         let b =
           match rt with
-          | R_rc4 rc4 -> b lxor Cipher.Rc4.keystream_byte rc4
-          | R_aead { a; seal = true } -> Cipher.Aead.seal_byte a (i + j) b
-          | R_aead { a; seal = false } -> Cipher.Aead.open_byte a (i + j) b
+          | R_rc4 s -> b lxor Cipher.Rc4.keystream_byte s.rc4
+          | R_aead { a; seal = true; _ } -> Cipher.Aead.seal_byte a (i + j) b
+          | R_aead { a; seal = false; _ } -> Cipher.Aead.open_byte a (i + j) b
           | R_inet _ | R_gen _ | R_crc32 _ | R_pad _ | R_copy -> b
         in
         Bytes.unsafe_set db (off + j) (Char.unsafe_chr b)
@@ -457,21 +458,19 @@ let rt_block rt db off i =
          so the running sum stays far below the 63-bit bound. *)
       s.sum <- (if !sum > 0x3FFFFFFFFFFF then fold16 !sum else !sum)
   | R_crc32 s -> s.crc <- Checksum.Crc32.feed_block64 s.crc db off
-  | R_aead { a; seal } ->
+  | R_aead { a; seal; _ } ->
       if seal then Cipher.Aead.seal_block64 a ~pos:i db ~off
       else Cipher.Aead.open_block64 a ~pos:i db ~off
   | R_copy -> ()
   | R_pad { pad; pos } -> Cipher.Pad.xor_at pad ~pos ~i db ~off ~len:64
   | R_gen _ | R_rc4 _ -> rt_tail rt db off i 64
 
+let inet_finish sum = lnot (swap16 (fold16 sum)) land 0xffff
+
 let rt_finish = function
-  | R_inet s ->
-      Some (Checksum.Kind.Internet, lnot (swap16 (fold16 s.sum)) land 0xffff)
+  | R_inet s -> Some (Checksum.Kind.Internet, inet_finish s.sum)
   | R_gen s -> Some (s.kind, Checksum.Kind.feeder_finish s.f)
-  | R_crc32 s ->
-      Some
-        ( Checksum.Kind.Crc32,
-          Int32.to_int (Checksum.Crc32.finish s.crc) land 0xFFFFFFFF )
+  | R_crc32 s -> Some (Checksum.Kind.Crc32, Checksum.Crc32.finish_int s.crc)
   | R_pad _ | R_rc4 _ | R_aead _ | R_copy -> None
 
 (* The AEAD analogue of [rt_finish]: close the record and read the
@@ -480,38 +479,53 @@ let rt_finish_tag = function
   | R_aead { a; _ } -> Some (Cipher.Aead.tag a)
   | R_inet _ | R_gen _ | R_crc32 _ | R_pad _ | R_rc4 _ | R_copy -> None
 
-(* The block driver: one run's stage chain over one destination, with a
+(* The block driver: a stage chain over one destination, with a
    watermark below which the destination is final. Every runner moves
-   the watermark with [advance] — run_fused and run_view to the end in
+   the watermark with [advance] — an instance and run_view to the end in
    one call, run_unmarshal on the decoder's demand, run_marshal from the
    sink's block hook — so whole blocks take the block ops and the last
-   [n mod 64] bytes take the tail ops exactly once. *)
+   [n mod 64] bytes take the tail ops exactly once. [start] points it at
+   a run's source and destination. *)
 type drive = {
   stages : rt array;
-  copy_in : bool;  (* the source is not the destination, or swaps *)
   swap : bool;
-  sb : Bytes.t;
-  sbase : int;
-  db : Bytes.t;
-  dbase : int;
-  n : int;
+  mutable copy_in : bool;  (* the source is not the destination, or swaps *)
+  mutable sb : Bytes.t;
+  mutable sbase : int;
+  mutable db : Bytes.t;
+  mutable dbase : int;
+  mutable n : int;
   mutable wm : int;
 }
 
-let drive ?(swap = false) plan input dst =
-  let sb, sbase, n = Bytebuf.backing input in
-  let db, dbase, _ = Bytebuf.backing dst in
+let make_drive ~swap plan =
   {
     stages = Array.of_list (List.map rt_of_stage plan);
-    copy_in = swap || not (sb == db && sbase = dbase);
     swap;
-    sb;
-    sbase;
-    db;
-    dbase;
-    n;
+    copy_in = false;
+    sb = Bytes.empty;
+    sbase = 0;
+    db = Bytes.empty;
+    dbase = 0;
+    n = 0;
     wm = 0;
   }
+
+let start d input dst =
+  let sb = Bytebuf.data input and sbase = Bytebuf.offset input in
+  let db = Bytebuf.data dst and dbase = Bytebuf.offset dst in
+  d.copy_in <- d.swap || not (sb == db && sbase = dbase);
+  d.sb <- sb;
+  d.sbase <- sbase;
+  d.db <- db;
+  d.dbase <- dbase;
+  d.n <- Bytebuf.length input;
+  d.wm <- 0
+
+let drive ?(swap = false) plan input dst =
+  let d = make_drive ~swap plan in
+  start d input dst;
+  d
 
 (* Bring [len] (64, or the tail) bytes at stream offset [i] into the
    destination. A leading Byteswap32 reverses each 4-byte group on the
@@ -554,13 +568,6 @@ let advance d upto =
 let finish d =
   let stages = Array.to_list d.stages in
   (List.filter_map rt_finish stages, List.filter_map rt_finish_tag stages)
-
-let run_general ~swap_first plan input dst =
-  if swap_first then check_swap_len input;
-  let stages = if swap_first then List.tl plan else plan in
-  let d = drive ~swap:swap_first stages input dst in
-  advance d d.n;
-  finish d
 
 (* A lowering is what the cache stores per shape: either a dispatch to a
    whole-plan hand-fused kernel (no per-block dispatch at all) or the
@@ -619,9 +626,9 @@ let lower shape =
             | _ -> L_general { swap_first = false }))
 
 (* The plan cache. Shared across domains (Ilp_par workers compile through
-   it too), so lookups take a mutex — one brief critical section per run,
-   against a table whose population is bounded by the number of distinct
-   plan shapes the program ever uses. *)
+   it too), so lookups take a mutex — one brief critical section per
+   compile, against a table whose population is bounded by the number of
+   distinct plan shapes the program ever uses. *)
 let cache : (shape list, (lowering, string) Stdlib.result) Hashtbl.t =
   Hashtbl.create 16
 
@@ -670,40 +677,111 @@ let dst_for dst_opt n =
         invalid_arg "Ilp.run_fused: dst length must equal input length";
       d
 
-let exec lowering plan input dst_opt =
+(* ---- Compiled instances ----
+
+   A plan looked up once: its lowering, and for the block driver its
+   stage state, kept across runs and reset in place. Checksums land in
+   fixed int slots in plan order. A run reads no clock, takes no lock
+   and builds no list or result record. *)
+
+type instance = {
+  lowering : lowering;
+  plan : plan;  (* the kernels read their pad's key and position here *)
+  d : drive;  (* the block driver's, over the plan after a leading swap *)
+  kinds : Checksum.Kind.t array;  (* checksum stages, in plan order *)
+  sums : int array;  (* their values after the last run *)
+  mutable tag : (int64 * int64) option;  (* an AEAD stage's, likewise *)
+  mutable fresh : bool;  (* stage state as built: the first run skips reset *)
+}
+
+let compile_as what plan =
+  match compile_lookup plan with
+  | Error msg -> invalid_arg (what ^ ": " ^ msg)
+  | Ok lowering ->
+      let stages =
+        match lowering with
+        | L_general { swap_first = true } -> List.tl plan
+        | L_general { swap_first = false } -> plan
+        | L_copy | L_copy_checksum | L_pad_checksum_copy | L_checksum_pad_copy
+        | L_marshal | L_unmarshal ->
+            []
+      in
+      let kinds =
+        Array.of_list
+          (List.filter_map (function Checksum k -> Some k | _ -> None) plan)
+      in
+      {
+        lowering;
+        plan;
+        d =
+          make_drive
+            ~swap:(lowering = L_general { swap_first = true })
+            stages;
+        kinds;
+        sums = Array.make (Array.length kinds) 0;
+        tag = None;
+        fresh = true;
+      }
+
+let compile plan = compile_as "Ilp.compile" plan
+
+(* Read each stage's result into the instance's slots. *)
+let settle_slots inst =
+  let st = inst.d.stages in
+  let j = ref 0 in
+  for s = 0 to Array.length st - 1 do
+    match Array.unsafe_get st s with
+    | R_inet r ->
+        inst.sums.(!j) <- inet_finish r.sum;
+        incr j
+    | R_gen r ->
+        inst.sums.(!j) <- Checksum.Kind.feeder_finish r.f;
+        incr j
+    | R_crc32 r ->
+        inst.sums.(!j) <- Checksum.Crc32.finish_int r.crc;
+        incr j
+    | R_aead r -> inst.tag <- Some (Cipher.Aead.tag r.a)
+    | R_pad _ | R_rc4 _ | R_copy -> ()
+  done
+
+(* The hand-fused kernels take exactly the input's length. *)
+let fit dst n = if Bytebuf.length dst = n then dst else Bytebuf.take dst n
+
+let exec inst ~dst input =
   let n = Bytebuf.length input in
-  let dst = dst_for dst_opt n in
-  let mk ?(tags = []) checksums =
-    {
-      output = dst;
-      checksums;
-      tags;
-      passes = 1;
-      bytes_touched = 2 * n;
-      compiled = true;
-    }
-  in
-  match (lowering, plan) with
-  | L_copy, _ ->
-      Kernels.copy ~src:input ~dst;
-      mk []
+  if Bytebuf.length dst < n then invalid_arg "Ilp.exec: dst shorter than input";
+  match (inst.lowering, inst.plan) with
+  | L_copy, _ -> Kernels.copy ~src:input ~dst:(fit dst n)
   | L_copy_checksum, _ ->
-      let c = Kernels.copy_checksum ~src:input ~dst in
-      mk [ (Checksum.Kind.Internet, c) ]
+      inst.sums.(0) <- Kernels.copy_checksum ~src:input ~dst:(fit dst n)
   | L_pad_checksum_copy, Xor_pad { key; pos } :: _ ->
-      let c = Kernels.copy_checksum_xor ~src:input ~dst ~key ~stream_pos:pos in
-      mk [ (Checksum.Kind.Internet, c) ]
+      inst.sums.(0) <-
+        Kernels.copy_checksum_xor ~src:input ~dst:(fit dst n) ~key
+          ~stream_pos:pos
   | L_checksum_pad_copy, _ :: Xor_pad { key; pos } :: _ ->
-      let c = Kernels.checksum_xor_copy ~src:input ~dst ~key ~stream_pos:pos in
-      mk [ (Checksum.Kind.Internet, c) ]
+      inst.sums.(0) <-
+        Kernels.checksum_xor_copy ~src:input ~dst:(fit dst n) ~key
+          ~stream_pos:pos
   | L_general { swap_first }, _ ->
-      let checksums, tags = run_general ~swap_first plan input dst in
-      mk ~tags checksums
+      if swap_first then check_swap_len input;
+      let d = inst.d in
+      if inst.fresh then inst.fresh <- false
+      else Array.iter rt_reset d.stages;
+      start d input dst;
+      advance d n;
+      settle_slots inst
   | (L_pad_checksum_copy | L_checksum_pad_copy | L_marshal | L_unmarshal), _ ->
       (* The lowering came from this plan's shape; marshal/unmarshal
          lowerings are only ever produced for marked shapes, which never
-         reach [exec]. *)
+         reach [compile]. *)
       assert false
+
+let checksum inst i = inst.sums.(i)
+
+let checksums inst =
+  List.init (Array.length inst.kinds) (fun i -> (inst.kinds.(i), inst.sums.(i)))
+
+let tags inst = Option.to_list inst.tag
 
 let run_layered plan input =
   let r, ns = Obs.Clock.time_ns (fun () -> run_layered_impl plan input) in
@@ -720,9 +798,18 @@ let run_fused_interpreted plan input =
 let run_fused ?dst plan input =
   let r, ns =
     Obs.Clock.time_ns (fun () ->
-        match compile_lookup plan with
-        | Error msg -> invalid_arg ("Ilp.run_fused: " ^ msg)
-        | Ok lowering -> exec lowering plan input dst)
+        let inst = compile_as "Ilp.run_fused" plan in
+        let n = Bytebuf.length input in
+        let dst = dst_for dst n in
+        exec inst ~dst input;
+        {
+          output = dst;
+          checksums = checksums inst;
+          tags = tags inst;
+          passes = 1;
+          bytes_touched = 2 * n;
+          compiled = true;
+        })
   in
   record_run handles_compiled ~ns r;
   r
@@ -908,7 +995,11 @@ let run_view_impl plan prog input dst_opt =
   let view_checksums, view_tags =
     let copy_only = function Deliver_copy -> true | _ -> false in
     if dst == input && List.for_all copy_only plan then ([], [])
-    else run_general ~swap_first:false plan input dst
+    else begin
+      let d = drive plan input dst in
+      advance d n;
+      finish d
+    end
   in
   { view = Wire.View.make prog dst ~pos:0; view_checksums; view_tags }
 

@@ -119,6 +119,44 @@ val run_fused : ?dst:Bytebuf.t -> plan -> Bytebuf.t -> result
     must not overlap the input, except that passing the input itself
     transforms in place when the plan has no leading [Byteswap32]. *)
 
+(** {1 Compiled instances}
+
+    What an endpoint holds for a plan it runs on every ADU: the plan
+    looked up once, with its stage state kept across runs and reset in
+    place at the start of each. {!run_fused} is {!compile} plus one
+    {!exec} plus its registry accounting. *)
+
+type instance
+
+val compile : plan -> instance
+(** Validate and lower [plan] through the plan cache, and build its stage
+    state. Keys and stream positions are taken from [plan] as given.
+    Raises [Invalid_argument] if the plan does not {!validate}. *)
+
+val exec : instance -> dst:Bytebuf.t -> Bytebuf.t -> unit
+(** [exec inst ~dst input] runs the plan over [input] into the first
+    [length input] bytes of [dst], with the same output bytes, checksums
+    and tags as {!run_fused}. [dst] may be longer than the input; it
+    must not overlap the input, except that the input itself (or a
+    slice at the same offset of the same storage) transforms in place
+    when the plan has no leading [Byteswap32]. No plan-cache lookup,
+    clock read or registry update. Under the block driver (every plan
+    but the hand-fused {!Kernels} shapes) a run with Internet, CRC-32,
+    pad, swap and copy stages allocates nothing. Raises
+    [Invalid_argument] when [dst] is shorter than [input] or on a bad
+    [Byteswap32] length. *)
+
+val checksum : instance -> int -> int
+(** [checksum inst i] is the [i]th checksum stage's value (plan order)
+    after the last {!exec}. *)
+
+val checksums : instance -> (Checksum.Kind.t * int) list
+(** Every checksum stage's value after the last {!exec}, as in
+    [result.checksums]. *)
+
+val tags : instance -> (int64 * int64) list
+(** The AEAD stage's tag after the last {!exec}, as in [result.tags]. *)
+
 val run_fused_interpreted : plan -> Bytebuf.t -> result
 (** The generic per-byte stage interpreter: closure-list dispatch per
     byte — the anti-pattern the paper warns about, kept as the semantic

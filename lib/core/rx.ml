@@ -28,11 +28,18 @@ type 'o t = {
   mutable frontier : int;  (* everything below is delivered or gone *)
   mutable highest : int;  (* highest index admitted, -1 before any *)
   mutable total : int;  (* from CLOSE; -1 while unknown *)
-  ahead : (int, unit) Hashtbl.t;  (* indices >= frontier already settled *)
+  mutable ahead : (int, unit) Hashtbl.t;
+      (* indices >= frontier already settled; [no_ahead] until the
+         first out-of-order settle *)
   mutable reasm : Framing.reassembler option;  (* multi-fragment only *)
   mutable n_delivered : int;
   mutable n_gone : int;
 }
+
+(* Shared by every stream that never settled out of order. Only read:
+   [settle] swaps in a table of the stream's own before the first write,
+   and [clear] drops back to this one. *)
+let no_ahead : (int, unit) Hashtbl.t = Hashtbl.create 1
 
 let create owner =
   {
@@ -40,7 +47,7 @@ let create owner =
     frontier = 0;
     highest = -1;
     total = -1;
-    ahead = Hashtbl.create 8;
+    ahead = no_ahead;
     reasm = None;
     n_delivered = 0;
     n_gone = 0;
@@ -74,7 +81,10 @@ let admissible env t index =
    contiguously above it, and the reassembler's retired set rides along. *)
 let settle t index =
   if index > t.highest then t.highest <- index;
-  if index <> t.frontier then Hashtbl.replace t.ahead index ()
+  if index <> t.frontier then begin
+    if t.ahead == no_ahead then t.ahead <- Hashtbl.create 8;
+    Hashtbl.replace t.ahead index ()
+  end
   else begin
     t.frontier <- index + 1;
     while Hashtbl.length t.ahead > 0 && Hashtbl.mem t.ahead t.frontier do
@@ -181,7 +191,7 @@ let give_up t index = if settled t index then Duplicate else settle_gone t index
 
 let clear t =
   (match t.reasm with Some r -> Framing.clear r | None -> ());
-  Hashtbl.reset t.ahead
+  t.ahead <- no_ahead
 
 let missing env t ~cap =
   let bound = if t.total >= 0 then t.total else t.highest + 1 in

@@ -13,16 +13,32 @@ type stats = {
   mutable recv_pool_misses : int;
 }
 
+module Itbl = Hashtbl.Make (Int)
+
+(* One registered endpoint. The forward table finds it by its
+   (addr, port) name for [send]; the reverse table by the UDP port of
+   its sockaddr, with an exact sockaddr check, for each arrival. *)
+type peer = {
+  sa : Unix.sockaddr;
+  mutable addr : int;
+  mutable vport : int;
+}
+
+(* A bound virtual port: its socket and the handler its drain calls. *)
+type sock = {
+  fd : Unix.file_descr;
+  mutable handler : src:int -> src_port:int -> Bytebuf.t -> unit;
+}
+
 type t = {
   loop : Loop.t;
   recv_batch : int;
   pool : Pool.t option;
   scratch : Bytebuf.t;  (* staging when the pool is absent or exhausted *)
   bind_addr : Unix.inet_addr;
-  socks : (int, Unix.file_descr) Hashtbl.t;  (* virtual port -> socket *)
-  handlers : (int, src:int -> src_port:int -> Bytebuf.t -> unit) Hashtbl.t;
-  peers : (int * int, Unix.sockaddr) Hashtbl.t;
-  rev : (Unix.sockaddr, int * int) Hashtbl.t;
+  socks : sock Itbl.t;  (* virtual port -> socket *)
+  peers : peer Itbl.t;  (* [peer_key addr port] -> peer *)
+  rev : peer list Itbl.t;  (* UDP port of the sockaddr -> peers on it *)
   mutable next_addr : int;
   mutable closed : bool;
   stats : stats;
@@ -40,10 +56,9 @@ let create ?(recv_batch = 32) ?(buf_size = 2048) ?pool
     pool;
     scratch = Bytebuf.create buf_size;
     bind_addr;
-    socks = Hashtbl.create 8;
-    handlers = Hashtbl.create 8;
-    peers = Hashtbl.create 16;
-    rev = Hashtbl.create 16;
+    socks = Itbl.create 8;
+    peers = Itbl.create 16;
+    rev = Itbl.create 16;
     next_addr = 1;
     closed = false;
     stats =
@@ -59,95 +74,139 @@ let create ?(recv_batch = 32) ?(buf_size = 2048) ?pool
       };
   }
 
-(* The one write path for both registry directions. A sockaddr already
-   known under another (addr, port) — typically the synthetic port 0 that
-   {!source_of} assigns on first contact — is upgraded {e in place}: the
-   stale forward entry is removed, so the registry never holds two peers
-   for one sockaddr or a rev mapping pointing at a dead pair (which would
-   misattribute [src_port] on every later arrival). *)
+(* Virtual ports are 16-bit, as on the simulator's UDP, so a peer's name
+   packs into one immediate key. *)
+let valid_port port = port land 0xFFFF = port
+let peer_key addr port = (addr lsl 16) lor port
+
+let check_port what port =
+  if not (valid_port port) then invalid_arg (what ^ ": port outside 0-65535")
+
+let udp_port = function Unix.ADDR_INET (_, p) -> p | Unix.ADDR_UNIX _ -> -1
+
+let rec find_sa sa = function
+  | [] -> raise Not_found
+  | p :: tl -> if p.sa = sa then p else find_sa sa tl
+
+(* The registered peer for a sockaddr; raises [Not_found]. *)
+let lookup t sa = find_sa sa (Itbl.find t.rev (udp_port sa))
+
+(* The one write path for both directions. A sockaddr already known
+   under another (addr, port) — typically the synthetic port 0 that
+   {!source_of} assigns on first contact — is re-pointed {e in place}:
+   its stale forward entry is removed, so the registry never holds two
+   peers for one sockaddr or a reverse entry naming a dead pair (which
+   would misattribute [src_port] on every later arrival). *)
 let rebind t sa ~addr ~port =
-  (match Hashtbl.find_opt t.rev sa with
-  | Some (a0, p0) when (a0, p0) <> (addr, port) -> Hashtbl.remove t.peers (a0, p0)
-  | Some _ | None -> ());
-  Hashtbl.replace t.peers (addr, port) sa;
-  Hashtbl.replace t.rev sa (addr, port)
+  let p =
+    match lookup t sa with
+    | p ->
+        if p.addr <> addr || p.vport <> port then
+          Itbl.remove t.peers (peer_key p.addr p.vport);
+        p.addr <- addr;
+        p.vport <- port;
+        p
+    | exception Not_found ->
+        let p = { sa; addr; vport = port } in
+        let u = udp_port sa in
+        let on_port = try Itbl.find t.rev u with Not_found -> [] in
+        Itbl.replace t.rev u (p :: on_port);
+        p
+  in
+  Itbl.replace t.peers (peer_key addr port) p;
+  p
+
+let fresh_addr t =
+  let addr = t.next_addr in
+  t.next_addr <- t.next_addr + 1;
+  addr
 
 let register_sockaddr t sa ~port =
-  match Hashtbl.find_opt t.rev sa with
-  | Some (addr, p0) ->
+  match lookup t sa with
+  | p ->
       (* First contact registered it under port 0; now the caller knows
          the real port. Keep the address — tokens already handed to
          handlers stay valid, since sends resolve through [peers] and the
          old pair is re-pointed here. *)
-      if p0 <> port then rebind t sa ~addr ~port;
-      addr
-  | None ->
-      let addr = t.next_addr in
-      t.next_addr <- t.next_addr + 1;
-      rebind t sa ~addr ~port;
-      addr
+      if p.vport <> port then ignore (rebind t sa ~addr:p.addr ~port);
+      p.addr
+  | exception Not_found -> (rebind t sa ~addr:(fresh_addr t) ~port).addr
 
-let set_peer t ~addr ~port sa = rebind t sa ~addr ~port
+let set_peer t ~addr ~port sa =
+  check_port "Udp_link.set_peer" port;
+  ignore (rebind t sa ~addr ~port)
 
 (* Identify an arrival's source. First contact from an unknown sockaddr
    registers it under a fresh address and a synthetic virtual port: the
    pair is only ever echoed back into [send], where the registry resolves
    it again, so its actual value is immaterial. *)
 let source_of t sa =
-  match Hashtbl.find_opt t.rev sa with
-  | Some pair -> pair
-  | None ->
-      let addr = t.next_addr in
-      t.next_addr <- t.next_addr + 1;
-      Hashtbl.replace t.peers (addr, 0) sa;
-      Hashtbl.replace t.rev sa (addr, 0);
-      (addr, 0)
+  match lookup t sa with
+  | p -> p
+  | exception Not_found -> rebind t sa ~addr:(fresh_addr t) ~port:0
 
-let drain t ~port fd =
+(* A receive buffer for one datagram: pooled, or the scratch when the
+   pool is absent or its budget is spent. *)
+let staging t =
+  match t.pool with
+  | None -> t.scratch
+  | Some pool -> (
+      match Pool.acquire pool with
+      | buf -> buf
+      | exception Pool.Exhausted ->
+          (* The receive budget is spent but the kernel queue is not:
+             fall back to the scratch buffer rather than leave the
+             datagram queued, and account the miss — under a hostile
+             flood this is the socket-drain pressure signal. *)
+          t.stats.recv_pool_misses <- t.stats.recv_pool_misses + 1;
+          t.scratch)
+
+let unstage t buf =
+  match t.pool with
+  | Some pool when buf != t.scratch -> Pool.release pool buf
+  | Some _ | None -> ()
+
+let deliver t s buf n sa =
+  let p = source_of t sa in
+  match s.handler ~src:p.addr ~src_port:p.vport (Bytebuf.take buf n) with
+  | () -> unstage t buf
+  | exception e ->
+      unstage t buf;
+      raise e
+
+let drain t s =
   let received = ref 0 in
   let continue = ref true in
   while !continue && !received < t.recv_batch do
-    let staging, release =
-      match t.pool with
-      | Some pool -> (
-          match Pool.try_acquire pool with
-          | Some full -> (full, fun () -> Pool.release pool full)
-          | None ->
-              (* The receive budget is spent but the kernel queue is not:
-                 fall back to the scratch buffer rather than leave the
-                 datagram queued, and account the miss — under a hostile
-                 flood this is the socket-drain pressure signal. *)
-              t.stats.recv_pool_misses <- t.stats.recv_pool_misses + 1;
-              (t.scratch, ignore))
-      | None -> (t.scratch, ignore)
-    in
-    let bytes, off, cap = Bytebuf.backing staging in
-    match Unix.recvfrom fd bytes off cap [] with
+    let buf = staging t in
+    match
+      Unix.recvfrom s.fd (Bytebuf.data buf) (Bytebuf.offset buf)
+        (Bytebuf.length buf) []
+    with
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        release ();
+        unstage t buf;
         continue := false
     | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.EINTR), _, _) ->
         (* A previous send drew an ICMP unreachable; the datagram it
            refers to is already gone. Keep draining. *)
-        release ()
+        unstage t buf
     | n, sa ->
         incr received;
         t.stats.datagrams_received <- t.stats.datagrams_received + 1;
-        let src, src_port = source_of t sa in
-        (match Hashtbl.find_opt t.handlers port with
-        | Some handler -> handler ~src ~src_port (Bytebuf.take staging n)
-        | None -> t.stats.unrouted <- t.stats.unrouted + 1);
-        release ()
+        deliver t s buf n sa
   done;
   if !received > 0 then begin
     t.stats.recv_batches <- t.stats.recv_batches + 1;
     if !received > t.stats.max_batch then t.stats.max_batch <- !received
   end
 
-let socket_for t ~port =
-  match Hashtbl.find_opt t.socks port with
-  | Some fd -> fd
-  | None ->
+let unrouted t ~src:_ ~src_port:_ _ = t.stats.unrouted <- t.stats.unrouted + 1
+
+let sock_for t ~port =
+  match Itbl.find t.socks port with
+  | s -> s
+  | exception Not_found ->
+      check_port "Udp_link" port;
       let fd = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
       Unix.set_nonblock fd;
       (* Bigger kernel buffers absorb the bursts a paced simulator never
@@ -155,37 +214,35 @@ let socket_for t ~port =
       (try Unix.setsockopt_int fd Unix.SO_RCVBUF (1 lsl 21) with _ -> ());
       (try Unix.setsockopt_int fd Unix.SO_SNDBUF (1 lsl 21) with _ -> ());
       Unix.bind fd (Unix.ADDR_INET (t.bind_addr, 0));
-      Hashtbl.replace t.socks port fd;
+      let s = { fd; handler = unrouted t } in
+      Itbl.replace t.socks port s;
       ignore (register_sockaddr t (Unix.getsockname fd) ~port);
-      Loop.on_readable t.loop fd (fun () -> drain t ~port fd);
-      fd
+      Loop.on_readable t.loop fd (fun () -> drain t s);
+      s
 
 let bind t ~port handler =
   if t.closed then invalid_arg "Udp_link.bind: link closed";
-  Hashtbl.replace t.handlers port handler;
-  ignore (socket_for t ~port)
+  (sock_for t ~port).handler <- handler
 
-let local_sockaddr t ~port =
-  match Hashtbl.find_opt t.socks port with
-  | Some fd -> Unix.getsockname fd
-  | None -> raise Not_found
+let local_sockaddr t ~port = Unix.getsockname (Itbl.find t.socks port).fd
 
-let local_addr t ~port =
-  match Hashtbl.find_opt t.rev (local_sockaddr t ~port) with
-  | Some (addr, _) -> addr
-  | None -> raise Not_found
+let local_addr t ~port = (lookup t (local_sockaddr t ~port)).addr
 
 let send t ~dst ~dst_port ~src_port payload =
   if t.closed then false
   else
-    match Hashtbl.find_opt t.peers (dst, dst_port) with
-    | None ->
+    match
+      if valid_port dst_port then Itbl.find t.peers (peer_key dst dst_port)
+      else raise Not_found
+    with
+    | exception Not_found ->
         t.stats.no_peer <- t.stats.no_peer + 1;
         false
-    | Some sa -> (
-        let fd = socket_for t ~port:src_port in
-        let bytes, off, len = Bytebuf.backing payload in
-        match Unix.sendto fd bytes off len [] sa with
+    | p -> (
+        match
+          Unix.sendto (sock_for t ~port:src_port).fd (Bytebuf.data payload)
+            (Bytebuf.offset payload) (Bytebuf.length payload) [] p.sa
+        with
         | _ ->
             t.stats.datagrams_sent <- t.stats.datagrams_sent + 1;
             true
@@ -201,10 +258,10 @@ let send t ~dst ~dst_port ~src_port payload =
 let close t =
   if not t.closed then begin
     t.closed <- true;
-    Hashtbl.iter
-      (fun _ fd ->
-        Loop.clear_readable t.loop fd;
-        try Unix.close fd with Unix.Unix_error _ -> ())
+    Itbl.iter
+      (fun _ s ->
+        Loop.clear_readable t.loop s.fd;
+        try Unix.close s.fd with Unix.Unix_error _ -> ())
       t.socks;
-    Hashtbl.reset t.socks
+    Itbl.reset t.socks
   end

@@ -16,10 +16,15 @@
     Delivered payloads are {e borrowed} — they alias a buffer (pooled or
     the link's scratch) that is reused as soon as the handler returns, the
     same contract as pooled reassembly. Steady-state receive therefore
-    performs zero buffer allocations per datagram. Sends go straight from
-    the caller's buffer to [sendto]: zero copies, zero allocations, and a
-    full socket buffer counts as datagram loss (the transport's NACK
-    machinery is the recovery path, exactly as on a real network). *)
+    performs zero buffer allocations per datagram, and allocates no GC
+    words beyond what [Unix.recvfrom] returns and the handler's view: the
+    source is found by the sockaddr's UDP port and an exact compare, and
+    each socket's drain holds its port's handler. Sends go straight from
+    the caller's buffer to [sendto]: zero copies, zero allocated words
+    (peers are keyed by one immediate int), and a full socket buffer
+    counts as datagram loss (the transport's NACK machinery is the
+    recovery path, exactly as on a real network). Virtual ports are
+    16-bit. *)
 
 open Bufkit
 
@@ -55,7 +60,9 @@ val create :
 
 val bind : t -> port:int -> (src:int -> src_port:int -> Bytebuf.t -> unit) -> unit
 (** Open (on first use) the real socket for a virtual port — an ephemeral
-    kernel port on [bind_addr] — and install the arrival handler. *)
+    kernel port on [bind_addr] — and install the arrival handler,
+    replacing any earlier one. Raises [Invalid_argument] on a port
+    outside 0–65535. *)
 
 val local_addr : t -> port:int -> int
 (** The link-assigned integer address of a bound port's socket: what a
@@ -71,11 +78,13 @@ val set_peer : t -> addr:int -> port:int -> Unix.sockaddr -> unit
     and arrivals from it identify as [(addr, port)]. A sockaddr already
     auto-registered under a synthetic pair (first contact) is upgraded in
     place — the stale pair stops routing, and later arrivals identify
-    under the new one; tokens captured before the upgrade are invalid. *)
+    under the new one; tokens captured before the upgrade are invalid.
+    Raises [Invalid_argument] on a port outside 0–65535. *)
 
 val send : t -> dst:int -> dst_port:int -> src_port:int -> Bytebuf.t -> bool
 (** [false] when the peer is unregistered or the kernel refused the
-    datagram (both are wire loss, counted in {!stats}). *)
+    datagram (both are wire loss, counted in {!stats}). Allocates
+    nothing. *)
 
 val max_payload : int
 (** 65507 — the UDP maximum. *)

@@ -99,13 +99,13 @@ let emit_adu t k index =
   let splen =
     plen + if Option.is_some t.sec then Secure.Record.overhead else 0
   in
-  let payload = Bytebuf.sub t.scratch ~pos ~len:splen in
   (match t.sec with
-  | Some rc -> Secure.Record.seal_payload rc name payload
+  | Some rc ->
+      Secure.Record.seal_payload rc name (Bytebuf.sub t.scratch ~pos ~len:splen)
   | None -> ());
   send t k
     (Framing.seal_single t.cfg.integrity t.scratch ~stream name ~plen:splen
-       ~payload_crc:(Checksum.Crc32.digest payload))
+       ~payload_crc:(Checksum.Crc32.digest_sub t.scratch ~pos ~len:splen))
 
 let emit_close t k =
   let body =

@@ -27,8 +27,7 @@ let create ~buckets ~rate ~burst () =
     buckets;
   }
 
-let bucket_of t key =
-  Int64.to_int (Int64.rem (Int64.logand key Int64.max_int) (Int64.of_int t.buckets))
+let bucket_of t key = Demux.slot key ~n:t.buckets
 
 let allow t ~key ~now =
   let i = bucket_of t key in

@@ -16,12 +16,12 @@ val create : buckets:int -> rate:float -> burst:float -> unit -> t
 (** [rate] tokens per second refill, capacity [burst], all buckets full.
     Raises [Invalid_argument] on non-positive parameters. *)
 
-val allow : t -> key:int64 -> now:float -> bool
+val allow : t -> key:int -> now:float -> bool
 (** Take one token from [key]'s bucket at time [now]; [false] when the
     bucket is empty (the caller drops and counts the datagram). O(1),
     allocation-free. [now] is the backend clock ({!Rt.Sched}); calls
     with non-monotone [now] are safe (no refill on backwards time). *)
 
-val tokens_left : t -> key:int64 -> float
+val tokens_left : t -> key:int -> float
 (** Current token count of [key]'s bucket (as of its last refill) — for
     tests. *)

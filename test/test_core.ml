@@ -196,6 +196,112 @@ let prop_ilp_byteswap_first_ok =
       Bytebuf.equal layered.Ilp.output fused.Ilp.output
       && layered.Ilp.checksums = fused.Ilp.checksums)
 
+(* --- compiled instances: one instance, reused across runs of different
+   lengths, in place and out of place, on slices at non-zero offsets,
+   gives each run what a fresh [run_fused] gives. The plans cover every
+   lowering: the four [Kernels] short-circuits and the general driver
+   with and without a leading Byteswap32, with pad and AEAD stages. --- *)
+
+let instance_plans key pos =
+  let pad = Ilp.Xor_pad { key; pos } in
+  let aead =
+    {
+      Ilp.aead_key = Cipher.Chacha20.key_of_int64 key;
+      aead_n0 = 1;
+      aead_n1 = Int64.to_int pos land 0xFFFF;
+      aead_n2 = 3;
+      aead_aad = Bytebuf.of_string "aad";
+    }
+  in
+  let inet = Ilp.Checksum Checksum.Kind.Internet
+  and crc = Ilp.Checksum Checksum.Kind.Crc32 in
+  [|
+    [];
+    [ Ilp.Deliver_copy ];
+    [ inet ];
+    [ inet; Ilp.Deliver_copy ];
+    [ Ilp.Deliver_copy; inet ];
+    [ pad; inet; Ilp.Deliver_copy ];
+    [ inet; pad; Ilp.Deliver_copy ];
+    [ crc; Ilp.Deliver_copy ];
+    [ Ilp.Byteswap32; crc; Ilp.Deliver_copy ];
+    [ Ilp.Byteswap32; inet; pad; Ilp.Deliver_copy ];
+    [ Ilp.Aead_seal aead; crc; Ilp.Deliver_copy ];
+    [ crc; Ilp.Aead_open aead; inet; Ilp.Deliver_copy ];
+    [ Ilp.Checksum Checksum.Kind.Fletcher16; pad; crc ];
+    [ Ilp.Rc4_stream { key = "k" }; crc; Ilp.Deliver_copy ];
+  |]
+
+(* (length, in place, source offset, destination offset, spare bytes). *)
+let arb_instance_runs =
+  QCheck.(
+    triple (int_bound 13) (pair int64 (int_bound 100_000))
+      (list_of_size Gen.(1 -- 4)
+         (pair (int_bound 5000)
+            (quad bool (int_bound 70) (int_bound 70) (int_bound 9)))))
+
+let prop_ilp_instance_reuse =
+  QCheck.Test.make ~name:"ilp: a reused instance = run_fused, every lowering"
+    ~count:300 arb_instance_runs
+    (fun (which, (key, pos), runs) ->
+      let plan = (instance_plans key (Int64.of_int pos)).(which) in
+      let swap = match plan with Ilp.Byteswap32 :: _ -> true | _ -> false in
+      let inst = Ilp.compile plan in
+      List.for_all
+        (fun (len, (in_place, src_off, dst_off, spare)) ->
+          let len = if swap then len land lnot 3 else len in
+          let s = String.init len (fun i -> Char.chr ((i * 31 + len) land 0xff)) in
+          let expect = Ilp.run_fused plan (buf s) in
+          let backing = Bytes.make (src_off + len + 8) '\x5a' in
+          Bytes.blit_string s 0 backing src_off len;
+          let input = Bytebuf.sub (Bytebuf.of_bytes backing) ~pos:src_off ~len in
+          let in_place = in_place && not swap in
+          let dst =
+            if in_place then input
+            else
+              Bytebuf.sub
+                (Bytebuf.of_bytes (Bytes.make (dst_off + len + spare) '\x77'))
+                ~pos:dst_off ~len:(len + spare)
+          in
+          Ilp.exec inst ~dst input;
+          let spare_kept =
+            in_place
+            || String.equal
+                 (Bytebuf.to_string (Bytebuf.sub dst ~pos:len ~len:spare))
+                 (String.make spare '\x77')
+          in
+          Bytebuf.equal (Bytebuf.take dst len) expect.Ilp.output
+          && spare_kept
+          && Ilp.checksums inst = expect.Ilp.checksums
+          && Ilp.tags inst = expect.Ilp.tags
+          && List.for_all2
+               (fun i (_, v) -> Ilp.checksum inst i = v)
+               (List.init (List.length expect.Ilp.checksums) Fun.id)
+               expect.Ilp.checksums)
+        runs)
+
+(* The serve engine's stage-2 plan, run through its instance, allocates
+   nothing: no cache lookup, clock, histogram or result. *)
+let test_ilp_instance_words () =
+  let inst =
+    Ilp.compile [ Ilp.Checksum Checksum.Kind.Crc32; Ilp.Deliver_copy ]
+  in
+  let dst = Bytebuf.create 8192 in
+  List.iter
+    (fun n ->
+      let input = Bytebuf.of_string (String.make n 'q') in
+      Ilp.exec inst ~dst input;
+      Ilp.exec inst ~dst input;
+      let before = Gc.minor_words () in
+      for _ = 1 to 10 do
+        Ilp.exec inst ~dst input
+      done;
+      Alcotest.(check int)
+        (Printf.sprintf "words over ten %d-byte runs" n)
+        0
+        (int_of_float (Gc.minor_words () -. before)))
+    [ 64; 4096 ]
+
 let test_ilp_validate_rules () =
   (match Ilp.validate [ Ilp.Deliver_copy; Ilp.Byteswap32 ] with
   | Error _ -> ()
@@ -2044,6 +2150,9 @@ let () =
           qcheck prop_ilp_fused_agrees_with_validate;
           Alcotest.test_case "run_fused ?dst" `Quick test_ilp_run_fused_dst;
           Alcotest.test_case "plan cache" `Quick test_ilp_plan_cache;
+          qcheck prop_ilp_instance_reuse;
+          Alcotest.test_case "instance allocates nothing" `Quick
+            test_ilp_instance_words;
         ] );
       ( "adu",
         [

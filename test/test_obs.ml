@@ -92,6 +92,26 @@ let test_welford_degenerate () =
 
 (* --- Histogram --- *)
 
+(* A sample that is already boxed records without a GC word: the lock
+   is taken inline and the moments sit in an unboxed array. *)
+let test_histogram_record_words () =
+  let h = Obs.Histogram.create () in
+  let samples = List.init 64 (fun i -> float_of_int ((i * 37) + 1)) in
+  let rec record_all = function
+    | [] -> ()
+    | v :: tl ->
+        Obs.Histogram.record h v;
+        record_all tl
+  in
+  record_all samples;
+  let before = Gc.minor_words () in
+  for _ = 1 to 10 do
+    record_all samples
+  done;
+  check Alcotest.int "words over 640 records" 0
+    (int_of_float (Gc.minor_words () -. before));
+  check Alcotest.int "count" 704 (Obs.Histogram.count h)
+
 let test_histogram_exact_stats () =
   let h = Obs.Histogram.create () in
   List.iter (Obs.Histogram.record h) [ 10.0; 20.0; 30.0; 40.0 ];
@@ -325,6 +345,8 @@ let () =
             test_histogram_empty_and_underflow;
           Alcotest.test_case "multi-domain exact count" `Quick
             test_histogram_multidomain_count;
+          Alcotest.test_case "record allocates nothing" `Quick
+            test_histogram_record_words;
           qcheck prop_histogram_percentile_monotone;
         ] );
       ( "json",

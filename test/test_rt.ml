@@ -264,6 +264,115 @@ let test_udp_link_first_contact_upgrade () =
   Rt.Udp_link.close link_a;
   Rt.Udp_link.close link_b
 
+(* --- Udp_link words: a send to a registered peer costs no GC word; a
+   received datagram costs what [Unix.recvfrom] returns (its pair, the
+   ADDR_INET block and the 4-byte address: 8 words) and the handler's
+   4-word view. --- *)
+
+let recvfrom_words = 8
+let view_words = 4
+
+let test_udp_link_words () =
+  let loop = Rt.Loop.create () in
+  let link = Rt.Udp_link.create ~recv_batch:512 ~loop () in
+  let got = ref 0 in
+  Rt.Udp_link.bind link ~port:5100 (fun ~src:_ ~src_port:_ _ -> incr got);
+  Rt.Udp_link.bind link ~port:5101 (fun ~src:_ ~src_port:_ _ -> ());
+  let dst = Rt.Udp_link.local_addr link ~port:5100 in
+  let payload = Bytebuf.of_string (String.make 80 'w') in
+  let send_all n =
+    for _ = 1 to n do
+      ignore (Rt.Udp_link.send link ~dst ~dst_port:5100 ~src_port:5101 payload)
+    done
+  in
+  send_all 4;
+  ignore (Rt.Loop.run_until loop ~timeout:5.0 (fun () -> !got >= 4));
+  let before = Gc.minor_words () in
+  send_all 100;
+  Alcotest.(check int) "words over 100 sends" 0
+    (int_of_float (Gc.minor_words () -. before));
+  ignore (Rt.Loop.run_until loop ~timeout:5.0 (fun () -> !got >= 104));
+  (* One wakeup drains each batch, so the loop's own words cancel out of
+     the difference between a batch of 40 and one of 200. *)
+  let batch n =
+    let want = !got + n in
+    send_all n;
+    let before = Gc.minor_words () in
+    ignore (Rt.Loop.run_until loop ~timeout:5.0 (fun () -> !got >= want));
+    Gc.minor_words () -. before
+  in
+  ignore (batch 40);
+  let small = batch 40 and large = batch 200 in
+  Alcotest.(check int) "words per received datagram"
+    (recvfrom_words + view_words)
+    (int_of_float (Float.round ((large -. small) /. 160.)));
+  Rt.Udp_link.close link
+
+(* [set_peer] after first contact re-points the sockaddr's entry: the
+   address it names now routes there and arrivals identify under it, the
+   synthetic pair stops routing, and no second entry appears. *)
+let test_udp_link_set_peer_repoints () =
+  let loop = Rt.Loop.create () in
+  let link_a = Rt.Udp_link.create ~loop () in
+  let link_b = Rt.Udp_link.create ~loop () in
+  let got_a = ref [] and got_b = ref [] in
+  Rt.Udp_link.bind link_a ~port:6100 (fun ~src ~src_port p ->
+      got_a := (src, src_port, Bytebuf.to_string p) :: !got_a);
+  Rt.Udp_link.bind link_b ~port:6101 (fun ~src ~src_port p ->
+      got_b := (src, src_port, Bytebuf.to_string p) :: !got_b);
+  Rt.Udp_link.set_peer link_a ~addr:70 ~port:6101
+    (Rt.Udp_link.local_sockaddr link_b ~port:6101);
+  ignore
+    (Rt.Udp_link.send link_a ~dst:70 ~dst_port:6101 ~src_port:6100
+       (Bytebuf.of_string "first"));
+  ignore (Rt.Loop.run_until loop ~timeout:5.0 (fun () -> !got_b <> []));
+  let addr =
+    match !got_b with
+    | [ (s, 0, "first") ] -> s
+    | _ -> Alcotest.fail "expected first contact on the synthetic port"
+  in
+  Rt.Udp_link.set_peer link_b ~addr ~port:6100
+    (Rt.Udp_link.local_sockaddr link_a ~port:6100);
+  Alcotest.(check bool) "the synthetic pair stops routing" false
+    (Rt.Udp_link.send link_b ~dst:addr ~dst_port:0 ~src_port:6101
+       (Bytebuf.of_string "x"));
+  Alcotest.(check bool) "the address routes under its real port" true
+    (Rt.Udp_link.send link_b ~dst:addr ~dst_port:6100 ~src_port:6101
+       (Bytebuf.of_string "back"));
+  ignore (Rt.Loop.run_until loop ~timeout:5.0 (fun () -> !got_a <> []));
+  got_b := [];
+  ignore
+    (Rt.Udp_link.send link_a ~dst:70 ~dst_port:6101 ~src_port:6100
+       (Bytebuf.of_string "again"));
+  ignore (Rt.Loop.run_until loop ~timeout:5.0 (fun () -> !got_b <> []));
+  (match !got_b with
+  | [ (s, p, "again") ] ->
+      Alcotest.(check int) "same address" addr s;
+      Alcotest.(check int) "real port" 6100 p
+  | _ -> Alcotest.fail "expected the again datagram");
+  Rt.Udp_link.close link_a;
+  Rt.Udp_link.close link_b
+
+(* A second [bind] of a port replaces its handler on the same socket. *)
+let test_udp_link_rebind_handler () =
+  let loop = Rt.Loop.create () in
+  let link = Rt.Udp_link.create ~loop () in
+  let first = ref 0 and second = ref 0 in
+  Rt.Udp_link.bind link ~port:5200 (fun ~src:_ ~src_port:_ _ -> incr first);
+  let addr = Rt.Udp_link.local_addr link ~port:5200 in
+  let sa = Rt.Udp_link.local_sockaddr link ~port:5200 in
+  Rt.Udp_link.bind link ~port:5200 (fun ~src:_ ~src_port:_ _ -> incr second);
+  Alcotest.(check bool) "same socket" true
+    (Rt.Udp_link.local_sockaddr link ~port:5200 = sa
+    && Rt.Udp_link.local_addr link ~port:5200 = addr);
+  ignore
+    (Rt.Udp_link.send link ~dst:addr ~dst_port:5200 ~src_port:5201
+       (Bytebuf.of_string "hi"));
+  ignore (Rt.Loop.run_until loop ~timeout:5.0 (fun () -> !second > 0));
+  Alcotest.(check (pair int int)) "only the new handler runs" (0, 1)
+    (!first, !second);
+  Rt.Udp_link.close link
+
 (* --- Backend-parametric transport suite --- *)
 
 type world = {
@@ -617,6 +726,12 @@ let () =
           Alcotest.test_case "loopback round trip" `Quick test_udp_link_roundtrip;
           Alcotest.test_case "first contact, then upgrade in place" `Quick
             test_udp_link_first_contact_upgrade;
+          Alcotest.test_case "words per send and receive" `Quick
+            test_udp_link_words;
+          Alcotest.test_case "set_peer re-points after first contact" `Quick
+            test_udp_link_set_peer_repoints;
+          Alcotest.test_case "second bind replaces the handler" `Quick
+            test_udp_link_rebind_handler;
         ] );
       ( "transport-backends",
         [
