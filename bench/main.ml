@@ -1235,6 +1235,28 @@ let e14_ilp_compile () =
         (name, fused /. serial))
       plans
   in
+  (* The gated ratios of the acceptance plan, each pair timed again in
+     interleaved windows and reduced to the median, as E2 does. *)
+  let plan = List.assoc "3stage" plans in
+  let compiled () = ignore (Ilp.run_fused plan src) in
+  let paired m slow =
+    Harness.paired_speedup ~name:("3stage/" ^ m) compiled slow
+  in
+  let vs_serial =
+    paired "compiled-vs-serial" (fun () -> ignore (Ilp.run_layered plan src))
+  in
+  let vs_interp =
+    paired "compiled-vs-interpreted" (fun () ->
+        ignore (Ilp.run_fused_interpreted plan src))
+  in
+  Harness.record_row ~name:"3stage/gate"
+    [
+      ("compiled_vs_serial", Obs.Json.Num vs_serial);
+      ("compiled_vs_interpreted", Obs.Json.Num vs_interp);
+    ];
+  Harness.note
+    "3stage paired medians: compiled/serial %.2fx | compiled/interpreted %.2fx\n"
+    vs_serial vs_interp;
   let cs = Ilp.plan_cache_stats () in
   Harness.note
     "Every plan above ran through the general compiler (one lowering per\n\
