@@ -145,8 +145,9 @@ let source_of t sa =
   | p -> p
   | exception Not_found -> rebind t sa ~addr:(fresh_addr t) ~port:0
 
-(* A receive buffer for one datagram: pooled, or the scratch when the
-   pool is absent or its budget is spent. *)
+(* The receive buffer for one drain: pooled, or the scratch when the pool
+   is absent or its budget is spent. A handler only borrows its datagram
+   for the call, so one buffer stages the whole batch. *)
 let staging t =
   match t.pool with
   | None -> t.scratch
@@ -156,7 +157,7 @@ let staging t =
       | exception Pool.Exhausted ->
           (* The receive budget is spent but the kernel queue is not:
              fall back to the scratch buffer rather than leave the
-             datagram queued, and account the miss — under a hostile
+             datagrams queued, and account the miss — under a hostile
              flood this is the socket-drain pressure signal. *)
           t.stats.recv_pool_misses <- t.stats.recv_pool_misses + 1;
           t.scratch)
@@ -166,38 +167,44 @@ let unstage t buf =
   | Some pool when buf != t.scratch -> Pool.release pool buf
   | Some _ | None -> ()
 
-let deliver t s buf n sa =
-  let p = source_of t sa in
-  match s.handler ~src:p.addr ~src_port:p.vport (Bytebuf.take buf n) with
-  | () -> unstage t buf
-  | exception e ->
-      unstage t buf;
-      raise e
-
-let drain t s =
+(* Up to [recv_batch] datagrams, each received into [buf] and handed to
+   the handler; returns how many arrived. *)
+let receive t s buf =
   let received = ref 0 in
   let continue = ref true in
   while !continue && !received < t.recv_batch do
-    let buf = staging t in
     match
       Unix.recvfrom s.fd (Bytebuf.data buf) (Bytebuf.offset buf)
         (Bytebuf.length buf) []
     with
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        unstage t buf;
         continue := false
     | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.EINTR), _, _) ->
         (* A previous send drew an ICMP unreachable; the datagram it
            refers to is already gone. Keep draining. *)
-        unstage t buf
+        ()
     | n, sa ->
         incr received;
         t.stats.datagrams_received <- t.stats.datagrams_received + 1;
-        deliver t s buf n sa
+        let p = source_of t sa in
+        s.handler ~src:p.addr ~src_port:p.vport (Bytebuf.take buf n)
   done;
-  if !received > 0 then begin
+  !received
+
+let drain t s =
+  let buf = staging t in
+  let received =
+    match receive t s buf with
+    | n ->
+        unstage t buf;
+        n
+    | exception e ->
+        unstage t buf;
+        raise e
+  in
+  if received > 0 then begin
     t.stats.recv_batches <- t.stats.recv_batches + 1;
-    if !received > t.stats.max_batch then t.stats.max_batch <- !received
+    if received > t.stats.max_batch then t.stats.max_batch <- received
   end
 
 let unrouted t ~src:_ ~src_port:_ _ = t.stats.unrouted <- t.stats.unrouted + 1

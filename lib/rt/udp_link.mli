@@ -12,10 +12,12 @@
     routing token, nothing more, which is all the transport needs).
 
     Receive is batched, recvmmsg-style: one loop wakeup drains up to
-    [recv_batch] datagrams from a readable socket into pooled buffers.
-    Delivered payloads are {e borrowed} — they alias a buffer (pooled or
-    the link's scratch) that is reused as soon as the handler returns, the
-    same contract as pooled reassembly. Steady-state receive therefore
+    [recv_batch] datagrams from a readable socket into one staging buffer,
+    taken from the pool when the drain starts and released when it ends,
+    also when a handler raises. Delivered payloads are {e borrowed} — they
+    alias that buffer (pooled or the link's scratch), which the next
+    datagram overwrites as soon as the handler returns, the same contract
+    as pooled reassembly. Steady-state receive therefore
     performs zero buffer allocations per datagram, and allocates no GC
     words beyond what [Unix.recvfrom] returns and the handler's view: the
     source is found by the sockaddr's UDP port and an exact compare, and
@@ -53,8 +55,9 @@ val create :
 (** [recv_batch] (default 32) datagrams drained per socket wakeup;
     [buf_size] (default 2048) bytes of receive staging — datagrams longer
     than the staging buffer are truncated, so size it above the MTU.
-    [?pool] supplies receive buffers (falling back to the link's scratch
-    buffer when exhausted); its [buf_size] should also cover the MTU.
+    [?pool] supplies each drain's staging buffer (falling back to the
+    link's scratch buffer when exhausted); its [buf_size] should also
+    cover the MTU.
     [bind_addr] defaults to 127.0.0.1: loopback needs no privileges,
     which keeps the self-test inside [dune runtest]. *)
 

@@ -308,6 +308,74 @@ let test_udp_link_words () =
     (int_of_float (Float.round ((large -. small) /. 160.)));
   Rt.Udp_link.close link
 
+(* --- Udp_link staging: one pooled buffer per drain, released when the
+   drain ends, also when a handler raises. --- *)
+
+let pool_takes pool =
+  let st = Pool.stats pool in
+  st.Pool.allocated + st.Pool.reused
+
+(* [k] datagrams sent before the loop runs, so one wakeup drains them. *)
+let send_burst link ~port ~from k =
+  let dst = Rt.Udp_link.local_addr link ~port in
+  for i = 1 to k do
+    ignore
+      (Rt.Udp_link.send link ~dst ~dst_port:port ~src_port:from
+         (Bytebuf.of_string (Printf.sprintf "dgram %d" i)))
+  done
+
+let burst k = List.init k (fun i -> Printf.sprintf "dgram %d" (i + 1))
+
+let test_udp_link_staging_per_drain () =
+  let loop = Rt.Loop.create () in
+  let pool = Pool.create ~buf_size:2048 () in
+  let link = Rt.Udp_link.create ~pool ~loop () in
+  let got = ref 0 in
+  Rt.Udp_link.bind link ~port:5300 (fun ~src:_ ~src_port:_ _ -> incr got);
+  Rt.Udp_link.bind link ~port:5301 (fun ~src:_ ~src_port:_ _ -> ());
+  let k = 20 in
+  let takes = pool_takes pool
+  and drains = (Rt.Udp_link.stats link).Rt.Udp_link.recv_batches in
+  send_burst link ~port:5300 ~from:5301 k;
+  ignore (Rt.Loop.run_until loop ~timeout:5.0 (fun () -> !got >= k));
+  Alcotest.(check int) "every datagram delivered" k !got;
+  let drains = (Rt.Udp_link.stats link).Rt.Udp_link.recv_batches - drains in
+  Alcotest.(check int) "one acquisition per drain" drains
+    (pool_takes pool - takes);
+  Alcotest.(check bool) "fewer drains than datagrams" true (drains < k);
+  Alcotest.(check int) "nothing outstanding after a drain" 0
+    (Pool.stats pool).Pool.outstanding;
+  Rt.Udp_link.bind link ~port:5300 (fun ~src:_ ~src_port:_ _ -> raise Exit);
+  send_burst link ~port:5300 ~from:5301 1;
+  (match Rt.Loop.run_until loop ~timeout:5.0 (fun () -> false) with
+  | _ -> Alcotest.fail "the handler's exception did not reach the loop"
+  | exception Exit -> ());
+  Alcotest.(check int) "nothing outstanding after a handler raised" 0
+    (Pool.stats pool).Pool.outstanding;
+  Rt.Udp_link.close link
+
+(* With the pool's one buffer held elsewhere, each drain stages in the
+   link's scratch, counts one miss, and still delivers every datagram. *)
+let test_udp_link_capped_pool () =
+  let loop = Rt.Loop.create () in
+  let pool = Pool.create ~max_outstanding:1 ~buf_size:2048 () in
+  let held = Pool.acquire pool in
+  let link = Rt.Udp_link.create ~pool ~loop () in
+  let got = ref [] in
+  Rt.Udp_link.bind link ~port:5400 (fun ~src:_ ~src_port:_ p ->
+      got := Bytebuf.to_string p :: !got);
+  Rt.Udp_link.bind link ~port:5401 (fun ~src:_ ~src_port:_ _ -> ());
+  let k = 20 in
+  send_burst link ~port:5400 ~from:5401 k;
+  ignore (Rt.Loop.run_until loop ~timeout:5.0 (fun () -> List.length !got >= k));
+  Alcotest.(check (list string)) "every datagram delivered" (burst k)
+    (List.rev !got);
+  let st = Rt.Udp_link.stats link in
+  Alcotest.(check int) "one miss per drain" st.Rt.Udp_link.recv_batches
+    st.Rt.Udp_link.recv_pool_misses;
+  Pool.release pool held;
+  Rt.Udp_link.close link
+
 (* [set_peer] after first contact re-points the sockaddr's entry: the
    address it names now routes there and arrivals identify under it, the
    synthetic pair stops routing, and no second entry appears. *)
@@ -728,6 +796,10 @@ let () =
             test_udp_link_first_contact_upgrade;
           Alcotest.test_case "words per send and receive" `Quick
             test_udp_link_words;
+          Alcotest.test_case "one staging buffer per drain" `Quick
+            test_udp_link_staging_per_drain;
+          Alcotest.test_case "capped pool: one miss per drain" `Quick
+            test_udp_link_capped_pool;
           Alcotest.test_case "set_peer re-points after first contact" `Quick
             test_udp_link_set_peer_repoints;
           Alcotest.test_case "second bind replaces the handler" `Quick
