@@ -131,7 +131,6 @@ type counters = {
   c_ctl_sent : Obs.Counter.t;
   c_nacks : Obs.Counter.t;
   c_dones : Obs.Counter.t;
-  c_fallback_allocs : Obs.Counter.t;
   c_views : Obs.Counter.t;
   c_view_invalid : Obs.Counter.t;
   c_drops : Obs.Counter.t array;  (* indexed by Ingress.reason_index *)
@@ -187,33 +186,23 @@ let warm pool n =
    — or, with a schema, the plan validates it there through
    {!Ilp.run_view} and hands [on_view] a lazy view that reads fields on
    demand. Byzantine payloads land in [view_invalid], never an
-   exception. *)
+   exception. Every payload fits the [max_adu]-byte scratch: stage 0 and
+   the shards read no longer ADU ({!view_of}). *)
 let stage2 config ~prog ~plan ~on_adu ~on_view scratch ctr key (adu : Adu.t) =
   let payload = adu.Adu.payload in
   let plen = Bytebuf.length payload in
   (match prog with
   | Some prog -> (
-      let r =
-        if plen <= Bytebuf.length scratch then
-          Ilp.run_view ~dst:(Bytebuf.take scratch plen) config.stage2_plan prog
-            payload
-        else begin
-          Obs.Counter.incr ctr.c_fallback_allocs;
-          Ilp.run_view config.stage2_plan prog payload
-        end
-      in
-      match r.Ilp.view with
+      match
+        (Ilp.run_view ~dst:(Bytebuf.take scratch plen) config.stage2_plan prog
+           payload)
+          .Ilp.view
+      with
       | Ok (view, _) -> (
           Obs.Counter.incr ctr.c_views;
           match on_view with Some f -> f key view | None -> ())
       | Error _ -> Obs.Counter.incr ctr.c_view_invalid)
-  | None ->
-      if plen > 0 then
-        if plen <= Bytebuf.length scratch then Ilp.exec plan ~dst:scratch payload
-        else begin
-          Obs.Counter.incr ctr.c_fallback_allocs;
-          ignore (Ilp.run_fused config.stage2_plan payload)
-        end);
+  | None -> if plen > 0 then Ilp.exec plan ~dst:scratch payload);
   Obs.Counter.incr ctr.c_delivered;
   Obs.Counter.add ctr.c_bytes plen;
   match on_adu with Some f -> f key adu | None -> ()
@@ -283,7 +272,6 @@ let make_shard config registry ~prog ~on_adu ~on_view sid =
       c_ctl_sent = c "ctl_sent";
       c_nacks = c "nacks";
       c_dones = c "dones";
-      c_fallback_allocs = c "fallback_allocs";
       c_views = c "views";
       c_view_invalid = c "view_invalid";
       c_drops =
@@ -891,7 +879,7 @@ let snapshot_of_counters c =
     ctl_sent = v c.c_ctl_sent;
     nacks = v c.c_nacks;
     dones = v c.c_dones;
-    fallback_allocs = v c.c_fallback_allocs;
+    fallback_allocs = 0;
     views = v c.c_views;
     view_invalid = v c.c_view_invalid;
     drops;
@@ -914,7 +902,7 @@ let add_snapshot a b =
     ctl_sent = a.ctl_sent + b.ctl_sent;
     nacks = a.nacks + b.nacks;
     dones = a.dones + b.dones;
-    fallback_allocs = a.fallback_allocs + b.fallback_allocs;
+    fallback_allocs = 0;
     views = a.views + b.views;
     view_invalid = a.view_invalid + b.view_invalid;
     drops = Array.init Ingress.reason_count (fun i -> a.drops.(i) + b.drops.(i));

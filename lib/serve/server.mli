@@ -195,8 +195,9 @@ type snapshot = {
   nacks : int;
   dones : int;
   fallback_allocs : int;  (** Stage-2 runs that needed a fresh
-      buffer because the payload outgrew the shard scratch (should be
-      0). *)
+      buffer: 0 by construction, since stage 0 and the shards read no
+      ADU longer than [max_adu], the size of the shard scratch stage 2
+      writes into. Kept for the readers that gate on it. *)
   views : int;  (** Payloads validated and handed to [?on_view]
       (lazy stage 2 only). *)
   view_invalid : int;  (** Payloads that failed schema validation —
