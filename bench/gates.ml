@@ -69,9 +69,9 @@ let all =
         "E19: the program-cache lookup stays in the noise";
       g Schema schema "view_vs_decode" (At_least 1.0)
         "E19: the lazy view is no slower than the eager decode";
-      g Schema schema "tx_words_per_run" (At_most 256.)
+      g Schema schema "tx_words_per_run" (At_most 160.)
         "E19: GC words per fused marshal stay fixed, whatever the length";
-      g Schema schema "rx_words_per_run" (At_most 256.)
+      g Schema schema "rx_words_per_run" (At_most 160.)
         "E19: GC words per view of the 90 KB value stay fixed";
       g Schema schema "steady_allocs" Zero "E19: the marshal makes no Bytebuf";
       g Schema schema "rx_steady_allocs" Zero "E19: the view makes no Bytebuf";
@@ -87,14 +87,14 @@ let all =
         "E20: the open is within noise of the word-grain layered bound";
       g Secure secure "steady_allocs" Zero "E20: the seal makes no Bytebuf";
       g Secure secure "rx_steady_allocs" Zero "E20: the open makes no Bytebuf";
-      g Secure secure "rx_words_per_record" (At_most 256.)
-        "E20: GC words per open stay fixed, whatever the record's length";
+      g Secure secure "rx_words_per_record" (At_most 32.)
+        "E20: the record open allocates a few words, whatever its length";
       g Udp udp "mbps" (Above 0.) "E16: the real-socket stream moves data";
       g Udp (Row "netsim/fused-send") "mbps" (Above 0.)
         "E16: the same stream moves through the simulator";
       g Udp udp "steady_allocs_per_adu" Zero "E16: the send makes no Bytebuf";
-      g Udp udp "steady_words_per_adu" (At_most 1024.)
-        "E16: fewer GC words per 1 KB ADU than one per payload byte";
+      g Udp udp "steady_words_per_adu" (At_most 128.)
+        "E16: a fixed handful of GC words per 1 KB ADU, not words per byte";
       g Udp udp "ok" Is_true "E16: the stream holds its invariants";
       g Serve Every "ok" Is_true
         "E17: every session DONE, delivered + gone = sent, peak = sessions";

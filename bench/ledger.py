@@ -10,11 +10,14 @@ profile, through perfbench/run.py) and runs each workload traced, at
 small sizes, with its traces in a temporary directory. Besides the
 metrics of the JSON result it reads two counts from the detail of the
 traced run's layers.txt: the serve engine's fallback allocations and
-the GC words of one rt.send span. These counts repeat exactly run to
-run. A check fails when a count rises above its
-committed value by more than the spread its three runs showed when the
-file was written; a count that falls passes, and the change that lowers
-it rewrites the file. Exits 1 on a failure, 0 when every count holds.
+the GC words of one rt.send span. It also runs each workload untraced
+at the same sizes for its wire bytes per ADU, which only an untraced
+run reports. These counts repeat exactly run to run. A check fails when
+a count rises above its committed value by more than the spread its
+three runs showed when the file was written; a count that falls passes,
+and the change that lowers it rewrites the file. Wire bytes are held
+both ways: any change to the bytes on the wire fails until the file is
+rewritten. Exits 1 on a failure, 0 when every count holds.
 """
 
 import json
@@ -45,6 +48,8 @@ COUNTS = ["rt.sends_per_adu", "tx.frags_per_adu", "serve.pool_outstanding"]
 DETAIL = ["serve.fallback_allocs", "span.rt.send.self_words"]
 REPAIR = ["serve.nacks", "gen.regens", "gen.recloses", "serve.harvested",
           "serve.redelivered"]
+# From the untraced run; a change either way fails.
+WIRE = "wire_bytes_per_adu"
 
 
 def wanted(case, metrics):
@@ -55,12 +60,21 @@ def wanted(case, metrics):
     names += [k for k in DETAIL if k in metrics and k not in names]
     if case.startswith("serve-lossy"):
         names += REPAIR
+    names.append(WIRE)
     return sorted(names)
 
 
 def measure(workload, seed, extra, out_dir):
+    """One traced run's counts, with the untraced run's wire bytes."""
+    got = run_once(workload, seed, extra, out_dir, trace=1)
+    got.update(detail(os.path.join(out_dir, "%s-seed%d.layers.txt" % (workload, seed))))
+    got[WIRE] = run_once(workload, seed, extra, out_dir, trace=0)[WIRE]
+    return got
+
+
+def run_once(workload, seed, extra, out_dir, trace):
     done = subprocess.run(
-        [run.EXE, "--workload", workload, "--seed", str(seed), "--trace", "1",
+        [run.EXE, "--workload", workload, "--seed", str(seed), "--trace", str(trace),
          "--seconds", "0.05", "--min-rounds", "1", "--out-dir", out_dir] + extra,
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     lines = done.stdout.strip().splitlines()
@@ -70,9 +84,7 @@ def measure(workload, seed, extra, out_dir):
     result = json.loads(lines[-1])
     if result["correct"] is not True:
         sys.exit("ledger: %s seed %d failed its correctness gate" % (workload, seed))
-    got = {k: v["value"] for k, v in result["metrics"].items()}
-    got.update(detail(os.path.join(out_dir, "%s-seed%d.layers.txt" % (workload, seed))))
-    return got
+    return {k: v["value"] for k, v in result["metrics"].items()}
 
 
 def detail(path):
@@ -117,6 +129,10 @@ def check(out_dir):
         for name, ref in sorted(entry["counts"].items()):
             if name not in got:
                 rose.append("%s: %s is missing" % (case, name))
+            elif name == WIRE and round(got[name], 3) < ref["value"] - ref["spread"] - 1e-9:
+                rose.append("%s: %s fell from %.3f to %.3f (spread %.3f); the wire "
+                            "changed, so rewrite the ledger"
+                            % (case, name, ref["value"], got[name], ref["spread"]))
             elif round(got[name], 3) > ref["value"] + ref["spread"] + 1e-9:
                 rose.append("%s: %s rose from %.3f to %.3f (spread %.3f)"
                             % (case, name, ref["value"], got[name], ref["spread"]))

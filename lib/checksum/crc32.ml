@@ -96,6 +96,7 @@ let feed_sub st buf ~pos ~len =
 
 let feed st buf = feed_sub st buf ~pos:0 ~len:(Bytebuf.length buf)
 let finish_int st = (st lxor 0xFFFFFFFF) land 0xFFFFFFFF
+let resume d = d lxor 0xFFFFFFFF
 let finish st = Int32.of_int (finish_int st)
 let digest_sub buf ~pos ~len = finish_int (feed_sub init buf ~pos ~len)
 let digest buf = finish (feed init buf)

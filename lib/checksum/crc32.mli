@@ -28,6 +28,11 @@ val finish : state -> int32
 val finish_int : state -> int
 (** {!finish} widened to a non-negative [int]: no boxed result. *)
 
+val resume : int -> state
+(** [resume d] is the register a digest [d] (as {!finish_int} gives it)
+    was finished from: feeding more bytes and finishing again gives the
+    digest of the data extended by them, with no {!combine}. *)
+
 val digest : Bytebuf.t -> int32
 
 val digest_sub : Bytebuf.t -> pos:int -> len:int -> int

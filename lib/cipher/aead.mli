@@ -1,10 +1,13 @@
 (** RFC 8439 ChaCha20-Poly1305 AEAD as fused block/word/byte combinators.
 
-    One {!t} seals or opens exactly one record: feed the payload through
+    A {!t} seals or opens one record at a time: {!reset} it for the
+    record (in place, allocating nothing, so one context serves every
+    record of its owner), feed the payload through
     {!seal_block64}/{!open_block64} (and the word and byte variants for
-    a tail) in position order, then read the 128-bit {!tag}. Encrypt, MAC and (in the caller's loop)
-    copy/checksum all happen in the same pass over the data — the ILP
-    thesis applied to real crypto. The MAC covers
+    a tail) in position order, then read the 128-bit tag with {!tag_into}
+    or {!tag}. Encrypt, MAC and (in the caller's loop) copy/checksum all
+    happen in the same pass over the data — the ILP thesis applied to
+    real crypto. The MAC covers
     [AAD ‖ pad16 ‖ ct ‖ pad16 ‖ len(AAD) ‖ len(ct)]. *)
 
 open Bufkit
@@ -13,8 +16,15 @@ type t
 
 val create :
   key:Chacha20.key -> n0:int -> n1:int -> n2:int -> aad:Bytebuf.t -> t
-(** Start a record under (key, 96-bit nonce). The AAD is absorbed
-    immediately; [aad] may be reused by the caller afterwards. *)
+(** A context started on one record under (key, 96-bit nonce). The AAD is
+    absorbed immediately; [aad] may be reused by the caller afterwards. *)
+
+val make : unit -> t
+(** A context not yet started on any record: {!reset} it before use. *)
+
+val reset :
+  t -> key:Chacha20.key -> n0:int -> n1:int -> n2:int -> aad:Bytebuf.t -> unit
+(** Start the next record in place, as {!create} would: no allocation. *)
 
 val seal_word : t -> int -> int64 -> int64
 (** [seal_word t pos w]: ciphertext word for plaintext [w] at payload
@@ -38,10 +48,24 @@ val open_block64 : t -> pos:int -> Bytes.t -> off:int -> unit
 
 val tag : t -> int64 * int64
 (** Close the record: pad16 the ciphertext, absorb the length block, and
-    return the Poly1305 tag as little-endian [(lo, hi)]. Call once. *)
+    return the Poly1305 tag as little-endian [(lo, hi)]. Call once per
+    record. *)
+
+val tag_into : t -> Bytes.t -> int -> unit
+(** {!tag} written as its 16 little-endian bytes at [out.(off..)], with
+    no allocation. *)
 
 val tag_matches : lo:int64 -> hi:int64 -> int64 * int64 -> bool
 (** Branch-free 128-bit tag comparison. *)
+
+val tags_equal : Bytes.t -> int -> Bytes.t -> int -> bool
+(** [tags_equal a aoff b boff]: the 16 bytes at [a.(aoff..)] and
+    [b.(boff..)] are equal — the comparison in place, branch-free. *)
+
+val run : t -> seal:bool -> Bytes.t -> int -> int -> unit
+(** [run t ~seal b off len] seals (or opens) the [len] bytes at
+    [b.(off..)] in place as one whole record payload, under the record
+    [t] was last reset for; read the tag afterwards. Allocates nothing. *)
 
 val seal_in_place :
   key:Chacha20.key ->
@@ -51,8 +75,9 @@ val seal_in_place :
   aad:Bytebuf.t ->
   Bytebuf.t ->
   int64 * int64
-(** Whole-buffer seal (encrypt in place, return tag): the serial baseline
-    and test oracle for the fused plan stages. *)
+(** Whole-buffer seal (encrypt in place, return tag) on a fresh context:
+    {!run} over {!create}, the serial baseline and test oracle for the
+    fused plan stages. *)
 
 val open_in_place_tag :
   key:Chacha20.key ->

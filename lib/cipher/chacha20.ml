@@ -59,6 +59,18 @@ type t = {
   mutable cached : int; (* block counter held in [block]; -1 = none *)
 }
 
+(* Point [t] at a new (key, nonce) in place: the state words change and
+   the cached block is dropped. Allocates nothing, so one keystream can
+   serve a record context for its whole life. *)
+let reset t ~key ~n0 ~n1 ~n2 =
+  if Array.length key <> 8 then invalid_arg "Chacha20.reset: malformed key";
+  let state = t.state in
+  Array.blit key 0 state 4 8;
+  state.(13) <- n0 land mask32;
+  state.(14) <- n1 land mask32;
+  state.(15) <- n2 land mask32;
+  t.cached <- -1
+
 let create ~key ~n0 ~n1 ~n2 =
   if Array.length key <> 8 then invalid_arg "Chacha20.create: malformed key";
   let state = Array.make 16 0 in
@@ -66,11 +78,9 @@ let create ~key ~n0 ~n1 ~n2 =
   state.(1) <- 0x3320646e;
   state.(2) <- 0x79622d32;
   state.(3) <- 0x6b206574;
-  Array.blit key 0 state 4 8;
-  state.(13) <- n0 land mask32;
-  state.(14) <- n1 land mask32;
-  state.(15) <- n2 land mask32;
-  { state; block = Bytes.create 64; cached = -1 }
+  let t = { state; block = Bytes.create 64; cached = -1 } in
+  reset t ~key ~n0 ~n1 ~n2;
+  t
 
 (* u32 rotate on a word whose bits above 31 may hold garbage: only the
    right-shifted operand needs its high half cleared. Bits 0..31 of the
@@ -181,6 +191,10 @@ let xor_block64 t ~pos bytes ~off =
     Bytes.set_int64_le bytes o
       (Int64.logxor (Bytes.get_int64_le bytes o) (Bytes.get_int64_le kb (8 * k)))
   done
+
+let key_block t =
+  seek t 0;
+  t.block
 
 let poly_key t =
   seek t 0;

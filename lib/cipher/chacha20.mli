@@ -37,6 +37,10 @@ val create : key:key -> n0:int -> n1:int -> n2:int -> t
 (** [create ~key ~n0 ~n1 ~n2] fixes the nonce as three little-endian u32
     words (RFC 8439 layout). Values are masked to 32 bits. *)
 
+val reset : t -> key:key -> n0:int -> n1:int -> n2:int -> unit
+(** Re-point [t] at a new (key, nonce) in place, as {!create} would, with
+    no allocation. *)
+
 val byte_at : t -> int -> int
 (** Keystream byte at payload position [pos >= 0]. *)
 
@@ -56,6 +60,10 @@ val poly_key : t -> int64 * int64 * int64 * int64
 (** The Poly1305 one-time key for this (key, nonce): the first 32 bytes of
     keystream block 0, as four little-endian 64-bit words
     [(r_lo, r_hi, s_lo, s_hi)]. *)
+
+val key_block : t -> Bytes.t
+(** Keystream block 0, in [t]'s own 64-byte cache: the Poly1305 one-time
+    key is its first 32 bytes. Valid until the next seek on [t]. *)
 
 val transform_at : t -> pos:int -> Bytebuf.t -> unit
 (** XOR the slice in place with keystream bytes [pos, pos + len).

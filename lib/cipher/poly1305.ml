@@ -12,19 +12,19 @@ open Bufkit
 let m26 = 0x3FFFFFF
 
 type t = {
-  r0 : int;
-  r1 : int;
-  r2 : int;
-  r3 : int;
-  r4 : int; (* clamped r, 26-bit limbs *)
-  rr1 : int;
-  rr2 : int;
-  rr3 : int;
-  rr4 : int; (* 5*r1 .. 5*r4, for the mod 2^130-5 fold *)
-  s0 : int;
-  s1 : int;
-  s2 : int;
-  s3 : int; (* the added-at-the-end s half, u32 words *)
+  mutable r0 : int;
+  mutable r1 : int;
+  mutable r2 : int;
+  mutable r3 : int;
+  mutable r4 : int; (* clamped r, 26-bit limbs *)
+  mutable rr1 : int;
+  mutable rr2 : int;
+  mutable rr3 : int;
+  mutable rr4 : int; (* 5*r1 .. 5*r4, for the mod 2^130-5 fold *)
+  mutable s0 : int;
+  mutable s1 : int;
+  mutable s2 : int;
+  mutable s3 : int; (* the added-at-the-end s half, u32 words *)
   mutable h0 : int;
   mutable h1 : int;
   mutable h2 : int;
@@ -37,40 +37,65 @@ type t = {
 let lo32 x = Int64.to_int (Int64.logand x 0xFFFFFFFFL)
 let hi32 x = Int64.to_int (Int64.logand (Int64.shift_right_logical x 32) 0xFFFFFFFFL)
 
-let create ~k0 ~k1 ~k2 ~k3 =
-  (* r is clamped per RFC 8439 §2.5: top 4 bits of each u32 clear, bottom
-     2 bits of the upper three u32s clear. *)
-  let t0 = lo32 k0 land 0x0FFFFFFF in
-  let t1 = hi32 k0 land 0x0FFFFFFC in
-  let t2 = lo32 k1 land 0x0FFFFFFC in
-  let t3 = hi32 k1 land 0x0FFFFFFC in
-  let r0 = t0 land m26 in
+let[@inline] u32 b off =
+  Int32.to_int (Bytes.get_int32_le b off) land 0xFFFFFFFF
+
+(* Key [t] from the eight u32 words of (r, s) and empty the accumulator.
+   r is clamped per RFC 8439 §2.5: top 4 bits of each u32 clear, bottom 2
+   bits of the upper three u32s clear. *)
+let set_key t w0 w1 w2 w3 s0 s1 s2 s3 =
+  let t0 = w0 land 0x0FFFFFFF in
+  let t1 = w1 land 0x0FFFFFFC in
+  let t2 = w2 land 0x0FFFFFFC in
+  let t3 = w3 land 0x0FFFFFFC in
   let r1 = ((t0 lsr 26) lor (t1 lsl 6)) land m26 in
   let r2 = ((t1 lsr 20) lor (t2 lsl 12)) land m26 in
   let r3 = ((t2 lsr 14) lor (t3 lsl 18)) land m26 in
   let r4 = t3 lsr 8 in
-  {
-    r0;
-    r1;
-    r2;
-    r3;
-    r4;
-    rr1 = 5 * r1;
-    rr2 = 5 * r2;
-    rr3 = 5 * r3;
-    rr4 = 5 * r4;
-    s0 = lo32 k2;
-    s1 = hi32 k2;
-    s2 = lo32 k3;
-    s3 = hi32 k3;
-    h0 = 0;
-    h1 = 0;
-    h2 = 0;
-    h3 = 0;
-    h4 = 0;
-    buf = Bytes.create 24;
-    buf_len = 0;
-  }
+  t.r0 <- t0 land m26;
+  t.r1 <- r1;
+  t.r2 <- r2;
+  t.r3 <- r3;
+  t.r4 <- r4;
+  t.rr1 <- 5 * r1;
+  t.rr2 <- 5 * r2;
+  t.rr3 <- 5 * r3;
+  t.rr4 <- 5 * r4;
+  t.s0 <- s0;
+  t.s1 <- s1;
+  t.s2 <- s2;
+  t.s3 <- s3;
+  t.h0 <- 0;
+  t.h1 <- 0;
+  t.h2 <- 0;
+  t.h3 <- 0;
+  t.h4 <- 0;
+  t.buf_len <- 0
+
+let create ~k0 ~k1 ~k2 ~k3 =
+  let t =
+    {
+      r0 = 0; r1 = 0; r2 = 0; r3 = 0; r4 = 0;
+      rr1 = 0; rr2 = 0; rr3 = 0; rr4 = 0;
+      s0 = 0; s1 = 0; s2 = 0; s3 = 0;
+      h0 = 0; h1 = 0; h2 = 0; h3 = 0; h4 = 0;
+      buf = Bytes.create 24;
+      buf_len = 0;
+    }
+  in
+  set_key t (lo32 k0) (hi32 k0) (lo32 k1) (hi32 k1) (lo32 k2) (hi32 k2)
+    (lo32 k3) (hi32 k3);
+  t
+
+let reset t b off =
+  set_key t (u32 b off)
+    (u32 b (off + 4))
+    (u32 b (off + 8))
+    (u32 b (off + 12))
+    (u32 b (off + 16))
+    (u32 b (off + 20))
+    (u32 b (off + 24))
+    (u32 b (off + 28))
 
 (* Fold one 16-byte block, given as four u32 words, into the
    accumulator: h = (h + m + hibit) * r mod p. *)
@@ -113,9 +138,6 @@ let process_words t m0 m1 m2 m3 ~hibit =
   t.h3 <- h3;
   t.h4 <- h4
 
-let[@inline] u32 b off =
-  Int32.to_int (Bytes.get_int32_le b off) land 0xFFFFFFFF
-
 let process t ~hibit =
   let b = t.buf in
   process_words t (u32 b 0) (u32 b 4) (u32 b 8) (u32 b 12) ~hibit
@@ -128,10 +150,16 @@ let[@inline] compact t =
     t.buf_len <- rem
   end
 
-let feed_word64 t w =
+let[@inline] feed_word64 t w =
   Bytes.set_int64_le t.buf t.buf_len w;
   t.buf_len <- t.buf_len + 8;
   compact t
+
+(* The AEAD length block, two little-endian u64s, from ints: the words
+   are built here, so no caller boxes them. *)
+let feed_lengths t a b =
+  feed_word64 t (Int64.of_int a);
+  feed_word64 t (Int64.of_int b)
 
 let feed_byte t b =
   Bytes.unsafe_set t.buf t.buf_len (Char.unsafe_chr (b land 0xff));
@@ -156,7 +184,9 @@ let feed_block64 t bytes off =
     done
 
 let feed_sub t buf =
-  let bytes, boff, n = Bytebuf.backing buf in
+  let bytes = Bytebuf.data buf
+  and boff = Bytebuf.offset buf
+  and n = Bytebuf.length buf in
   let i = ref 0 in
   while !i + 8 <= n do
     feed_word64 t (Bytes.get_int64_le bytes (boff + !i));
@@ -177,7 +207,7 @@ let pad16 t =
     compact t
   end
 
-let finish t =
+let finish_into t out off =
   if t.buf_len > 0 then begin
     (* Final partial block: append 0x01 then zeros — the length-encoding
        bit lands inside the block, so no 2^128 hibit. *)
@@ -207,14 +237,13 @@ let finish t =
   let f1 = (((h1 lsr 6) lor (h2 lsl 20)) land 0xFFFFFFFF) + t.s1 + (f0 lsr 32) in
   let f2 = (((h2 lsr 12) lor (h3 lsl 14)) land 0xFFFFFFFF) + t.s2 + (f1 lsr 32) in
   let f3 = (((h3 lsr 18) lor (h4 lsl 8)) land 0xFFFFFFFF) + t.s3 + (f2 lsr 32) in
-  let lo =
-    Int64.logor
-      (Int64.of_int (f0 land 0xFFFFFFFF))
-      (Int64.shift_left (Int64.of_int (f1 land 0xFFFFFFFF)) 32)
-  in
-  let hi =
-    Int64.logor
-      (Int64.of_int (f2 land 0xFFFFFFFF))
-      (Int64.shift_left (Int64.of_int (f3 land 0xFFFFFFFF)) 32)
-  in
-  (lo, hi)
+  Bytes.set_int32_le out off (Int32.of_int f0);
+  Bytes.set_int32_le out (off + 4) (Int32.of_int f1);
+  Bytes.set_int32_le out (off + 8) (Int32.of_int f2);
+  Bytes.set_int32_le out (off + 12) (Int32.of_int f3)
+
+(* The tag as two words, through the staging buffer the finished state no
+   longer needs. *)
+let finish t =
+  finish_into t t.buf 0;
+  (Bytes.get_int64_le t.buf 0, Bytes.get_int64_le t.buf 8)

@@ -93,7 +93,7 @@ let read_header h buf ~pos ~len =
   finish_int (feed_sub st buf ~pos:(pos + header_size) ~len:h.h_plen)
   = Bytebuf.get_be buf (pos + 32) ~bytes:4
 
-let of_header h buf ~pos =
+let of_header_trimmed h buf ~pos ~trailer =
   let timestamp_us =
     Int64.logor (Int64.shift_left (Int64.of_int h.h_ts_hi) 32) (Int64.of_int h.h_ts_lo)
   in
@@ -101,8 +101,10 @@ let of_header h buf ~pos =
     name =
       { stream = h.h_stream; index = h.h_index; dest_off = h.h_dest_off;
         dest_len = h.h_dest_len; timestamp_us };
-    payload = Bytebuf.sub buf ~pos:(pos + header_size) ~len:h.h_plen;
+    payload = Bytebuf.sub buf ~pos:(pos + header_size) ~len:(h.h_plen - trailer);
   }
+
+let of_header h buf ~pos = of_header_trimmed h buf ~pos ~trailer:0
 
 let pp ppf t =
   Format.fprintf ppf "%a len=%d" pp_name t.name (Bytebuf.length t.payload)

@@ -82,4 +82,9 @@ val of_header : header -> Bytebuf.t -> pos:int -> t
 (** The ADU {!read_header} checked at [pos]. Its payload {e aliases}
     [buf]: consume or copy it before a pooled buffer is reused. *)
 
+val of_header_trimmed : header -> Bytebuf.t -> pos:int -> trailer:int -> t
+(** {!of_header} with the last [trailer] payload bytes left out: the
+    plaintext of a sealed record opened in place
+    ({!Secure.Record.open_encoded}). *)
+
 val pp : Format.formatter -> t -> unit

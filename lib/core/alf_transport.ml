@@ -63,6 +63,22 @@ type slot = {
 
 let empty_slot () = { dg = Bytebuf.empty; len = 0; idx = 0; pooled = false }
 
+(* Registry handles, resolved once at module initialisation: a send, a
+   datagram or a delivery bumps a counter and never looks one up. *)
+let tx_counter name = Obs.Registry.counter ("alf.sender." ^ name)
+let tx_adus_sent = tx_counter "adus_sent"
+let tx_bytes_sent = tx_counter "bytes_sent"
+let tx_store_peak = Obs.Registry.gauge "alf.sender.store_peak_bytes"
+let tx_nacks_received = tx_counter "nacks_received"
+let tx_backoff_resets = tx_counter "nack_backoff_resets"
+let tx_fec_activated = tx_counter "fec_activated"
+let tx_retransmits = tx_counter "retransmits"
+let tx_bytes_retransmitted = tx_counter "bytes_retransmitted"
+let tx_adus_gone = tx_counter "adus_gone"
+let tx_close_gave_up = tx_counter "close_gave_up"
+let tx_ctl_corrupt = tx_counter "ctl_corrupt_dropped"
+let tx_killed = tx_counter "killed"
+
 type sender = {
   sched : Rt.Sched.t;
   io : Dgram.t;
@@ -80,8 +96,9 @@ type sender = {
   mutable head : int;
   mutable queued : int;
   mutable scratch : Bytebuf.t;  (* multi-fragment ADUs and control *)
-  queued_frags : (int, int ref) Hashtbl.t;  (* blocks still queued per index *)
+  queued_frags : (int, int) Hashtbl.t;  (* blocks still queued per index *)
   mutable pacing : bool;  (* a pace event is scheduled *)
+  mutable pace_cb : unit -> unit;  (* [pace] on this sender, made once *)
   mutable pace_timer : Rt.Sched.timer option;
   mutable close_timer : Rt.Sched.timer option;
   mutable max_index : int;
@@ -97,6 +114,13 @@ type sender = {
   mutable gone_announced : (int, unit) Hashtbl.t;
   mutable s_tracer : (string -> unit) option;
   s_view : Framing.view;  (* the reader's view of each control datagram *)
+  (* The compiled transmit plans: [send_adu]'s over a copy of the
+     payload, and [send_value]'s behind a marshal source, for the caller
+     plan [value_plan]. Each ends in the record seal (when keyed), a
+     CRC-32 and the delivering store, and is compiled at its first use. *)
+  mutable adu_inst : Ilp.instance option;
+  mutable value_inst : Ilp.instance option;
+  mutable value_plan : Ilp.plan;
 }
 
 let trace tracer fmt =
@@ -172,23 +196,22 @@ let commit s sl ~index ~len =
   sl.len <- len;
   s.queued <- s.queued + 1;
   match Hashtbl.find s.queued_frags index with
-  | n -> incr n
-  | exception Not_found -> Hashtbl.replace s.queued_frags index (ref 1)
+  | n -> Hashtbl.replace s.queued_frags index (n + 1)
+  | exception Not_found -> Hashtbl.add s.queued_frags index 1
 
 let dequeue_and_send s =
   let sl = s.ring.(s.head) in
   s.head <- (s.head + 1) mod Array.length s.ring;
   s.queued <- s.queued - 1;
   (match Hashtbl.find s.queued_frags sl.idx with
-  | n ->
-      decr n;
-      if !n <= 0 then Hashtbl.remove s.queued_frags sl.idx
+  | n when n > 1 -> Hashtbl.replace s.queued_frags sl.idx (n - 1)
+  | _ -> Hashtbl.remove s.queued_frags sl.idx
   | exception Not_found -> ());
   send_sealed s sl.dg sl.len;
   release_slot s sl;
   sl.len
 
-let rec pace s =
+let pace s =
   match (s.queued = 0, s.config.pace_bps) with
   | true, _ ->
       s.pacing <- false;
@@ -203,14 +226,12 @@ let rec pace s =
   | false, Some rate ->
       let sent_len = dequeue_and_send s in
       let gap = 8.0 *. float_of_int sent_len /. rate in
-      s.pace_timer <-
-        Some (Rt.Sched.schedule_after s.sched gap (fun () -> pace s))
+      s.pace_timer <- Some (Rt.Sched.schedule_after s.sched gap s.pace_cb)
 
 let kick s =
   if not s.pacing then begin
     s.pacing <- true;
-    s.pace_timer <-
-      Some (Rt.Sched.schedule_after s.sched 0.0 (fun () -> pace s))
+    s.pace_timer <- Some (Rt.Sched.schedule_after s.sched 0.0 s.pace_cb)
   end
 
 (* A finished sender (DONE received, killed, or gave up) must leave no
@@ -294,21 +315,20 @@ let send_gone s indices =
           Hashtbl.replace s.gone_announced i ())
         fresh;
       s.stats.adus_gone <- s.stats.adus_gone + List.length fresh;
-      Obs.Counter.add (Obs.Registry.counter "alf.sender.adus_gone")
-        (List.length fresh);
+      Obs.Counter.add tx_adus_gone (List.length fresh);
       send_ctl_now s ~room:(5 + (4 * List.length indices)) (fun buf ->
           Ctl.write_gone buf ~stream:s.stream indices)
 
 let handle_nack s (v : Framing.view) =
   let have_below = v.Framing.have_below and count = v.Framing.count in
   s.stats.nacks_received <- s.stats.nacks_received + 1;
-  Obs.Counter.incr (Obs.Registry.counter "alf.sender.nacks_received");
+  Obs.Counter.incr tx_nacks_received;
   (* Evidence the receiver is alive: CLOSE announcements can return to
      their base cadence. *)
   if s.close_shift > 0 then begin
     s.close_shift <- 0;
     s.stats.nack_backoff_resets <- s.stats.nack_backoff_resets + 1;
-    Obs.Counter.incr (Obs.Registry.counter "alf.sender.nack_backoff_resets")
+    Obs.Counter.incr tx_backoff_resets
   end;
   Recovery.release_below s.store have_below;
   (* The NACK volume against what is still outstanding is a (noisy) loss
@@ -323,7 +343,7 @@ let handle_nack s (v : Framing.view) =
     s.fec_on <- true;
     strace s "loss estimate %.2f >= %.2f: enabling FEC (k=%d)" s.loss_ewma
       s.config.fec_loss_threshold s.config.fec_k;
-    Obs.Counter.incr (Obs.Registry.counter "alf.sender.fec_activated")
+    Obs.Counter.incr tx_fec_activated
   end;
   let gone = ref [] in
   for i = 0 to count - 1 do
@@ -338,10 +358,8 @@ let handle_nack s (v : Framing.view) =
           s.stats.adus_retransmitted <- s.stats.adus_retransmitted + 1;
           s.stats.bytes_retransmitted <-
             s.stats.bytes_retransmitted + Bytebuf.length encoded;
-          Obs.Counter.incr (Obs.Registry.counter "alf.sender.retransmits");
-          Obs.Counter.add
-            (Obs.Registry.counter "alf.sender.bytes_retransmitted")
-            (Bytebuf.length encoded);
+          Obs.Counter.incr tx_retransmits;
+          Obs.Counter.add tx_bytes_retransmitted (Bytebuf.length encoded);
           enqueue_frags s ~index encoded ~total_len:(Bytebuf.length encoded)
       | Recovery.Gone -> gone := index :: !gone
   done;
@@ -359,7 +377,7 @@ let rec close_loop s =
         s.s_gave_up <- true;
         strace s "giving up CLOSE after %d attempts; releasing store"
           s.close_sent;
-        Obs.Counter.incr (Obs.Registry.counter "alf.sender.close_gave_up");
+        Obs.Counter.incr tx_close_gave_up;
         teardown_sender s
       end
       else begin
@@ -384,9 +402,7 @@ let sender_handle s ~src:_ ~src_port:_ dg =
   else
     let v = s.s_view in
     match Framing.read v s.config.integrity dg with
-    | Framing.Bad_crc ->
-        Obs.Counter.incr
-          (Obs.Registry.counter "alf.sender.ctl_corrupt_dropped")
+    | Framing.Bad_crc -> Obs.Counter.incr tx_ctl_corrupt
     | Framing.Valid
       when v.Framing.stream = s.stream && not s.done_received -> (
         (* Malformed or foreign traffic is ignored. *)
@@ -408,7 +424,6 @@ let sender_io ~sched ~io ~peer ~peer_port ~port ~stream ~policy ?secure
     ?tx_pool ?(config = default_sender_config) () =
   if frag_budget config <= Framing.fragment_header_size then
     invalid_arg "Alf_transport: mtu too small for integrity/FEC overhead";
-  ignore (Obs.Registry.counter "alf.sender.nack_backoff_resets");
   let s =
     {
       sched;
@@ -441,6 +456,7 @@ let sender_io ~sched ~io ~peer ~peer_port ~port ~stream ~policy ?secure
         };
       queued_frags = Hashtbl.create 64;
       pacing = false;
+      pace_cb = ignore;
       pace_timer = None;
       close_timer = None;
       max_index = -1;
@@ -456,68 +472,73 @@ let sender_io ~sched ~io ~peer ~peer_port ~port ~stream ~policy ?secure
       gone_announced = Hashtbl.create 16;
       s_tracer = None;
       s_view = Framing.view ();
+      adu_inst = None;
+      value_inst = None;
+      value_plan = [];
     }
   in
+  s.pace_cb <- (fun () -> pace s);
   io.Dgram.bind ~port (sender_handle s);
   s
 
 let account_sent s ~index ~encoded_len ~nfrags =
   if index > s.max_index then s.max_index <- index;
   let fp = Recovery.footprint s.store in
-  if fp > s.stats.store_peak then s.stats.store_peak <- fp;
+  if fp > s.stats.store_peak then begin
+    s.stats.store_peak <- fp;
+    Obs.Gauge.observe_max tx_store_peak (float_of_int fp)
+  end;
   s.stats.adus_sent <- s.stats.adus_sent + 1;
   s.stats.frags_sent <- s.stats.frags_sent + nfrags;
   s.stats.bytes_sent <- s.stats.bytes_sent + encoded_len;
-  Obs.Counter.incr (Obs.Registry.counter "alf.sender.adus_sent");
-  Obs.Counter.add (Obs.Registry.counter "alf.sender.bytes_sent") encoded_len;
-  Obs.Gauge.observe_max
-    (Obs.Registry.gauge "alf.sender.store_peak_bytes")
-    (float_of_int s.stats.store_peak)
+  Obs.Counter.incr tx_adus_sent;
+  Obs.Counter.add tx_bytes_sent encoded_len
 
-(* The payload's CRC-32: the last digest, from the stage [transmit]
-   appends after every user stage. *)
-let rec last_checksum = function
-  | [ (_, v) ] -> v
-  | _ :: tl -> last_checksum tl
-  | [] -> assert false
+(* The stages every transmit plan ends in. *)
+let tail_stages s =
+  let frame = [ Ilp.Checksum Checksum.Kind.Crc32; Ilp.Deliver_copy ] in
+  match s.s_secure with
+  | None -> frame
+  | Some rc -> Ilp.Aead_seal (Secure.Record.params rc) :: frame
 
-(* The one transmit path. [fill dst stages] writes the [n]-byte payload
-   into [dst] in one pass, running [stages] — a CRC-32, and the AEAD seal
-   before it when the sender has a record layer — over it on the way. A
-   sealed payload is [ct ‖ epoch ‖ tag]; its digest is extended over the
-   20-byte record trailer with [combine], and {!Adu.write_header} folds
-   it into the header CRC, so the payload is read exactly once.
+(* Run [inst] with [run] over input [x] into the [n]-byte payload at [pos]
+   in [buf]; returns the payload's CRC-32, the plan's last digest. A
+   sealed payload is [ct ‖ epoch ‖ tag]: the record trailer is written
+   after the run, and the digest extended over it by feeding its 20 bytes
+   to the unfinished register, so {!Adu.write_header} folds the whole
+   payload's CRC into the header having read the payload once. *)
+let fill_payload s inst run x buf ~pos ~n =
+  run inst ~dst:(Bytebuf.sub buf ~pos ~len:n) x;
+  let crc = Ilp.last_checksum inst in
+  match s.s_secure with
+  | None -> crc
+  | Some rc ->
+      let tpos = pos + n in
+      Secure.Record.write_trailer rc inst buf ~pos:tpos;
+      Checksum.Crc32.finish_int
+        (Checksum.Crc32.feed_sub (Checksum.Crc32.resume crc) buf ~pos:tpos
+           ~len:Secure.Record.overhead)
+
+(* The one transmit path. [run inst ~dst x] writes the [n]-byte payload
+   into [dst] in one pass — {!Ilp.exec} copying an ADU's payload, or
+   {!Ilp.exec_marshal} marshalling a value — running the record seal
+   (when keyed) and a CRC-32 over it on the way. The seal's params are
+   pointed at this record first; the compiled plan reads them as it
+   starts.
 
    A one-fragment ADU is filled straight into its datagram. A longer one
    is filled into the sender's scratch buffer — or into a fresh buffer
    when the recovery policy keeps it — and each fragment is copied from
    there into its own datagram. Either way every queued datagram is
    sealed. *)
-let transmit s (name : Adu.name) ~n fill =
+let transmit s inst run x (name : Adu.name) ~n =
   let index = name.Adu.index in
-  let sec =
-    Option.map (fun rc -> Secure.Record.seal_params rc name) s.s_secure
-  in
-  let plen = match sec with None -> n | Some _ -> n + Secure.Record.overhead in
-  let stages =
-    match sec with
-    | None -> [ Ilp.Checksum Checksum.Kind.Crc32; Ilp.Deliver_copy ]
-    | Some (_, p) ->
-        [ Ilp.Aead_seal p; Ilp.Checksum Checksum.Kind.Crc32; Ilp.Deliver_copy ]
-  in
-  (* The payload at [pos] in [buf]; returns its CRC-32. *)
-  let fill_payload buf ~pos =
-    let (r : Ilp.result) = fill (Bytebuf.sub buf ~pos ~len:n) stages in
-    let crc = last_checksum r.Ilp.checksums in
-    match (sec, r.Ilp.tags) with
-    | None, _ -> crc
-    | Some (e, _), [ tag ] ->
-        let tail = Bytebuf.sub buf ~pos:(pos + n) ~len:Secure.Record.overhead in
-        Secure.Record.write_trailer tail ~e ~tag;
-        Checksum.Crc32.combine crc
-          (Checksum.Crc32.digest_sub tail ~pos:0 ~len:Secure.Record.overhead)
-          Secure.Record.overhead
-    | Some _, _ -> assert false (* exactly one Aead_seal in stages *)
+  let plen =
+    match s.s_secure with
+    | None -> n
+    | Some rc ->
+        ignore (Secure.Record.seal_params rc name);
+        n + Secure.Record.overhead
   in
   let encoded_len = Adu.header_size + plen in
   let retains =
@@ -532,7 +553,7 @@ let transmit s (name : Adu.name) ~n fill =
     (* Compiled sizing can defer a schema/value mismatch to emit time, so
        the fill may raise after the reserve: hand the buffer back. *)
     let payload_crc =
-      try fill_payload sl.dg ~pos:payload
+      try fill_payload s inst run x sl.dg ~pos:payload ~n
       with e ->
         release_slot s sl;
         raise e
@@ -547,8 +568,8 @@ let transmit s (name : Adu.name) ~n fill =
     let buf =
       if retains then Bytebuf.create encoded_len else scratch s encoded_len
     in
-    Adu.write_header buf ~pos:0 name ~plen
-      ~payload_crc:(fill_payload buf ~pos:Adu.header_size);
+    let payload_crc = fill_payload s inst run x buf ~pos:Adu.header_size ~n in
+    Adu.write_header buf ~pos:0 name ~plen ~payload_crc;
     if retains then Recovery.remember s.store ~index buf;
     enqueue_frags s ~index buf ~total_len:encoded_len
   end;
@@ -557,15 +578,31 @@ let transmit s (name : Adu.name) ~n fill =
 let send_adu s (adu : Adu.t) =
   if s.closing then invalid_arg "Alf_transport.send_adu: sender closed";
   if s.s_killed then invalid_arg "Alf_transport.send_adu: sender killed";
+  let inst =
+    match s.adu_inst with
+    | Some inst -> inst
+    | None ->
+        let inst = Ilp.compile (tail_stages s) in
+        s.adu_inst <- Some inst;
+        inst
+  in
   let payload = adu.Adu.payload in
-  transmit s adu.Adu.name ~n:(Bytebuf.length payload) (fun dst stages ->
-      Ilp.run_fused ~dst stages payload)
+  transmit s inst Ilp.exec payload adu.Adu.name ~n:(Bytebuf.length payload)
 
+(* A plan other than the last one given (by identity) is compiled anew. *)
 let send_value s ~name ?(plan = []) source =
   if s.closing then invalid_arg "Alf_transport.send_value: sender closed";
   if s.s_killed then invalid_arg "Alf_transport.send_value: sender killed";
-  transmit s name ~n:(Ilp.marshal_size source) (fun dst stages ->
-      Ilp.run_marshal ~dst source (plan @ stages))
+  let inst =
+    match s.value_inst with
+    | Some inst when s.value_plan == plan -> inst
+    | _ ->
+        let inst = Ilp.compile_marshal source (plan @ tail_stages s) in
+        s.value_inst <- Some inst;
+        s.value_plan <- plan;
+        inst
+  in
+  transmit s inst Ilp.exec_marshal source name ~n:(Ilp.marshal_size source)
 
 let close s =
   if (not s.closing) && not s.s_killed then begin
@@ -580,7 +617,7 @@ let kill_sender s =
        retransmission store dies with it. Pooled datagrams still go back
        to their pool — the pool outlives the sender. *)
     teardown_sender s;
-    Obs.Counter.incr (Obs.Registry.counter "alf.sender.killed")
+    Obs.Counter.incr tx_killed
   end
 
 (* --- Receiver ---
@@ -603,6 +640,16 @@ type receiver_stats = {
   mutable adus_auth_dropped : int;
   mutable adus_gone_local : int;
 }
+
+let rx_counter name = Obs.Registry.counter ("alf.receiver." ^ name)
+let rx_delivered = rx_counter "adus_delivered"
+let rx_bytes_delivered = rx_counter "bytes_delivered"
+let rx_nacks_sent = rx_counter "nacks_sent"
+let rx_gone_deadline = rx_counter "adus_gone_deadline"
+let rx_abandoned = rx_counter "abandoned"
+let rx_auth_dropped = rx_counter "auth_dropped"
+let rx_lost = rx_counter "adus_lost"
+let rx_corrupt_dropped = rx_counter "frags_corrupt_dropped"
 
 (* Repair state for one missing index. *)
 type req = {
@@ -691,7 +738,7 @@ let after_settle t = function Rx.Completed -> completed t | _ -> ()
 let send_nack t indices =
   let indices = List.filteri (fun i _ -> i < max_nack_indices) indices in
   t.r_stats.nacks_sent <- t.r_stats.nacks_sent + 1;
-  Obs.Counter.incr (Obs.Registry.counter "alf.receiver.nacks_sent");
+  Obs.Counter.incr rx_nacks_sent;
   send_ctl t (fun buf ->
       Ctl.write_nack buf ~stream:t.r_stream ~have_below:(Rx.frontier t.rx)
         indices)
@@ -704,7 +751,7 @@ let locally_gone t index reason =
   | (Rx.Settled | Rx.Completed) as v ->
       Hashtbl.remove t.reqs index;
       t.r_stats.adus_gone_local <- t.r_stats.adus_gone_local + 1;
-      Obs.Counter.incr (Obs.Registry.counter "alf.receiver.adus_gone_deadline");
+      Obs.Counter.incr rx_gone_deadline;
       rtrace t "ADU %d locally gone (%s)" index reason;
       after_settle t v
   | _ -> ()
@@ -742,7 +789,7 @@ let rec nack_loop t =
         t.r_abandoned <- true;
         Hashtbl.reset t.reqs;
         rtrace t "sender silent for %.3fs: abandoning repair" t.giveup_idle;
-        Obs.Counter.incr (Obs.Registry.counter "alf.receiver.abandoned")
+        Obs.Counter.incr rx_abandoned
       end
     end
     else begin
@@ -813,10 +860,8 @@ let deliver_complete t adu =
   t.r_stats.adus_delivered <- t.r_stats.adus_delivered + 1;
   t.r_stats.bytes_delivered <-
     t.r_stats.bytes_delivered + Bytebuf.length adu.Adu.payload;
-  Obs.Counter.incr (Obs.Registry.counter "alf.receiver.adus_delivered");
-  Obs.Counter.add
-    (Obs.Registry.counter "alf.receiver.bytes_delivered")
-    (Bytebuf.length adu.Adu.payload);
+  Obs.Counter.incr rx_delivered;
+  Obs.Counter.add rx_bytes_delivered (Bytebuf.length adu.Adu.payload);
   t.app_deliver adu
 
 (* One datagram the reader took, or one block an FEC decoder handed back.
@@ -838,7 +883,7 @@ let rec handle t (v : Framing.view) =
           (* Forged or tag-damaged data that slipped past the stage-1
              checksum: a counted drop that behaves like a lost datagram. *)
           t.r_stats.adus_auth_dropped <- t.r_stats.adus_auth_dropped + 1;
-          Obs.Counter.incr (Obs.Registry.counter "alf.receiver.auth_dropped");
+          Obs.Counter.incr rx_auth_dropped;
           rtrace t "ADU %d failed record authentication: dropped"
             v.Framing.index
       | Rx.Bad_adu when v.Framing.nfrags = 1 ->
@@ -861,7 +906,7 @@ let rec handle t (v : Framing.view) =
         | (Rx.Settled | Rx.Completed) as r ->
             Hashtbl.remove t.reqs index;
             t.r_stats.adus_lost <- t.r_stats.adus_lost + 1;
-            Obs.Counter.incr (Obs.Registry.counter "alf.receiver.adus_lost");
+            Obs.Counter.incr rx_lost;
             after_settle t r
         | _ -> ()
       done
@@ -892,8 +937,7 @@ let receiver_handle t ~src ~src_port dg =
       (* Stage-1 integrity: a flipped bit anywhere in the datagram stops
          here, before it can poison reassembly or forge control. *)
       t.r_stats.frags_corrupt_dropped <- t.r_stats.frags_corrupt_dropped + 1;
-      Obs.Counter.incr
-        (Obs.Registry.counter "alf.receiver.frags_corrupt_dropped")
+      Obs.Counter.incr rx_corrupt_dropped
   | verdict -> (
       (* Only integrity-verified traffic counts as liveness or identifies
          the sender — garbage must not latch a spoofed repair address. *)
@@ -911,11 +955,6 @@ let receiver_io ~sched ~io ~port ~stream ?(nack_interval = 0.02)
     ?reasm_pool ~deliver () =
   if nack_budget < 1 then
     invalid_arg "Alf_transport: nack_budget must be >= 1";
-  (* Eager registration so `alfnet metrics` shows the hardening counters
-     at zero instead of omitting them on clean runs. *)
-  ignore (Obs.Registry.counter "alf.receiver.frags_corrupt_dropped");
-  ignore (Obs.Registry.counter "alf.receiver.adus_gone_deadline");
-  ignore (Obs.Registry.counter "alf.receiver.auth_dropped");
   let seed =
     match seed with
     | Some s -> s

@@ -103,13 +103,15 @@ val send_adu : sender -> Adu.t -> unit
 val send_value : sender -> name:Adu.name -> ?plan:Ilp.plan -> Ilp.source -> unit
 (** The integrated send path (§4 of the paper as an API): marshal the
     value and run the [plan]'s transform stages, the record seal and a
-    CRC-32 over it in {e one pass} ({!Ilp.run_marshal}), straight into
-    the outgoing datagram when the ADU fits one fragment, else into the
-    sender's reused scratch buffer, from which each fragment is copied
-    into its datagram. The ADU header's CRC is derived from the in-loop
-    digest with {!Checksum.Crc32.combine}, not a second read. {!send_adu}
-    is the same path with a copy ({!Ilp.run_fused}) in place of the
-    marshal.
+    CRC-32 over it in {e one pass}, straight into the outgoing datagram
+    when the ADU fits one fragment, else into the sender's reused scratch
+    buffer, from which each fragment is copied into its datagram. The
+    pass runs on an instance the sender compiled once
+    ({!Ilp.compile_marshal}), and again only when [plan] is not the one
+    given last (by identity). The ADU header's CRC is derived from the
+    in-loop digest with {!Checksum.Crc32.combine}, not a second read.
+    {!send_adu} is the same path with a copy ({!Ilp.exec}) in place of
+    the marshal.
 
     [plan] must be valid for marshalling (no [Byteswap32]); the receiver
     mirrors it in {!deliver_values}. [name.index] obeys the same

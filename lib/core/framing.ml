@@ -219,12 +219,15 @@ let index_at v i =
   if i < 0 || i >= v.count then invalid_arg "Framing.index_at";
   get v (v.chunk_off + (4 * i)) 4
 
+(* An ADU being reassembled. Completed and dropped partials go back to a
+   small stack of spares, so a steady stream reuses the same records and
+   bitmaps instead of building them per ADU. *)
 type partial = {
-  total_len : int;
-  nfrags : int;
-  buf : Bytebuf.t;
-  owner : Bytebuf.t option;  (* pooled backing buffer, released on retire *)
-  have : Bytes.t;  (* fragment bitmap *)
+  mutable total_len : int;
+  mutable nfrags : int;
+  mutable buf : Bytebuf.t;  (* at least [total_len] bytes, from offset 0 *)
+  mutable pooled : bool;  (* [buf] came from the pool, released on retire *)
+  mutable have : Bytes.t;  (* fragment bitmap, at least [nfrags] bits *)
   mutable have_count : int;
 }
 
@@ -236,18 +239,45 @@ type reasm_stats = {
 }
 
 type reassembler = {
-  deliver : Adu.t -> unit;
+  complete : Adu.header -> Bytebuf.t -> unit;
   stats : reasm_stats;
   hdr : Adu.header;  (* the completed ADU's header, read in place *)
   partials : (int, partial) Hashtbl.t;  (* keyed by ADU index *)
   retired : (int, unit) Hashtbl.t;  (* completed or forgotten indices *)
   mutable floor : int;  (* every index below is implicitly retired *)
   pool : (Pool.t * int) option;  (* pool and its buf_size *)
+  spares : partial array;
+  mutable nspares : int;
+  (* [retire_below]'s sweeps, made once: they read the floor. *)
+  mutable keep_retired : int -> unit -> unit option;
+  mutable keep_partial : int -> partial -> partial option;
 }
 
-let reassembler ?pool ~deliver () =
+let max_spares = 8
+
+let blank_partial () =
+  { total_len = 0; nfrags = 0; buf = Bytebuf.empty; pooled = false;
+    have = Bytes.empty; have_count = 0 }
+
+(* Fills the spare stack's empty slots; never handed out. *)
+let no_partial = blank_partial ()
+
+(* Hand a finished partial's pooled buffer back and keep the record. *)
+let retire_partial t p =
+  (match t.pool with
+  | Some (pool, _) when p.pooled -> Pool.release pool p.buf
+  | _ -> ());
+  p.buf <- Bytebuf.empty;
+  p.pooled <- false;
+  if t.nspares < Array.length t.spares then begin
+    t.spares.(t.nspares) <- p;
+    t.nspares <- t.nspares + 1
+  end
+
+let reassembler_encoded ?pool ~complete () =
+  let t =
   {
-    deliver;
+    complete;
     stats =
       { completed = 0; duplicate_frags = 0; corrupt_adus = 0; inconsistent_frags = 0 };
     hdr = Adu.header ();
@@ -255,23 +285,37 @@ let reassembler ?pool ~deliver () =
     retired = Hashtbl.create 32;
     floor = 0;
     pool = Option.map (fun p -> (p, (Pool.stats p).Pool.buf_size)) pool;
+    spares = Array.make max_spares no_partial;
+    nspares = 0;
+    keep_retired = (fun _ () -> None);
+    keep_partial = (fun _ _ -> None);
   }
+  in
+  t.keep_retired <- (fun i () -> if i < t.floor then None else Some ());
+  t.keep_partial <-
+    (fun i p ->
+      if i < t.floor then begin
+        retire_partial t p;
+        None
+      end
+      else Some p);
+  t
+
+let reassembler ?pool ~deliver () =
+  reassembler_encoded ?pool
+    ~complete:(fun h buf -> deliver (Adu.of_header h buf ~pos:0))
+    ()
 
 let stats t = t.stats
 let pending_adus t = Hashtbl.length t.partials
 let retired_count t = Hashtbl.length t.retired
-
-let release_owner t p =
-  match (t.pool, p.owner) with
-  | Some (pool, _), Some owner -> Pool.release pool owner
-  | _ -> ()
 
 let forget t ~index =
   if index >= t.floor then Hashtbl.replace t.retired index ();
   match Hashtbl.find_opt t.partials index with
   | Some p ->
       Hashtbl.remove t.partials index;
-      release_owner t p
+      retire_partial t p
   | None -> ()
 
 (* Everything below [bound] is settled upstream: raise the implicit
@@ -282,26 +326,10 @@ let forget t ~index =
 let retire_below t ~bound =
   if bound > t.floor then begin
     t.floor <- bound;
-    if Hashtbl.length t.retired > 0 then begin
-      let dead =
-        Hashtbl.fold
-          (fun i () acc -> if i < bound then i :: acc else acc)
-          t.retired []
-      in
-      List.iter (Hashtbl.remove t.retired) dead
-    end;
-    if Hashtbl.length t.partials > 0 then begin
-      let dead =
-        Hashtbl.fold
-          (fun i p acc -> if i < bound then (i, p) :: acc else acc)
-          t.partials []
-      in
-      List.iter
-        (fun (i, p) ->
-          Hashtbl.remove t.partials i;
-          release_owner t p)
-        dead
-    end
+    if Hashtbl.length t.retired > 0 then
+      Hashtbl.filter_map_inplace t.keep_retired t.retired;
+    if Hashtbl.length t.partials > 0 then
+      Hashtbl.filter_map_inplace t.keep_partial t.partials
   end
 
 (* A completed index whose ADU was then rejected upstream (record
@@ -318,7 +346,7 @@ let unretire t ~index =
    session is going away anyway) and empties [retired]. *)
 let clear t =
   if Hashtbl.length t.partials > 0 then begin
-    Hashtbl.iter (fun _ p -> release_owner t p) t.partials;
+    Hashtbl.iter (fun _ p -> retire_partial t p) t.partials;
     Hashtbl.reset t.partials
   end;
   Hashtbl.reset t.retired
@@ -341,29 +369,32 @@ let push t (v : view) =
     t.stats.duplicate_frags <- t.stats.duplicate_frags + 1
   else
   let p =
-    match Hashtbl.find_opt t.partials index with
-    | Some p -> p
-    | None ->
+    match Hashtbl.find t.partials index with
+    | p -> p
+    | exception Not_found ->
+        let p =
+          if t.nspares > 0 then begin
+            t.nspares <- t.nspares - 1;
+            t.spares.(t.nspares)
+          end
+          else blank_partial ()
+        in
         (* Reassemble into a pooled buffer when one fits; fall back to a
            fresh allocation for oversized ADUs or an exhausted pool. *)
-        let buf, owner =
-          match t.pool with
-          | Some (pool, buf_size) when v.total_len <= buf_size -> (
-              match Pool.try_acquire pool with
-              | Some full -> (Bytebuf.take full v.total_len, Some full)
-              | None -> (Bytebuf.create v.total_len, None))
-          | _ -> (Bytebuf.create v.total_len, None)
-        in
-        let p =
-          {
-            total_len = v.total_len;
-            nfrags = v.nfrags;
-            buf;
-            owner;
-            have = Bytes.make ((v.nfrags + 7) / 8) '\000';
-            have_count = 0;
-          }
-        in
+        (match t.pool with
+        | Some (pool, buf_size) when v.total_len <= buf_size -> (
+            match Pool.acquire pool with
+            | full ->
+                p.buf <- full;
+                p.pooled <- true
+            | exception Pool.Exhausted -> p.buf <- Bytebuf.create v.total_len)
+        | _ -> p.buf <- Bytebuf.create v.total_len);
+        let bitmap = (v.nfrags + 7) / 8 in
+        if Bytes.length p.have < bitmap then p.have <- Bytes.make bitmap '\000'
+        else Bytes.fill p.have 0 bitmap '\000';
+        p.total_len <- v.total_len;
+        p.nfrags <- v.nfrags;
+        p.have_count <- 0;
         Hashtbl.replace t.partials index p;
         p
   in
@@ -381,13 +412,13 @@ let push t (v : view) =
       Hashtbl.replace t.retired index ();
       if Adu.read_header t.hdr p.buf ~pos:0 ~len:p.total_len then begin
         t.stats.completed <- t.stats.completed + 1;
-        (* Deliver a zero-copy view: the payload aliases the reassembly
-           buffer, which (when pooled) is recycled as soon as [deliver]
-           returns — the stage-2 borrow contract. *)
-        match t.deliver (Adu.of_header t.hdr p.buf ~pos:0) with
-        | () -> release_owner t p
+        (* Hand over the encoded ADU in place: the payload it delivers
+           aliases the reassembly buffer, which (when pooled) is recycled
+           as soon as [complete] returns — the stage-2 borrow contract. *)
+        match t.complete t.hdr p.buf with
+        | () -> retire_partial t p
         | exception e ->
-            release_owner t p;
+            retire_partial t p;
             raise e
       end
       else begin
@@ -398,7 +429,7 @@ let push t (v : view) =
            out. *)
         Hashtbl.remove t.retired index;
         t.stats.corrupt_adus <- t.stats.corrupt_adus + 1;
-        release_owner t p
+        retire_partial t p
       end
     end
   end

@@ -173,6 +173,18 @@ val reassembler :
     per ADU and the payload stays valid indefinitely. Steady state with a
     pool performs zero buffer allocations per ADU. *)
 
+val reassembler_encoded :
+  ?pool:Pool.t ->
+  complete:(Adu.header -> Bytebuf.t -> unit) ->
+  unit ->
+  reassembler
+(** {!reassembler} handing over each complete ADU still encoded: [complete
+    h buf] gets the reassembly buffer, with the ADU at offset 0 and its
+    header already read into [h] (see {!Adu.of_header}), so the receiver
+    can open a sealed record before it builds the one {!Adu.t} it
+    delivers. [buf] may be longer than the ADU; the same borrow contract
+    holds. *)
+
 val push : reassembler -> view -> unit
 (** Add the fragment a [Valid] {!read} left in the view. An index that
     already completed (or was {!forget}-gotten) is {e retired}: further

@@ -2,13 +2,15 @@ open Bufkit
 
 (* Everything an AEAD record stage needs at run time: the (already
    epoch-derived) key, the 96-bit nonce as three u32 words, and the
-   additional authenticated data. The AAD buffer is only read while the
-   stage runs, so callers may reuse a scratch slice across records. *)
+   additional authenticated data. A compiled stage reads them at the
+   start of every run, so a record context can keep one params record
+   and rewrite it in place per record; the AAD buffer is only read while
+   the stage runs. *)
 type aead_params = {
-  aead_key : Cipher.Chacha20.key;
-  aead_n0 : int;
-  aead_n1 : int;
-  aead_n2 : int;
+  mutable aead_key : Cipher.Chacha20.key;
+  mutable aead_n0 : int;
+  mutable aead_n1 : int;
+  mutable aead_n2 : int;
   aead_aad : Bytebuf.t;
 }
 
@@ -368,12 +370,8 @@ type rt =
          block — the framing stage every secure plan runs. *)
   | R_pad of { pad : Cipher.Pad.t; pos : int64 }
   | R_rc4 of { key : string; mutable rc4 : Cipher.Rc4.t }
-  | R_aead of { p : aead_params; seal : bool; mutable a : Cipher.Aead.t }
+  | R_aead of { p : aead_params; seal : bool; a : Cipher.Aead.t }
   | R_copy
-
-let aead_of p =
-  Cipher.Aead.create ~key:p.aead_key ~n0:p.aead_n0 ~n1:p.aead_n1 ~n2:p.aead_n2
-    ~aad:p.aead_aad
 
 let rt_of_stage = function
   | Checksum Checksum.Kind.Internet -> R_inet { sum = 0 }
@@ -381,20 +379,23 @@ let rt_of_stage = function
   | Checksum kind -> R_gen { kind; f = Checksum.Kind.feeder kind }
   | Xor_pad { key; pos } -> R_pad { pad = Cipher.Pad.create ~key; pos }
   | Rc4_stream { key } -> R_rc4 { key; rc4 = Cipher.Rc4.create ~key }
-  | Aead_seal p -> R_aead { p; seal = true; a = aead_of p }
-  | Aead_open p -> R_aead { p; seal = false; a = aead_of p }
+  | Aead_seal p -> R_aead { p; seal = true; a = Cipher.Aead.make () }
+  | Aead_open p -> R_aead { p; seal = false; a = Cipher.Aead.make () }
   | Deliver_copy -> R_copy
   | Byteswap32 -> assert false (* the driver performs it on the way in *)
 
-(* Back to the state [rt_of_stage] built. The production stages reset
-   without allocating; the ciphers that carry a record or a keystream
-   position start a new one. *)
+(* Ready for a run. The production stages reset without allocating, the
+   AEAD stage onto whatever record its params name now (it is built
+   unkeyed, so every run starts here); the RC4 ablation starts a new
+   keystream. *)
 let rt_reset = function
   | R_inet s -> s.sum <- 0
   | R_gen s -> s.f <- Checksum.Kind.feeder s.kind
   | R_crc32 s -> s.crc <- Checksum.Crc32.init
   | R_rc4 s -> s.rc4 <- Cipher.Rc4.create ~key:s.key
-  | R_aead s -> s.a <- aead_of s.p
+  | R_aead { p; a; _ } ->
+      Cipher.Aead.reset a ~key:p.aead_key ~n0:p.aead_n0 ~n1:p.aead_n1
+        ~n2:p.aead_n2 ~aad:p.aead_aad
   | R_pad _ | R_copy -> ()
 
 (* The tail op: the last [len] (< 64) bytes at [db.(off..)], stream
@@ -467,23 +468,11 @@ let rt_block rt db off i =
 
 let inet_finish sum = lnot (swap16 (fold16 sum)) land 0xffff
 
-let rt_finish = function
-  | R_inet s -> Some (Checksum.Kind.Internet, inet_finish s.sum)
-  | R_gen s -> Some (s.kind, Checksum.Kind.feeder_finish s.f)
-  | R_crc32 s -> Some (Checksum.Kind.Crc32, Checksum.Crc32.finish_int s.crc)
-  | R_pad _ | R_rc4 _ | R_aead _ | R_copy -> None
-
-(* The AEAD analogue of [rt_finish]: close the record and read the
-   Poly1305 tag. Must run after every payload byte has passed through. *)
-let rt_finish_tag = function
-  | R_aead { a; _ } -> Some (Cipher.Aead.tag a)
-  | R_inet _ | R_gen _ | R_crc32 _ | R_pad _ | R_rc4 _ | R_copy -> None
-
 (* The block driver: a stage chain over one destination, with a
    watermark below which the destination is final. Every runner moves
-   the watermark with [advance] — an instance and run_view to the end in
-   one call, run_unmarshal on the decoder's demand, run_marshal from the
-   sink's block hook — so whole blocks take the block ops and the last
+   the watermark with [advance] — [exec] to the end in one call,
+   run_unmarshal on the decoder's demand, [exec_marshal] from the sink's
+   block hook — so whole blocks take the block ops and the last
    [n mod 64] bytes take the tail ops exactly once. [start] points it at
    a run's source and destination. *)
 type drive = {
@@ -522,10 +511,10 @@ let start d input dst =
   d.n <- Bytebuf.length input;
   d.wm <- 0
 
-let drive ?(swap = false) plan input dst =
-  let d = make_drive ~swap plan in
-  start d input dst;
-  d
+let reset_stages d =
+  for s = 0 to Array.length d.stages - 1 do
+    rt_reset (Array.unsafe_get d.stages s)
+  done
 
 (* Bring [len] (64, or the tail) bytes at stream offset [i] into the
    destination. A leading Byteswap32 reverses each 4-byte group on the
@@ -564,10 +553,6 @@ let advance d upto =
       done;
     d.wm <- i + len
   done
-
-let finish d =
-  let stages = Array.to_list d.stages in
-  (List.filter_map rt_finish stages, List.filter_map rt_finish_tag stages)
 
 (* A lowering is what the cache stores per shape: either a dispatch to a
    whole-plan hand-fused kernel (no per-block dispatch at all) or the
@@ -680,9 +665,12 @@ let dst_for dst_opt n =
 (* ---- Compiled instances ----
 
    A plan looked up once: its lowering, and for the block driver its
-   stage state, kept across runs and reset in place. Checksums land in
-   fixed int slots in plan order. A run reads no clock, takes no lock
-   and builds no list or result record. *)
+   stage state, kept across runs and reset in place at the start of
+   each — the AEAD stage onto the record its params name at that moment.
+   Checksums land in fixed int slots in plan order, the AEAD tag in a
+   16-byte slot. A run reads no clock, takes no lock and builds no list
+   or result record. A marshal instance also keeps the sink its encoder
+   stores through, with the driver mounted as the sink's block hook. *)
 
 type instance = {
   lowering : lowering;
@@ -690,39 +678,52 @@ type instance = {
   d : drive;  (* the block driver's, over the plan after a leading swap *)
   kinds : Checksum.Kind.t array;  (* checksum stages, in plan order *)
   sums : int array;  (* their values after the last run *)
-  mutable tag : (int64 * int64) option;  (* an AEAD stage's, likewise *)
-  mutable fresh : bool;  (* stage state as built: the first run skips reset *)
+  aead : bool;  (* the plan has an AEAD stage *)
+  tag : Bytes.t;  (* its tag after the last run, 16 bytes LE *)
+  sink : Wire.Sink.t;  (* a marshal instance's encoder target *)
 }
 
-let compile_as what plan =
-  match compile_lookup plan with
-  | Error msg -> invalid_arg (what ^ ": " ^ msg)
-  | Ok lowering ->
-      let stages =
-        match lowering with
-        | L_general { swap_first = true } -> List.tl plan
-        | L_general { swap_first = false } -> plan
-        | L_copy | L_copy_checksum | L_pad_checksum_copy | L_checksum_pad_copy
-        | L_marshal | L_unmarshal ->
-            []
-      in
-      let kinds =
-        Array.of_list
-          (List.filter_map (function Checksum k -> Some k | _ -> None) plan)
-      in
-      {
-        lowering;
-        plan;
-        d =
-          make_drive
-            ~swap:(lowering = L_general { swap_first = true })
-            stages;
-        kinds;
-        sums = Array.make (Array.length kinds) 0;
-        tag = None;
-        fresh = true;
-      }
+(* What instances that marshal nothing hold for a sink. *)
+let no_sink = Wire.Sink.create ~block:ignore Bytebuf.empty
 
+let instance lowering plan stages ~swap =
+  let d = make_drive ~swap stages in
+  let sink =
+    if lowering <> L_marshal then no_sink
+    else
+      (* The stages run over blocks the encoder has completed once 1 KB
+         is pending — still L1-resident, but the stage code runs back to
+         back instead of alternating with the encoder every 64 bytes,
+         which cost 10-25% on the sealed E20 record. *)
+      Wire.Sink.create Bytebuf.empty ~block:(fun off ->
+          if off + 64 - d.wm >= 1024 then advance d (off + 64))
+  in
+  let kinds =
+    Array.of_list (List.filter_map (function Checksum k -> Some k | _ -> None) plan)
+  in
+  let aead = List.exists (function Aead_seal _ | Aead_open _ -> true | _ -> false) plan in
+  {
+    lowering;
+    plan;
+    d;
+    kinds;
+    sums = Array.make (Array.length kinds) 0;
+    aead;
+    tag = (if aead then Bytes.make 16 '\000' else Bytes.empty);
+    sink;
+  }
+
+let of_lowering what plan = function
+  | Error msg -> invalid_arg (what ^ ": " ^ msg)
+  | Ok (L_general { swap_first = true } as l) ->
+      instance l plan (List.tl plan) ~swap:true
+  | Ok ((L_general { swap_first = false } | L_marshal | L_unmarshal) as l) ->
+      instance l plan plan ~swap:false
+  | Ok ((L_copy | L_copy_checksum | L_pad_checksum_copy | L_checksum_pad_copy) as l)
+    ->
+      instance l plan [] ~swap:false
+
+let compile_as what plan = of_lowering what plan (compile_lookup plan)
 let compile plan = compile_as "Ilp.compile" plan
 
 (* Read each stage's result into the instance's slots. *)
@@ -740,9 +741,14 @@ let settle_slots inst =
     | R_crc32 r ->
         inst.sums.(!j) <- Checksum.Crc32.finish_int r.crc;
         incr j
-    | R_aead r -> inst.tag <- Some (Cipher.Aead.tag r.a)
+    | R_aead r -> Cipher.Aead.tag_into r.a inst.tag 0
     | R_pad _ | R_rc4 _ | R_copy -> ()
   done
+
+(* Reset the stages and point the driver at this run's bytes. *)
+let begin_run inst input dst =
+  reset_stages inst.d;
+  start inst.d input dst
 
 (* The hand-fused kernels take exactly the input's length. *)
 let fit dst n = if Bytebuf.length dst = n then dst else Bytebuf.take dst n
@@ -762,26 +768,30 @@ let exec inst ~dst input =
       inst.sums.(0) <-
         Kernels.checksum_xor_copy ~src:input ~dst:(fit dst n) ~key
           ~stream_pos:pos
-  | L_general { swap_first }, _ ->
-      if swap_first then check_swap_len input;
-      let d = inst.d in
-      if inst.fresh then inst.fresh <- false
-      else Array.iter rt_reset d.stages;
-      start d input dst;
-      advance d n;
+  | (L_general _ | L_marshal | L_unmarshal), _ ->
+      if inst.d.swap then check_swap_len input;
+      begin_run inst input dst;
+      advance inst.d n;
       settle_slots inst
-  | (L_pad_checksum_copy | L_checksum_pad_copy | L_marshal | L_unmarshal), _ ->
-      (* The lowering came from this plan's shape; marshal/unmarshal
-         lowerings are only ever produced for marked shapes, which never
-         reach [compile]. *)
+  | (L_pad_checksum_copy | L_checksum_pad_copy), _ ->
+      (* The lowering came from this plan's shape. *)
       assert false
 
 let checksum inst i = inst.sums.(i)
+let last_checksum inst = inst.sums.(Array.length inst.sums - 1)
 
 let checksums inst =
   List.init (Array.length inst.kinds) (fun i -> (inst.kinds.(i), inst.sums.(i)))
 
-let tags inst = Option.to_list inst.tag
+let tags inst =
+  if inst.aead then [ (Bytes.get_int64_le inst.tag 0, Bytes.get_int64_le inst.tag 8) ]
+  else []
+
+let write_tag inst dst ~pos =
+  if not inst.aead then invalid_arg "Ilp.write_tag: the plan has no AEAD stage";
+  if pos < 0 || pos + 16 > Bytebuf.length dst then
+    invalid_arg "Ilp.write_tag: no room for the tag";
+  Bytes.blit inst.tag 0 (Bytebuf.data dst) (Bytebuf.offset dst + pos) 16
 
 let run_layered plan input =
   let r, ns = Obs.Clock.time_ns (fun () -> run_layered_impl plan input) in
@@ -883,32 +893,22 @@ let shape_of_sink = function
   | Unmarshal_xdr _ -> Sh_sink_xdr
   | Unmarshal_ber -> Sh_sink_ber
 
-let run_marshal_impl source plan dst_opt =
-  (match presentation_lookup (shape_of_source source :: shape_of_plan plan) with
-  | Error msg -> invalid_arg ("Ilp.run_marshal: " ^ msg)
-  | Ok _ -> ());
-  (* A caller-provided [dst] pins the encoded length, so the sizing
-     walk is skipped entirely: the sink's bounds check catches an
-     undersized dst mid-encode and the final [pos = n] check catches an
-     oversized one, both with the same Invalid_argument the eager check
-     would raise. Only the allocating path still needs [marshal_size]. *)
-  let n =
-    match dst_opt with
-    | Some d -> Bytebuf.length d
-    | None -> marshal_size source
-  in
-  let dst = dst_for dst_opt n in
-  (* The encoder stores straight into [dst]; the sink reports each
-     completed 64-byte block, and the driver runs the stage chain over
-     them in place once 1 KB is pending — still L1-resident, but the
-     stage code runs back to back instead of alternating with the
-     encoder every 64 bytes, which cost 10-25% on the sealed E20 record.
-     An encoder that overruns the slice raises in the sink before
-     touching the bytes beyond it (pooled buffers share backing
-     storage). *)
-  let d = drive plan dst dst in
-  let block off = if off + 64 - d.wm >= 1024 then advance d (off + 64) in
-  let sink = Wire.Sink.create ~block dst in
+let compile_marshal source plan =
+  of_lowering "Ilp.run_marshal" plan
+    (presentation_lookup (shape_of_source source :: shape_of_plan plan))
+
+(* The encoder stores straight into [dst] through the instance's sink,
+   whose block hook runs the stage chain over completed blocks in place.
+   An encoder that overruns the slice raises in the sink before touching
+   the bytes beyond it (pooled buffers share backing storage). *)
+let exec_marshal inst ~dst source =
+  (match inst.lowering with
+  | L_marshal -> ()
+  | _ -> invalid_arg "Ilp.exec_marshal: not a marshal instance");
+  let n = Bytebuf.length dst in
+  begin_run inst dst dst;
+  let sink = inst.sink in
+  Wire.Sink.reset sink dst;
   (match source with
   | Marshal_xdr (s, v) -> Wire.Schema.emit (Wire.Schema.prog_of_xdr s) sink v
   | Marshal_prog (p, v) -> Wire.Schema.emit p sink v
@@ -916,35 +916,47 @@ let run_marshal_impl source plan dst_opt =
   | Marshal_ber v -> Wire.Ber.emit v sink);
   if Wire.Sink.pos sink <> n then
     invalid_arg "Ilp.run_marshal: encoder emitted fewer bytes than sizeof";
-  advance d n;
-  let checksums, tags = finish d in
-  ({
-     output = dst;
-     checksums;
-     tags;
-     passes = 1;
-     bytes_touched = 2 * n;
-     compiled = true;
-   }
-    : result)
+  advance inst.d n;
+  settle_slots inst
 
 let run_marshal ?dst source plan =
-  let r, ns = Obs.Clock.time_ns (fun () -> run_marshal_impl source plan dst) in
-  record_run handles_marshal ~ns r;
-  Obs.Counter.add c_bytes_encoded (Bytebuf.length r.output);
+  let t0 = Obs.Clock.now_ns () in
+  let inst = compile_marshal source plan in
+  (* A caller-provided [dst] pins the encoded length, so the sizing walk
+     is skipped: the sink's bounds check catches an undersized dst
+     mid-encode and the final length check an oversized one. *)
+  let dst =
+    match dst with Some d -> d | None -> Bytebuf.create (marshal_size source)
+  in
+  exec_marshal inst ~dst source;
+  let n = Bytebuf.length dst in
+  let r =
+    {
+      output = dst;
+      checksums = checksums inst;
+      tags = tags inst;
+      passes = 1;
+      bytes_touched = 2 * n;
+      compiled = true;
+    }
+  in
+  record_run handles_marshal ~ns:(Obs.Clock.now_ns () -. t0) r;
+  Obs.Counter.add c_bytes_encoded n;
   r
 
 let run_unmarshal_impl plan sink input dst_opt =
-  (match presentation_lookup (shape_of_plan plan @ [ shape_of_sink sink ]) with
-  | Error msg -> invalid_arg ("Ilp.run_unmarshal: " ^ msg)
-  | Ok _ -> ());
+  let inst =
+    of_lowering "Ilp.run_unmarshal" plan
+      (presentation_lookup (shape_of_plan plan @ [ shape_of_sink sink ]))
+  in
   let n = Bytebuf.length input in
   let dst = dst_for dst_opt n in
   (* Watermark transform: bytes [0, wm) of [dst] are final. The decoder's
      demand hook advances it lazily, a whole block at a time, just ahead
      of the parse; [dst == input] transforms in place over the borrowed
      view. *)
-  let d = drive plan input dst in
+  let d = inst.d in
+  begin_run inst input dst;
   let r = Cursor.demand_reader dst (advance d) in
   let value =
     match sink with
@@ -955,8 +967,8 @@ let run_unmarshal_impl plan sink input dst_opt =
   (* Integrity covers the whole unit, not just the decoded prefix: run
      the transform to the end before finishing the checksum stages. *)
   advance d n;
-  let checksums, tags = finish d in
-  { value; consumed; checksums; tags }
+  settle_slots inst;
+  { value; consumed; checksums = checksums inst; tags = tags inst }
 
 let run_unmarshal ?dst plan sink input =
   let r, ns =
@@ -982,33 +994,36 @@ type view_result = {
 
 let handles_view = run_handles "view"
 
-let run_view_impl plan prog input dst_opt =
-  (match presentation_lookup (shape_of_plan plan @ [ Sh_sink_xdr ]) with
-  | Error msg -> invalid_arg ("Ilp.run_view: " ^ msg)
-  | Ok _ -> ());
+(* A view plan is checked as the shape it is, with no lookup: it has no
+   leading swap for the driver to honour, and unless it would only walk
+   the blocks in place it runs on an instance of its own, always under
+   the block driver. The empty plan — a view of bytes already opened —
+   builds nothing before the view. *)
+let run_view ?dst plan prog input =
+  let t0 = Obs.Clock.now_ns () in
+  if List.exists (function Byteswap32 -> true | _ -> false) plan then
+    invalid_arg
+      "Ilp.run_view: byteswap32 cannot precede a streaming decoder: the \
+       decoder consumes wire byte order";
+  (match validate plan with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Ilp.run_view: " ^ msg));
   let n = Bytebuf.length input in
-  let dst = dst_for dst_opt n in
-  (* In place with nothing to transform or digest, the pass would only
-     walk the blocks without touching them: skip it. Otherwise sink
-     plans exclude Byteswap32 ([lower] rejects it before a decoder), so
-     the driver only copies on the way in. *)
+  let dst = dst_for dst n in
+  let copy_only = function Deliver_copy -> true | _ -> false in
   let view_checksums, view_tags =
-    let copy_only = function Deliver_copy -> true | _ -> false in
     if dst == input && List.for_all copy_only plan then ([], [])
     else begin
-      let d = drive plan input dst in
-      advance d n;
-      finish d
+      let inst = instance (L_general { swap_first = false }) plan plan ~swap:false in
+      exec inst ~dst input;
+      (checksums inst, tags inst)
     end
   in
-  { view = Wire.View.make prog dst ~pos:0; view_checksums; view_tags }
-
-let run_view ?dst plan prog input =
-  let r, ns = Obs.Clock.time_ns (fun () -> run_view_impl plan prog input dst) in
+  let r = { view = Wire.View.make prog dst ~pos:0; view_checksums; view_tags } in
   Obs.Counter.incr handles_view.rh_runs;
-  Obs.Counter.add handles_view.rh_bytes (2 * Bytebuf.length input);
+  Obs.Counter.add handles_view.rh_bytes (2 * n);
   Obs.Counter.add handles_view.rh_passes 1;
-  Obs.Histogram.record handles_view.rh_ns ns;
+  Obs.Histogram.record handles_view.rh_ns (Obs.Clock.now_ns () -. t0);
   (match r.view with
   | Ok (_, consumed) -> Obs.Counter.add c_bytes_decoded consumed
   | Error _ -> ());

@@ -35,13 +35,17 @@ open Bufkit
 
 (** Run-time parameters of an AEAD record stage: the (epoch-derived)
     ChaCha20 key, the 96-bit nonce as three u32 words, and the additional
-    authenticated data. The AAD slice is only read while the stage runs,
-    so a per-endpoint scratch buffer can be reused across records. *)
+    authenticated data. A compiled instance ({!compile}) reads them at the
+    start of every run, so a record context can hold one params record
+    and rewrite it in place for each record (see
+    {!Secure.Record.seal_params}). The AAD slice is only read while the
+    stage runs, so a per-endpoint scratch buffer can be reused across
+    records. *)
 type aead_params = {
-  aead_key : Cipher.Chacha20.key;
-  aead_n0 : int;
-  aead_n1 : int;
-  aead_n2 : int;
+  mutable aead_key : Cipher.Chacha20.key;
+  mutable aead_n0 : int;
+  mutable aead_n1 : int;
+  mutable aead_n2 : int;
   aead_aad : Bytebuf.t;
 }
 
@@ -123,15 +127,20 @@ val run_fused : ?dst:Bytebuf.t -> plan -> Bytebuf.t -> result
 
     What an endpoint holds for a plan it runs on every ADU: the plan
     looked up once, with its stage state kept across runs and reset in
-    place at the start of each. {!run_fused} is {!compile} plus one
-    {!exec} plus its registry accounting. *)
+    place at the start of each. An AEAD stage re-reads its
+    {!aead_params} at every run, so one instance seals or opens a new
+    record each time its params are rewritten. Checksums and the tag land
+    in fixed slots. {!run_fused} is {!compile} plus one {!exec} plus its
+    registry accounting, {!run_marshal} is {!compile_marshal} plus one
+    {!exec_marshal} plus its accounting. *)
 
 type instance
 
 val compile : plan -> instance
 (** Validate and lower [plan] through the plan cache, and build its stage
-    state. Keys and stream positions are taken from [plan] as given.
-    Raises [Invalid_argument] if the plan does not {!validate}. *)
+    state. Pad keys and stream positions are taken from [plan] as given;
+    AEAD params are read at each run. Raises [Invalid_argument] if the
+    plan does not {!validate}. *)
 
 val exec : instance -> dst:Bytebuf.t -> Bytebuf.t -> unit
 (** [exec inst ~dst input] runs the plan over [input] into the first
@@ -150,12 +159,24 @@ val checksum : instance -> int -> int
 (** [checksum inst i] is the [i]th checksum stage's value (plan order)
     after the last {!exec}. *)
 
+val last_checksum : instance -> int
+(** The last checksum stage's value after the last {!exec}: the digest a
+    transport that appends its framing CRC to a caller's plan reads.
+    Raises [Invalid_argument] when the plan has no checksum stage. *)
+
 val checksums : instance -> (Checksum.Kind.t * int) list
 (** Every checksum stage's value after the last {!exec}, as in
     [result.checksums]. *)
 
 val tags : instance -> (int64 * int64) list
 (** The AEAD stage's tag after the last {!exec}, as in [result.tags]. *)
+
+val write_tag : instance -> Bytebuf.t -> pos:int -> unit
+(** [write_tag inst dst ~pos] copies the AEAD stage's 16-byte tag after
+    the last run (little-endian [lo] then [hi], as a record trailer
+    carries it) into [dst] at [pos], allocating nothing. Raises
+    [Invalid_argument] when the plan has no AEAD stage or [dst] has no
+    room. *)
 
 val run_fused_interpreted : plan -> Bytebuf.t -> result
 (** The generic per-byte stage interpreter: closure-list dispatch per
@@ -221,6 +242,24 @@ type source =
           so there is no static shape to compile. *)
 
 type sink = Unmarshal_xdr of Wire.Xdr.schema | Unmarshal_ber
+
+val compile_marshal : source -> plan -> instance
+(** The instance a sender holds for [plan] run behind a marshal source of
+    [source]'s codec: validated and lowered through the shape cache, as
+    {!run_marshal} does, with the encoder's sink built once. Only the
+    codec of [source] matters; each {!exec_marshal} names its own value.
+    Raises [Invalid_argument] as {!run_marshal} does on an invalid plan. *)
+
+val exec_marshal : instance -> dst:Bytebuf.t -> source -> unit
+(** [exec_marshal inst ~dst source] encodes [source] into [dst], which
+    must be exactly its encoded length, running the stages over it in the
+    same pass — the bytes, checksums and tag of {!run_marshal} with the
+    same plan, in {!checksum}/{!tags}/{!write_tag}. No plan-cache lookup,
+    clock read or registry update; with the production stages and a
+    compiled schema ([Marshal_prog]) a run allocates nothing. Raises
+    [Invalid_argument] when [inst] is not from {!compile_marshal} or
+    [dst] is not the encoded length, and the codec's error on a
+    schema/value mismatch. *)
 
 val marshal_size : source -> int
 (** Exact number of bytes {!run_marshal} will produce (the codec's
@@ -288,7 +327,9 @@ val run_view : ?dst:Bytebuf.t -> plan -> Wire.Schema.prog -> Bytebuf.t -> view_r
     transforms in place — the zero-copy borrowed-ADU form) and validates
     one [prog]-shaped value at offset 0. In place under a plan with no
     transforming or digesting stage ([[]] or only [Deliver_copy]) no
-    pass runs at all: only the validation reads the bytes. Trailing bytes after the value
+    pass runs at all: only the validation reads the bytes, and the
+    empty plan is not looked up anywhere. Other plans are checked as a
+    shape and run on an instance of their own, without the plan cache. Trailing bytes after the value
     are reflected in the returned length, as with {!Xdr.decode_prefix}.
     The view {e borrows} [dst]; it must not outlive the buffer's owner.
     Raises [Invalid_argument] only on invalid plans (same rules as

@@ -104,35 +104,38 @@ let accept env t index adu =
   env.deliver t.owner adu;
   settled_verdict t
 
-(* Delivery is judged on the ADU's own name, so an inner index that
-   disagrees with its fragment header still meets the same admission. The
-   record opens in place over the borrowed payload — one fused
-   MAC+decrypt pass — before the index is marked. A failure un-retires the
-   index: forged or tag-damaged bytes behave like a lost datagram and stay
-   repairable. *)
-let deliver env t (adu : Adu.t) =
-  let index = adu.Adu.name.Adu.index in
+(* Delivery is judged on the ADU's own name — the header [h] read at
+   [pos] in [buf] — so an inner index that disagrees with its fragment
+   header still meets the same admission. A sealed record opens in place
+   over the borrowed payload — one fused MAC+decrypt pass — before the one
+   [Adu.t] the application gets is built and the index is marked. A
+   failure un-retires the index: forged or tag-damaged bytes behave like a
+   lost datagram and stay repairable. *)
+let deliver env t (h : Adu.header) buf ~pos =
+  let index = h.Adu.h_index in
   if settled t index then Duplicate
   else if not (admissible env t index) then Window
   else
     match env.secure with
-    | None -> accept env t index adu
-    | Some rc -> (
-        match Secure.Record.open_payload rc adu.Adu.name adu.Adu.payload with
-        | Ok plain -> accept env t index (Adu.make adu.Adu.name plain)
-        | Error _ ->
-            (match t.reasm with
-            | Some r -> Framing.unretire r ~index
-            | None -> ());
-            Auth)
+    | None -> accept env t index (Adu.of_header h buf ~pos)
+    | Some rc ->
+        if Secure.Record.open_encoded rc h buf ~pos then
+          accept env t index
+            (Adu.of_header_trimmed h buf ~pos ~trailer:Secure.Record.overhead)
+        else begin
+          (match t.reasm with
+          | Some r -> Framing.unretire r ~index
+          | None -> ());
+          Auth
+        end
 
 let reassembler env t =
   match t.reasm with
   | Some r -> r
   | None ->
       let r =
-        Framing.reassembler ?pool:env.pool
-          ~deliver:(fun adu -> env.outcome <- deliver env t adu)
+        Framing.reassembler_encoded ?pool:env.pool
+          ~complete:(fun h buf -> env.outcome <- deliver env t h buf ~pos:0)
           ()
       in
       t.reasm <- Some r;
@@ -164,7 +167,7 @@ let fragment env t (v : Framing.view) =
          in place, no reassembler, no copy. *)
       let h = v.Framing.adu and pos = v.Framing.chunk_off in
       if Adu.read_header h v.Framing.dg ~pos ~len:v.Framing.chunk_len then
-        deliver env t (Adu.of_header h v.Framing.dg ~pos)
+        deliver env t h v.Framing.dg ~pos
       else Bad_adu
     else push env t v
   end

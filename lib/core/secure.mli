@@ -52,6 +52,11 @@ val seal_summed : key:int64 -> Adu.t -> Adu.t * int
 
 module Record : sig
   type t
+  (** A record endpoint: the base key and epoch it shares with its
+      clones, and its own record context — the epoch-key cache, the
+      {!Ilp.aead_params} a compiled plan reads, the AAD scratch, the
+      ChaCha20/Poly1305 state and a 16-byte tag slot — all reset in place
+      per record, so sealing or opening one allocates nothing. *)
 
   val overhead : int
   (** Bytes added to a sealed payload: 4 (epoch) + 16 (tag) = 20. *)
@@ -68,9 +73,8 @@ module Record : sig
   (** Key expanded from a 64-bit seed (tests, benches, selftests). *)
 
   val clone : t -> t
-  (** A per-domain handle: shares the epoch state but owns its AAD
-      scratch and derived-key cache, so shards seal/open without racing
-      on the scratch buffer. *)
+  (** A per-domain handle: shares the epoch state but owns its record
+      context, so shards seal/open without racing on the scratch. *)
 
   val epoch : t -> int
   (** Sender: current sealing epoch. Receiver: highest epoch that has
@@ -80,54 +84,54 @@ module Record : sig
   (** Advance the sealing epoch by one. Takes effect at the next seal —
       i.e. across an ADU boundary, never mid-record. *)
 
-  val seal_params : ?epoch:int -> t -> Adu.name -> int * Ilp.aead_params
-  (** [(epoch, params)] for sealing one ADU at the current epoch: the
-      stage parameters to splice into a plan as [Ilp.Aead_seal]. The
-      AAD slice is the endpoint's scratch buffer — valid until the next
-      seal/open on this handle, which is after the plan runs. [?epoch]
-      pins the sealing epoch instead: a deterministic-regeneration
-      repair ({!Recovery.App_recompute}) must re-seal under the ADU's
-      {e original} epoch so the repair reproduces the original wire
-      bytes — otherwise a receiver partial could mix fragments of the
-      two incarnations across a {!rekey} into an ADU that fails its
-      CRC. *)
+  val params : t -> Ilp.aead_params
+  (** The context's one params record, rewritten in place by every
+      {!seal_params} and open on this handle. A sender compiles its plan
+      once around [Ilp.Aead_seal (params t)]; each run then seals the
+      record the last {!seal_params} named. *)
 
-  val write_trailer : Bytebuf.t -> e:int -> tag:int64 * int64 -> unit
-  (** Write the 20-byte record trailer into [slice] (length ≥ 20 not
-      checked beyond the writes). *)
+  val seal_params : ?epoch:int -> t -> Adu.name -> Ilp.aead_params
+  (** Point {!params} at sealing one ADU — the epoch key, the nonce
+      [(epoch, stream, index)] and the name's AAD — at the current epoch,
+      and return them; [aead_n0] is the sealing epoch. Valid until the
+      next seal/open on this handle, which is after the plan runs.
+      [?epoch] pins the sealing epoch instead: a
+      deterministic-regeneration repair ({!Recovery.App_recompute}) must
+      re-seal under the ADU's {e original} epoch so the repair reproduces
+      the original wire bytes — otherwise a receiver partial could mix
+      fragments of the two incarnations across a {!rekey} into an ADU
+      that fails its CRC. *)
 
-  val read_trailer : Bytebuf.t -> int * (int64 * int64)
-  (** Parse [(epoch, tag)] back out of a 20-byte trailer slice. *)
+  val write_trailer : t -> Ilp.instance -> Bytebuf.t -> pos:int -> unit
+  (** [write_trailer t inst buf ~pos] writes the 20-byte record trailer
+      at [pos] for the record [inst] just sealed under {!seal_params}:
+      the epoch, then [inst]'s tag. Raises [Invalid_argument] when [buf]
+      has no room. *)
 
-  val open_params :
-    t ->
-    Adu.name ->
-    trailer:Bytebuf.t ->
-    (Ilp.aead_params * int * (int64 * int64), string) result
-  (** Stage parameters for opening one record: parses the trailer,
-      enforces the ±1 epoch acceptance window (rejections are counted
-      under [cipher.epoch_rejected]), and returns the [Ilp.Aead_open]
-      params plus the epoch and the transmitted tag to hand to
-      {!accept} once the plan has run. *)
-
-  val accept : t -> e:int -> expected:int64 * int64 -> (int64 * int64) list -> bool
-  (** The auth verdict: compare the computed tags from an
-      [Ilp.result]/[unmarshal_result]/[view_result] (exactly one
-      expected) against the transmitted tag. [true] counts
-      [cipher.opened] and rolls the receive window forward to [e];
-      [false] counts [cipher.auth_fail]. Total — never raises. *)
+  val open_encoded : t -> Adu.header -> Bytebuf.t -> pos:int -> bool
+  (** [open_encoded t h buf ~pos] opens, in place, the sealed record
+      carried by the encoded ADU at [buf.(pos..)] whose header [h] has
+      been read ({!Adu.read_header}): its payload is [ct ‖ trailer], and
+      the name comes from [h]. [true] means the ciphertext is now the
+      plaintext ({!Adu.of_header_trimmed} by {!overhead} delivers it);
+      [false] means the unit must be dropped (the bytes then hold
+      garbage). Epochs outside the ±1 acceptance window are rejected
+      before any cipher work ([cipher.epoch_rejected]); a bad tag counts
+      [cipher.auth_fail], a good one [cipher.opened] and rolls the
+      receive window forward. Total and allocation-free. *)
 
   val open_payload : t -> Adu.name -> Bytebuf.t -> (Bytebuf.t, string) result
-  (** Whole-payload open, in place: [payload] is [ct ‖ trailer] as
-      carried in a sealed ADU. [Ok] returns the plaintext prefix view;
+  (** Whole-payload open, in place: [payload] is [ct ‖ trailer] as carried
+      in a sealed ADU. [Ok] returns the plaintext prefix view;
       [Error] means the unit must be dropped (the prefix then holds
-      garbage). One fused MAC+decrypt pass, no allocation. *)
+      garbage). The open of {!open_encoded}, for a name and payload at
+      hand. *)
 
   val seal_payload : ?epoch:int -> t -> Adu.name -> Bytebuf.t -> unit
   (** Whole-payload seal, in place, the mirror of {!open_payload}: the
       first [length - overhead] bytes of [payload] are encrypted and the
       record trailer is written after them. [?epoch] as in
-      {!seal_params}. *)
+      {!seal_params}. Allocates nothing. *)
 
   val seal_adu : ?epoch:int -> t -> Adu.t -> Adu.t
   (** {!seal_payload} into a fresh copy: the ADU with payload

@@ -29,35 +29,54 @@ let mismatch name wanted found =
     (Printf.sprintf "Obs.Registry: %s is a %s, wanted a %s" name
        (kind_name found) wanted)
 
+(* Find-or-create takes and releases the lock inline, as
+   [Histogram.record] does: a hit builds no closure and no option, so a
+   lookup on a hot path costs a hash and a lock round trip, not GC words.
+   Nothing raises while the lock is held. *)
 let counter ?(registry = default) name =
-  locked registry (fun () ->
-      match Hashtbl.find_opt registry.tbl name with
-      | Some (Counter c) -> c
-      | Some m -> mismatch name "counter" m
-      | None ->
-          let c = Counter.create () in
-          Hashtbl.replace registry.tbl name (Counter c);
-          c)
+  Mutex.lock registry.lock;
+  match Hashtbl.find registry.tbl name with
+  | Counter x ->
+      Mutex.unlock registry.lock;
+      x
+  | m ->
+      Mutex.unlock registry.lock;
+      mismatch name "counter" m
+  | exception Not_found ->
+      let x = Counter.create () in
+      Hashtbl.replace registry.tbl name (Counter x);
+      Mutex.unlock registry.lock;
+      x
 
 let gauge ?(registry = default) name =
-  locked registry (fun () ->
-      match Hashtbl.find_opt registry.tbl name with
-      | Some (Gauge g) -> g
-      | Some m -> mismatch name "gauge" m
-      | None ->
-          let g = Gauge.create () in
-          Hashtbl.replace registry.tbl name (Gauge g);
-          g)
+  Mutex.lock registry.lock;
+  match Hashtbl.find registry.tbl name with
+  | Gauge x ->
+      Mutex.unlock registry.lock;
+      x
+  | m ->
+      Mutex.unlock registry.lock;
+      mismatch name "gauge" m
+  | exception Not_found ->
+      let x = Gauge.create () in
+      Hashtbl.replace registry.tbl name (Gauge x);
+      Mutex.unlock registry.lock;
+      x
 
 let histogram ?(registry = default) name =
-  locked registry (fun () ->
-      match Hashtbl.find_opt registry.tbl name with
-      | Some (Histogram h) -> h
-      | Some m -> mismatch name "histogram" m
-      | None ->
-          let h = Histogram.create () in
-          Hashtbl.replace registry.tbl name (Histogram h);
-          h)
+  Mutex.lock registry.lock;
+  match Hashtbl.find registry.tbl name with
+  | Histogram x ->
+      Mutex.unlock registry.lock;
+      x
+  | m ->
+      Mutex.unlock registry.lock;
+      mismatch name "histogram" m
+  | exception Not_found ->
+      let x = Histogram.create () in
+      Hashtbl.replace registry.tbl name (Histogram x);
+      Mutex.unlock registry.lock;
+      x
 
 let pull ?(registry = default) name f =
   locked registry (fun () ->

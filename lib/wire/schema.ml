@@ -445,13 +445,17 @@ let compile (s : Xdr.schema) =
 let size p v = match p.p_sizer with Fixed k -> k | Dyn f -> f v
 let emit p sink v = p.p_emit sink v
 
+let validate_end p buf ~pos =
+  let b = Bytebuf.data buf
+  and base = Bytebuf.offset buf
+  and len = Bytebuf.length buf in
+  if pos < 0 || pos > len then raise (Invalid "XDR: position outside the buffer");
+  p.p_validate b (base + len) (base + pos) - base
+
 let validate p buf ~pos =
-  let b, base, len = Bytebuf.backing buf in
-  if pos < 0 || pos > len then Error "XDR: position outside the buffer"
-  else
-    match p.p_validate b (base + len) (base + pos) with
-    | p' -> Ok (p' - base)
-    | exception Invalid m -> Error m
+  match validate_end p buf ~pos with
+  | e -> Ok e
+  | exception Invalid m -> Error m
 
 (* One program per distinct schema, compiled once, shared across
    domains — the presentation twin of the PR 4 ILP plan cache (which

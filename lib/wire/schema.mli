@@ -95,6 +95,12 @@ val emit : prog -> Sink.t -> Value.t -> unit
     {!Xdr.Error} on any schema/value mismatch, like the interpretive
     encoder. Allocates nothing. *)
 
+exception Invalid of string
+
+val validate_end : prog -> Bytebuf.t -> pos:int -> int
+(** {!validate} without the result: the end position, or [Invalid] with
+    the message {!validate} would return. Allocates nothing on success. *)
+
 val validate : prog -> Bytebuf.t -> pos:int -> (int, string) result
 (** [validate p buf ~pos] structurally checks one encoded value starting
     at [pos] and returns [Ok end_pos] (trailing bytes allowed — the

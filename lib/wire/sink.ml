@@ -8,17 +8,26 @@
 open Bufkit
 
 type t = {
-  bytes : Bytes.t;
-  base : int;  (* absolute offset of the slice's first byte *)
-  limit : int;  (* absolute offset just past the slice *)
+  mutable bytes : Bytes.t;
+  mutable base : int;  (* absolute offset of the slice's first byte *)
+  mutable limit : int;  (* absolute offset just past the slice *)
   mutable pos : int;  (* absolute write position *)
   mutable next : int;  (* absolute end of the block being filled *)
   block : int -> unit;
 }
 
+let reset t buf =
+  let base = Bytebuf.offset buf in
+  t.bytes <- Bytebuf.data buf;
+  t.base <- base;
+  t.limit <- base + Bytebuf.length buf;
+  t.pos <- base;
+  t.next <- base + 64
+
 let create ~block buf =
-  let bytes, base, len = Bytebuf.backing buf in
-  { bytes; base; limit = base + len; pos = base; next = base + 64; block }
+  let t = { bytes = Bytes.empty; base = 0; limit = 0; pos = 0; next = 0; block } in
+  reset t buf;
+  t
 
 let pos t = t.pos - t.base
 let bytes t = t.bytes

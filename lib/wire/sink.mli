@@ -26,6 +26,10 @@ val create : block:(int -> unit) -> Bytebuf.t -> t
     block's offset in [buf] (a multiple of 64); it may rewrite the block
     in place. *)
 
+val reset : t -> Bytebuf.t -> unit
+(** [reset t buf] points [t] at [buf], from its first byte, with the same
+    hook: a sink made once serves every run, allocating nothing. *)
+
 val pos : t -> int
 (** Bytes written so far. *)
 

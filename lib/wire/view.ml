@@ -18,10 +18,9 @@ let offset v = v.off
 let buffer v = v.buf
 
 let make prog buf ~pos =
-  match Schema.validate prog buf ~pos with
-  | Error _ as e -> e
-  | Ok consumed ->
-      Ok ({ buf; off = pos; sc = Schema.root prog }, consumed)
+  match Schema.validate_end prog buf ~pos with
+  | consumed -> Ok ({ buf; off = pos; sc = Schema.root prog }, consumed)
+  | exception Schema.Invalid m -> Error m
 
 let wrong v what =
   invalid_arg

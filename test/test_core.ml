@@ -200,7 +200,10 @@ let prop_ilp_byteswap_first_ok =
    lengths, in place and out of place, on slices at non-zero offsets,
    gives each run what a fresh [run_fused] gives. The plans cover every
    lowering: the four [Kernels] short-circuits and the general driver
-   with and without a leading Byteswap32, with pad and AEAD stages. --- *)
+   with and without a leading Byteswap32, with pad and AEAD stages. The
+   AEAD params are rewritten before each run, as a record context does
+   per record, and every plan a marshal source can feed also runs as a
+   marshal instance against a fresh [run_marshal]. --- *)
 
 let instance_plans key pos =
   let pad = Ilp.Xor_pad { key; pos } in
@@ -215,22 +218,23 @@ let instance_plans key pos =
   in
   let inet = Ilp.Checksum Checksum.Kind.Internet
   and crc = Ilp.Checksum Checksum.Kind.Crc32 in
-  [|
-    [];
-    [ Ilp.Deliver_copy ];
-    [ inet ];
-    [ inet; Ilp.Deliver_copy ];
-    [ Ilp.Deliver_copy; inet ];
-    [ pad; inet; Ilp.Deliver_copy ];
-    [ inet; pad; Ilp.Deliver_copy ];
-    [ crc; Ilp.Deliver_copy ];
-    [ Ilp.Byteswap32; crc; Ilp.Deliver_copy ];
-    [ Ilp.Byteswap32; inet; pad; Ilp.Deliver_copy ];
-    [ Ilp.Aead_seal aead; crc; Ilp.Deliver_copy ];
-    [ crc; Ilp.Aead_open aead; inet; Ilp.Deliver_copy ];
-    [ Ilp.Checksum Checksum.Kind.Fletcher16; pad; crc ];
-    [ Ilp.Rc4_stream { key = "k" }; crc; Ilp.Deliver_copy ];
-  |]
+  ( [|
+      [];
+      [ Ilp.Deliver_copy ];
+      [ inet ];
+      [ inet; Ilp.Deliver_copy ];
+      [ Ilp.Deliver_copy; inet ];
+      [ pad; inet; Ilp.Deliver_copy ];
+      [ inet; pad; Ilp.Deliver_copy ];
+      [ crc; Ilp.Deliver_copy ];
+      [ Ilp.Byteswap32; crc; Ilp.Deliver_copy ];
+      [ Ilp.Byteswap32; inet; pad; Ilp.Deliver_copy ];
+      [ Ilp.Aead_seal aead; crc; Ilp.Deliver_copy ];
+      [ crc; Ilp.Aead_open aead; inet; Ilp.Deliver_copy ];
+      [ Ilp.Checksum Checksum.Kind.Fletcher16; pad; crc ];
+      [ Ilp.Rc4_stream { key = "k" }; crc; Ilp.Deliver_copy ];
+    |],
+    aead )
 
 (* (length, in place, source offset, destination offset, spare bytes). *)
 let arb_instance_runs =
@@ -244,11 +248,25 @@ let prop_ilp_instance_reuse =
   QCheck.Test.make ~name:"ilp: a reused instance = run_fused, every lowering"
     ~count:300 arb_instance_runs
     (fun (which, (key, pos), runs) ->
-      let plan = (instance_plans key (Int64.of_int pos)).(which) in
+      let plans, aead = instance_plans key (Int64.of_int pos) in
+      let plan = plans.(which) in
       let swap = match plan with Ilp.Byteswap32 :: _ -> true | _ -> false in
       let inst = Ilp.compile plan in
+      (* A marshal source per run, XDR or BER by the run's parity. *)
+      let source s spare =
+        if spare land 1 = 0 then Ilp.Marshal_xdr (Wire.Xdr.S_opaque, Wire.Value.Octets s)
+        else Ilp.Marshal_ber (Wire.Value.Octets s)
+      in
+      let minst =
+        if swap then None else Some (Ilp.compile_marshal (source "" 0) plan)
+      in
       List.for_all
         (fun (len, (in_place, src_off, dst_off, spare)) ->
+          (* A new record for this run: key, nonce and AAD length all move. *)
+          aead.Ilp.aead_key <-
+            Cipher.Chacha20.key_of_int64 (Int64.add key (Int64.of_int len));
+          aead.Ilp.aead_n0 <- spare;
+          aead.Ilp.aead_n2 <- src_off;
           let len = if swap then len land lnot 3 else len in
           let s = String.init len (fun i -> Char.chr ((i * 31 + len) land 0xff)) in
           let expect = Ilp.run_fused plan (buf s) in
@@ -270,8 +288,25 @@ let prop_ilp_instance_reuse =
                  (Bytebuf.to_string (Bytebuf.sub dst ~pos:len ~len:spare))
                  (String.make spare '\x77')
           in
+          let marshal_same =
+            match minst with
+            | None -> true
+            | Some minst ->
+                let src = source s spare in
+                let want = Ilp.run_marshal src plan in
+                let n = Ilp.marshal_size src in
+                let mdst =
+                  Bytebuf.sub
+                    (Bytebuf.of_bytes (Bytes.make (dst_off + n) '\x33'))
+                    ~pos:dst_off ~len:n
+                in
+                Ilp.exec_marshal minst ~dst:mdst src;
+                Bytebuf.equal mdst want.Ilp.output
+                && Ilp.checksums minst = want.Ilp.checksums
+                && Ilp.tags minst = want.Ilp.tags
+          in
           Bytebuf.equal (Bytebuf.take dst len) expect.Ilp.output
-          && spare_kept
+          && spare_kept && marshal_same
           && Ilp.checksums inst = expect.Ilp.checksums
           && Ilp.tags inst = expect.Ilp.tags
           && List.for_all2

@@ -341,14 +341,10 @@ let test_send_value_matches_send_adu_wire () =
   in
   Alcotest.(check string) "identical wire bytes" classic fused
 
-let test_send_value_zero_alloc () =
-  (* Steady-state fused transmit creates no Bytebuf per ADU, one
-     fragment or four: a one-fragment ADU is marshalled into its pooled
-     datagram, a longer one into the sender's reused scratch and copied
-     from there into pooled datagrams. And the writer allocates nothing
-     per fragment: [send_value] costs the same GC words at 1 and at 4
-     fragments. (The drain that follows hands each queued datagram to
-     the substrate as a view, outside the measured call.) *)
+(* GC words per [send_value] call in steady state, for a one-fragment and
+   a four-fragment ADU, with the sender keyed by [?secure]; checks on the
+   way that no send creates a Bytebuf. *)
+let transmit_words ?secure ~plan () =
   let engine = Engine.create () in
   let io =
     {
@@ -360,20 +356,17 @@ let test_send_value_zero_alloc () =
   let tx_pool = Pool.create ~buf_size:1491 () in
   let sender =
     Alf_transport.sender_io ~sched:(Netsim.Engine.sched engine) ~io ~peer:2 ~peer_port:7000 ~port:7001
-      ~stream:1 ~policy:Recovery.No_recovery ~tx_pool ()
-  in
-  let plan =
-    [ Ilp.Checksum Checksum.Kind.Internet; Ilp.Xor_pad { key = 7L; pos = 0L } ]
+      ~stream:1 ~policy:Recovery.No_recovery ?secure ~tx_pool ()
   in
   let one = Ilp.Marshal_ber (Value.int_array (Array.init 100 (fun i -> i * 17)))
   and four = Ilp.Marshal_ber (Value.Octets (String.make 5000 'f')) in
   let next = ref 0 and now = ref 0.0 in
+  let names = Array.init 110 (fun index -> Adu.name ~stream:1 ~index ()) in
   let send source =
-    let i = !next in
+    let name = names.(!next) in
     incr next;
     let w0 = Gc.minor_words () in
-    Alf_transport.send_value sender ~name:(Adu.name ~stream:1 ~index:i ())
-      ~plan source;
+    Alf_transport.send_value sender ~name ~plan source;
     let w = Gc.minor_words () -. w0 in
     (* steady state = the engine drains (and the pool recycles) between
        sends, as it would on a live wire *)
@@ -396,13 +389,45 @@ let test_send_value_zero_alloc () =
       (Bytebuf.created_total () - before);
     Alcotest.(check int) (label ^ ": fragments") (50 * frags)
       (st.Alf_transport.frags_sent - f0);
-    List.fold_left min max_int words
+    words
   in
   let w1 = steady "1 fragment" one ~frags:1 in
   let w4 = steady "4 fragments" four ~frags:4 in
-  Alcotest.(check int) "GC words per send: 4 fragments = 1 fragment" w1 w4;
   Alcotest.(check int) "all sent" 110 st.Alf_transport.adus_sent;
-  Alcotest.(check int) "pool drained" 0 (Pool.stats tx_pool).Pool.outstanding
+  Alcotest.(check int) "pool drained" 0 (Pool.stats tx_pool).Pool.outstanding;
+  (w1, w4)
+
+let test_send_value_zero_alloc () =
+  (* Steady-state fused transmit creates no Bytebuf per ADU, one
+     fragment or four: a one-fragment ADU is marshalled into its pooled
+     datagram, a longer one into the sender's reused scratch and copied
+     from there into pooled datagrams. And the writer allocates nothing
+     per fragment: [send_value] costs the same GC words at 1 and at 4
+     fragments. (The drain that follows hands each queued datagram to
+     the substrate as a view, outside the measured call.) *)
+  let w1, w4 =
+    transmit_words
+      ~plan:[ Ilp.Checksum Checksum.Kind.Internet; Ilp.Xor_pad { key = 7L; pos = 0L } ]
+      ()
+  in
+  let least = List.fold_left min max_int in
+  Alcotest.(check int) "GC words per send: 4 fragments = 1 fragment" (least w1)
+    (least w4)
+
+let test_sealed_send_value_words () =
+  (* The sealed transmit runs the sender's compiled plan over the record
+     its context was just pointed at: no per-record cipher state, plan
+     lookup, closure or result list, at one fragment or four. *)
+  let w1, w4 =
+    transmit_words ~secure:(Secure.Record.of_int64 0x5EA1L) ~plan:[] ()
+  in
+  let most = List.fold_left max 0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "1 fragment: at most 32 GC words per send (read %d)" (most w1))
+    true (most w1 <= 32);
+  Alcotest.(check bool)
+    (Printf.sprintf "4 fragments: at most 32 GC words per send (read %d)" (most w4))
+    true (most w4 <= 32)
 
 (* --- One datagram writer: byte identity with the layered writer --- *)
 
@@ -866,6 +891,19 @@ let test_runner_words_flat () =
       let dst = Bytebuf.create n in
       fun () -> ignore (Ilp.run_view ~dst inet_copy prog src))
 
+(* A view of bytes already opened, as a transport's stage 2 takes it: in
+   place under the empty plan there is no plan to look up and no pass to
+   run, only the validation and the view. *)
+let test_view_in_place_words () =
+  let v = ints_of_bytes 4096 in
+  let schema = Xdr.schema_of_value v in
+  let prog = Schema.prog_of_xdr schema in
+  let payload = Xdr.encode schema v in
+  let w = words (fun () -> ignore (Ilp.run_view ~dst:payload [] prog payload)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "run_view in place: at most 24 GC words (read %d)" w)
+    true (w <= 24)
+
 let test_block_ops_allocate_nothing () =
   (* Through run_view with a separate destination every stage goes
      through the block driver (no whole-plan kernel), and a static
@@ -909,6 +947,8 @@ let () =
           Alcotest.test_case "undersized dst" `Quick test_undersized_dst;
           Alcotest.test_case "runner words flat in length" `Quick
             test_runner_words_flat;
+          Alcotest.test_case "view in place words" `Quick
+            test_view_in_place_words;
           Alcotest.test_case "block ops allocate nothing" `Quick
             test_block_ops_allocate_nothing;
         ] );
@@ -927,6 +967,8 @@ let () =
             test_send_value_matches_send_adu_wire;
           Alcotest.test_case "zero-alloc transmit" `Quick
             test_send_value_zero_alloc;
+          Alcotest.test_case "sealed transmit words" `Quick
+            test_sealed_send_value_words;
           qcheck prop_writer_matches_oracle;
           Alcotest.test_case "loadgen and hostile = oracle" `Quick
             test_loadgen_hostile_match_oracle;

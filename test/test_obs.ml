@@ -275,6 +275,33 @@ let test_registry_kind_mismatch () =
   | _ -> fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
+(* A lookup that finds its name takes the lock inline and builds no
+   closure or option: hot paths may look their metrics up per event.
+   (Passing [~registry:r] would build the optional argument's [Some] at
+   the call; the hot paths use the default registry.) *)
+let test_registry_lookup_words () =
+  let registry = Some (Obs.Registry.create ()) in
+  ignore (Obs.Registry.counter ?registry "c");
+  ignore (Obs.Registry.gauge ?registry "g");
+  ignore (Obs.Registry.histogram ?registry "h");
+  ignore (Obs.Registry.counter "obs.test.lookup");
+  let words f =
+    f ();
+    let before = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      f ()
+    done;
+    int_of_float (Gc.minor_words () -. before)
+  in
+  check Alcotest.int "words over 1,000 counter lookups" 0
+    (words (fun () -> ignore (Obs.Registry.counter ?registry "c")));
+  check Alcotest.int "words over 1,000 gauge lookups" 0
+    (words (fun () -> ignore (Obs.Registry.gauge ?registry "g")));
+  check Alcotest.int "words over 1,000 histogram lookups" 0
+    (words (fun () -> ignore (Obs.Registry.histogram ?registry "h")));
+  check Alcotest.int "words over 1,000 default-registry lookups" 0
+    (words (fun () -> ignore (Obs.Registry.counter "obs.test.lookup")))
+
 let test_registry_pull_replaces () =
   let r = Obs.Registry.create () in
   Obs.Registry.pull ~registry:r "p" (fun () -> 1.0);
@@ -365,6 +392,8 @@ let () =
         [
           Alcotest.test_case "find or create" `Quick test_registry_find_or_create;
           Alcotest.test_case "kind mismatch" `Quick test_registry_kind_mismatch;
+          Alcotest.test_case "lookups allocate nothing" `Quick
+            test_registry_lookup_words;
           Alcotest.test_case "pull replaces" `Quick test_registry_pull_replaces;
           Alcotest.test_case "json export" `Quick test_registry_json_export;
           Alcotest.test_case "clear" `Quick test_registry_clear;

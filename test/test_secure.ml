@@ -172,6 +172,153 @@ let prop_record_tamper_name =
       | Ok _ -> false
       | Error _ -> true)
 
+(* --- One record context, reset in place per record --- *)
+
+(* A random run of rekeys, seals and opens through one record context
+   gives the bytes, tags and verdicts that a fresh context per call gives.
+   The fresh contexts are clones of a twin endpoint that sees the same
+   rekeys and opens, so both epochs move alike. Opens take sealed records
+   back, some with a tag or ciphertext bit flipped, through the
+   whole-payload open or the in-place open of the encoded ADU; a failed
+   open must leave the next one correct, and no nonce is reused: two
+   records sealed through one context equal two fresh seals. *)
+let gen_record_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return `Rekey);
+        ( 4,
+          map3
+            (fun (stream, index) (dest_off, dest_len, ts) len ->
+              `Seal
+                ( Adu.name ~dest_off ~dest_len ~timestamp_us:ts ~stream ~index (),
+                  len ))
+            (pair (int_bound 0xFFFF) (int_bound 0x3FFF_FFFF))
+            (triple (int_bound 0x3FFF_FFFF) (int_bound 0xFFFF) ui64)
+            (oneof [ int_bound 6000; oneofl [ 0; 1; 63; 64; 65; 128 ] ]) );
+        (4, map3 (fun k flip encoded -> `Open (k, flip, encoded)) nat (int_bound 2) bool);
+      ])
+
+let open_encoded rc (name : Adu.name) payload =
+  let plen = Bytebuf.length payload in
+  let enc = Bytebuf.create (Adu.header_size + plen) in
+  Bytebuf.blit ~src:payload ~src_pos:0 ~dst:enc ~dst_pos:Adu.header_size ~len:plen;
+  Adu.write_header enc ~pos:0 name ~plen
+    ~payload_crc:(Checksum.Crc32.digest_sub payload ~pos:0 ~len:plen);
+  let h = Adu.header () in
+  assert (Adu.read_header h enc ~pos:0 ~len:(Bytebuf.length enc));
+  if Secure.Record.open_encoded rc h enc ~pos:0 then
+    Ok (Bytebuf.sub enc ~pos:Adu.header_size ~len:(plen - Secure.Record.overhead))
+  else Error "refused"
+
+let prop_record_context_reuse =
+  QCheck.Test.make ~name:"record: one context = a fresh context per call"
+    ~count:200
+    QCheck.(pair int64 (make Gen.(list_size (1 -- 16) gen_record_op)))
+    (fun (seed, ops) ->
+      let ctx = Secure.Record.of_int64 ~dir:1 seed in
+      let twin = Secure.Record.of_int64 ~dir:1 seed in
+      let sealed = ref [||] in
+      List.for_all
+        (fun op ->
+          let ok =
+            match op with
+            | `Rekey ->
+                Secure.Record.rekey ctx;
+                Secure.Record.rekey twin;
+                true
+            | `Seal ((name : Adu.name), len) ->
+                let plain =
+                  String.init len (fun j -> Char.chr (((j * 13) + name.Adu.index) land 0xff))
+                in
+                let room () =
+                  let b = Bytebuf.create (len + Secure.Record.overhead) in
+                  Bytebuf.blit_from_string plain ~src_pos:0 ~dst:b ~dst_pos:0 ~len;
+                  b
+                in
+                let mine = room () and fresh = room () in
+                Secure.Record.seal_payload ctx name mine;
+                Secure.Record.seal_payload (Secure.Record.clone twin) name fresh;
+                sealed := Array.append !sealed [| (name, plain, mine) |];
+                Bytebuf.equal mine fresh
+            | `Open (_, _, _) when Array.length !sealed = 0 -> true
+            | `Open (k, flip, encoded) ->
+                let name, plain, record = !sealed.(k mod Array.length !sealed) in
+                let n = Bytebuf.length record - Secure.Record.overhead in
+                let copy () =
+                  let c = Bytebuf.copy record in
+                  let bit =
+                    match flip with
+                    | 1 -> Some (((n + 4) * 8) + (k mod 128))
+                    | 2 when n > 0 -> Some (k mod (n * 8))
+                    | _ -> None
+                  in
+                  Option.iter
+                    (fun bit ->
+                      Bytebuf.set_uint8 c (bit / 8)
+                        (Bytebuf.get_uint8 c (bit / 8) lxor (1 lsl (bit mod 8))))
+                    bit;
+                  (c, bit <> None)
+                in
+                let mine, flipped = copy () and fresh, _ = copy () in
+                let got =
+                  if encoded then open_encoded ctx name mine
+                  else Secure.Record.open_payload ctx name mine
+                in
+                let want =
+                  Secure.Record.open_payload (Secure.Record.clone twin) name fresh
+                in
+                (match (got, want) with
+                | Ok a, Ok b ->
+                    (not flipped)
+                    && Bytebuf.to_string a = Bytebuf.to_string b
+                    && Bytebuf.to_string a = plain
+                | Error _, Error _ -> true
+                | _ -> false)
+          in
+          ok && Secure.Record.epoch ctx = Secure.Record.epoch twin)
+        ops)
+
+(* The context's seal and in-place open allocate nothing, at one block
+   and at 64. *)
+let test_record_context_words () =
+  let rc = record () in
+  List.iter
+    (fun len ->
+      let name = name ~index:3 ~len in
+      let payload = Bytebuf.create (len + Secure.Record.overhead) in
+      let words f =
+        f ();
+        let before = Gc.minor_words () in
+        for _ = 1 to 10 do
+          f ()
+        done;
+        int_of_float (Gc.minor_words () -. before)
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "seal words over ten %d-byte records" len)
+        0
+        (words (fun () -> Secure.Record.seal_payload rc name payload));
+      let plen = Bytebuf.length payload in
+      let enc = Bytebuf.create (Adu.header_size + plen) in
+      Bytebuf.blit ~src:payload ~src_pos:0 ~dst:enc ~dst_pos:Adu.header_size
+        ~len:plen;
+      Adu.write_header enc ~pos:0 name ~plen
+        ~payload_crc:(Checksum.Crc32.digest_sub payload ~pos:0 ~len:plen);
+      let h = Adu.header () in
+      assert (Adu.read_header h enc ~pos:0 ~len:(Bytebuf.length enc));
+      let sealed = Bytebuf.copy enc in
+      let opened = ref 0 in
+      Alcotest.(check int)
+        (Printf.sprintf "open words over ten %d-byte records" len)
+        0
+        (words (fun () ->
+             if Secure.Record.open_encoded rc h enc ~pos:0 then incr opened;
+             Bytebuf.blit ~src:sealed ~src_pos:0 ~dst:enc ~dst_pos:0
+               ~len:(Bytebuf.length enc)));
+      Alcotest.(check int) "every open authenticated" 11 !opened)
+    [ 64; 4096 ]
+
 (* --- Ilp_par: AEAD across worker domains --- *)
 
 (* The pooled and serial executions of the same Aead_seal batch must
@@ -332,6 +479,66 @@ let test_transport_secure_send_value () =
         s)
     !delivered
 
+(* Stage 1 of the transport's receiver on sealed multi-fragment records:
+   read, reassemble into a pooled buffer, open the record in place, then
+   build the one ADU it delivers. The words per record are a fixed few —
+   the delivered ADU and the clock reading of each datagram — whatever
+   the record's length. *)
+let test_receiver_stage1_words () =
+  let engine = Engine.create () in
+  let sched = Netsim.Engine.sched engine in
+  let wire = Queue.create () in
+  let io ~keep =
+    {
+      Dgram.send =
+        (fun ~dst:_ ~dst_port:_ ~src_port:_ dg ->
+          if keep then Queue.push (Bytebuf.copy dg) wire;
+          true);
+      bind = (fun ~port:_ _ -> ());
+      max_payload = 65507;
+    }
+  in
+  let handler = ref (fun ~src:_ ~src_port:_ (_ : Bytebuf.t) -> ()) in
+  let rx_io = { (io ~keep:false) with Dgram.bind = (fun ~port:_ h -> handler := h) } in
+  let delivered = ref 0 in
+  let receiver =
+    Alf_transport.receiver_io ~sched ~io:rx_io ~port:7000 ~stream:1
+      ~secure:(record ()) ~reasm_pool:(Pool.create ~buf_size:8192 ())
+      ~deliver:(fun _ -> incr delivered)
+      ()
+  in
+  let sender =
+    Alf_transport.sender_io ~sched ~io:(io ~keep:true) ~peer:2 ~peer_port:7000
+      ~port:7001 ~stream:1 ~policy:Recovery.No_recovery ~secure:(record ()) ()
+  in
+  let records = 60 and warm = 10 in
+  let schema = Wire.Xdr.S_opaque in
+  for i = 0 to records - 1 do
+    Alf_transport.send_value sender
+      ~name:(Adu.name ~stream:1 ~index:i ())
+      (Ilp.Marshal_xdr (schema, Wire.Value.Octets (String.make 4000 (Char.chr i))))
+  done;
+  Engine.run ~until:0.001 engine;
+  let per_record = Queue.length wire / records in
+  Alcotest.(check int) "every datagram on the wire" (records * per_record)
+    (Queue.length wire);
+  let feed n =
+    for _ = 1 to n * per_record do
+      !handler ~src:2 ~src_port:7001 (Queue.pop wire)
+    done
+  in
+  feed warm;
+  let before = Gc.minor_words () in
+  feed (records - warm);
+  let words = (Gc.minor_words () -. before) /. float_of_int (records - warm) in
+  Alcotest.(check int) "every record delivered" records !delivered;
+  Alcotest.(check int) "no auth drops" 0
+    (Alf_transport.receiver_stats receiver).Alf_transport.adus_auth_dropped;
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 64 GC words per %d-fragment record (read %.1f)"
+       per_record words)
+    true (words <= 64.)
+
 let () =
   Alcotest.run "secure"
     [
@@ -351,6 +558,9 @@ let () =
           qcheck prop_record_roundtrip;
           qcheck prop_record_tamper_any_bit;
           qcheck prop_record_tamper_name;
+          qcheck prop_record_context_reuse;
+          Alcotest.test_case "context seal and open allocate nothing" `Quick
+            test_record_context_words;
         ] );
       ( "ilp-par",
         [
@@ -367,5 +577,7 @@ let () =
             test_transport_secure_lossy_reordered;
           Alcotest.test_case "fused send_value" `Quick
             test_transport_secure_send_value;
+          Alcotest.test_case "receiver stage-1 words per sealed record" `Quick
+            test_receiver_stage1_words;
         ] );
     ]
