@@ -37,8 +37,9 @@ bench-smoke:
 # beat serial layered execution by >= 2x (E14), or the fused marshal
 # does not beat the encode-then-checksum-then-copy composition by
 # >= 1.5x per codec (E15), or the schema-compiled marshal/lazy view
-# falls below the interpreters, allocates a Bytebuf or more than 256 GC
-# words per run, or stops hitting its program cache (E19). Ratios
+# falls below the interpreters, allocates a Bytebuf or more GC words
+# per run than bench/gates.ml allows, or stops hitting its program
+# cache (E19). Ratios
 # compare measurements within one run, so the short quota does not skew
 # them; E2's, E15's and E19's are medians of interleaved timing pairs.
 perf-smoke:

@@ -69,9 +69,9 @@ let all =
         "E19: the program-cache lookup stays in the noise";
       g Schema schema "view_vs_decode" (At_least 1.0)
         "E19: the lazy view is no slower than the eager decode";
-      g Schema schema "tx_words_per_run" (At_most 160.)
+      g Schema schema "tx_words_per_run" (At_most 100.)
         "E19: GC words per fused marshal stay fixed, whatever the length";
-      g Schema schema "rx_words_per_run" (At_most 160.)
+      g Schema schema "rx_words_per_run" (At_most 84.)
         "E19: GC words per view of the 90 KB value stay fixed";
       g Schema schema "steady_allocs" Zero "E19: the marshal makes no Bytebuf";
       g Schema schema "rx_steady_allocs" Zero "E19: the view makes no Bytebuf";

@@ -1140,8 +1140,8 @@ let e12_ilp_parallel () =
     fallback.Ilp_par.parallel_adus fallback.Ilp_par.serial_fallback n_adus
 
 (* ------------------------------------------------------------------ *)
-(* E14 — the plan compiler: general block-at-a-time fusion, plan cache, *)
-(* and the pooled zero-copy receive path.                               *)
+(* E14 — the plan compiler: general block-at-a-time fusion and the    *)
+(* pooled zero-copy receive path.                                     *)
 (* ------------------------------------------------------------------ *)
 
 let e14_ilp_compile () =
@@ -1257,11 +1257,6 @@ let e14_ilp_compile () =
   Harness.note
     "3stage paired medians: compiled/serial %.2fx | compiled/interpreted %.2fx\n"
     vs_serial vs_interp;
-  let cs = Ilp.plan_cache_stats () in
-  Harness.note
-    "Every plan above ran through the general compiler (one lowering per\n\
-     shape): plan cache %d entries, %d hits / %d misses process-wide.\n"
-    cs.Ilp.entries cs.Ilp.hits cs.Ilp.misses;
   (* The pooled receive path: stage-1 reassembly out of a buffer pool,
      stage-2 fused decrypt+verify into pooled output slices. After one
      warmup ADU, the path performs zero Bytebuf allocations per ADU. *)
@@ -1297,7 +1292,7 @@ let e14_ilp_compile () =
       frags;
     incr pushes
   in
-  push_adu () (* warm the pools and the plan cache *);
+  push_adu () (* warm the pools *);
   let snap = Bytebuf.created_total () in
   let rounds = 512 in
   for _ = 1 to rounds do

@@ -628,10 +628,6 @@ let run_ilp plan_spec size =
                 (Checksum.Kind.to_string kind)
                 v)
             fused.Ilp.checksums;
-          let cs = Ilp.plan_cache_stats () in
-          Printf.printf
-            "plan cache: %d entries, %d hits / %d misses this process\n"
-            cs.Ilp.entries cs.Ilp.hits cs.Ilp.misses;
           Printf.printf "executors byte- and checksum-identical: %b\n" agree;
           if agree then `Ok ()
           else `Error (false, "executors disagree - this is a bug"))
@@ -747,10 +743,6 @@ let run_marshal codec plan_spec records =
                 (Checksum.Kind.to_string kind)
                 v)
             fused.Ilp.checksums;
-          let cs = Ilp.plan_cache_stats () in
-          Printf.printf
-            "plan cache: %d entries, %d hits / %d misses this process\n"
-            cs.Ilp.entries cs.Ilp.hits cs.Ilp.misses;
           Printf.printf "serial and fused byte- and checksum-identical: %b\n"
             agree;
           if agree then `Ok ()
@@ -1305,7 +1297,7 @@ let secure_alloc_gate () =
   let enc = Bytebuf.create (Adu.header_size + plen) in
   let dst = Bytebuf.sub enc ~pos:Adu.header_size ~len:n in
   let inst =
-    Ilp.compile_marshal source
+    Ilp.compile_marshal
       [
         Ilp.Aead_seal (Secure.Record.params rc);
         Ilp.Checksum Checksum.Kind.Crc32;

@@ -152,8 +152,3 @@ let snapshot t () =
   }
 
 let stats t = with_lock t snapshot ()
-
-let pp_stats ppf (s : stats) =
-  Format.fprintf ppf
-    "pool(size=%d allocated=%d reused=%d outstanding=%d high_water=%d exhausted=%d)"
-    s.buf_size s.allocated s.reused s.outstanding s.high_water s.exhausted

@@ -57,4 +57,3 @@ val release : t -> Bytebuf.t -> unit
     foreign buffer is looked for in the free list. *)
 
 val stats : t -> stats
-val pp_stats : Format.formatter -> stats -> unit

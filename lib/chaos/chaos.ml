@@ -189,25 +189,3 @@ let schedule ~engine ~net ?kill_sender ?pool ?par plan =
                            raise (Fault (Printf.sprintf "worker task %d" seq))
                          end)))))
     plan.events
-
-let generate ~seed ~duration =
-  let rng = Rng.create ~seed in
-  let events = ref [] in
-  let bursts = 1 + Rng.int rng ~bound:3 in
-  for _ = 1 to bursts do
-    let at = Rng.uniform rng ~lo:(0.05 *. duration) ~hi:(0.6 *. duration) in
-    let d = Rng.uniform rng ~lo:(0.02 *. duration) ~hi:(0.15 *. duration) in
-    let impair =
-      Impair.make
-        ~loss:(Rng.uniform rng ~lo:0.3 ~hi:0.9)
-        ~corrupt:(Rng.uniform rng ~lo:0.0 ~hi:0.1)
-        ()
-    in
-    events := Burst_impair { dir = Forward; at; duration = d; impair } :: !events
-  done;
-  if Rng.bool rng ~p:0.5 then begin
-    let at = Rng.uniform rng ~lo:(0.2 *. duration) ~hi:(0.5 *. duration) in
-    let d = Rng.uniform rng ~lo:(0.05 *. duration) ~hi:(0.2 *. duration) in
-    events := Link_down { dir = Forward; at; duration = d } :: !events
-  end;
-  { seed; events = List.rev !events }

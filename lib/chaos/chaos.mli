@@ -38,10 +38,6 @@ type plan = { seed : int64; events : event list }
 
 val none : seed:int64 -> plan
 
-val generate : seed:int64 -> duration:float -> plan
-(** A random but fully seed-determined schedule of burst-loss windows and
-    (half the time) one outage within [duration]. *)
-
 val schedule :
   engine:Engine.t ->
   net:Topology.duplex ->

@@ -597,7 +597,7 @@ let send_value s ~name ?(plan = []) source =
     match s.value_inst with
     | Some inst when s.value_plan == plan -> inst
     | _ ->
-        let inst = Ilp.compile_marshal source (plan @ tail_stages s) in
+        let inst = Ilp.compile_marshal (plan @ tail_stages s) in
         s.value_inst <- Some inst;
         s.value_plan <- plan;
         inst

@@ -36,56 +36,23 @@ let pp_stage ppf s = Format.pp_print_string ppf (stage_name s)
 
 type plan = stage list
 
-(* The validity of a plan depends only on its shape — which constructors
-   appear where — not on keys or stream positions. That is what makes the
-   plan cache sound: one validation + lowering per shape. *)
-type shape =
-  | Sh_check of Checksum.Kind.t
-  | Sh_xor
-  | Sh_rc4
-  | Sh_aead_seal
-  | Sh_aead_open
-  | Sh_swap
-  | Sh_copy
-  | Sh_src_xdr  (* marshalling source, prepended by the marshal lookup *)
-  | Sh_src_ber
-  | Sh_sink_xdr  (* streaming decoder, appended by the unmarshal lookup *)
-  | Sh_sink_ber
-
-let shape_of_stage = function
-  | Checksum k -> Sh_check k
-  | Xor_pad _ -> Sh_xor
-  | Rc4_stream _ -> Sh_rc4
-  | Aead_seal _ -> Sh_aead_seal
-  | Aead_open _ -> Sh_aead_open
-  | Byteswap32 -> Sh_swap
-  | Deliver_copy -> Sh_copy
-
-let shape_of_plan plan = List.map shape_of_stage plan
-
-let validate_shape shape =
+(* Validity depends only on which constructors appear where, never on
+   keys or stream positions. *)
+let validate plan =
   let rec go i seen_rc4 seen_aead = function
     | [] -> Ok ()
-    | Sh_swap :: _ when i > 0 ->
+    | Byteswap32 :: _ when i > 0 ->
         Error "byteswap32 reads across byte positions; it can only be fused as the first stage"
-    | Sh_rc4 :: _ when seen_rc4 ->
+    | Rc4_stream _ :: _ when seen_rc4 ->
         Error "two sequential ciphers cannot share one keystream position"
-    | Sh_rc4 :: rest -> go (i + 1) true seen_aead rest
-    | (Sh_aead_seal | Sh_aead_open) :: _ when seen_aead ->
+    | Rc4_stream _ :: rest -> go (i + 1) true seen_aead rest
+    | (Aead_seal _ | Aead_open _) :: _ when seen_aead ->
         Error "two AEAD records cannot share one plan: each seal/open is one record"
-    | (Sh_aead_seal | Sh_aead_open) :: rest -> go (i + 1) seen_rc4 true rest
-    | (Sh_check _ | Sh_xor | Sh_swap | Sh_copy) :: rest ->
+    | (Aead_seal _ | Aead_open _) :: rest -> go (i + 1) seen_rc4 true rest
+    | (Checksum _ | Xor_pad _ | Byteswap32 | Deliver_copy) :: rest ->
         go (i + 1) seen_rc4 seen_aead rest
-    | (Sh_src_xdr | Sh_src_ber | Sh_sink_xdr | Sh_sink_ber) :: _ ->
-        (* The marshal/unmarshal lookups strip their boundary markers
-           before validating the stage chain. *)
-        Error "marshal source / unmarshal sink markers are plan boundaries"
   in
-  go 0 false false shape
-
-let has_swap = List.exists (function Sh_swap -> true | _ -> false)
-
-let validate plan = validate_shape (shape_of_plan plan)
+  go 0 false false plan
 
 (* RC4 is the only order-coupled stage left: its keystream byte [i]
    requires bytes [0..i-1] first, so a batch containing it degrades to
@@ -151,10 +118,10 @@ let handles_layered = run_handles "layered"
 let handles_interpreted = run_handles "fused-interpreted"
 let handles_compiled = run_handles "fused-compiled"
 
-let record_run h ~ns (r : result) =
+let record_run h ~ns ~passes ~bytes =
   Obs.Counter.incr h.rh_runs;
-  Obs.Counter.add h.rh_bytes r.bytes_touched;
-  Obs.Counter.add h.rh_passes r.passes;
+  Obs.Counter.add h.rh_bytes bytes;
+  Obs.Counter.add h.rh_passes passes;
   Obs.Histogram.record h.rh_ns ns
 
 type stage_handles = { sh_passes : Obs.Counter.t; sh_bytes : Obs.Counter.t }
@@ -354,9 +321,8 @@ let fold16 s =
 
 let swap16 s = ((s land 0xff) lsl 8) lor ((s lsr 8) land 0xff)
 
-(* Stage state. An instance builds it once from the plan (keys and
-   stream positions are run-time parameters, not part of the cached
-   shape) and resets it in place before each run after its first. *)
+(* Stage state. An instance builds it once from the plan and resets it
+   in place before each run after its first. *)
 type rt =
   | R_inet of { mutable sum : int }
       (* Internet checksum in little-endian lane order: a block adds each
@@ -487,9 +453,12 @@ type drive = {
   mutable wm : int;
 }
 
-let make_drive ~swap plan =
+let make_drive plan =
+  let swap, stages =
+    match plan with Byteswap32 :: rest -> (true, rest) | _ -> (false, plan)
+  in
   {
-    stages = Array.of_list (List.map rt_of_stage plan);
+    stages = Array.of_list (List.map rt_of_stage stages);
     swap;
     copy_in = false;
     sb = Bytes.empty;
@@ -554,105 +523,27 @@ let advance d upto =
     d.wm <- i + len
   done
 
-(* A lowering is what the cache stores per shape: either a dispatch to a
-   whole-plan hand-fused kernel (no per-block dispatch at all) or the
-   general block driver. *)
+(* How an instance runs its plan: a few whole-plan shapes dispatch to a
+   hand-fused kernel (no per-block dispatch at all), every other plan
+   to the block driver. *)
 type lowering =
   | L_copy
   | L_copy_checksum (* Internet checksum + copy, either order *)
-  | L_pad_checksum_copy
-  | L_checksum_pad_copy
-  | L_general of { swap_first : bool }
-  | L_marshal (* sink-driven stage chain; see [run_marshal]. *)
-  | L_unmarshal (* demand-driven stage chain; see [run_unmarshal]. *)
+  | L_pad_checksum_copy of { key : int64; pos : int64 }
+  | L_checksum_pad_copy of { key : int64; pos : int64 }
+  | L_general
 
-(* Split a sink-terminated shape into (stage chain, sink marker). *)
-let split_sink shape =
-  let rec go acc = function
-    | [ ((Sh_sink_xdr | Sh_sink_ber) as s) ] -> Some (List.rev acc, s)
-    | x :: tl -> go (x :: acc) tl
-    | [] -> None
-  in
-  go [] shape
-
-let lower shape =
-  match shape with
-  | (Sh_src_xdr | Sh_src_ber) :: rest ->
-      if has_swap rest then
-        Error
-          "byteswap32 cannot follow a marshalling source: the encoder already emits wire byte order"
-      else (
-        match validate_shape rest with Error _ as e -> e | Ok () -> Ok L_marshal)
-  | _ when split_sink shape <> None -> (
-      let rest, _ = Option.get (split_sink shape) in
-      if has_swap rest then
-        Error
-          "byteswap32 cannot precede a streaming decoder: the decoder consumes wire byte order"
-      else
-        match validate_shape rest with
-        | Error _ as e -> e
-        | Ok () -> Ok L_unmarshal)
-  | _ -> (
-      match validate_shape shape with
-      | Error _ as e -> e
-      | Ok () ->
-          Ok
-            (match shape with
-            | [] | [ Sh_copy ] -> L_copy
-            | [ Sh_check Checksum.Kind.Internet ]
-            | [ Sh_check Checksum.Kind.Internet; Sh_copy ]
-            | [ Sh_copy; Sh_check Checksum.Kind.Internet ] ->
-                L_copy_checksum
-            | [ Sh_xor; Sh_check Checksum.Kind.Internet; Sh_copy ] ->
-                L_pad_checksum_copy
-            | [ Sh_check Checksum.Kind.Internet; Sh_xor; Sh_copy ] ->
-                L_checksum_pad_copy
-            | Sh_swap :: _ -> L_general { swap_first = true }
-            | _ -> L_general { swap_first = false }))
-
-(* The plan cache. Shared across domains (Ilp_par workers compile through
-   it too), so lookups take a mutex — one brief critical section per
-   compile, against a table whose population is bounded by the number of
-   distinct plan shapes the program ever uses. *)
-let cache : (shape list, (lowering, string) Stdlib.result) Hashtbl.t =
-  Hashtbl.create 16
-
-let cache_mu = Mutex.create ()
-let cache_hits = ref 0
-let cache_misses = ref 0
-let c_cache_hits = Obs.Registry.counter "ilp.plan_cache.hits"
-let c_cache_misses = Obs.Registry.counter "ilp.plan_cache.misses"
-
-type cache_stats = { hits : int; misses : int; entries : int }
-
-let with_cache f =
-  Mutex.lock cache_mu;
-  match f () with
-  | v ->
-      Mutex.unlock cache_mu;
-      v
-  | exception e ->
-      Mutex.unlock cache_mu;
-      raise e
-
-let plan_cache_stats () =
-  with_cache (fun () ->
-      { hits = !cache_hits; misses = !cache_misses; entries = Hashtbl.length cache })
-
-let compile_lookup plan =
-  let shape = shape_of_plan plan in
-  with_cache (fun () ->
-      match Hashtbl.find_opt cache shape with
-      | Some r ->
-          incr cache_hits;
-          Obs.Counter.incr c_cache_hits;
-          r
-      | None ->
-          incr cache_misses;
-          Obs.Counter.incr c_cache_misses;
-          let r = lower shape in
-          Hashtbl.add cache shape r;
-          r)
+let lowering_of = function
+  | [] | [ Deliver_copy ] -> L_copy
+  | [ Checksum Checksum.Kind.Internet ]
+  | [ Checksum Checksum.Kind.Internet; Deliver_copy ]
+  | [ Deliver_copy; Checksum Checksum.Kind.Internet ] ->
+      L_copy_checksum
+  | [ Xor_pad { key; pos }; Checksum Checksum.Kind.Internet; Deliver_copy ] ->
+      L_pad_checksum_copy { key; pos }
+  | [ Checksum Checksum.Kind.Internet; Xor_pad { key; pos }; Deliver_copy ] ->
+      L_checksum_pad_copy { key; pos }
+  | _ -> L_general
 
 let dst_for dst_opt n =
   match dst_opt with
@@ -664,7 +555,7 @@ let dst_for dst_opt n =
 
 (* ---- Compiled instances ----
 
-   A plan looked up once: its lowering, and for the block driver its
+   A plan compiled once: its lowering, and for the block driver its
    stage state, kept across runs and reset in place at the start of
    each — the AEAD stage onto the record its params name at that moment.
    Checksums land in fixed int slots in plan order, the AEAD tag in a
@@ -674,29 +565,42 @@ let dst_for dst_opt n =
 
 type instance = {
   lowering : lowering;
-  plan : plan;  (* the kernels read their pad's key and position here *)
   d : drive;  (* the block driver's, over the plan after a leading swap *)
   kinds : Checksum.Kind.t array;  (* checksum stages, in plan order *)
   sums : int array;  (* their values after the last run *)
   aead : bool;  (* the plan has an AEAD stage *)
   tag : Bytes.t;  (* its tag after the last run, 16 bytes LE *)
-  sink : Wire.Sink.t;  (* a marshal instance's encoder target *)
+  sink : Wire.Sink.t option;  (* a marshal instance's encoder target *)
 }
 
-(* What instances that marshal nothing hold for a sink. *)
-let no_sink = Wire.Sink.create ~block:ignore Bytebuf.empty
+(* What runs beside the stages: nothing, an encoder storing through the
+   instance's sink, or a decoder reading behind the driver. *)
+type codec = No_codec | Encoder | Decoder
 
-let instance lowering plan stages ~swap =
-  let d = make_drive ~swap stages in
+(* Every instance is built here. A plan beside a codec may not
+   byte-swap, since the codecs emit and consume wire byte order, and
+   always runs under the block driver, whose watermark the codec moves. *)
+let build what codec plan =
+  if codec <> No_codec && List.exists (function Byteswap32 -> true | _ -> false) plan
+  then
+    invalid_arg
+      (what
+     ^ ": byteswap32 cannot run beside a codec: the codecs work in wire byte order");
+  (match validate plan with
+  | Ok () -> ()
+  | Error msg -> invalid_arg (what ^ ": " ^ msg));
+  let lowering = if codec = No_codec then lowering_of plan else L_general in
+  let d = make_drive (match lowering with L_general -> plan | _ -> []) in
   let sink =
-    if lowering <> L_marshal then no_sink
+    if codec <> Encoder then None
     else
       (* The stages run over blocks the encoder has completed once 1 KB
          is pending — still L1-resident, but the stage code runs back to
          back instead of alternating with the encoder every 64 bytes,
          which cost 10-25% on the sealed E20 record. *)
-      Wire.Sink.create Bytebuf.empty ~block:(fun off ->
-          if off + 64 - d.wm >= 1024 then advance d (off + 64))
+      Some
+        (Wire.Sink.create Bytebuf.empty ~block:(fun off ->
+             if off + 64 - d.wm >= 1024 then advance d (off + 64)))
   in
   let kinds =
     Array.of_list (List.filter_map (function Checksum k -> Some k | _ -> None) plan)
@@ -704,7 +608,6 @@ let instance lowering plan stages ~swap =
   let aead = List.exists (function Aead_seal _ | Aead_open _ -> true | _ -> false) plan in
   {
     lowering;
-    plan;
     d;
     kinds;
     sums = Array.make (Array.length kinds) 0;
@@ -713,18 +616,7 @@ let instance lowering plan stages ~swap =
     sink;
   }
 
-let of_lowering what plan = function
-  | Error msg -> invalid_arg (what ^ ": " ^ msg)
-  | Ok (L_general { swap_first = true } as l) ->
-      instance l plan (List.tl plan) ~swap:true
-  | Ok ((L_general { swap_first = false } | L_marshal | L_unmarshal) as l) ->
-      instance l plan plan ~swap:false
-  | Ok ((L_copy | L_copy_checksum | L_pad_checksum_copy | L_checksum_pad_copy) as l)
-    ->
-      instance l plan [] ~swap:false
-
-let compile_as what plan = of_lowering what plan (compile_lookup plan)
-let compile plan = compile_as "Ilp.compile" plan
+let compile plan = build "Ilp.compile" No_codec plan
 
 (* Read each stage's result into the instance's slots. *)
 let settle_slots inst =
@@ -756,26 +648,23 @@ let fit dst n = if Bytebuf.length dst = n then dst else Bytebuf.take dst n
 let exec inst ~dst input =
   let n = Bytebuf.length input in
   if Bytebuf.length dst < n then invalid_arg "Ilp.exec: dst shorter than input";
-  match (inst.lowering, inst.plan) with
-  | L_copy, _ -> Kernels.copy ~src:input ~dst:(fit dst n)
-  | L_copy_checksum, _ ->
+  match inst.lowering with
+  | L_copy -> Kernels.copy ~src:input ~dst:(fit dst n)
+  | L_copy_checksum ->
       inst.sums.(0) <- Kernels.copy_checksum ~src:input ~dst:(fit dst n)
-  | L_pad_checksum_copy, Xor_pad { key; pos } :: _ ->
+  | L_pad_checksum_copy { key; pos } ->
       inst.sums.(0) <-
         Kernels.copy_checksum_xor ~src:input ~dst:(fit dst n) ~key
           ~stream_pos:pos
-  | L_checksum_pad_copy, _ :: Xor_pad { key; pos } :: _ ->
+  | L_checksum_pad_copy { key; pos } ->
       inst.sums.(0) <-
         Kernels.checksum_xor_copy ~src:input ~dst:(fit dst n) ~key
           ~stream_pos:pos
-  | (L_general _ | L_marshal | L_unmarshal), _ ->
+  | L_general ->
       if inst.d.swap then check_swap_len input;
       begin_run inst input dst;
       advance inst.d n;
       settle_slots inst
-  | (L_pad_checksum_copy | L_checksum_pad_copy), _ ->
-      (* The lowering came from this plan's shape. *)
-      assert false
 
 let checksum inst i = inst.sums.(i)
 let last_checksum inst = inst.sums.(Array.length inst.sums - 1)
@@ -794,35 +683,35 @@ let write_tag inst dst ~pos =
   Bytes.blit inst.tag 0 (Bytebuf.data dst) (Bytebuf.offset dst + pos) 16
 
 let run_layered plan input =
-  let r, ns = Obs.Clock.time_ns (fun () -> run_layered_impl plan input) in
-  record_run handles_layered ~ns r;
+  let t0 = Obs.Clock.now_ns () in
+  let r = run_layered_impl plan input in
+  record_run handles_layered ~ns:(Obs.Clock.now_ns () -. t0) ~passes:r.passes
+    ~bytes:r.bytes_touched;
   r
 
 let run_fused_interpreted plan input =
-  let r, ns =
-    Obs.Clock.time_ns (fun () -> run_fused_interpreted_impl plan input)
-  in
-  record_run handles_interpreted ~ns r;
+  let t0 = Obs.Clock.now_ns () in
+  let r = run_fused_interpreted_impl plan input in
+  record_run handles_interpreted ~ns:(Obs.Clock.now_ns () -. t0)
+    ~passes:r.passes ~bytes:r.bytes_touched;
   r
 
 let run_fused ?dst plan input =
-  let r, ns =
-    Obs.Clock.time_ns (fun () ->
-        let inst = compile_as "Ilp.run_fused" plan in
-        let n = Bytebuf.length input in
-        let dst = dst_for dst n in
-        exec inst ~dst input;
-        {
-          output = dst;
-          checksums = checksums inst;
-          tags = tags inst;
-          passes = 1;
-          bytes_touched = 2 * n;
-          compiled = true;
-        })
-  in
-  record_run handles_compiled ~ns r;
-  r
+  let t0 = Obs.Clock.now_ns () in
+  let inst = build "Ilp.run_fused" No_codec plan in
+  let n = Bytebuf.length input in
+  let dst = dst_for dst n in
+  exec inst ~dst input;
+  record_run handles_compiled ~ns:(Obs.Clock.now_ns () -. t0) ~passes:1
+    ~bytes:(2 * n);
+  {
+    output = dst;
+    checksums = checksums inst;
+    tags = tags inst;
+    passes = 1;
+    bytes_touched = 2 * n;
+    compiled = true;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Fused presentation conversion: the plan's first "stage" is the
@@ -861,67 +750,37 @@ type unmarshal_result = {
   tags : (int64 * int64) list;
 }
 
-(* Marshal/unmarshal plans go through the same shape cache, under keys
-   extended with a source/sink marker, but their hit/miss traffic is
-   reported separately. *)
-let c_mcache_hits = Obs.Registry.counter "ilp.marshal.plan_cache.hits"
-let c_mcache_misses = Obs.Registry.counter "ilp.marshal.plan_cache.misses"
 let c_bytes_encoded = Obs.Registry.counter "ilp.marshal.bytes_encoded"
 let c_bytes_decoded = Obs.Registry.counter "ilp.marshal.bytes_decoded"
 let handles_marshal = run_handles "marshal"
 let handles_unmarshal = run_handles "unmarshal"
 
-let presentation_lookup shape =
-  with_cache (fun () ->
-      match Hashtbl.find_opt cache shape with
-      | Some r ->
-          incr cache_hits;
-          Obs.Counter.incr c_mcache_hits;
-          r
-      | None ->
-          incr cache_misses;
-          Obs.Counter.incr c_mcache_misses;
-          let r = lower shape in
-          Hashtbl.add cache shape r;
-          r)
-
-let shape_of_source = function
-  | Marshal_xdr _ | Marshal_prog _ | Marshal_xdr_interp _ -> Sh_src_xdr
-  | Marshal_ber _ -> Sh_src_ber
-
-let shape_of_sink = function
-  | Unmarshal_xdr _ -> Sh_sink_xdr
-  | Unmarshal_ber -> Sh_sink_ber
-
-let compile_marshal source plan =
-  of_lowering "Ilp.run_marshal" plan
-    (presentation_lookup (shape_of_source source :: shape_of_plan plan))
+let compile_marshal plan = build "Ilp.compile_marshal" Encoder plan
 
 (* The encoder stores straight into [dst] through the instance's sink,
    whose block hook runs the stage chain over completed blocks in place.
    An encoder that overruns the slice raises in the sink before touching
    the bytes beyond it (pooled buffers share backing storage). *)
 let exec_marshal inst ~dst source =
-  (match inst.lowering with
-  | L_marshal -> ()
-  | _ -> invalid_arg "Ilp.exec_marshal: not a marshal instance");
-  let n = Bytebuf.length dst in
-  begin_run inst dst dst;
-  let sink = inst.sink in
-  Wire.Sink.reset sink dst;
-  (match source with
-  | Marshal_xdr (s, v) -> Wire.Schema.emit (Wire.Schema.prog_of_xdr s) sink v
-  | Marshal_prog (p, v) -> Wire.Schema.emit p sink v
-  | Marshal_xdr_interp (s, v) -> Wire.Xdr.emit s v sink
-  | Marshal_ber v -> Wire.Ber.emit v sink);
-  if Wire.Sink.pos sink <> n then
-    invalid_arg "Ilp.run_marshal: encoder emitted fewer bytes than sizeof";
-  advance inst.d n;
-  settle_slots inst
+  match inst.sink with
+  | None -> invalid_arg "Ilp.exec_marshal: not a marshal instance"
+  | Some sink ->
+      let n = Bytebuf.length dst in
+      begin_run inst dst dst;
+      Wire.Sink.reset sink dst;
+      (match source with
+      | Marshal_xdr (s, v) -> Wire.Schema.emit (Wire.Schema.prog_of_xdr s) sink v
+      | Marshal_prog (p, v) -> Wire.Schema.emit p sink v
+      | Marshal_xdr_interp (s, v) -> Wire.Xdr.emit s v sink
+      | Marshal_ber v -> Wire.Ber.emit v sink);
+      if Wire.Sink.pos sink <> n then
+        invalid_arg "Ilp.run_marshal: encoder emitted fewer bytes than sizeof";
+      advance inst.d n;
+      settle_slots inst
 
 let run_marshal ?dst source plan =
   let t0 = Obs.Clock.now_ns () in
-  let inst = compile_marshal source plan in
+  let inst = build "Ilp.run_marshal" Encoder plan in
   (* A caller-provided [dst] pins the encoded length, so the sizing walk
      is skipped: the sink's bounds check catches an undersized dst
      mid-encode and the final length check an oversized one. *)
@@ -930,27 +789,23 @@ let run_marshal ?dst source plan =
   in
   exec_marshal inst ~dst source;
   let n = Bytebuf.length dst in
-  let r =
-    {
-      output = dst;
-      checksums = checksums inst;
-      tags = tags inst;
-      passes = 1;
-      bytes_touched = 2 * n;
-      compiled = true;
-    }
-  in
-  record_run handles_marshal ~ns:(Obs.Clock.now_ns () -. t0) r;
+  record_run handles_marshal ~ns:(Obs.Clock.now_ns () -. t0) ~passes:1
+    ~bytes:(2 * n);
   Obs.Counter.add c_bytes_encoded n;
-  r
+  {
+    output = dst;
+    checksums = checksums inst;
+    tags = tags inst;
+    passes = 1;
+    bytes_touched = 2 * n;
+    compiled = true;
+  }
 
-let run_unmarshal_impl plan sink input dst_opt =
-  let inst =
-    of_lowering "Ilp.run_unmarshal" plan
-      (presentation_lookup (shape_of_plan plan @ [ shape_of_sink sink ]))
-  in
+let run_unmarshal ?dst plan sink input =
+  let t0 = Obs.Clock.now_ns () in
+  let inst = build "Ilp.run_unmarshal" Decoder plan in
   let n = Bytebuf.length input in
-  let dst = dst_for dst_opt n in
+  let dst = dst_for dst n in
   (* Watermark transform: bytes [0, wm) of [dst] are final. The decoder's
      demand hook advances it lazily, a whole block at a time, just ahead
      of the parse; [dst == input] transforms in place over the borrowed
@@ -968,18 +823,10 @@ let run_unmarshal_impl plan sink input dst_opt =
      the transform to the end before finishing the checksum stages. *)
   advance d n;
   settle_slots inst;
+  record_run handles_unmarshal ~ns:(Obs.Clock.now_ns () -. t0) ~passes:1
+    ~bytes:(2 * n);
+  Obs.Counter.add c_bytes_decoded consumed;
   { value; consumed; checksums = checksums inst; tags = tags inst }
-
-let run_unmarshal ?dst plan sink input =
-  let r, ns =
-    Obs.Clock.time_ns (fun () -> run_unmarshal_impl plan sink input dst)
-  in
-  Obs.Counter.incr handles_unmarshal.rh_runs;
-  Obs.Counter.add handles_unmarshal.rh_bytes (2 * Bytebuf.length input);
-  Obs.Counter.add handles_unmarshal.rh_passes 1;
-  Obs.Histogram.record handles_unmarshal.rh_ns ns;
-  Obs.Counter.add c_bytes_decoded r.consumed;
-  r
 
 (* Lazy receive: run the manipulation plan over the whole unit (the
    checksum must cover all of it anyway), then VALIDATE instead of
@@ -994,37 +841,26 @@ type view_result = {
 
 let handles_view = run_handles "view"
 
-(* A view plan is checked as the shape it is, with no lookup: it has no
-   leading swap for the driver to honour, and unless it would only walk
-   the blocks in place it runs on an instance of its own, always under
-   the block driver. The empty plan — a view of bytes already opened —
-   builds nothing before the view. *)
+(* In place, a plan of copies alone (always valid) has nothing to run:
+   the empty plan — a view of bytes already opened — builds nothing
+   before the view. *)
 let run_view ?dst plan prog input =
   let t0 = Obs.Clock.now_ns () in
-  if List.exists (function Byteswap32 -> true | _ -> false) plan then
-    invalid_arg
-      "Ilp.run_view: byteswap32 cannot precede a streaming decoder: the \
-       decoder consumes wire byte order";
-  (match validate plan with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Ilp.run_view: " ^ msg));
   let n = Bytebuf.length input in
   let dst = dst_for dst n in
-  let copy_only = function Deliver_copy -> true | _ -> false in
   let view_checksums, view_tags =
-    if dst == input && List.for_all copy_only plan then ([], [])
+    if dst == input && List.for_all (function Deliver_copy -> true | _ -> false) plan
+    then ([], [])
     else begin
-      let inst = instance (L_general { swap_first = false }) plan plan ~swap:false in
+      let inst = build "Ilp.run_view" Decoder plan in
       exec inst ~dst input;
       (checksums inst, tags inst)
     end
   in
-  let r = { view = Wire.View.make prog dst ~pos:0; view_checksums; view_tags } in
-  Obs.Counter.incr handles_view.rh_runs;
-  Obs.Counter.add handles_view.rh_bytes (2 * n);
-  Obs.Counter.add handles_view.rh_passes 1;
-  Obs.Histogram.record handles_view.rh_ns (Obs.Clock.now_ns () -. t0);
-  (match r.view with
+  let view = Wire.View.make prog dst ~pos:0 in
+  record_run handles_view ~ns:(Obs.Clock.now_ns () -. t0) ~passes:1
+    ~bytes:(2 * n);
+  (match view with
   | Ok (_, consumed) -> Obs.Counter.add c_bytes_decoded consumed
   | Error _ -> ());
-  r
+  { view; view_checksums; view_tags }

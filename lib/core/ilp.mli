@@ -9,15 +9,15 @@
       intermediate buffer wherever a stage rewrites bytes — the engineering
       style layered protocol suites induce;
     - {!run_fused}: one pass, always {e compiled}. Every valid plan is
-      lowered — once per plan {e shape}, through a cache — to one block
-      driver: each stage is a block op over 64 bytes in place (Internet
-      checksum over 32-bit halves of 64-bit loads, sliced CRC-32,
-      ChaCha20/Poly1305 on whole blocks) plus a tail op for the last
-      [len mod 64] bytes, and the driver copies (or byte-swaps) each
-      block into the destination, then runs every stage over it while
-      it is L1-hot. Dispatch happens once per stage per block, and the
-      production stages allocate nothing; a few whole-plan shapes
-      short-circuit to the hand-fused {!Kernels}. This is §8's
+      lowered when it is compiled ({!compile}) to one block driver:
+      each stage is a block op over 64 bytes in place
+      (Internet checksum over 32-bit halves of 64-bit loads, sliced
+      CRC-32, ChaCha20/Poly1305 on whole blocks) plus a tail op for the
+      last [len mod 64] bytes, and the driver copies (or byte-swaps)
+      each block into the destination, then runs every stage over it
+      while it is L1-hot. Dispatch happens once per stage per block,
+      and the production stages allocate nothing; a few whole-plan
+      shapes short-circuit to the hand-fused {!Kernels}. This is §8's
       compilation-vs-interpretation distinction made executable: the
       interpreted fusion ({!run_fused_interpreted}) survives as the
       semantic oracle, the compiled path delivers the performance the
@@ -126,7 +126,7 @@ val run_fused : ?dst:Bytebuf.t -> plan -> Bytebuf.t -> result
 (** {1 Compiled instances}
 
     What an endpoint holds for a plan it runs on every ADU: the plan
-    looked up once, with its stage state kept across runs and reset in
+    compiled once, with its stage state kept across runs and reset in
     place at the start of each. An AEAD stage re-reads its
     {!aead_params} at every run, so one instance seals or opens a new
     record each time its params are rewritten. Checksums and the tag land
@@ -137,7 +137,8 @@ val run_fused : ?dst:Bytebuf.t -> plan -> Bytebuf.t -> result
 type instance
 
 val compile : plan -> instance
-(** Validate and lower [plan] through the plan cache, and build its stage
+(** Validate [plan], pick its lowering (a hand-fused {!Kernels} loop for
+    a few whole-plan shapes, else the block driver) and build its stage
     state. Pad keys and stream positions are taken from [plan] as given;
     AEAD params are read at each run. Raises [Invalid_argument] if the
     plan does not {!validate}. *)
@@ -148,8 +149,8 @@ val exec : instance -> dst:Bytebuf.t -> Bytebuf.t -> unit
     and tags as {!run_fused}. [dst] may be longer than the input; it
     must not overlap the input, except that the input itself (or a
     slice at the same offset of the same storage) transforms in place
-    when the plan has no leading [Byteswap32]. No plan-cache lookup,
-    clock read or registry update. Under the block driver (every plan
+    when the plan has no leading [Byteswap32]. No validation, clock
+    read or registry update. Under the block driver (every plan
     but the hand-fused {!Kernels} shapes) a run with Internet, CRC-32,
     pad, swap and copy stages allocates nothing. Raises
     [Invalid_argument] when [dst] is shorter than [input] or on a bad
@@ -184,19 +185,6 @@ val run_fused_interpreted : plan -> Bytebuf.t -> result
     oracle for the compilation-vs-interpretation ablation. Same results
     as {!run_fused}, never compiled. *)
 
-(** {1 The plan cache}
-
-    Lowering is keyed on the plan's {e shape} (the sequence of stage
-    constructors and checksum kinds) — keys and stream positions are
-    run-time parameters — so a stream of per-ADU plans that differ only
-    in [pos] compiles exactly once. The cache is shared across domains. *)
-
-type cache_stats = { hits : int; misses : int; entries : int }
-
-val plan_cache_stats : unit -> cache_stats
-(** Process-lifetime totals; also exported as the
-    [ilp.plan_cache.hits]/[.misses] registry counters. *)
-
 (** {1 Fused presentation conversion}
 
     The paper's §4 observation, made a first-class engine feature:
@@ -218,10 +206,8 @@ val plan_cache_stats : unit -> cache_stats
     the whole unit).
 
     Plans containing [Byteswap32] are rejected in both directions — the
-    codecs already emit/consume wire byte order. Lowerings are cached in
-    the same shape cache as {!run_fused}, under source/sink-marked keys;
-    their traffic is reported on the [ilp.marshal.plan_cache.*]
-    counters. *)
+    codecs already emit/consume wire byte order — and every other valid
+    plan runs under the block driver, never a {!Kernels} loop. *)
 
 type source =
   | Marshal_xdr of Wire.Xdr.schema * Wire.Value.t
@@ -243,19 +229,18 @@ type source =
 
 type sink = Unmarshal_xdr of Wire.Xdr.schema | Unmarshal_ber
 
-val compile_marshal : source -> plan -> instance
-(** The instance a sender holds for [plan] run behind a marshal source of
-    [source]'s codec: validated and lowered through the shape cache, as
-    {!run_marshal} does, with the encoder's sink built once. Only the
-    codec of [source] matters; each {!exec_marshal} names its own value.
-    Raises [Invalid_argument] as {!run_marshal} does on an invalid plan. *)
+val compile_marshal : plan -> instance
+(** The instance a sender holds for [plan] run behind a marshal source,
+    of any codec: validated as {!run_marshal} does, with the encoder's
+    sink built once; each {!exec_marshal} names its own source. Raises
+    [Invalid_argument] as {!run_marshal} does on an invalid plan. *)
 
 val exec_marshal : instance -> dst:Bytebuf.t -> source -> unit
 (** [exec_marshal inst ~dst source] encodes [source] into [dst], which
     must be exactly its encoded length, running the stages over it in the
     same pass — the bytes, checksums and tag of {!run_marshal} with the
-    same plan, in {!checksum}/{!tags}/{!write_tag}. No plan-cache lookup,
-    clock read or registry update; with the production stages and a
+    same plan, in {!checksum}/{!tags}/{!write_tag}. No validation, clock
+    read or registry update; with the production stages and a
     compiled schema ([Marshal_prog]) a run allocates nothing. Raises
     [Invalid_argument] when [inst] is not from {!compile_marshal} or
     [dst] is not the encoded length, and the codec's error on a
@@ -327,10 +312,10 @@ val run_view : ?dst:Bytebuf.t -> plan -> Wire.Schema.prog -> Bytebuf.t -> view_r
     transforms in place — the zero-copy borrowed-ADU form) and validates
     one [prog]-shaped value at offset 0. In place under a plan with no
     transforming or digesting stage ([[]] or only [Deliver_copy]) no
-    pass runs at all: only the validation reads the bytes, and the
-    empty plan is not looked up anywhere. Other plans are checked as a
-    shape and run on an instance of their own, without the plan cache. Trailing bytes after the value
-    are reflected in the returned length, as with {!Xdr.decode_prefix}.
+    pass runs at all and no instance is built: only the validation reads
+    the bytes. Other plans run on an instance of their own, under the
+    block driver. Trailing bytes after the value are reflected in the
+    returned length, as with {!Xdr.decode_prefix}.
     The view {e borrows} [dst]; it must not outlive the buffer's owner.
     Raises [Invalid_argument] only on invalid plans (same rules as
     {!run_unmarshal}); byte content never raises. Accounted under

@@ -3,7 +3,6 @@ type t = {
   parked : (int, Adu.t) Hashtbl.t;
   skipped : (int, unit) Hashtbl.t;
   mutable next : int;
-  mutable bytes : int;
 }
 
 let create ?(first = 0) ~deliver () =
@@ -12,18 +11,15 @@ let create ?(first = 0) ~deliver () =
     parked = Hashtbl.create 32;
     skipped = Hashtbl.create 8;
     next = first;
-    bytes = 0;
   }
 
 let next_index t = t.next
 let held t = Hashtbl.length t.parked
-let held_bytes t = t.bytes
 
 let rec release t =
   match Hashtbl.find_opt t.parked t.next with
   | Some adu ->
       Hashtbl.remove t.parked t.next;
-      t.bytes <- t.bytes - Bufkit.Bytebuf.length adu.Adu.payload;
       t.next <- t.next + 1;
       t.deliver adu;
       release t
@@ -38,7 +34,6 @@ let offer t (adu : Adu.t) =
   let index = adu.Adu.name.Adu.index in
   if index >= t.next && not (Hashtbl.mem t.parked index) then begin
     Hashtbl.replace t.parked index adu;
-    t.bytes <- t.bytes + Bufkit.Bytebuf.length adu.Adu.payload;
     release t
   end
 

@@ -32,4 +32,3 @@ val next_index : t -> int
 val held : t -> int
 (** ADUs parked above the gap. *)
 
-val held_bytes : t -> int

@@ -1,6 +1,1 @@
 let now_ns () = Unix.gettimeofday () *. 1e9
-
-let time_ns f =
-  let t0 = now_ns () in
-  let r = f () in
-  (r, now_ns () -. t0)

@@ -3,6 +3,3 @@
 
 val now_ns : unit -> float
 (** Nanoseconds since the epoch (microsecond resolution underneath). *)
-
-val time_ns : (unit -> 'a) -> 'a * float
-(** [time_ns f] runs [f] and also returns the elapsed nanoseconds. *)

@@ -46,5 +46,3 @@ let allow t ~key ~now =
     t.tokens.(i) <- filled;
     false
   end
-
-let tokens_left t ~key = t.tokens.(bucket_of t key)

@@ -21,7 +21,3 @@ val allow : t -> key:int -> now:float -> bool
     bucket is empty (the caller drops and counts the datagram). O(1),
     allocation-free. [now] is the backend clock ({!Rt.Sched}); calls
     with non-monotone [now] are safe (no refill on backwards time). *)
-
-val tokens_left : t -> key:int -> float
-(** Current token count of [key]'s bucket (as of its last refill) — for
-    tests. *)

@@ -73,10 +73,6 @@ let default_config =
 type load_state = Normal | Shedding | Brownout
 
 let load_state_index = function Normal -> 0 | Shedding -> 1 | Brownout -> 2
-let load_state_name = function
-  | Normal -> "normal"
-  | Shedding -> "shedding"
-  | Brownout -> "brownout"
 
 (* Stage-1 state is {!Rx}'s; the session adds only what the harvest
    sweep needs. [stamp] is the time of the last NACK (or of admission)
@@ -182,27 +178,24 @@ let warm pool n =
 
 (* Stage 2, the {!Rx} delivery callback: runs once per delivered ADU on
    the owning shard's task, after stage 1 has settled it. The shard's
-   compiled plan transforms the borrowed payload into the shard scratch
-   — or, with a schema, the plan validates it there through
-   {!Ilp.run_view} and hands [on_view] a lazy view that reads fields on
-   demand. Byzantine payloads land in [view_invalid], never an
-   exception. Every payload fits the [max_adu]-byte scratch: stage 0 and
-   the shards read no longer ADU ({!view_of}). *)
-let stage2 config ~prog ~plan ~on_adu ~on_view scratch ctr key (adu : Adu.t) =
+   compiled plan transforms the borrowed payload into the shard scratch;
+   with a schema, the compiled validator then checks the result there
+   and hands [on_view] a lazy view that reads fields on demand.
+   Byzantine payloads land in [view_invalid], never an exception. Every
+   payload fits the [max_adu]-byte scratch: stage 0 and the shards read
+   no longer ADU ({!view_of}). *)
+let stage2 ~prog ~plan ~on_adu ~on_view scratch ctr key (adu : Adu.t) =
   let payload = adu.Adu.payload in
   let plen = Bytebuf.length payload in
+  if plen > 0 then Ilp.exec plan ~dst:scratch payload;
   (match prog with
   | Some prog -> (
-      match
-        (Ilp.run_view ~dst:(Bytebuf.take scratch plen) config.stage2_plan prog
-           payload)
-          .Ilp.view
-      with
+      match Wire.View.make prog (Bytebuf.take scratch plen) ~pos:0 with
       | Ok (view, _) -> (
           Obs.Counter.incr ctr.c_views;
           match on_view with Some f -> f key view | None -> ())
       | Error _ -> Obs.Counter.incr ctr.c_view_invalid)
-  | None -> if plen > 0 then Ilp.exec plan ~dst:scratch payload);
+  | None -> ());
   Obs.Counter.incr ctr.c_delivered;
   Obs.Counter.add ctr.c_bytes plen;
   match on_adu with Some f -> f key adu | None -> ()
@@ -295,7 +288,7 @@ let make_shard config registry ~prog ~on_adu ~on_view sid =
       Rx.env ~window:config.max_ahead_window ~pool:reasm_pool
         ?secure:(Option.map Secure.Record.clone config.secure)
         ~deliver:(fun key adu ->
-          stage2 config ~prog ~plan ~on_adu ~on_view scratch ctr key adu)
+          stage2 ~prog ~plan ~on_adu ~on_view scratch ctr key adu)
         ();
     view = view_of config;
     admit_police =

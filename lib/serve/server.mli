@@ -76,9 +76,9 @@ type config = {
       and run over every delivered payload into the shard scratch
       (default checksum + deliver-copy). *)
   stage2_schema : Wire.Xdr.schema option;  (** When set, stage 2 goes
-      lazy: the plan transform feeds the compiled
-      {!Wire.Schema.validate} pass ({!Ilp.run_view}) instead of a blind
-      copy, and delivered payloads surface as {!Wire.View.t} through
+      lazy: the compiled {!Wire.Schema.validate} pass ({!Wire.View.make})
+      checks what the plan wrote into the shard scratch, and delivered
+      payloads surface as {!Wire.View.t} through
       [?on_view] — decoded field by field on demand, never materialized.
       Payloads that fail validation count as [view_invalid] (the session
       bookkeeping still advances; a hostile payload cannot wedge the
@@ -116,8 +116,6 @@ type load_state = Normal | Shedding | Brownout
 
 val load_state_index : load_state -> int
 (** 0, 1, 2 — the [serve.load_state] gauge value. *)
-
-val load_state_name : load_state -> string
 
 type t
 

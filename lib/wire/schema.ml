@@ -92,7 +92,6 @@ let rec to_xdr t : Xdr.schema =
   | Struct (fields, _) ->
       S_struct (Array.to_list (Array.map to_xdr fields))
 
-let of_value v = of_xdr (Xdr.schema_of_value v)
 let pp ppf t = Xdr.pp_schema ppf (to_xdr t)
 let equal a b = to_xdr a = to_xdr b
 
@@ -422,21 +421,17 @@ let rec compile_validate (sc : t) : vop =
 
 type prog = {
   p_schema : t;
-  p_xdr : Xdr.schema;
   p_sizer : sizer;
   p_emit : emitter;
   p_validate : vop;
 }
 
 let root p = p.p_schema
-let xdr_schema p = p.p_xdr
-let static_size p = p.p_schema.static
 
 let compile (s : Xdr.schema) =
   let sc = of_xdr s in
   {
     p_schema = sc;
-    p_xdr = s;
     p_sizer = compile_size s;
     p_emit = compile_emit s;
     p_validate = compile_validate sc;
@@ -458,9 +453,8 @@ let validate p buf ~pos =
   | exception Invalid m -> Error m
 
 (* One program per distinct schema, compiled once, shared across
-   domains — the presentation twin of the PR 4 ILP plan cache (which
-   keys on plan shapes; this keys on schemas, and the two compose into
-   one fused loop in [Ilp.run_marshal]). *)
+   domains; with a compiled ILP plan it runs as one fused loop in
+   [Ilp.run_marshal]. *)
 let cache : (Xdr.schema, prog) Hashtbl.t = Hashtbl.create 16
 let cache_mu = Mutex.create ()
 let cache_hits = ref 0

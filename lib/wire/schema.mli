@@ -25,9 +25,9 @@
       accessors are built on.
 
     Compiled programs are shared through a mutex-guarded schema-keyed
-    cache ({!prog_of_xdr}) that sits alongside the ILP plan cache:
-    schema + plan together lower to one specialized fused loop in
-    {!Ilp.run_marshal}. Cache traffic is observable as
+    cache ({!prog_of_xdr}); a program and a compiled ILP plan together
+    run as one fused loop in {!Ilp.run_marshal}. Cache traffic is
+    observable as
     [wire.schema.cache.hits]/[wire.schema.cache.misses]. *)
 
 open Bufkit
@@ -61,8 +61,6 @@ and shape =
 
 val of_xdr : Xdr.schema -> t
 val to_xdr : t -> Xdr.schema
-val of_value : Value.t -> t
-(** [of_xdr (Xdr.schema_of_value v)]. *)
 
 val static : t -> int option
 val content_free : t -> bool
@@ -78,17 +76,12 @@ val compile : Xdr.schema -> prog
 (** Lower a schema. Prefer {!prog_of_xdr}, which caches. *)
 
 val root : prog -> t
-val xdr_schema : prog -> Xdr.schema
-
-val static_size : prog -> int option
-(** [Some n] when every value of this schema encodes to exactly [n]
-    bytes — sizing is free and sizing-time mismatch detection is
-    impossible (it moves to emit time). *)
 
 val size : prog -> Value.t -> int
 (** Encoded size of [v]. Equals {!Xdr.sizeof} on matching values; on
     mismatched values it raises {!Xdr.Error} {e unless} the mismatch
-    lies inside a statically-sized subtree (see {!static_size}). *)
+    lies inside a statically-sized subtree (one whose every value
+    encodes to the same length, so sizing never inspects it). *)
 
 val emit : prog -> Sink.t -> Value.t -> unit
 (** Emit the encoding. Byte-identical to {!Xdr.emit}; raises

@@ -80,11 +80,6 @@ let rec depth = function
   | List vs -> 1 + List.fold_left (fun m v -> max m (depth v)) 0 vs
   | Record fs -> 1 + List.fold_left (fun m (_, v) -> max m (depth v)) 0 fs
 
-let rec count_leaves = function
-  | Null | Bool _ | Int _ | Int64 _ | Octets _ | Utf8 _ -> 1
-  | List vs -> List.fold_left (fun n v -> n + count_leaves v) 0 vs
-  | Record fs -> List.fold_left (fun n (_, v) -> n + count_leaves v) 0 fs
-
 let rec abstract_size = function
   | Null | Bool _ -> 1
   | Int _ -> 4

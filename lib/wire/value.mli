@@ -46,7 +46,6 @@ val canonical : t -> t
     syntaxes [decode (encode v) = canonical v]. *)
 
 val depth : t -> int
-val count_leaves : t -> int
 
 val abstract_size : t -> int
 (** A syntax-independent size measure: total bytes of leaf payloads (ints

@@ -258,7 +258,7 @@ let prop_ilp_instance_reuse =
         else Ilp.Marshal_ber (Wire.Value.Octets s)
       in
       let minst =
-        if swap then None else Some (Ilp.compile_marshal (source "" 0) plan)
+        if swap then None else Some (Ilp.compile_marshal plan)
       in
       List.for_all
         (fun (len, (in_place, src_off, dst_off, spare)) ->
@@ -477,8 +477,8 @@ let prop_ilp_compiler_general =
       && fused.Ilp.checksums = layered.Ilp.checksums)
 
 let prop_ilp_validate_shape_determined =
-  (* validate and needs_in_order are functions of the plan's shape alone —
-     the invariant the plan cache's shape key rests on. *)
+  (* validate and needs_in_order are functions of the plan's shape alone:
+     keys and stream positions never change them. *)
   QCheck.Test.make ~name:"ilp: validate/needs_in_order are shape properties"
     ~count:400 arb_general_plan
     (fun plan ->
@@ -535,39 +535,6 @@ let test_ilp_run_fused_dst () =
   let r3 = Ilp.run_fused ~dst:inplace plan inplace in
   Alcotest.(check bool) "in-place = out-of-place" true
     (Bytebuf.equal r3.Ilp.output r2.Ilp.output)
-
-let test_ilp_plan_cache () =
-  (* A shape no other test uses, so the first run is this test's miss. *)
-  let mk pos =
-    [
-      Ilp.Checksum Checksum.Kind.Fletcher16;
-      Ilp.Xor_pad { key = Int64.of_int (pos * 7 + 1); pos = Int64.of_int pos };
-      Ilp.Checksum Checksum.Kind.Adler32;
-    ]
-  in
-  let input = buf "cache me if you can" in
-  ignore (Ilp.run_fused (mk 1) input);
-  let mid = Ilp.plan_cache_stats () in
-  for p = 2 to 21 do
-    ignore (Ilp.run_fused (mk p) input)
-  done;
-  let after = Ilp.plan_cache_stats () in
-  Alcotest.(check int) "same shape never re-lowered" mid.Ilp.misses
-    after.Ilp.misses;
-  Alcotest.(check int) "every later run hits" (mid.Ilp.hits + 20) after.Ilp.hits;
-  Alcotest.(check bool) "entries present" true (after.Ilp.entries > 0);
-  (* Invalid shapes are cached too: rejection is also O(lookup). *)
-  let bad = [ Ilp.Deliver_copy; Ilp.Byteswap32 ] in
-  let probe () =
-    match Ilp.run_fused bad input with
-    | _ -> Alcotest.fail "invalid plan accepted"
-    | exception Invalid_argument _ -> ()
-  in
-  probe ();
-  let m1 = (Ilp.plan_cache_stats ()).Ilp.misses in
-  probe ();
-  Alcotest.(check int) "invalid shape cached" m1
-    (Ilp.plan_cache_stats ()).Ilp.misses
 
 (* --- ADU --- *)
 
@@ -2184,7 +2151,6 @@ let () =
           qcheck prop_ilp_validate_shape_determined;
           qcheck prop_ilp_fused_agrees_with_validate;
           Alcotest.test_case "run_fused ?dst" `Quick test_ilp_run_fused_dst;
-          Alcotest.test_case "plan cache" `Quick test_ilp_plan_cache;
           qcheck prop_ilp_instance_reuse;
           Alcotest.test_case "instance allocates nothing" `Quick
             test_ilp_instance_words;

@@ -167,8 +167,10 @@ let test_ingest_placement () =
 (* --- dispatch words: Loadgen datagrams fed in process to ingest and
    pump, no substrate, harvest off. After a warm-up generation, stage 0
    and the dispatch of a datagram stay within a few words: the key, the
-   delivered ADU, and a session's admission and completion. --- *)
-let test_dispatch_words () =
+   delivered ADU, and a session's admission and completion. With a
+   schema, stage 2 validates each payload where the shard's compiled
+   plan wrote it, for a few words more. --- *)
+let dispatch_words stage2_schema =
   let sessions = 1000 and adus = 4 and window = 128 in
   let io, sent = capture_io () in
   let gen =
@@ -190,7 +192,12 @@ let test_dispatch_words () =
   let server =
     Server.create ~sched:(Engine.sched engine) ~registry:(Obs.Registry.create ())
       ~config:
-        { Server.default_config with harvest_interval = 0.; done_linger = 0. }
+        {
+          Server.default_config with
+          harvest_interval = 0.;
+          done_linger = 0.;
+          stage2_schema;
+        }
       ()
   in
   let words = Float.Array.make 2 0. in
@@ -228,8 +235,19 @@ let test_dispatch_words () =
   Alcotest.(check int) "nothing dropped" 0 totals.Server.dropped;
   Alcotest.(check int) "no fallback allocation" 0 totals.Server.fallback_allocs;
   if ingest > 8. then Alcotest.failf "ingest: %.2f words per datagram" ingest;
+  Server.stop server;
+  (pump, totals)
+
+let test_dispatch_words () =
+  let pump, _ = dispatch_words None in
   if pump > 24. then Alcotest.failf "pump: %.2f words per datagram" pump;
-  Server.stop server
+  (* An XDR int heads each 64-byte payload, so every ADU validates. *)
+  let pump, totals = dispatch_words (Some Wire.Xdr.S_int) in
+  Alcotest.(check int) "every ADU validated" totals.Server.delivered
+    totals.Server.views;
+  Alcotest.(check int) "no invalid view" 0 totals.Server.view_invalid;
+  if pump > 40. then
+    Alcotest.failf "pump with a schema: %.2f words per datagram" pump
 
 let registry_counter registry name =
   match Obs.Registry.find ~registry name with
