@@ -37,9 +37,8 @@ bench-smoke:
 # beat serial layered execution by >= 2x (E14), or the fused marshal
 # does not beat the encode-then-checksum-then-copy composition by
 # >= 1.5x per codec (E15), or the schema-compiled marshal/lazy view
-# falls below the interpreters, allocates a Bytebuf or more GC words
-# per run than bench/gates.ml allows, or stops hitting its program
-# cache (E19). Ratios
+# falls below the interpreters or allocates a Bytebuf or more GC words
+# per run than bench/gates.ml allows (E19). Ratios
 # compare measurements within one run, so the short quota does not skew
 # them; E2's, E15's and E19's are medians of interleaved timing pairs.
 perf-smoke:
@@ -52,9 +51,13 @@ perf-smoke:
 # (per-layer byte-grain walks and PDU copies) by >= 1.5x on send and
 # >= 1.3x on receive, stay within noise of the word-grain layered
 # upper bound, and allocate nothing in steady state on either side.
+# Then the CLI's secure selftest at its tier-1 size: the secure soak
+# cases on both backends, and no Bytebuf and no GC word per record for
+# the transport's seal and open.
 secure-smoke:
 	ALFNET_BENCH_QUOTA=0.05 ALFNET_BENCH_JSON=BENCH_secure_smoke.json dune exec bench/main.exe -- secure-record
 	dune exec bench/perfcheck.exe -- --secure BENCH_secure_smoke.json
+	dune exec bin/alfnet.exe -- secure --smoke
 
 # Real loopback UDP (E16): stream fused-send ADUs over actual sockets
 # via the Rt poll loop, race the same workload through the simulator,

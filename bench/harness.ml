@@ -38,7 +38,7 @@ let record_measurement ~name ~bytes ~ns ~mbps =
 
 (* Append a custom machine-readable row alongside the throughput
    measurements — experiments use this to carry non-throughput gate
-   fields (allocation counts, cache hit rates) into the JSON output.
+   fields (allocation and GC-word counts) into the JSON output.
    Qualified like measurements: "<experiment>/<name>". *)
 let record_row ~name fields =
   let qualified = if !experiment = "" then name else !experiment ^ "/" ^ name in

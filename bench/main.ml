@@ -1383,7 +1383,7 @@ let e15_ilp_marshal () =
   in
   let schema = Wire.Xdr.schema_of_value value in
   codec "xdr"
-    (Ilp.Marshal_xdr (schema, value))
+    (Ilp.Marshal_prog (Wire.Schema.prog_of_xdr schema, value))
     (fun () -> Wire.Xdr.encode schema value);
   codec "ber" (Ilp.Marshal_ber value) (fun () -> Wire.Ber.encode value)
 
@@ -1415,19 +1415,15 @@ let e19_schema_marshal () =
   let dst = Bytebuf.create n in
   let host m fn = Harness.measure_mbps ("xdr/" ^ m) ~bytes:n fn in
   (* Transmit: the same fused marshal+checksum+deliver pass, interpreted
-     (tag dispatch per node) vs compiled (the schema op-program), plus
-     the cached entry point (schema-keyed lookup per call) and the raw
-     copy that bounds them all. *)
+     (tag dispatch per node) vs compiled (the held schema op-program),
+     plus the raw copy that bounds them both. *)
   let interp_run () =
     ignore (Ilp.run_marshal ~dst (Ilp.Marshal_xdr_interp (schema, value)) plan)
   and compiled_run () =
     ignore (Ilp.run_marshal ~dst (Ilp.Marshal_prog (prog, value)) plan)
-  and cached_run () =
-    ignore (Ilp.run_marshal ~dst (Ilp.Marshal_xdr (schema, value)) plan)
   in
   let interp = host "interp-fused" interp_run in
   let compiled = host "compiled-fused" compiled_run in
-  let cached = host "compiled-cached-fused" cached_run in
   let encoded = Wire.Xdr.encode schema value in
   let raw =
     host "raw-copy" (fun () ->
@@ -1447,25 +1443,22 @@ let e19_schema_marshal () =
      does. *)
   let paired m fast slow = Harness.paired_speedup ~name:("xdr/" ^ m) fast slow in
   let compiled_vs_interp = paired "compiled-vs-interp" compiled_run interp_run in
-  let cached_vs_interp = paired "cached-vs-interp" cached_run interp_run in
   let view_vs_decode = paired "view-vs-decode" view_run decode_run in
   Harness.subheading (Printf.sprintf "xdr (%d bytes on the wire)" n);
   Harness.row_header [ "Mb/s" ];
   Harness.row "tx interpreted: fused marshal" [ Harness.f1 interp ];
   Harness.row "tx compiled: schema op-program" [ Harness.f1 compiled ];
-  Harness.row "tx compiled, cache lookup per call" [ Harness.f1 cached ];
   Harness.row "tx bound: raw copy of the encoding" [ Harness.f1 raw ];
   Harness.row "rx eager: fused decode to Value.t" [ Harness.f1 decode ];
   Harness.row "rx lazy: fused validate -> view" [ Harness.f1 view ];
   Harness.note
-    "  paired medians: compiled/interp %.2fx, cached/interp %.2fx \
-     (raw copy bounds both at %.0fx compiled)\n\
+    "  paired medians: compiled/interp %.2fx \
+     (raw copy bounds it at %.0fx compiled)\n\
     \  view/decode %.2fx (validation is the whole per-byte cost of receive)\n"
-    compiled_vs_interp cached_vs_interp (raw /. compiled) view_vs_decode;
-  (* The gate row: the paired ratios, steady-state Bytebuf and GC-word
-     counts on both directions, and the schema-program cache traffic,
-     machine-readable for perfcheck --schema. *)
-  let tx_run = cached_run and rx_run = view_run in
+    compiled_vs_interp (raw /. compiled) view_vs_decode;
+  (* The gate row: the paired ratios and steady-state Bytebuf and GC-word
+     counts on both directions, machine-readable for perfcheck --schema. *)
+  let tx_run = compiled_run and rx_run = view_run in
   for _ = 1 to 5 do tx_run (); rx_run () done;
   let before = Bytebuf.created_total () in
   let words_before = Gc.minor_words () in
@@ -1477,26 +1470,19 @@ let e19_schema_marshal () =
   for _ = 1 to 50 do rx_run () done;
   let rx_words = (Gc.minor_words () -. words_before) /. 50.0 in
   let rx_allocs = Bytebuf.created_total () - before in
-  let stats = Wire.Schema.cache_stats () in
   Harness.record_row ~name:"gate"
     [
       ("compiled_vs_interp", Obs.Json.Num compiled_vs_interp);
-      ("cached_vs_interp", Obs.Json.Num cached_vs_interp);
       ("view_vs_decode", Obs.Json.Num view_vs_decode);
       ("steady_allocs", Obs.Json.num_of_int tx_allocs);
       ("rx_steady_allocs", Obs.Json.num_of_int rx_allocs);
       ("tx_words_per_run", Obs.Json.Num tx_words);
       ("rx_words_per_run", Obs.Json.Num rx_words);
-      ("cache_hits", Obs.Json.num_of_int stats.Wire.Schema.hits);
-      ("cache_misses", Obs.Json.num_of_int stats.Wire.Schema.misses);
-      ("cache_entries", Obs.Json.num_of_int stats.Wire.Schema.entries);
     ];
   Harness.note
     "  steady state: %d tx / %d rx Bytebuf allocations over 50 rounds each; \
-     %.0f GC words per %d-byte fused marshal, %.0f per view\n\
-    \  schema cache: %d hits / %d misses (%d entries)\n"
-    tx_allocs rx_allocs tx_words n rx_words stats.Wire.Schema.hits
-    stats.Wire.Schema.misses stats.Wire.Schema.entries
+     %.0f GC words per %d-byte fused marshal, %.0f per view\n"
+    tx_allocs rx_allocs tx_words n rx_words
 
 let e20_secure_record () =
   Harness.heading
@@ -1515,8 +1501,8 @@ let e20_secure_record () =
                ("payload", Wire.Value.int_array [| i; i + 1; i + 2; i + 3 |]);
              ]))
   in
-  let schema = Wire.Xdr.schema_of_value value in
-  let source = Ilp.Marshal_xdr (schema, value) in
+  let prog = Wire.Schema.prog_of_xdr (Wire.Xdr.schema_of_value value) in
+  let source = Ilp.Marshal_prog (prog, value) in
   let n = Ilp.marshal_size source in
   let dst = Bytebuf.create n in
   let rc = Secure.Record.of_int64 0xE20BE7CA57L in

@@ -692,7 +692,7 @@ let run_marshal codec plan_spec records =
         match codec with
         | "xdr" ->
             let schema = Wire.Xdr.schema_of_value value in
-            ( Ilp.Marshal_xdr (schema, value),
+            ( Ilp.Marshal_prog (Wire.Schema.prog_of_xdr schema, value),
               fun () -> Wire.Xdr.encode schema value )
         | _ -> (Ilp.Marshal_ber value, fun () -> Wire.Ber.encode value)
       in
@@ -832,20 +832,16 @@ let run_metrics opts size =
   ignore (Ilp.run_layered plan chunk);
   ignore (Ilp.run_fused_interpreted plan chunk);
   ignore (Ilp.run_fused plan chunk);
-  (* One fused marshal round-trip so the ilp.marshal.* counters (plan
-     cache traffic, bytes encoded/decoded) are live in the dump. *)
+  (* One fused marshal round-trip so the ilp.marshal.* counters (runs,
+     bytes encoded/decoded) are live in the dump. *)
   let v = Wire.Value.Record [ ("n", Wire.Value.Int size) ] in
   let enc = Ilp.run_marshal (Ilp.Marshal_ber v) [ Ilp.Deliver_copy ] in
   ignore (Ilp.run_unmarshal [ Ilp.Deliver_copy ] Ilp.Unmarshal_ber enc.Ilp.output);
-  (* And one compiled-schema round trip (twice, so the program cache
-     registers a hit as well as a miss) plus a validate-view pass, so
-     wire.schema.cache.* and ilp.view.* are live in the dump. *)
-  let xs = Wire.Xdr.schema_of_value v in
-  let xe = Ilp.run_marshal (Ilp.Marshal_xdr (xs, v)) [ Ilp.Deliver_copy ] in
-  ignore (Ilp.run_marshal (Ilp.Marshal_xdr (xs, v)) [ Ilp.Deliver_copy ]);
-  ignore
-    (Ilp.run_view [ Ilp.Deliver_copy ] (Wire.Schema.prog_of_xdr xs)
-       xe.Ilp.output);
+  (* And one compiled-schema marshal plus a validate-view pass over one
+     held program, so ilp.view.* is live in the dump. *)
+  let prog = Wire.Schema.prog_of_xdr (Wire.Xdr.schema_of_value v) in
+  let xe = Ilp.run_marshal (Ilp.Marshal_prog (prog, v)) [ Ilp.Deliver_copy ] in
+  ignore (Ilp.run_view [ Ilp.Deliver_copy ] prog xe.Ilp.output);
   (* One sealed round trip through the AEAD record layer, a wrong-key
      open, and an epoch roll, so cipher.{sealed,opened,auth_fail,rekeys}
      are live in the dump. *)
@@ -1277,8 +1273,8 @@ let secure_workload () =
                ("payload", Wire.Value.int_array [| i; i + 1; i + 2; i + 3 |]);
              ]))
   in
-  let schema = Wire.Xdr.schema_of_value value in
-  let source = Ilp.Marshal_xdr (schema, value) in
+  let prog = Wire.Schema.prog_of_xdr (Wire.Xdr.schema_of_value value) in
+  let source = Ilp.Marshal_prog (prog, value) in
   let n = Ilp.marshal_size source in
   ( source,
     n,
@@ -1338,11 +1334,10 @@ let secure_alloc_gate () =
   in
   (tx, steady open_once)
 
-(* The seal allocates only its schema-cache lookup's few words and the open
-   nothing, whatever the record's length; the bound sits above both and far
-   below the one word per byte of the 45 KB record that a per-byte
-   regression would add. *)
-let secure_words_bound = 64.
+(* The seal, over a held program and marshal instance, and the open in
+   place both allocate nothing, whatever the record's length: any word per
+   record is a regression. *)
+let secure_words_bound = 0.
 
 let run_secure_selftest smoke seed =
   let module Soak = Alf_chaos.Soak in

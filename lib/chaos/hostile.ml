@@ -35,17 +35,6 @@ let category_index = function
   | Close_flood -> 7
   | Forged -> 8
 
-let category_name = function
-  | Fuzz -> "fuzz"
-  | Flip -> "flip"
-  | Trunc -> "trunc"
-  | Replay -> "replay"
-  | Churn -> "churn"
-  | Drip -> "drip"
-  | Nack_storm -> "nack_storm"
-  | Close_flood -> "close_flood"
-  | Forged -> "forged"
-
 type config = {
   server : int;
   server_port : int;

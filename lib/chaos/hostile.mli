@@ -29,7 +29,6 @@ type category =
 
 val all_categories : category array
 val category_index : category -> int
-val category_name : category -> string
 
 type config = {
   server : int;

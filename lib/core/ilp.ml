@@ -726,19 +726,16 @@ let run_fused ?dst plan input =
 (* ------------------------------------------------------------------ *)
 
 type source =
-  | Marshal_xdr of Wire.Xdr.schema * Wire.Value.t
   | Marshal_prog of Wire.Schema.prog * Wire.Value.t
   | Marshal_xdr_interp of Wire.Xdr.schema * Wire.Value.t
   | Marshal_ber of Wire.Value.t
 
 type sink = Unmarshal_xdr of Wire.Xdr.schema | Unmarshal_ber
 
-(* [Marshal_xdr] resolves through the schema-program cache, so sizing is
-   the compiled precomputation (O(1) for static schemas) rather than an
-   interpretive walk. BER headers are value-dependent (TLV lengths), so
-   BER keeps the interpretive sizer. *)
+(* A compiled program sizes by its precomputation (O(1) for static
+   schemas) rather than an interpretive walk. BER headers are
+   value-dependent (TLV lengths), so BER keeps the interpretive sizer. *)
 let marshal_size = function
-  | Marshal_xdr (s, v) -> Wire.Schema.size (Wire.Schema.prog_of_xdr s) v
   | Marshal_prog (p, v) -> Wire.Schema.size p v
   | Marshal_xdr_interp (s, v) -> Wire.Xdr.sizeof s v
   | Marshal_ber v -> Wire.Ber.sizeof v
@@ -769,7 +766,6 @@ let exec_marshal inst ~dst source =
       begin_run inst dst dst;
       Wire.Sink.reset sink dst;
       (match source with
-      | Marshal_xdr (s, v) -> Wire.Schema.emit (Wire.Schema.prog_of_xdr s) sink v
       | Marshal_prog (p, v) -> Wire.Schema.emit p sink v
       | Marshal_xdr_interp (s, v) -> Wire.Xdr.emit s v sink
       | Marshal_ber v -> Wire.Ber.emit v sink);

@@ -207,18 +207,19 @@ val run_fused_interpreted : plan -> Bytebuf.t -> result
 
     Plans containing [Byteswap32] are rejected in both directions — the
     codecs already emit/consume wire byte order — and every other valid
-    plan runs under the block driver, never a {!Kernels} loop. *)
+    plan runs under the block driver, never a {!Kernels} loop.
+
+    Nothing here is looked up per record: a sender compiles its plan
+    ({!compile_marshal}) and its XDR schema ({!Wire.Schema.prog_of_xdr})
+    once and passes both to every {!exec_marshal}. *)
 
 type source =
-  | Marshal_xdr of Wire.Xdr.schema * Wire.Value.t
-      (** Resolved through the {!Wire.Schema} program cache: the schema
-          is compiled once, then sizing and emission run the compiled
-          (branchless, schema-dispatch-free) programs. Byte-identical to
-          the interpretive encoder. *)
   | Marshal_prog of Wire.Schema.prog * Wire.Value.t
-      (** A pre-resolved compiled program — skips even the cache lookup.
-          The steady-state form for a sender that marshals one schema
-          repeatedly. *)
+      (** The production XDR source: a program the caller compiled once
+          with {!Wire.Schema.prog_of_xdr} and holds, so sizing and
+          emission run the compiled (branchless, schema-dispatch-free)
+          programs with no lookup per record. Byte-identical to the
+          interpretive encoder. *)
   | Marshal_xdr_interp of Wire.Xdr.schema * Wire.Value.t
       (** The interpretive walk ({!Wire.Xdr.emit}), kept as
           the ablation baseline the E19 bench and the compiled==interp
@@ -240,15 +241,15 @@ val exec_marshal : instance -> dst:Bytebuf.t -> source -> unit
     must be exactly its encoded length, running the stages over it in the
     same pass — the bytes, checksums and tag of {!run_marshal} with the
     same plan, in {!checksum}/{!tags}/{!write_tag}. No validation, clock
-    read or registry update; with the production stages and a
-    compiled schema ([Marshal_prog]) a run allocates nothing. Raises
-    [Invalid_argument] when [inst] is not from {!compile_marshal} or
-    [dst] is not the encoded length, and the codec's error on a
+    read or registry update; with the production stages and a held
+    program ([Marshal_prog]) a run allocates nothing, at any length.
+    Raises [Invalid_argument] when [inst] is not from {!compile_marshal}
+    or [dst] is not the encoded length, and the codec's error on a
     schema/value mismatch. *)
 
 val marshal_size : source -> int
 (** Exact number of bytes {!run_marshal} will produce (the codec's
-    [sizeof], or the compiled size program for the compiled sources).
+    [sizeof], or the program's size precomputation for [Marshal_prog]).
     Raises the codec's error on a schema mismatch — except inside
     statically-sized subtrees of a compiled schema, where sizing never
     inspects the value and the mismatch surfaces in {!run_marshal}

@@ -77,12 +77,3 @@ let serial_mbps m ks =
   | _ ->
       let inv = List.fold_left (fun acc k -> acc +. (1.0 /. mbps m k)) 0.0 ks in
       1.0 /. inv
-
-let pp_machine ppf m =
-  Format.fprintf ppf "%s @@ %.1f MHz (L=%.2f S=%.2f A=%.2f loop=%.2f)"
-    m.machine_name m.mhz m.load_cycles m.store_cycles m.alu_cycles
-    m.loop_cycles
-
-let pp_kernel ppf k =
-  Format.fprintf ppf "%s (ld=%.2f st=%.2f alu=%.2f)" k.kernel_name k.loads
-    k.stores k.alu

@@ -55,6 +55,3 @@ val mbps : machine -> kernel -> float
 val serial_mbps : machine -> kernel list -> float
 (** Each kernel as a separate pass over memory: the harmonic composition
     1 / Σ (1/mbps_i). *)
-
-val pp_machine : Format.formatter -> machine -> unit
-val pp_kernel : Format.formatter -> kernel -> unit

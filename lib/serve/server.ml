@@ -769,11 +769,13 @@ let stop t =
   (match t.harvest_timer with Some tm -> Rt.Sched.cancel tm | None -> ());
   t.harvest_timer <- None
 
+(* The counter [f] picks, summed over the shards. *)
+let sum_shards t f =
+  Array.fold_left (fun acc sh -> acc + Obs.Counter.value (f sh.ctr)) 0 t.shards
+
 let drop_count t reason =
   let i = Ingress.reason_index reason in
-  Array.fold_left
-    (fun acc sh -> acc + Obs.Counter.value sh.ctr.c_drops.(i))
-    0 t.shards
+  sum_shards t (fun c -> c.c_drops.(i))
 
 let create ~sched ?io ?pool ?registry ?on_adu ?on_view ?on_complete
     ?(config = default_config) () =
@@ -854,75 +856,32 @@ type snapshot = {
   dropped : int;  (* Σ drops *)
 }
 
-let snapshot_of_counters c =
-  let v = Obs.Counter.value in
-  let drops = Array.map v c.c_drops in
+(* Every snapshot is built through one reader, [read f]: the counter [f]
+   picks, of one shard or summed over the shards. *)
+let snapshot_of read =
+  let drops =
+    Array.init Ingress.reason_count (fun i -> read (fun c -> c.c_drops.(i)))
+  in
   {
-    arrivals = v c.c_arrivals;
-    accepted = v c.c_accepted;
-    datagrams = v c.c_datagrams;
-    delivered = v c.c_delivered;
-    delivered_bytes = v c.c_bytes;
-    gone = v c.c_gone;
-    gone_local = v c.c_gone_local;
-    dups = v c.c_dups;
-    admitted = v c.c_admitted;
-    evicted = v c.c_evicted;
-    harvested = v c.c_harvested;
-    ctl_sent = v c.c_ctl_sent;
-    nacks = v c.c_nacks;
-    dones = v c.c_dones;
+    arrivals = read (fun c -> c.c_arrivals);
+    accepted = read (fun c -> c.c_accepted);
+    datagrams = read (fun c -> c.c_datagrams);
+    delivered = read (fun c -> c.c_delivered);
+    delivered_bytes = read (fun c -> c.c_bytes);
+    gone = read (fun c -> c.c_gone);
+    gone_local = read (fun c -> c.c_gone_local);
+    dups = read (fun c -> c.c_dups);
+    admitted = read (fun c -> c.c_admitted);
+    evicted = read (fun c -> c.c_evicted);
+    harvested = read (fun c -> c.c_harvested);
+    ctl_sent = read (fun c -> c.c_ctl_sent);
+    nacks = read (fun c -> c.c_nacks);
+    dones = read (fun c -> c.c_dones);
     fallback_allocs = 0;
-    views = v c.c_views;
-    view_invalid = v c.c_view_invalid;
+    views = read (fun c -> c.c_views);
+    view_invalid = read (fun c -> c.c_view_invalid);
     drops;
     dropped = Array.fold_left ( + ) 0 drops;
-  }
-
-let add_snapshot a b =
-  {
-    arrivals = a.arrivals + b.arrivals;
-    accepted = a.accepted + b.accepted;
-    datagrams = a.datagrams + b.datagrams;
-    delivered = a.delivered + b.delivered;
-    delivered_bytes = a.delivered_bytes + b.delivered_bytes;
-    gone = a.gone + b.gone;
-    gone_local = a.gone_local + b.gone_local;
-    dups = a.dups + b.dups;
-    admitted = a.admitted + b.admitted;
-    evicted = a.evicted + b.evicted;
-    harvested = a.harvested + b.harvested;
-    ctl_sent = a.ctl_sent + b.ctl_sent;
-    nacks = a.nacks + b.nacks;
-    dones = a.dones + b.dones;
-    fallback_allocs = 0;
-    views = a.views + b.views;
-    view_invalid = a.view_invalid + b.view_invalid;
-    drops = Array.init Ingress.reason_count (fun i -> a.drops.(i) + b.drops.(i));
-    dropped = a.dropped + b.dropped;
-  }
-
-let zero_snapshot =
-  {
-    arrivals = 0;
-    accepted = 0;
-    datagrams = 0;
-    delivered = 0;
-    delivered_bytes = 0;
-    gone = 0;
-    gone_local = 0;
-    dups = 0;
-    admitted = 0;
-    evicted = 0;
-    harvested = 0;
-    ctl_sent = 0;
-    nacks = 0;
-    dones = 0;
-    fallback_allocs = 0;
-    views = 0;
-    view_invalid = 0;
-    drops = Array.make Ingress.reason_count 0;
-    dropped = 0;
   }
 
 let malformed_drops s =
@@ -933,12 +892,10 @@ let malformed_drops s =
        Ingress.all_reasons)
 
 let shard_count t = Array.length t.shards
-let shard_snapshot t sid = snapshot_of_counters t.shards.(sid).ctr
+let shard_snapshot t sid =
+  snapshot_of (fun f -> Obs.Counter.value (f t.shards.(sid).ctr))
 
-let totals t =
-  Array.fold_left
-    (fun acc sh -> add_snapshot acc (snapshot_of_counters sh.ctr))
-    zero_snapshot t.shards
+let totals t = snapshot_of (sum_shards t)
 
 let shard_sessions t sid = Hashtbl.length t.shards.(sid).sessions
 

@@ -5,7 +5,9 @@
    (Bebop's "the schema is known ahead of time" argument, applied to the
    ILP marshal source).
 
-   Three programs are compiled per schema and cached together:
+   Three programs are compiled per schema, together, by [prog_of_xdr];
+   the caller holds the result for as long as it sends or receives that
+   schema, so no message pays a lookup:
 
    - [emit]: stores into a {!Sink} exactly the bytes {!Xdr.emit} would
      produce. Fixed-width fields compile to direct stores; an int array
@@ -93,7 +95,6 @@ let rec to_xdr t : Xdr.schema =
       S_struct (Array.to_list (Array.map to_xdr fields))
 
 let pp ppf t = Xdr.pp_schema ppf (to_xdr t)
-let equal a b = to_xdr a = to_xdr b
 
 (* ------------------------------------------------------------------ *)
 (* The emit program.                                                   *)
@@ -416,7 +417,7 @@ let rec compile_validate (sc : t) : vop =
             !p)
 
 (* ------------------------------------------------------------------ *)
-(* The compiled program and its cache.                                 *)
+(* The compiled program.                                               *)
 (* ------------------------------------------------------------------ *)
 
 type prog = {
@@ -428,7 +429,7 @@ type prog = {
 
 let root p = p.p_schema
 
-let compile (s : Xdr.schema) =
+let prog_of_xdr (s : Xdr.schema) =
   let sc = of_xdr s in
   {
     p_schema = sc;
@@ -451,51 +452,3 @@ let validate p buf ~pos =
   match validate_end p buf ~pos with
   | e -> Ok e
   | exception Invalid m -> Error m
-
-(* One program per distinct schema, compiled once, shared across
-   domains; with a compiled ILP plan it runs as one fused loop in
-   [Ilp.run_marshal]. *)
-let cache : (Xdr.schema, prog) Hashtbl.t = Hashtbl.create 16
-let cache_mu = Mutex.create ()
-let cache_hits = ref 0
-let cache_misses = ref 0
-let c_hits = Obs.Registry.counter "wire.schema.cache.hits"
-let c_misses = Obs.Registry.counter "wire.schema.cache.misses"
-
-type cache_stats = { hits : int; misses : int; entries : int }
-
-let prog_of_xdr s =
-  Mutex.lock cache_mu;
-  match
-    match Hashtbl.find_opt cache s with
-    | Some p ->
-        incr cache_hits;
-        Obs.Counter.incr c_hits;
-        p
-    | None ->
-        incr cache_misses;
-        Obs.Counter.incr c_misses;
-        let p = compile s in
-        Hashtbl.add cache s p;
-        p
-  with
-  | p ->
-      Mutex.unlock cache_mu;
-      p
-  | exception e ->
-      Mutex.unlock cache_mu;
-      raise e
-
-let prog_of_value v = prog_of_xdr (Xdr.schema_of_value v)
-
-let cache_stats () =
-  Mutex.lock cache_mu;
-  let s =
-    {
-      hits = !cache_hits;
-      misses = !cache_misses;
-      entries = Hashtbl.length cache;
-    }
-  in
-  Mutex.unlock cache_mu;
-  s

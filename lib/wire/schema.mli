@@ -4,7 +4,7 @@
     every send — a per-field tag dispatch the architecture should pay
     {e once per schema}, not once per value (Bebop's branchless-encoding
     argument). This module lowers an {!Xdr.schema} into three compiled
-    programs, cached per schema:
+    programs, built together by {!prog_of_xdr}:
 
     - {!emit} — stores the value's encoding through a {!Sink} with
       per-node specialized closures: no schema dispatch in the loop,
@@ -24,11 +24,11 @@
       consume [consumed] bytes — the guarantee {!View}'s trusting O(1)
       accessors are built on.
 
-    Compiled programs are shared through a mutex-guarded schema-keyed
-    cache ({!prog_of_xdr}); a program and a compiled ILP plan together
-    run as one fused loop in {!Ilp.run_marshal}. Cache traffic is
-    observable as
-    [wire.schema.cache.hits]/[wire.schema.cache.misses]. *)
+    Whoever sends or receives a schema compiles it once and holds the
+    program (a sender beside its {!Ilp.compile_marshal} instance, the
+    serve engine at [create]), so no message pays a lookup. A program
+    and a compiled ILP plan together run as one fused loop in
+    {!Ilp.exec_marshal}. *)
 
 open Bufkit
 
@@ -64,7 +64,6 @@ val to_xdr : t -> Xdr.schema
 
 val static : t -> int option
 val content_free : t -> bool
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
 (** {1 Compiled programs} *)
@@ -72,8 +71,9 @@ val pp : Format.formatter -> t -> unit
 type prog
 (** The compiled form: description + size/emit/validate programs. *)
 
-val compile : Xdr.schema -> prog
-(** Lower a schema. Prefer {!prog_of_xdr}, which caches. *)
+val prog_of_xdr : Xdr.schema -> prog
+(** Lower a schema into its three programs. Each call compiles afresh
+    (a few hundred words for a small struct); hold the result. *)
 
 val root : prog -> t
 
@@ -101,15 +101,3 @@ val validate : prog -> Bytebuf.t -> pos:int -> (int, string) result
     never raises, never allocates beyond the result. [Ok e] iff
     {!Xdr.decode_prefix} on the same bytes succeeds consuming
     [e - pos]. *)
-
-(** {1 The schema-program cache} *)
-
-val prog_of_xdr : Xdr.schema -> prog
-(** Find-or-compile, mutex-guarded, shared across domains. Counts
-    [wire.schema.cache.{hits,misses}]. *)
-
-val prog_of_value : Value.t -> prog
-
-type cache_stats = { hits : int; misses : int; entries : int }
-
-val cache_stats : unit -> cache_stats

@@ -59,11 +59,7 @@ let sizeof t (v : Value.t) =
       error "raw syntax carries only octet strings"
   | Ber, _ -> Ber.sizeof v
   | Xdr schema, _ -> (
-      (* The compiled size program: static subtrees fold to constants,
-         so repeated placement sizing (one call per ADU in a batch) costs
-         a walk of the dynamic fields only — O(1) for static schemas. *)
-      try Schema.size (Schema.prog_of_xdr schema) v
-      with Xdr.Error m -> error "%s" m)
+      try Xdr.sizeof schema v with Xdr.Error m -> error "%s" m)
   | Lwts schema, _ -> (
       try Lwts.sizeof schema v with Lwts.Error m -> error "%s" m)
 

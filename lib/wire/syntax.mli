@@ -36,10 +36,10 @@ val decode : t -> Bytebuf.t -> Value.t
 
 val sizeof : t -> Value.t -> int
 (** Exact encoded size, computed without encoding. This is what lets a
-    sender label ADUs with receiver-meaningful locations. XDR sizes run
-    the compiled {!Schema} size program (statically-sized subtrees cost
-    nothing — and, consequently, are not type-checked here; a mismatch
-    inside one surfaces at {!encode} time). *)
+    sender label ADUs with receiver-meaningful locations. Every syntax
+    sizes by a walk of the value ({!Xdr.sizeof} for XDR), which checks
+    the value against the schema as it goes; a sender that sizes one
+    schema per ADU holds a compiled {!Schema} program instead. *)
 
 val encode_sized : t -> Value.t -> size:int -> Bytebuf.t
 (** [encode_sized t v ~size] encodes [v] into a [size]-byte buffer,

@@ -253,8 +253,9 @@ let prop_ilp_instance_reuse =
       let swap = match plan with Ilp.Byteswap32 :: _ -> true | _ -> false in
       let inst = Ilp.compile plan in
       (* A marshal source per run, XDR or BER by the run's parity. *)
+      let opaque = Wire.Schema.prog_of_xdr Wire.Xdr.S_opaque in
       let source s spare =
-        if spare land 1 = 0 then Ilp.Marshal_xdr (Wire.Xdr.S_opaque, Wire.Value.Octets s)
+        if spare land 1 = 0 then Ilp.Marshal_prog (opaque, Wire.Value.Octets s)
         else Ilp.Marshal_ber (Wire.Value.Octets s)
       in
       let minst =
@@ -316,26 +317,58 @@ let prop_ilp_instance_reuse =
         runs)
 
 (* The serve engine's stage-2 plan, run through its instance, allocates
-   nothing: no cache lookup, clock, histogram or result. *)
+   nothing: no lookup, clock, histogram or result. Nor does a sender's
+   marshal instance over a held program, with or without a seal: the
+   encoder, the stages and the tag slot all live in the instance. *)
 let test_ilp_instance_words () =
-  let inst =
-    Ilp.compile [ Ilp.Checksum Checksum.Kind.Crc32; Ilp.Deliver_copy ]
+  let crc_copy = [ Ilp.Checksum Checksum.Kind.Crc32; Ilp.Deliver_copy ] in
+  let zero label run =
+    run ();
+    run ();
+    let before = Gc.minor_words () in
+    for _ = 1 to 10 do
+      run ()
+    done;
+    Alcotest.(check int)
+      (label ^ ": words over ten runs")
+      0
+      (int_of_float (Gc.minor_words () -. before))
   in
+  let inst = Ilp.compile crc_copy in
   let dst = Bytebuf.create 8192 in
   List.iter
     (fun n ->
       let input = Bytebuf.of_string (String.make n 'q') in
-      Ilp.exec inst ~dst input;
-      Ilp.exec inst ~dst input;
-      let before = Gc.minor_words () in
-      for _ = 1 to 10 do
-        Ilp.exec inst ~dst input
-      done;
-      Alcotest.(check int)
-        (Printf.sprintf "words over ten %d-byte runs" n)
-        0
-        (int_of_float (Gc.minor_words () -. before)))
-    [ 64; 4096 ]
+      zero (Printf.sprintf "exec %d B" n) (fun () -> Ilp.exec inst ~dst input))
+    [ 64; 4096 ];
+  let aead =
+    {
+      Ilp.aead_key = Cipher.Chacha20.key_of_int64 0x5EA1L;
+      aead_n0 = 1;
+      aead_n1 = 2;
+      aead_n2 = 3;
+      aead_aad = Bytebuf.of_string "stream:1 index:2";
+    }
+  in
+  let prog = Wire.Schema.prog_of_xdr Wire.Xdr.S_opaque in
+  List.iter
+    (fun (label, plan) ->
+      let inst = Ilp.compile_marshal plan in
+      List.iter
+        (fun n ->
+          (* An opaque of [n - 4] bytes encodes to exactly [n]. *)
+          let source =
+            Ilp.Marshal_prog (prog, Wire.Value.Octets (String.make (n - 4) 'q'))
+          in
+          let dst = Bytebuf.create n in
+          zero
+            (Printf.sprintf "exec_marshal %s %d B" label n)
+            (fun () -> Ilp.exec_marshal inst ~dst source))
+        [ 64; 4096 ])
+    [
+      ("[crc32; copy]", crc_copy);
+      ("[aead-seal; crc32; copy]", Ilp.Aead_seal aead :: crc_copy);
+    ]
 
 let test_ilp_validate_rules () =
   (match Ilp.validate [ Ilp.Deliver_copy; Ilp.Byteswap32 ] with

@@ -106,7 +106,7 @@ let prop_marshal_equals_fused_xdr =
     (fun (v, plan) ->
       let schema = Xdr.schema_of_value v in
       same_result
-        (Ilp.run_marshal (Ilp.Marshal_xdr (schema, v)) plan)
+        (Ilp.run_marshal (Ilp.Marshal_prog (Schema.prog_of_xdr schema, v)) plan)
         (Ilp.run_fused plan (Xdr.encode schema v)))
 
 let test_marshal_into_dst () =
@@ -165,7 +165,9 @@ let prop_unmarshal_round_trip_xdr =
       and recv_plan =
         [ Ilp.Xor_pad { key = 9L; pos = 0L }; Ilp.Checksum Checksum.Kind.Internet ]
       in
-      let sent = Ilp.run_marshal (Ilp.Marshal_xdr (schema, v)) send_plan in
+      let sent =
+        Ilp.run_marshal (Ilp.Marshal_prog (Schema.prog_of_xdr schema, v)) send_plan
+      in
       let r =
         Ilp.run_unmarshal recv_plan (Ilp.Unmarshal_xdr schema) sent.Ilp.output
       in
@@ -801,7 +803,7 @@ let test_block_seam () =
       let schema = Xdr.schema_of_value v in
       let encoding = Xdr.encode schema v in
       check (Printf.sprintf "xdr compiled %d" size)
-        (Ilp.Marshal_xdr (schema, v)) encoding;
+        (Ilp.Marshal_prog (Schema.prog_of_xdr schema, v)) encoding;
       check (Printf.sprintf "xdr interpretive %d" size)
         (Ilp.Marshal_xdr_interp (schema, v)) encoding)
     [ 60; 64; 68; 124; 128; 132 ]
@@ -825,12 +827,12 @@ let test_undersized_dst () =
         (Bytebuf.get_uint8 backing (n - 1)))
     [
       ("ber", Ilp.Marshal_ber v);
-      ("xdr compiled", Ilp.Marshal_xdr (schema, v));
+      ("xdr compiled", Ilp.Marshal_prog (Schema.prog_of_xdr schema, v));
       ("xdr interpretive", Ilp.Marshal_xdr_interp (schema, v));
     ]
 
-(* GC words of one call, after warm-up calls have populated the plan and
-   schema caches and the registry handles. *)
+(* GC words of one call, after two warm-up calls: whatever a first run
+   sets up is paid there, not measured. *)
 let words f =
   f ();
   f ();
@@ -867,9 +869,9 @@ let test_runner_words_flat () =
       fun () -> ignore (Ilp.run_fused ~dst crc_copy src));
   let marshal plan n =
     let v = ints_of_bytes n in
-    let schema = Xdr.schema_of_value v in
+    let source = Ilp.Marshal_prog (Schema.prog_of_xdr (Xdr.schema_of_value v), v) in
     let dst = Bytebuf.create n in
-    fun () -> ignore (Ilp.run_marshal ~dst (Ilp.Marshal_xdr (schema, v)) plan)
+    fun () -> ignore (Ilp.run_marshal ~dst source plan)
   in
   flat "run_marshal [aead-seal; crc32; copy]"
     (marshal

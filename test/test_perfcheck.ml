@@ -25,7 +25,6 @@ let safe = function
   | Below x -> num (Float.pred x)
   | Zero -> num 0.
   | Is_true -> Obs.Json.Bool true
-  | At_least_field _ -> num 1.
 
 let past = function
   | At_least x -> num (Float.pred x)
@@ -33,7 +32,6 @@ let past = function
   | Above x | Below x -> num x
   | Zero -> num (Float.succ 0.)
   | Is_true -> Obs.Json.Bool false
-  | At_least_field _ -> num 0.
 
 let applies gate n =
   match gate.rows with
@@ -59,13 +57,7 @@ let rows_for gates =
       let fields =
         List.concat_map
           (fun g ->
-            if not (applies g n) then []
-            else
-              (g.field, safe g.bound)
-              ::
-              (match g.bound with
-              | At_least_field f -> [ (f, num 1.) ]
-              | _ -> []))
+            if applies g n then [ (g.field, safe g.bound) ] else [])
           gates
       in
       Obs.Json.Obj (("name", Obs.Json.Str n) :: fields))

@@ -8,8 +8,7 @@
      is total on all of them;
    - View lazy accessors and View.to_value equal the eager decode;
    - zero steady-state Bytebuf allocations on both the compiled transmit
-     and the lazy receive;
-   - the schema-program cache hits on repeat lookups. *)
+     and the lazy receive. *)
 
 open Bufkit
 open Netsim
@@ -126,14 +125,14 @@ let prop_compiled_encode_identical =
 let prop_compiled_fused_parity =
   QCheck.Test.make ~name:"compiled fused == interpretive fused (bytes+sums)"
     ~count:300 arb_pair_plan (fun ((s, v), plan) ->
-      let c = Ilp.run_marshal (Ilp.Marshal_xdr (s, v)) plan in
+      let c = Ilp.run_marshal (Ilp.Marshal_prog (Schema.prog_of_xdr s, v)) plan in
       let i = Ilp.run_marshal (Ilp.Marshal_xdr_interp (s, v)) plan in
       Bytebuf.equal c.Ilp.output i.Ilp.output
       && c.Ilp.checksums = i.Ilp.checksums)
 
 let test_emit_rejects_mismatch () =
   let reject s v =
-    match Ilp.run_marshal (Ilp.Marshal_xdr (s, v)) [] with
+    match Ilp.run_marshal (Ilp.Marshal_prog (Schema.prog_of_xdr s, v)) [] with
     | _ -> Alcotest.fail "mismatch accepted"
     | exception Xdr.Error _ -> ()
   in
@@ -317,7 +316,7 @@ let test_compiled_marshal_zero_alloc () =
                ("tag", Value.Utf8 "sensor");
              ]))
   in
-  let prog = Schema.prog_of_value v in
+  let prog = Schema.prog_of_xdr (Xdr.schema_of_value v) in
   let plan =
     [ Ilp.Checksum Checksum.Kind.Crc32; Ilp.Xor_pad { key = 9L; pos = 0L } ]
   in
@@ -383,28 +382,6 @@ let test_view_in_place_noop () =
       | Error e -> Alcotest.fail e);
       Alcotest.(check string) "bytes untouched" before (Bytebuf.to_string enc))
     [ []; [ Ilp.Deliver_copy ] ]
-
-(* --- the program cache --- *)
-
-let test_prog_cache_hits () =
-  (* A schema shape private to this test, so the first lookup is
-     deterministically a miss and the rest hits. *)
-  let s =
-    Xdr.S_struct
-      [ Xdr.S_hyper; Xdr.S_struct [ Xdr.S_string; Xdr.S_bool ]; Xdr.S_int ]
-  in
-  let st0 = Schema.cache_stats () in
-  let p1 = Schema.prog_of_xdr s in
-  let st1 = Schema.cache_stats () in
-  Alcotest.(check int) "first lookup misses" (st0.Schema.misses + 1)
-    st1.Schema.misses;
-  let p2 = Schema.prog_of_xdr s in
-  let st2 = Schema.cache_stats () in
-  Alcotest.(check int) "second lookup hits" (st1.Schema.hits + 1) st2.Schema.hits;
-  Alcotest.(check int) "no recompile" st1.Schema.misses st2.Schema.misses;
-  Alcotest.(check bool) "same program" true (p1 == p2);
-  Alcotest.(check bool) "entries stable" true
-    (st2.Schema.entries = st1.Schema.entries)
 
 (* --- syntax satellites --- *)
 
@@ -548,8 +525,6 @@ let () =
           Alcotest.test_case "lazy receive zero-alloc" `Quick
             test_view_receive_zero_alloc;
         ] );
-      ( "cache",
-        [ Alcotest.test_case "hit on repeat" `Quick test_prog_cache_hits ] );
       ( "syntax",
         [
           qcheck prop_encode_sized_matches_encode;

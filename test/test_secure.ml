@@ -461,12 +461,13 @@ let test_transport_secure_send_value () =
       [ ("k", Wire.Value.Int i); ("s", Wire.Value.Utf8 (String.make 37 'x')) ]
   in
   let expect = Array.init 8 (fun i -> Wire.Xdr.encode schema (value i)) in
+  let prog = Wire.Schema.prog_of_xdr schema in
   let off = ref 0 in
   for i = 0 to 7 do
     let len = Bytebuf.length expect.(i) in
     Alf_transport.send_value sender
       ~name:(Adu.name ~dest_off:!off ~dest_len:len ~stream:1 ~index:i ())
-      (Ilp.Marshal_xdr (schema, value i));
+      (Ilp.Marshal_prog (prog, value i));
     off := !off + len
   done;
   Alf_transport.close sender;
@@ -512,11 +513,11 @@ let test_receiver_stage1_words () =
       ~port:7001 ~stream:1 ~policy:Recovery.No_recovery ~secure:(record ()) ()
   in
   let records = 60 and warm = 10 in
-  let schema = Wire.Xdr.S_opaque in
+  let prog = Wire.Schema.prog_of_xdr Wire.Xdr.S_opaque in
   for i = 0 to records - 1 do
     Alf_transport.send_value sender
       ~name:(Adu.name ~stream:1 ~index:i ())
-      (Ilp.Marshal_xdr (schema, Wire.Value.Octets (String.make 4000 (Char.chr i))))
+      (Ilp.Marshal_prog (prog, Wire.Value.Octets (String.make 4000 (Char.chr i))))
   done;
   Engine.run ~until:0.001 engine;
   let per_record = Queue.length wire / records in
