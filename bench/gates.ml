@@ -88,7 +88,7 @@ let all =
       g Udp (Row "netsim/fused-send") "mbps" (Above 0.)
         "E16: the same stream moves through the simulator";
       g Udp udp "steady_allocs_per_adu" Zero "E16: the send makes no Bytebuf";
-      g Udp udp "steady_words_per_adu" (At_most 128.)
+      g Udp udp "steady_words_per_adu" (At_most 56.)
         "E16: a fixed handful of GC words per 1 KB ADU, not words per byte";
       g Udp udp "ok" Is_true "E16: the stream holds its invariants";
       g Serve Every "ok" Is_true

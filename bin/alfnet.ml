@@ -28,7 +28,7 @@
      alfnet udp --adus 10000
      alfnet udp --bench --out BENCH_udp.json
      alfnet udp --soak --smoke
-     alfnet secure --selftest --smoke
+     alfnet secure --smoke
      alfnet serve --sessions 100000 --backend both
      alfnet serve --bench --out BENCH_scale.json
      alfnet serve --hostile --backend both --sessions 4000
@@ -1383,27 +1383,13 @@ let run_secure_selftest smoke seed =
           tx_allocs rx_allocs )
 
 let secure_cmd =
-  let selftest =
-    Arg.(
-      value & flag
-      & info [ "selftest" ]
-          ~doc:
-            "Run the secure soak cases on both backends plus the zero-alloc \
-             gate (the default).")
-  in
   let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ] ~doc:"With the selftest: the tier-1 soak subsets.")
+    Arg.(value & flag & info [ "smoke" ] ~doc:"The tier-1 soak subsets.")
   in
   let seed =
     Arg.(
       value & opt int 42
       & info [ "seed" ] ~docv:"SEED" ~doc:"Root RNG seed for the soak cases.")
-  in
-  let run selftest smoke seed =
-    ignore selftest;
-    run_secure_selftest smoke seed
   in
   Cmd.v
     (Cmd.info "secure"
@@ -1413,7 +1399,7 @@ let secure_cmd =
           the simulator and real loopback UDP plus the zero-allocation \
           steady-state gate for the fused seal and the record open. The \
           fused-vs-layered timings are E20's, in $(b,make secure-smoke).")
-    Term.(ret (const run $ selftest $ smoke $ seed))
+    Term.(ret (const run_secure_selftest $ smoke $ seed))
 
 (* --- serve: the sharded many-session engine under a load generator --- *)
 

@@ -1,144 +1,35 @@
-type event = {
-  time : float;
-  seq : int;
-  action : unit -> unit;
-  mutable cancelled : bool;
-}
+module Timers = Rt.Timers
 
-type timer = event
+type t = Timers.t
+type timer = Timers.cell
 
-type t = {
-  mutable heap : event array;
-  mutable size : int;
-  mutable clock : float;
-  mutable next_seq : int;
-  mutable live : int;
-}
-
-let dummy =
-  { time = 0.0; seq = -1; action = (fun () -> ()); cancelled = true }
-
-let create () =
-  { heap = Array.make 64 dummy; size = 0; clock = 0.0; next_seq = 0; live = 0 }
-
-let now t = t.clock
-
-let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
-let grow t =
-  let bigger = Array.make (2 * Array.length t.heap) dummy in
-  Array.blit t.heap 0 bigger 0 t.size;
-  t.heap <- bigger
-
-let push t ev =
-  if t.size = Array.length t.heap then grow t;
-  let i = ref t.size in
-  t.size <- t.size + 1;
-  t.heap.(!i) <- ev;
-  let continue = ref true in
-  while !continue && !i > 0 do
-    let parent = (!i - 1) / 2 in
-    if before t.heap.(!i) t.heap.(parent) then begin
-      let tmp = t.heap.(parent) in
-      t.heap.(parent) <- t.heap.(!i);
-      t.heap.(!i) <- tmp;
-      i := parent
-    end
-    else continue := false
-  done
-
-let pop t =
-  assert (t.size > 0);
-  let top = t.heap.(0) in
-  t.size <- t.size - 1;
-  t.heap.(0) <- t.heap.(t.size);
-  t.heap.(t.size) <- dummy;
-  let i = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    let smallest = ref !i in
-    if l < t.size && before t.heap.(l) t.heap.(!smallest) then smallest := l;
-    if r < t.size && before t.heap.(r) t.heap.(!smallest) then smallest := r;
-    if !smallest <> !i then begin
-      let tmp = t.heap.(!smallest) in
-      t.heap.(!smallest) <- t.heap.(!i);
-      t.heap.(!i) <- tmp;
-      i := !smallest
-    end
-    else continue := false
-  done;
-  top
-
-let peek t = if t.size = 0 then None else Some t.heap.(0)
-
-let schedule_at t when_ f =
-  let time = if when_ < t.clock then t.clock else when_ in
-  let ev = { time; seq = t.next_seq; action = f; cancelled = false } in
-  t.next_seq <- t.next_seq + 1;
-  t.live <- t.live + 1;
-  push t ev;
-  ev
-
-let schedule_after t delay f = schedule_at t (t.clock +. delay) f
-
-let cancel ev =
-  if not ev.cancelled then ev.cancelled <- true
+let create = Timers.create
+let now = Timers.now
+let schedule_at t when_ f = Timers.schedule t ~at:when_ f
+let schedule_after t delay f = schedule_at t (now t +. delay) f
+let cancel = Timers.cancel
 
 let sched t =
   {
-    Rt.Sched.now = (fun () -> t.clock);
+    Rt.Sched.now = (fun () -> now t);
     schedule =
       (fun delay f ->
         let ev = schedule_after t delay f in
         Rt.Sched.make_timer (fun () -> cancel ev));
   }
 
-let rec drop_cancelled t =
-  match peek t with
-  | Some ev when ev.cancelled ->
-      ignore (pop t);
-      drop_cancelled t
-  | Some _ | None -> ()
-
-let pending t =
-  (* [live] over-counts events cancelled after scheduling; recount lazily
-     only when asked, cheap relative to simulation work. *)
-  let n = ref 0 in
-  for i = 0 to t.size - 1 do
-    if not t.heap.(i).cancelled then incr n
-  done;
-  !n
-
-let step t =
-  drop_cancelled t;
-  if t.size = 0 then false
-  else begin
-    let ev = pop t in
-    t.clock <- ev.time;
-    ev.action ();
-    true
-  end
+let pending = Timers.pending
+let step = Timers.step
 
 let run ?until ?max_events t =
+  let horizon = match until with Some h -> h | None -> infinity in
+  let budget = match max_events with Some m -> m | None -> max_int in
   let fired = ref 0 in
-  let budget_left () =
-    match max_events with None -> true | Some m -> !fired < m
-  in
-  let within_horizon () =
-    drop_cancelled t;
-    match (peek t, until) with
-    | None, _ -> false
-    | Some _, None -> true
-    | Some ev, Some horizon -> ev.time <= horizon
-  in
-  while budget_left () && within_horizon () do
-    ignore (step t);
+  while !fired < budget && Timers.next_deadline t <= horizon && step t do
     incr fired
   done;
-  match until with
-  | Some horizon when horizon > t.clock && not (within_horizon ()) ->
-      t.clock <- horizon
-  | Some _ | None -> ()
+  (* Nothing left within the horizon: the clock ends on it. *)
+  if Timers.next_deadline t > horizon then
+    ignore (Timers.advance t ~now:horizon)
 
 let run_until_idle t = run t

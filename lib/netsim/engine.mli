@@ -4,7 +4,10 @@
     retransmission timers, application service times — is a closure
     scheduled at a virtual instant. Events at equal times fire in
     scheduling order (a strict FIFO tie-break), which keeps runs
-    deterministic. *)
+    deterministic. The queue is [Rt.Timers], the heap the real event
+    loop ([Rt.Loop]) keeps its timers on: an event is a heap cell and
+    its own cancel handle, and the clock is the heap's, so scheduling
+    an event allocates only its cell and reading {!now} nothing. *)
 
 type t
 

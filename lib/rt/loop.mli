@@ -1,26 +1,31 @@
 (** A poll-based event loop over real file descriptors and a timer
-    wheel: the real-I/O counterpart of [Netsim.Engine].
+    heap: the real-I/O counterpart of [Netsim.Engine], on the same
+    {!Timers}.
 
     One loop owns a wall clock (seconds since the loop's creation, so
-    timestamps look like the simulator's small floats), a {!Timerwheel},
-    and a set of descriptors with read-ready callbacks. Each wakeup
-    advances the wheel, then blocks in [select] until the next deadline
-    or a descriptor turns readable — no busy wait, no external deps.
+    timestamps look like the simulator's small floats), a {!Timers}
+    heap, and a set of descriptors with read-ready callbacks. Each
+    wakeup fires the due timers, then blocks in [select] until the next
+    deadline or a descriptor turns readable — no busy wait, no external
+    deps. The [select] list is built when a descriptor is registered or
+    cleared, and ready descriptors are dispatched by a walk of the
+    registrations, so a wakeup allocates only what [Unix.select]
+    returns and its clock reads (test_rt's [loop] group holds the
+    words).
 
     Single-threaded by design, like the simulator: callbacks run on the
     caller's thread inside {!run_until}/{!run_for}. *)
 
 type t
 
-val create : ?slots:int -> ?granularity:float -> unit -> t
-(** [slots]/[granularity] size the timer wheel (defaults 256 × 1 ms). *)
+val create : unit -> t
 
 val now : t -> float
 (** Wall-clock seconds since [create]. *)
 
 val sched : t -> Sched.t
 (** The loop as a backend: {!Sched.t} closures over this loop's clock and
-    wheel. Timers become live on the next wakeup. *)
+    heap. Timers become live on the next wakeup. *)
 
 val on_readable : t -> Unix.file_descr -> (unit -> unit) -> unit
 (** Register (or replace) the read-ready callback for a descriptor. The
@@ -31,12 +36,11 @@ val clear_readable : t -> Unix.file_descr -> unit
 
 val pending_timers : t -> int
 
-val run_until :
-  ?max_select:float -> t -> timeout:float -> (unit -> bool) -> bool
+val run_until : t -> timeout:float -> (unit -> bool) -> bool
 (** Drive the loop until the predicate turns true ([true]) or [timeout]
     wall seconds elapse ([false]). The predicate is re-checked after
-    every wheel advance and descriptor dispatch; [max_select] (default
-    50 ms) caps any single blocking wait so an idle loop still polls it. *)
+    every round of due timers, and no single wait in [select] exceeds
+    50 ms, so an idle loop still polls it. *)
 
 val run_for : t -> float -> unit
 (** Drive the loop for a fixed wall-clock duration. *)

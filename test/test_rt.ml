@@ -1,4 +1,4 @@
-(* The real-I/O runtime: timer wheel ordering, the poll loop, the UDP
+(* The real-I/O runtime: timer heap ordering, the poll loop, the UDP
    link, and the backend-parametric transport suite — the same delivery
    and accounting assertions over the simulator and over real loopback
    sockets, through the one [Rt.Sched] seam. *)
@@ -7,89 +7,234 @@ open Bufkit
 open Netsim
 open Alf_core
 
-(* --- Timerwheel --- *)
+let qcheck t = QCheck_alcotest.to_alcotest t
+
+(* --- Timers: the heap under both clocks --- *)
+
+module Timers = Rt.Timers
 
 let test_wheel_fifo_same_deadline () =
-  let w = Rt.Timerwheel.create ~now:0.0 () in
+  let w = Timers.create () in
   let order = ref [] in
   let tag i () = order := i :: !order in
-  ignore (Rt.Timerwheel.schedule w ~at:1.0 (tag 1));
-  ignore (Rt.Timerwheel.schedule w ~at:1.0 (tag 2));
-  ignore (Rt.Timerwheel.schedule w ~at:1.0 (tag 3));
-  Alcotest.(check int) "pending" 3 (Rt.Timerwheel.pending w);
-  let fired = Rt.Timerwheel.advance w ~now:1.0 in
+  ignore (Timers.schedule w ~at:1.0 (tag 1));
+  ignore (Timers.schedule w ~at:1.0 (tag 2));
+  ignore (Timers.schedule w ~at:1.0 (tag 3));
+  Alcotest.(check int) "pending" 3 (Timers.pending w);
+  let fired = Timers.advance w ~now:1.0 in
   Alcotest.(check int) "fired" 3 fired;
   Alcotest.(check (list int)) "schedule order" [ 1; 2; 3 ] (List.rev !order)
 
 let test_wheel_clamp_never_overtakes () =
-  (* A deadline in the past is clamped to the wheel's now — it must fire
+  (* A deadline in the past is clamped to the heap's now — it must fire
      after callbacks already due at that instant, never before. *)
-  let w = Rt.Timerwheel.create ~now:10.0 () in
+  let w = Timers.create () in
+  ignore (Timers.advance w ~now:10.0);
   let order = ref [] in
   let tag i () = order := i :: !order in
-  ignore (Rt.Timerwheel.schedule w ~at:10.0 (tag 1));
-  ignore (Rt.Timerwheel.schedule w ~at:4.0 (tag 2));
+  ignore (Timers.schedule w ~at:10.0 (tag 1));
+  ignore (Timers.schedule w ~at:4.0 (tag 2));
   (* past: clamps to 10 *)
-  ignore (Rt.Timerwheel.schedule w ~at:10.0 (tag 3));
-  ignore (Rt.Timerwheel.advance w ~now:10.0);
+  ignore (Timers.schedule w ~at:10.0 (tag 3));
+  ignore (Timers.advance w ~now:10.0);
   Alcotest.(check (list int)) "clamped keeps FIFO" [ 1; 2; 3 ] (List.rev !order)
 
 let test_wheel_cancel () =
-  let w = Rt.Timerwheel.create ~now:0.0 () in
+  let w = Timers.create () in
   let fired = ref [] in
   let tag i () = fired := i :: !fired in
-  let _t1 = Rt.Timerwheel.schedule w ~at:0.5 (tag 1) in
-  let t2 = Rt.Timerwheel.schedule w ~at:0.5 (tag 2) in
-  let _t3 = Rt.Timerwheel.schedule w ~at:0.5 (tag 3) in
-  Rt.Sched.cancel t2;
-  Rt.Sched.cancel t2 (* idempotent *);
-  Alcotest.(check int) "pending after cancel" 2 (Rt.Timerwheel.pending w);
-  let n = Rt.Timerwheel.advance w ~now:1.0 in
+  let _t1 = Timers.schedule w ~at:0.5 (tag 1) in
+  let t2 = Timers.schedule w ~at:0.5 (tag 2) in
+  let _t3 = Timers.schedule w ~at:0.5 (tag 3) in
+  Timers.cancel t2;
+  Timers.cancel t2 (* idempotent *);
+  Alcotest.(check int) "pending after cancel" 2 (Timers.pending w);
+  let n = Timers.advance w ~now:1.0 in
   Alcotest.(check int) "fired" 2 n;
   Alcotest.(check (list int)) "survivors" [ 1; 3 ] (List.rev !fired);
-  Alcotest.(check int) "drained" 0 (Rt.Timerwheel.pending w)
+  Alcotest.(check int) "drained" 0 (Timers.pending w)
 
 let test_wheel_rotation () =
-  (* Two deadlines hashing to the same slot, whole revolutions apart:
-     the sweep must fire only what is actually due. *)
-  let w = Rt.Timerwheel.create ~slots:8 ~granularity:0.001 ~now:0.0 () in
+  (* Two deadlines 16 ms apart: an advance fires only what is actually
+     due, and the far one stays pending at its exact deadline. *)
+  let w = Timers.create () in
   let fired = ref [] in
   let tag i () = fired := i :: !fired in
   let revolution = 8.0 *. 0.001 in
-  ignore (Rt.Timerwheel.schedule w ~at:0.003 (tag 1));
-  ignore (Rt.Timerwheel.schedule w ~at:(0.003 +. (2.0 *. revolution)) (tag 2));
-  ignore (Rt.Timerwheel.advance w ~now:0.004);
+  ignore (Timers.schedule w ~at:0.003 (tag 1));
+  ignore (Timers.schedule w ~at:(0.003 +. (2.0 *. revolution)) (tag 2));
+  ignore (Timers.advance w ~now:0.004);
   Alcotest.(check (list int)) "only the due one" [ 1 ] (List.rev !fired);
-  Alcotest.(check int) "far one still pending" 1 (Rt.Timerwheel.pending w);
-  (match Rt.Timerwheel.next_deadline w with
-  | Some d -> Alcotest.(check bool) "deadline beyond now" true (d > 0.004)
-  | None -> Alcotest.fail "expected a pending deadline");
-  ignore (Rt.Timerwheel.advance w ~now:(0.003 +. (3.0 *. revolution)));
+  Alcotest.(check int) "far one still pending" 1 (Timers.pending w);
+  let d = Timers.next_deadline w in
+  Alcotest.(check bool) "deadline beyond now" true (d > 0.004);
+  Alcotest.(check (float 1e-12))
+    "the far deadline" (0.003 +. (2.0 *. revolution)) d;
+  ignore (Timers.advance w ~now:(0.003 +. (3.0 *. revolution)));
   Alcotest.(check (list int)) "eventually fires" [ 1; 2 ] (List.rev !fired);
-  Alcotest.(check int) "empty" 0 (Rt.Timerwheel.pending w)
+  Alcotest.(check int) "empty" 0 (Timers.pending w)
 
 let test_wheel_reschedule_in_callback () =
   (* A callback scheduled during an advance, due within it, fires in the
      same advance — after everything already due. *)
-  let w = Rt.Timerwheel.create ~now:0.0 () in
+  let w = Timers.create () in
   let order = ref [] in
   ignore
-    (Rt.Timerwheel.schedule w ~at:1.0 (fun () ->
+    (Timers.schedule w ~at:1.0 (fun () ->
          order := 1 :: !order;
-         ignore
-           (Rt.Timerwheel.schedule w ~at:0.2 (fun () -> order := 3 :: !order))));
-  ignore (Rt.Timerwheel.schedule w ~at:1.0 (fun () -> order := 2 :: !order));
-  let n = Rt.Timerwheel.advance w ~now:1.0 in
+         ignore (Timers.schedule w ~at:0.2 (fun () -> order := 3 :: !order))));
+  ignore (Timers.schedule w ~at:1.0 (fun () -> order := 2 :: !order));
+  let n = Timers.advance w ~now:1.0 in
   Alcotest.(check int) "all three in one advance" 3 n;
   Alcotest.(check (list int)) "late-scheduled goes last" [ 1; 2; 3 ]
     (List.rev !order)
+
+(* Model check: random schedules (past, tied and far-future deadlines),
+   cancels (twice, and after firing), advances and steps, with callbacks
+   that schedule or cancel, against a list model — clamp to the clock,
+   then a stable order by (deadline, schedule order). *)
+type on_fire = Quiet | Then_schedule of int | Then_cancel of int
+
+type op =
+  | Schedule of int * on_fire
+  | Cancel of int
+  | Advance of int
+  | Step
+
+(* Code 0 is far in the future; the rest is a half-second grid, so ties
+   are common and a grid point below the clock is a past deadline. *)
+let time_of code = if code = 0 then 1e9 else float_of_int (code - 1) /. 2.0
+
+let show_op = function
+  | Schedule (c, f) ->
+      Printf.sprintf "schedule %g%s" (time_of c)
+        (match f with
+        | Quiet -> ""
+        | Then_schedule c -> Printf.sprintf " (then %g)" (time_of c)
+        | Then_cancel k -> Printf.sprintf " (then cancel %d)" k)
+  | Cancel k -> Printf.sprintf "cancel %d" k
+  | Advance c -> Printf.sprintf "advance %g" (time_of c)
+  | Step -> "step"
+
+let arb_ops =
+  let open QCheck.Gen in
+  let code = int_bound 10 in
+  let on_fire =
+    frequency
+      [
+        (2, return Quiet);
+        (1, map (fun c -> Then_schedule c) code);
+        (1, map (fun k -> Then_cancel k) (int_bound 30));
+      ]
+  in
+  let op =
+    frequency
+      [
+        (4, map2 (fun c f -> Schedule (c, f)) code on_fire);
+        (2, map (fun k -> Cancel k) (int_bound 30));
+        (2, map (fun c -> Advance c) code);
+        (1, return Step);
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+    (list_size (int_bound 40) op)
+
+(* The model: live cells as (deadline, id) with ids in schedule order. *)
+type model = {
+  mutable clock : float;
+  mutable live : (float * int) list;
+  mutable fired : int list;  (* newest first *)
+  mutable count : int;  (* cells scheduled so far *)
+  effects : (int, on_fire) Hashtbl.t;
+}
+
+let rec m_schedule m at f =
+  let id = m.count in
+  m.count <- id + 1;
+  Hashtbl.replace m.effects id f;
+  m.live <- m.live @ [ ((if at < m.clock then m.clock else at), id) ]
+
+and m_step m =
+  match List.stable_sort (fun (a, _) (b, _) -> compare a b) m.live with
+  | [] -> false
+  | (d, id) :: _ ->
+      m.live <- List.filter (fun (_, i) -> i <> id) m.live;
+      m.clock <- d;
+      m.fired <- id :: m.fired;
+      (match Hashtbl.find m.effects id with
+      | Quiet -> ()
+      | Then_schedule c -> m_schedule m (time_of c) Quiet
+      | Then_cancel k -> m_cancel m k);
+      true
+
+and m_cancel m k =
+  if m.count > 0 then
+    let id = k mod m.count in
+    m.live <- List.filter (fun (_, i) -> i <> id) m.live
+
+let m_next m =
+  List.fold_left (fun acc (d, _) -> Float.min acc d) infinity m.live
+
+let rec m_advance m now =
+  if m.live <> [] && m_next m <= now && m_step m then m_advance m now
+  else if now > m.clock then m.clock <- now
+
+let prop_timers_match_model =
+  QCheck.Test.make ~name:"timers: firing order and pending match a list model"
+    ~count:500 arb_ops (fun ops ->
+      let m =
+        {
+          clock = 0.0;
+          live = [];
+          fired = [];
+          count = 0;
+          effects = Hashtbl.create 16;
+        }
+      in
+      let w = Timers.create () in
+      let cells = ref [||] and fired = ref [] in
+      let rec schedule at f =
+        let id = Array.length !cells in
+        let run () =
+          fired := id :: !fired;
+          match f with
+          | Quiet -> ()
+          | Then_schedule c -> schedule (time_of c) Quiet
+          | Then_cancel k -> cancel k
+        in
+        cells := Array.append !cells [| Timers.schedule w ~at run |]
+      and cancel k =
+        let n = Array.length !cells in
+        if n > 0 then Timers.cancel !cells.(k mod n)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Schedule (c, f) ->
+              schedule (time_of c) f;
+              m_schedule m (time_of c) f
+          | Cancel k ->
+              cancel k;
+              m_cancel m k
+          | Advance c ->
+              ignore (Timers.advance w ~now:(time_of c));
+              m_advance m (time_of c)
+          | Step ->
+              let stepped = Timers.step w in
+              if stepped <> m_step m then failwith "step disagrees");
+          !fired = m.fired
+          && Timers.pending w = List.length m.live
+          && Timers.now w = m.clock
+          && Timers.next_deadline w = m_next m)
+        ops)
 
 (* --- The Sched ordering contract, on both backends --- *)
 
 (* At the instant two callbacks are already due, a callback scheduled
    with zero and one with negative delay must fire after them, in
-   schedule order: [a; b; c; d]. The simulator heap and the timer wheel
-   must agree — the soak matrix's reproducibility rides on it. *)
+   schedule order: [a; b; c; d]. The simulator and the real loop must
+   agree — the soak matrix's reproducibility rides on it. *)
 let sched_fifo_scenario (sched : Rt.Sched.t) step =
   let order = ref [] in
   let tag i () = order := i :: !order in
@@ -112,7 +257,7 @@ let test_engine_sched_fifo () =
     [ 1; 2; 3; 4 ] got
 
 let test_loop_sched_fifo () =
-  let loop = Rt.Loop.create ~granularity:0.0005 () in
+  let loop = Rt.Loop.create () in
   let sched = Rt.Loop.sched loop in
   let order = ref [] in
   let tag i () = order := i :: !order in
@@ -155,6 +300,81 @@ let test_loop_readable () =
   Rt.Loop.clear_readable loop r;
   Unix.close r;
   Unix.close w
+
+(* --- Loop words: a round allocates what [Unix] returns and its clock
+   reads, not bookkeeping per descriptor or per timer. A received
+   datagram costs what [Unix.recvfrom] returns (its pair, the ADDR_INET
+   block and the 4-byte address: 8 words) and the handler's 4-word
+   view. --- *)
+
+let recvfrom_words = 8
+let view_words = 4
+
+let words f =
+  let before = Gc.minor_words () in
+  f ();
+  int_of_float (Gc.minor_words () -. before)
+
+let test_loop_words_pred_holds () =
+  let loop = Rt.Loop.create () in
+  let holds () = true in
+  ignore (Rt.Loop.run_until loop ~timeout:1.0 holds);
+  let w =
+    words (fun () -> ignore (Rt.Loop.run_until loop ~timeout:1.0 holds))
+  in
+  Alcotest.(check bool) (Printf.sprintf "%d words <= 8" w) true (w <= 8)
+
+(* Twenty datagrams queued before the loop runs: one select, one drain.
+   Each datagram costs what [Unix.recvfrom] returns and the handler's
+   view (the udp-link words test holds those 12); the wakeup's own words
+   are the rest. *)
+let test_loop_words_one_wakeup () =
+  let loop = Rt.Loop.create () in
+  let link = Rt.Udp_link.create ~loop () in
+  let got = ref 0 and want = ref 0 in
+  Rt.Udp_link.bind link ~port:5500 (fun ~src:_ ~src_port:_ _ -> incr got);
+  Rt.Udp_link.bind link ~port:5501 (fun ~src:_ ~src_port:_ _ -> ());
+  let dst = Rt.Udp_link.local_addr link ~port:5500 in
+  let payload = Bytebuf.of_string (String.make 80 'w') in
+  let all_in () = !got >= !want in
+  let burst k =
+    want := !got + k;
+    for _ = 1 to k do
+      ignore (Rt.Udp_link.send link ~dst ~dst_port:5500 ~src_port:5501 payload)
+    done
+  in
+  let k = 20 in
+  burst k;
+  ignore (Rt.Loop.run_until loop ~timeout:5.0 all_in);
+  burst k;
+  let drains = (Rt.Udp_link.stats link).Rt.Udp_link.recv_batches in
+  let w =
+    words (fun () -> ignore (Rt.Loop.run_until loop ~timeout:5.0 all_in))
+  in
+  Alcotest.(check int) "one drain" 1
+    ((Rt.Udp_link.stats link).Rt.Udp_link.recv_batches - drains);
+  Alcotest.(check int) "all delivered" !want !got;
+  let bound = ((recvfrom_words + view_words) * k) + 48 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words <= %d" w bound)
+    true (w <= bound);
+  Rt.Udp_link.close link
+
+let test_loop_words_zero_delay_timer () =
+  let loop = Rt.Loop.create () in
+  let sched = Rt.Loop.sched loop in
+  let fired = ref false in
+  let fire () = fired := true in
+  let has_fired () = !fired in
+  let once () =
+    fired := false;
+    ignore (Rt.Sched.schedule_after sched 0.0 fire);
+    ignore (Rt.Loop.run_until loop ~timeout:1.0 has_fired)
+  in
+  once ();
+  let w = words once in
+  Alcotest.(check bool) "fired" true !fired;
+  Alcotest.(check bool) (Printf.sprintf "%d words <= 32" w) true (w <= 32)
 
 (* --- Udp_link --- *)
 
@@ -265,12 +485,7 @@ let test_udp_link_first_contact_upgrade () =
   Rt.Udp_link.close link_b
 
 (* --- Udp_link words: a send to a registered peer costs no GC word; a
-   received datagram costs what [Unix.recvfrom] returns (its pair, the
-   ADDR_INET block and the 4-byte address: 8 words) and the handler's
-   4-word view. --- *)
-
-let recvfrom_words = 8
-let view_words = 4
+   received datagram costs [recvfrom_words] and [view_words]. --- *)
 
 let test_udp_link_words () =
   let loop = Rt.Loop.create () in
@@ -771,6 +986,7 @@ let () =
     [
       ( "timerwheel",
         [
+          qcheck prop_timers_match_model;
           Alcotest.test_case "same-deadline FIFO" `Quick
             test_wheel_fifo_same_deadline;
           Alcotest.test_case "past deadline clamps, never overtakes" `Quick
@@ -788,7 +1004,15 @@ let () =
             test_loop_sched_fifo;
         ] );
       ( "loop",
-        [ Alcotest.test_case "timers and readable fds" `Quick test_loop_readable ] );
+        [
+          Alcotest.test_case "timers and readable fds" `Quick test_loop_readable;
+          Alcotest.test_case "words: run_until whose predicate holds" `Quick
+            test_loop_words_pred_holds;
+          Alcotest.test_case "words: one wakeup draining 20 datagrams" `Quick
+            test_loop_words_one_wakeup;
+          Alcotest.test_case "words: a zero-delay timer, scheduled and fired"
+            `Quick test_loop_words_zero_delay_timer;
+        ] );
       ( "udp-link",
         [
           Alcotest.test_case "loopback round trip" `Quick test_udp_link_roundtrip;
