@@ -1,20 +1,32 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build check test bench bench-quick bench-smoke bench-udp bench-serve bench-hostile perf-smoke secure-smoke udp-smoke serve-smoke hostile-smoke perfbench-smoke ledger-check soak soak-smoke udp-soak examples cli clean outputs
+.PHONY: all build check deps-check test bench bench-quick bench-smoke bench-udp bench-serve bench-hostile perf-smoke secure-smoke udp-smoke serve-smoke hostile-smoke perfbench-smoke ledger-check soak soak-smoke udp-soak examples cli clean outputs
 
 all: build
 
-# The one-stop gate: full test suite, the perf-smoke fusion invariants
-# (E2/E14/E15 ratios plus the E19 schema-compiler gate at a tiny
-# quota), the fused AEAD record-layer gate (E20), the real-socket
+# The one-stop gate: the dependency guard (deps-check), full test suite,
+# the perf-smoke fusion invariants (E2/E14/E15 ratios plus the E19
+# schema-compiler gate at a tiny quota), the fused AEAD record-layer
+# gate (E20), the real-socket
 # loopback self-test with its zero-allocation gate (E16), the sharded
 # many-session engine self-test on both backends (E17), the
 # adversarial-ingress self-test under byzantine load (E18), the
 # end-to-end benchmark's smoke test (perfbench/), and the count ledger.
-check: test perf-smoke secure-smoke udp-smoke serve-smoke hostile-smoke perfbench-smoke ledger-check
+check: deps-check test perf-smoke secure-smoke udp-smoke serve-smoke hostile-smoke perfbench-smoke ledger-check
 
 build:
 	dune build @all
+
+# The production cone: core, serve and chaos link none of the paper's
+# baselines (transport, atmsim, rpcsim) nor its models (repro), and the
+# simulated UDP is named Netsim.Udp everywhere but perfbench, which keeps
+# the Transport.Udp alias.
+deps-check:
+	@if grep -nwE 'transport|atmsim|rpcsim|repro' lib/core/dune lib/serve/dune lib/chaos/dune; then \
+	  echo "deps-check: a production library links a baseline or repro"; exit 1; fi
+	@if grep -rn 'Transport\.Udp' lib bin bench test examples; then \
+	  echo "deps-check: name Netsim.Udp, not Transport.Udp"; exit 1; fi
+	@echo "deps-check: ok"
 
 test:
 	dune runtest

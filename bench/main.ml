@@ -6,6 +6,7 @@
 open Bufkit
 open Netsim
 open Alf_core
+open Repro
 
 let workload_bytes = 256 * 1024
 
@@ -333,8 +334,8 @@ let e6_one ~alf ~loss =
   let app = Pipeline.create ~engine ~rate_bps:12e6 () in
   let peak_backlog = ref 0 in
   if alf then begin
-    let ua = Transport.Udp.create ~engine ~node:net.Topology.a () in
-    let ub = Transport.Udp.create ~engine ~node:net.Topology.b () in
+    let ua = Netsim.Udp.create ~engine ~node:net.Topology.a () in
+    let ub = Netsim.Udp.create ~engine ~node:net.Topology.b () in
     let receiver =
       Alf_transport.receiver_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ub) ~port:9 ~stream:1
         ~deliver:(fun adu -> Pipeline.feed app ~bytes:(Bytebuf.length adu.Adu.payload))
@@ -422,8 +423,8 @@ let e6_alf_pipeline () =
         Topology.point_to_point ~engine ~rng ~impair:(Impair.lossy 0.05)
           ~queue_limit:2048 ~bandwidth_bps:10e6 ~delay:0.01 ~a:1 ~b:2 ()
       in
-      let ua = Transport.Udp.create ~engine ~node:net.Topology.a () in
-      let ub = Transport.Udp.create ~engine ~node:net.Topology.b () in
+      let ua = Netsim.Udp.create ~engine ~node:net.Topology.a () in
+      let ub = Netsim.Udp.create ~engine ~node:net.Topology.b () in
       let receiver =
         Alf_transport.receiver_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ub) ~port:9 ~stream:1
           ~deliver:(fun _ -> ()) ()
@@ -809,8 +810,8 @@ let e9_recovery_policies () =
       Topology.point_to_point ~engine ~rng ~impair:(Impair.lossy 0.05)
         ~queue_limit:2048 ~bandwidth_bps:10e6 ~delay:0.01 ~a:1 ~b:2 ()
     in
-    let ua = Transport.Udp.create ~engine ~node:net.Topology.a () in
-    let ub = Transport.Udp.create ~engine ~node:net.Topology.b () in
+    let ua = Netsim.Udp.create ~engine ~node:net.Topology.a () in
+    let ub = Netsim.Udp.create ~engine ~node:net.Topology.b () in
     let receiver =
       Alf_transport.receiver_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ub) ~port:9 ~stream:1 ~deliver:(fun _ -> ()) ()
     in
@@ -959,8 +960,8 @@ let e11_fec_vs_retransmission () =
       Topology.point_to_point ~engine ~rng ~impair:(Impair.lossy loss)
         ~queue_limit:4096 ~bandwidth_bps:50e6 ~delay:0.02 ~a:1 ~b:2 ()
     in
-    let ua = Transport.Udp.create ~engine ~node:net.Topology.a () in
-    let ub = Transport.Udp.create ~engine ~node:net.Topology.b () in
+    let ua = Netsim.Udp.create ~engine ~node:net.Topology.a () in
+    let ub = Netsim.Udp.create ~engine ~node:net.Topology.b () in
     let receiver =
       Alf_transport.receiver_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ub) ~port:9 ~stream:1 ~deliver:(fun _ -> ()) ()
     in

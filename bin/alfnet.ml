@@ -155,7 +155,7 @@ let run_transfer transport substrate opts size adu_size policy_name verbose
         let side pick =
           Dgram.striped
             (List.map
-               (fun n -> Dgram.of_udp (Transport.Udp.create ~engine ~node:(pick n) ()))
+               (fun n -> Dgram.of_udp (Netsim.Udp.create ~engine ~node:(pick n) ()))
                nets)
         in
         (side (fun n -> n.Topology.a), side (fun n -> n.Topology.b))
@@ -166,11 +166,11 @@ let run_transfer transport substrate opts size adu_size policy_name verbose
         match substrate with
         | "atm" ->
             (* Cells on the wire: the impairments apply per 53-byte cell. *)
-            ( Dgram.of_atm (Atmsim.Bearer.create ~engine ~node:net.Topology.a ()),
-              Dgram.of_atm (Atmsim.Bearer.create ~engine ~node:net.Topology.b ()) )
+            ( Atmsim.Bearer.dgram (Atmsim.Bearer.create ~engine ~node:net.Topology.a ()),
+              Atmsim.Bearer.dgram (Atmsim.Bearer.create ~engine ~node:net.Topology.b ()) )
         | _ ->
-            ( Dgram.of_udp (Transport.Udp.create ~engine ~node:net.Topology.a ()),
-              Dgram.of_udp (Transport.Udp.create ~engine ~node:net.Topology.b ()) )
+            ( Dgram.of_udp (Netsim.Udp.create ~engine ~node:net.Topology.a ()),
+              Dgram.of_udp (Netsim.Udp.create ~engine ~node:net.Topology.b ()) )
       in
       let out = Sink.create ~size in
       let receiver =
@@ -210,7 +210,7 @@ let run_transfer transport substrate opts size adu_size policy_name verbose
         (* Out-of-band setup first: agree syntax/rate/policy, then move
            data. The receiver side advertises a rate cap. *)
         let _responder =
-          Session.listen ~engine ~io:io_b ~port:99 ~supported:[ "raw"; "ber" ]
+          Session.listen ~io:io_b ~port:99 ~supported:[ "raw"; "ber" ]
             ~max_rate_bps:(opts.bandwidth *. 0.95)
             ~on_session:(fun ~peer:_ g ->
               Printf.printf
@@ -219,7 +219,7 @@ let run_transfer transport substrate opts size adu_size policy_name verbose
                 (g.Session.g_rate_bps /. 1e6))
             ()
         in
-        Session.initiate ~engine ~io:io_a ~port:98 ~peer:2 ~peer_port:99
+        Session.initiate ~sched:(Engine.sched engine) ~io:io_a ~port:98 ~peer:2 ~peer_port:99
           ~offer:
             { Session.stream = 1; syntaxes = [ "raw" ];
               rate_bps = opts.bandwidth *. 2.0; policy = policy_name;
@@ -795,8 +795,8 @@ let run_metrics opts size =
   let data = Bytebuf.create size in
   Rng.fill_bytes (Rng.create ~seed:0xDA7AL) data;
   (* ALF: deliver through Stage2 so the ILP receive plan runs per ADU. *)
-  let ua = Transport.Udp.create ~engine ~node:net.Topology.a () in
-  let ub = Transport.Udp.create ~engine ~node:net.Topology.b () in
+  let ua = Netsim.Udp.create ~engine ~node:net.Topology.a () in
+  let ub = Netsim.Udp.create ~engine ~node:net.Topology.b () in
   let stage =
     Stage2.create
       ~plan:(fun _ -> Stage2.decrypt_verify ~key:0xA5A5L)
@@ -869,8 +869,8 @@ let run_metrics opts size =
     Topology.point_to_point ~engine:engine3 ~rng:rng3 ~impair:Impair.none
       ~queue_limit:1_000_000 ~bandwidth_bps:1e9 ~delay:1e-4 ~a:1 ~b:2 ()
   in
-  let ua3 = Transport.Udp.create ~engine:engine3 ~node:net3.Topology.a () in
-  let ub3 = Transport.Udp.create ~engine:engine3 ~node:net3.Topology.b () in
+  let ua3 = Netsim.Udp.create ~engine:engine3 ~node:net3.Topology.a () in
+  let ub3 = Netsim.Udp.create ~engine:engine3 ~node:net3.Topology.b () in
   let server =
     Sv.create ~sched:(Engine.sched engine3) ~io:(Dgram.of_udp ub3) ()
   in
@@ -1091,8 +1091,8 @@ let run_netsim_stream ~adus () =
     Topology.point_to_point ~engine ~rng ~impair:Impair.none ~queue_limit:4096
       ~bandwidth_bps:1e9 ~delay:1e-4 ~a:1 ~b:2 ()
   in
-  let ua = Transport.Udp.create ~engine ~node:net.Topology.a () in
-  let ub = Transport.Udp.create ~engine ~node:net.Topology.b () in
+  let ua = Netsim.Udp.create ~engine ~node:net.Topology.a () in
+  let ub = Netsim.Udp.create ~engine ~node:net.Topology.b () in
   let v = udp_workload_value in
   let source = Ilp.Marshal_ber v in
   let payload_bytes = Ilp.marshal_size source in
@@ -1812,8 +1812,8 @@ let run_serve_netsim ?(hostile = false) ?(secure = false) ~sessions ~adus
     Topology.point_to_point ~engine ~rng ~impair:Impair.none
       ~queue_limit:1_000_000 ~bandwidth_bps:1e9 ~delay:1e-4 ~a:1 ~b:2 ()
   in
-  let ua = Transport.Udp.create ~engine ~node:net.Topology.a () in
-  let ub = Transport.Udp.create ~engine ~node:net.Topology.b () in
+  let ua = Netsim.Udp.create ~engine ~node:net.Topology.a () in
+  let ub = Netsim.Udp.create ~engine ~node:net.Topology.b () in
   let registry = Obs.Registry.create () in
   let pool =
     if domains > 1 then Some (Par.Pool.create ~domains ()) else None

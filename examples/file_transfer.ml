@@ -29,8 +29,8 @@ let run_alf file =
     Topology.point_to_point ~engine ~rng ~impair:(Impair.lossy loss)
       ~queue_limit:1024 ~bandwidth_bps:20e6 ~delay:0.01 ~a:1 ~b:2 ()
   in
-  let udp_a = Transport.Udp.create ~engine ~node:net.Topology.a () in
-  let udp_b = Transport.Udp.create ~engine ~node:net.Topology.b () in
+  let udp_a = Netsim.Udp.create ~engine ~node:net.Topology.a () in
+  let udp_b = Netsim.Udp.create ~engine ~node:net.Topology.b () in
   let out = Sink.create ~size:file_size in
   let first_write_after_gap = ref None in
   let receiver =

@@ -41,7 +41,7 @@ let () =
           (Printf.sprintf "parallel_sink: no host with address %d on the star"
              addr)
   in
-  let source_udp = Transport.Udp.create ~engine ~node:(node_of 100) () in
+  let source_udp = Netsim.Udp.create ~engine ~node:(node_of 100) () in
 
   (* The dataset: each worker w owns bytes [w*shard; (w+1)*shard). *)
   let dataset = Bytebuf.create (workers * shard_bytes) in
@@ -52,7 +52,7 @@ let () =
   let shards = Array.init workers (fun _ -> Bytebuf.create shard_bytes) in
   let receivers =
     Array.init workers (fun w ->
-        let udp = Transport.Udp.create ~engine ~node:(node_of (w + 1)) () in
+        let udp = Netsim.Udp.create ~engine ~node:(node_of (w + 1)) () in
         Alf_transport.receiver_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp udp) ~port:40 ~stream:w
           ~deliver:(fun adu ->
             let local_off = adu.Adu.name.Adu.dest_off in

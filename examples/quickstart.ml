@@ -16,8 +16,8 @@ let () =
     Topology.point_to_point ~engine ~rng ~impair:(Impair.lossy 0.10)
       ~bandwidth_bps:10e6 ~delay:0.005 ~a:1 ~b:2 ()
   in
-  let udp_a = Transport.Udp.create ~engine ~node:net.Topology.a () in
-  let udp_b = Transport.Udp.create ~engine ~node:net.Topology.b () in
+  let udp_a = Netsim.Udp.create ~engine ~node:net.Topology.a () in
+  let udp_b = Netsim.Udp.create ~engine ~node:net.Topology.b () in
 
   (* 2. A receiver that processes each ADU the moment it is complete -
      out of order, using the ADU's own name to place it. *)

@@ -20,8 +20,8 @@ let () =
       ~impair_back:(Impair.lossy 0.15) ~bandwidth_bps:10e6 ~delay:0.004 ~a:1
       ~b:2 ()
   in
-  let udp_client = Transport.Udp.create ~engine ~node:net.Topology.a () in
-  let udp_server = Transport.Udp.create ~engine ~node:net.Topology.b () in
+  let udp_client = Netsim.Udp.create ~engine ~node:net.Topology.a () in
+  let udp_server = Netsim.Udp.create ~engine ~node:net.Topology.b () in
 
   (* --- Server --- *)
   let server = Rpc.server ~engine ~udp:udp_server ~port:111 in

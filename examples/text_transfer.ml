@@ -50,8 +50,8 @@ let () =
     Topology.point_to_point ~engine ~rng ~impair:(Impair.lossy 0.08)
       ~queue_limit:512 ~bandwidth_bps:5e6 ~delay:0.01 ~a:1 ~b:2 ()
   in
-  let ua = Transport.Udp.create ~engine ~node:net.Topology.a () in
-  let ub = Transport.Udp.create ~engine ~node:net.Topology.b () in
+  let ua = Netsim.Udp.create ~engine ~node:net.Topology.a () in
+  let ub = Netsim.Udp.create ~engine ~node:net.Topology.b () in
 
   (* Receiver: place network-form ADUs straight into the network-form
      sink as they complete (any order), convert once at the end. *)

@@ -31,13 +31,13 @@ let run_alf () =
     Topology.point_to_point ~engine ~rng ~impair:(Impair.lossy loss)
       ~queue_limit:256 ~bandwidth_bps:8e6 ~delay:0.01 ~a:1 ~b:2 ()
   in
-  let udp_a = Transport.Udp.create ~engine ~node:net.Topology.a () in
-  let udp_b = Transport.Udp.create ~engine ~node:net.Topology.b () in
+  let udp_a = Netsim.Udp.create ~engine ~node:net.Topology.a () in
+  let udp_b = Netsim.Udp.create ~engine ~node:net.Topology.b () in
   (* The playout buffer regenerates inter-frame timing from the ADUs'
      timestamps; whatever misses its deadline is skipped, not awaited. *)
   let played = Array.make_matrix frames tiles_per_frame false in
   let playout =
-    Playout.create ~engine ~playout_delay
+    Playout.create ~sched:(Engine.sched engine) ~playout_delay
       ~play:(fun adu ->
         let f = Int64.to_int adu.Adu.name.Adu.timestamp_us * fps / 1_000_000 in
         let tile = adu.Adu.name.Adu.dest_off in

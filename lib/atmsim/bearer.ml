@@ -90,3 +90,26 @@ let send_frame t ~dst ~vci frame =
   !all_ok
 
 let stats t = t.stats
+
+let dgram t =
+  let handlers : (int, Alf_core.Dgram.handler) Hashtbl.t = Hashtbl.create 8 in
+  on_frame t (fun ~src ~vci frame ->
+      match Hashtbl.find_opt handlers vci with
+      | Some handler when Bytebuf.length frame >= 2 ->
+          let src_port =
+            (Bytebuf.get_uint8 frame 0 lsl 8) lor Bytebuf.get_uint8 frame 1
+          in
+          handler ~src ~src_port (Bytebuf.shift frame 2)
+      | Some _ | None -> ());
+  {
+    Alf_core.Dgram.send =
+      (fun ~dst ~dst_port ~src_port payload ->
+        let frame = Bytebuf.create (2 + Bytebuf.length payload) in
+        Bytebuf.set_uint8 frame 0 (src_port lsr 8);
+        Bytebuf.set_uint8 frame 1 (src_port land 0xff);
+        Bytebuf.blit ~src:payload ~src_pos:0 ~dst:frame ~dst_pos:2
+          ~len:(Bytebuf.length payload);
+        send_frame t ~dst ~vci:dst_port frame);
+    bind = (fun ~port handler -> Hashtbl.replace handlers port handler);
+    max_payload = frame_payload_limit - 2;
+  }

@@ -39,3 +39,9 @@ val stats : t -> stats
 
 val frame_payload_limit : int
 (** Largest frame the AAL accepts. *)
+
+val dgram : t -> Alf_core.Dgram.t
+(** Datagrams over ATM: the destination port selects the virtual circuit
+    (VCI), a 2-byte in-frame header carries the source port, and the AAL
+    handles segmentation into cells. Claims the bearer's frame handler —
+    create at most one datagram service per bearer. *)

@@ -258,8 +258,8 @@ let run case =
       ~impair_back:case.impair_back ~queue_limit:1024 ~bandwidth_bps:50e6
       ~delay:0.005 ~a:1 ~b:2 ()
   in
-  let ua = Transport.Udp.create ~engine ~node:net.Topology.a () in
-  let ub = Transport.Udp.create ~engine ~node:net.Topology.b () in
+  let ua = Netsim.Udp.create ~engine ~node:net.Topology.a () in
+  let ub = Netsim.Udp.create ~engine ~node:net.Topology.b () in
   drive case
     {
       sched = Netsim.Engine.sched engine;

@@ -670,7 +670,7 @@ type receiver = {
   giveup_idle : float;  (* silence after which the sender is presumed dead *)
   r_integrity : Checksum.Kind.t option;
   r_ctl : Bytebuf.t;  (* control scratch *)
-  nack_rto : Transport.Rto.t;  (* paces the repair loop *)
+  nack_rto : Rt.Rto.t;  (* paces the repair loop *)
   jitter : Rng.t;  (* desynchronises repair rounds, deterministically *)
   reqs : (int, req) Hashtbl.t;
   app_deliver : Adu.t -> unit;
@@ -828,11 +828,11 @@ let rec nack_loop t =
             + t.r_stats.adus_gone_local
           in
           if settled_now = t.last_loop_settled then
-            Transport.Rto.backoff t.nack_rto;
+            Rt.Rto.backoff t.nack_rto;
           t.last_loop_settled <- settled_now
       | _ -> ());
       let delay =
-        Transport.Rto.rto t.nack_rto
+        Rt.Rto.rto t.nack_rto
         +. Rng.uniform t.jitter ~lo:0.0 ~hi:(0.5 *. t.nack_interval)
       in
       t.nack_timer <-
@@ -849,7 +849,7 @@ let deliver_complete t adu =
       (* A repair answered on the first ask is an unambiguous RTT
          sample (Karn: multiply-requested ones are not). *)
       if r.tries = 1 then
-        Transport.Rto.sample t.nack_rto (Rt.Sched.now t.r_sched -. r.last_nack);
+        Rt.Rto.sample t.nack_rto (Rt.Sched.now t.r_sched -. r.last_nack);
       Hashtbl.remove t.reqs index
   | None -> ());
   if index > Rx.frontier t.rx then begin
@@ -978,7 +978,7 @@ let receiver_io ~sched ~io ~port ~stream ?(nack_interval = 0.02)
       r_integrity = integrity;
       r_ctl = Bytebuf.create (9 + (4 * max_nack_indices) + Ctl.trailer_size);
       nack_rto =
-        Transport.Rto.create ~initial_rto:nack_interval
+        Rt.Rto.create ~initial_rto:nack_interval
           ~min_rto:nack_interval ~max_rto:1.0 ();
       jitter = Rng.create ~seed;
       reqs = Hashtbl.create 64;

@@ -86,8 +86,8 @@ val sender_io :
   unit ->
   sender
 (** A sender over any datagram substrate: [Dgram.of_udp] over the
-    simulator, [Dgram.of_rt] over real sockets, [Dgram.of_atm] over
-    cells, or a {!Mux.stream_io} endpoint shared with other streams.
+    simulator, [Dgram.of_rt] over real sockets, [Atmsim.Bearer.dgram]
+    over cells, or a {!Mux.stream_io} endpoint shared with other streams.
 
     Every datagram is written and sealed in place by the {!Framing}
     writer. With [?tx_pool] each one is a pooled buffer, recycled once it
@@ -197,7 +197,7 @@ val receiver_io :
     Consume, transform ({!Ilp.run_fused}) or copy within the callback —
     never retain.
 
-    The repair loop is paced by an {!Transport.Rto} estimator seeded at
+    The repair loop is paced by an {!Rt.Rto} estimator seeded at
     [nack_interval] (default 20 ms, also its floor; ceiling 1 s): rounds
     that keep asking with no progress back off exponentially, a repair
     that answers a single NACK feeds the measured round trip back, and a

@@ -4,8 +4,8 @@
     the day": ADUs must move equally well over classic packet switching
     or over ATM cells. This record is that seam — an unreliable,
     unordered, message-boundary-preserving service with ports — with
-    constructors for each substrate ({!of_udp} here; the ATM bearer
-    provides its own in [Atmsim.Bearer]). *)
+    constructors for each substrate ({!of_udp} and {!of_rt} here; the ATM
+    bearer provides its own, [Atmsim.Bearer.dgram]). *)
 
 open Bufkit
 open Netsim
@@ -25,7 +25,7 @@ type t = {
       (** Largest datagram the substrate will carry. *)
 }
 
-val of_udp : Transport.Udp.t -> t
+val of_udp : Netsim.Udp.t -> t
 (** UDP-like datagrams over the packet-switched simulator. *)
 
 val of_rt : Rt.Udp_link.t -> t
@@ -34,12 +34,6 @@ val of_rt : Rt.Udp_link.t -> t
     transport built on this record is byte-for-byte the one that runs
     over the simulator. Delivered payloads are borrowed (stage-1
     contract); pair with [Rt.Loop.sched] as the transport scheduler. *)
-
-val of_atm : Atmsim.Bearer.t -> t
-(** Datagrams over ATM: the destination port selects the virtual circuit
-    (VCI), a 2-byte in-frame header carries the source port, and the AAL
-    handles segmentation into cells. Claims the bearer's frame handler —
-    create at most one datagram service per bearer. *)
 
 val striped : t list -> t
 (** §7's parallel-network dispersal: one logical channel over several

@@ -111,7 +111,6 @@ type group_state = {
 type decoder = {
   deliver : Bytebuf.t -> unit;
   stats : decoded;
-  history : int;
   groups : (int, group_state) Hashtbl.t;
   group_order : int Queue.t;  (* creation order, for bounded eviction *)
   completed : (int, unit) Hashtbl.t;  (* guards against duplicate blocks
@@ -119,12 +118,10 @@ type decoder = {
   completed_order : int Queue.t;
 }
 
-let decoder ?(history = 4096) ~deliver () =
-  if history < 1 then invalid_arg "Fec.decoder: history must be positive";
+let decoder ~deliver () =
   {
     deliver;
     stats = { recovered = 0; unrecoverable = 0; parity_overhead = 0 };
-    history;
     groups = Hashtbl.create 32;
     group_order = Queue.create ();
     completed = Hashtbl.create 32;
@@ -137,15 +134,17 @@ let stats t = t.stats
    lossy link cannot grow decoder state without limit: group numbers wrap
    at 0x10000, so the guard table must forget eventually anyway, and an
    incomplete group older than [history] newer ones will never complete. *)
+let history = 4096
+
 let mark_completed t gno =
   Hashtbl.replace t.completed gno ();
   Queue.push gno t.completed_order;
-  while Queue.length t.completed_order > t.history do
+  while Queue.length t.completed_order > history do
     Hashtbl.remove t.completed (Queue.pop t.completed_order)
   done
 
 let evict_stale_groups t =
-  while Hashtbl.length t.groups > t.history && not (Queue.is_empty t.group_order) do
+  while Hashtbl.length t.groups > history && not (Queue.is_empty t.group_order) do
     let gno = Queue.pop t.group_order in
     match Hashtbl.find_opt t.groups gno with
     | None -> ()  (* already completed and removed *)

@@ -55,15 +55,15 @@ type decoded = {
 
 type decoder
 
-val decoder : ?history:int -> deliver:(Bytebuf.t -> unit) -> unit -> decoder
+val decoder : deliver:(Bytebuf.t -> unit) -> unit -> decoder
 (** [deliver] receives every source block exactly once, in arrival order
     for directly-received blocks and at recovery time for reconstructed
     ones (recovered blocks may therefore arrive out of order — which is
     fine, they are ADU fragments). Decoder state is bounded: at most
-    [history] (default 4096) incomplete groups and [history] finished
-    group ids are remembered — necessary anyway since group numbers wrap
-    at 0x10000, and it keeps long lossy soaks from leaking. Evicted
-    incomplete groups count as unrecoverable. *)
+    4096 incomplete groups and 4096 finished group ids are remembered —
+    necessary anyway since group numbers wrap at 0x10000, and it keeps
+    long lossy soaks from leaking. Evicted incomplete groups count as
+    unrecoverable. *)
 
 val push : decoder -> Bytebuf.t -> unit
 (** Feed one received (headered) block; lost blocks are simply never

@@ -1,15 +1,13 @@
 open Bufkit
 
-let frames_of_buffer ~stream ~adu_size ?(base_off = 0) buf =
+let frames_of_buffer ~stream ~adu_size buf =
   if adu_size <= 0 then invalid_arg "Framing.frames_of_buffer: adu_size";
   let total = Bytebuf.length buf in
   let rec go pos index acc =
     if pos >= total then List.rev acc
     else
       let len = min adu_size (total - pos) in
-      let name =
-        Adu.name ~dest_off:(base_off + pos) ~dest_len:len ~stream ~index ()
-      in
+      let name = Adu.name ~dest_off:pos ~dest_len:len ~stream ~index () in
       go (pos + len) (index + 1)
         (Adu.make name (Bytebuf.sub buf ~pos ~len) :: acc)
   in

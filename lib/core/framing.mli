@@ -18,11 +18,10 @@ open Bufkit
 
 (** {1 Making ADUs} *)
 
-val frames_of_buffer :
-  stream:int -> adu_size:int -> ?base_off:int -> Bytebuf.t -> Adu.t list
+val frames_of_buffer : stream:int -> adu_size:int -> Bytebuf.t -> Adu.t list
 (** Slice linear data into consecutive ADUs of [adu_size] bytes (last one
-    shorter); [dest_off] is the slice's offset plus [base_off], [dest_len]
-    its length. Payloads alias the input. *)
+    shorter), indexed from 0; [dest_off] is the slice's offset in the
+    buffer, [dest_len] its length. Payloads alias the input. *)
 
 val frames_of_values :
   stream:int -> syntax:Wire.Syntax.t -> Wire.Value.t list -> Adu.t list

@@ -5,13 +5,8 @@ type t = {
   mutable next : int;
 }
 
-let create ?(first = 0) ~deliver () =
-  {
-    deliver;
-    parked = Hashtbl.create 32;
-    skipped = Hashtbl.create 8;
-    next = first;
-  }
+let create ~deliver () =
+  { deliver; parked = Hashtbl.create 32; skipped = Hashtbl.create 8; next = 0 }
 
 let next_index t = t.next
 let held t = Hashtbl.length t.parked

@@ -8,15 +8,15 @@
     still arrive, checksum and decrypt out of order underneath, and
     applications that do not need ordering never pay for it.
 
-    Contrast with {!Transport.Reorder}: that buffer resequences raw bytes
-    {e below} everything else; this one resequences finished ADUs at the
-    very top, after all manipulation is done. *)
+    Contrast with the TCP baseline's [Transport.Reorder]: that buffer
+    resequences raw bytes {e below} everything else; this one resequences
+    finished ADUs at the very top, after all manipulation is done. *)
 
 type t
 
-val create : ?first:int -> deliver:(Adu.t -> unit) -> unit -> t
+val create : deliver:(Adu.t -> unit) -> unit -> t
 (** ADUs are released to [deliver] in strictly increasing index order,
-    starting at [first] (default 0). *)
+    starting at index 0. *)
 
 val offer : t -> Adu.t -> unit
 (** Hand over a completed ADU (any index order; duplicates ignored).

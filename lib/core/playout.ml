@@ -15,17 +15,17 @@ type stats = {
 }
 
 type t = {
-  engine : Engine.t;
+  sched : Rt.Sched.t;
   playout_delay : float;
   play : Adu.t -> unit;
   slots : (int64, slot) Hashtbl.t;
   stats : stats;
 }
 
-let create ~engine ~playout_delay ~play () =
+let create ~sched ~playout_delay ~play () =
   if playout_delay < 0.0 then invalid_arg "Playout.create: negative delay";
   {
-    engine;
+    sched;
     playout_delay;
     play;
     slots = Hashtbl.create 64;
@@ -59,12 +59,13 @@ let slot_for t ts =
       let deadline = (Int64.to_float ts /. 1e6) +. t.playout_delay in
       let slot = { deadline; expected = 0; arrived_rev = []; fired = false } in
       Hashtbl.replace t.slots ts slot;
-      ignore (Engine.schedule_at t.engine deadline (fun () -> fire t ts slot));
+      let delay = deadline -. Rt.Sched.now t.sched in
+      ignore (Rt.Sched.schedule_after t.sched delay (fun () -> fire t ts slot));
       slot
 
 let expect t ~timestamp_us =
   let deadline = (Int64.to_float timestamp_us /. 1e6) +. t.playout_delay in
-  if Engine.now t.engine > deadline then t.stats.missing <- t.stats.missing + 1
+  if Rt.Sched.now t.sched > deadline then t.stats.missing <- t.stats.missing + 1
   else begin
     let slot = slot_for t timestamp_us in
     slot.expected <- slot.expected + 1
@@ -73,9 +74,10 @@ let expect t ~timestamp_us =
 let insert t (adu : Adu.t) =
   let ts = adu.Adu.name.Adu.timestamp_us in
   let deadline = (Int64.to_float ts /. 1e6) +. t.playout_delay in
-  if Engine.now t.engine > deadline then t.stats.late <- t.stats.late + 1
+  let now = Rt.Sched.now t.sched in
+  if now > deadline then t.stats.late <- t.stats.late + 1
   else begin
     let slot = slot_for t ts in
     if slot.fired then t.stats.late <- t.stats.late + 1
-    else slot.arrived_rev <- (adu, Engine.now t.engine) :: slot.arrived_rev
+    else slot.arrived_rev <- (adu, now) :: slot.arrived_rev
   end

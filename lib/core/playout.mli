@@ -24,12 +24,12 @@ type stats = {
 }
 
 val create :
-  engine:Engine.t ->
+  sched:Rt.Sched.t ->
   playout_delay:float ->
   play:(Adu.t -> unit) ->
   unit ->
   t
-(** [play] fires exactly at [timestamp + playout_delay] (virtual time) for
+(** [play] fires at [timestamp + playout_delay] on [sched]'s clock for
     every ADU that made it in time. *)
 
 val expect : t -> timestamp_us:int64 -> unit

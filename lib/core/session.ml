@@ -95,7 +95,6 @@ let encode_reject ~stream =
 (* --- Responder --- *)
 
 type responder = {
-  r_engine : Engine.t;
   r_io : Dgram.t;
   r_port : int;
   supported : string list;
@@ -167,11 +166,10 @@ let responder_handle r ~src ~src_port payload =
 
 let default_ciphers = [ "chacha20"; "none" ]
 
-let listen ~engine ~io ~port ~supported ?(ciphers = default_ciphers)
+let listen ~io ~port ~supported ?(ciphers = default_ciphers)
     ?(max_rate_bps = infinity) ~on_session () =
   let r =
     {
-      r_engine = engine;
       r_io = io;
       r_port = port;
       supported;
@@ -193,7 +191,7 @@ type pending = {
   mutable tries_left : int;
 }
 
-let initiate ~engine ~io ~port ~peer ~peer_port ~offer ?(retry_interval = 0.1)
+let initiate ~sched ~io ~port ~peer ~peer_port ~offer ?(retry_interval = 0.1)
     ?(max_retries = 10) ~on_result () =
   let p = { done_ = false; tries_left = max_retries } in
   let setup = encode_setup offer in
@@ -228,7 +226,7 @@ let initiate ~engine ~io ~port ~peer ~peer_port ~offer ?(retry_interval = 0.1)
       else begin
         p.tries_left <- p.tries_left - 1;
         send ();
-        ignore (Engine.schedule_after engine retry_interval retry)
+        ignore (Rt.Sched.schedule_after sched retry_interval retry)
       end
   in
   retry ()

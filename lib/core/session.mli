@@ -48,7 +48,6 @@ type granted = {
 type responder
 
 val listen :
-  engine:Engine.t ->
   io:Dgram.t ->
   port:int ->
   supported:string list ->
@@ -69,7 +68,7 @@ val sessions_accepted : responder -> int
 val sessions_rejected : responder -> int
 
 val initiate :
-  engine:Engine.t ->
+  sched:Rt.Sched.t ->
   io:Dgram.t ->
   port:int ->
   peer:Packet.addr ->
@@ -80,5 +79,6 @@ val initiate :
   on_result:(granted option -> unit) ->
   unit ->
   unit
-(** Send SETUP and await ACCEPT/REJECT; [on_result None] after a
-    rejection or exhausted retries. *)
+(** Send SETUP and await ACCEPT/REJECT, resending every [retry_interval]
+    seconds on [sched]; [on_result None] after a rejection or exhausted
+    retries. *)

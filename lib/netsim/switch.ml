@@ -1,13 +1,14 @@
+(* Table lookup and switching fabric transit, per packet. *)
+let forward_delay = 10e-6
+
 type t = {
   engine : Engine.t;
-  forward_delay : float;
   mutable ports : (Packet.addr * Link.t) list;
   mutable forwarded : int;
   mutable no_route : int;
 }
 
-let create ~engine ?(forward_delay = 10e-6) () =
-  { engine; forward_delay; ports = []; forwarded = 0; no_route = 0 }
+let create ~engine () = { engine; ports = []; forwarded = 0; no_route = 0 }
 
 let add_port t ~dst link = t.ports <- (dst, link) :: List.remove_assoc dst t.ports
 let add_port_range t ~dsts link = List.iter (fun dst -> add_port t ~dst link) dsts
@@ -18,7 +19,7 @@ let recv t (pkt : Packet.t) =
   | Some link ->
       t.forwarded <- t.forwarded + 1;
       ignore
-        (Engine.schedule_after t.engine t.forward_delay (fun () ->
+        (Engine.schedule_after t.engine forward_delay (fun () ->
              ignore (Link.send link pkt)))
 
 let forwarded t = t.forwarded

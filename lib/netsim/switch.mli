@@ -8,9 +8,9 @@
 
 type t
 
-val create : engine:Engine.t -> ?forward_delay:float -> unit -> t
-(** [forward_delay] (default 10 µs) models table lookup and switching
-    fabric transit. *)
+val create : engine:Engine.t -> unit -> t
+(** Every forwarded packet waits 10 µs, which models table lookup and
+    switching fabric transit. *)
 
 val add_port : t -> dst:Packet.addr -> Link.t -> unit
 (** Route packets for [dst] out of [link]. A destination may be re-homed;

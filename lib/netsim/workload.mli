@@ -7,13 +7,13 @@
     the workload side of an experiment. *)
 
 type t
-(** A running source; stops at [until] or when {!stop}ped. *)
+(** A running source: it emits its first payload at once (on the engine's
+    next step) and stops at [until] or when {!stop}ped. *)
 
 val cbr :
   engine:Engine.t ->
   rate_bps:float ->
   payload_bytes:int ->
-  ?start:float ->
   ?until:float ->
   emit:(Bufkit.Bytebuf.t -> unit) ->
   unit ->
@@ -26,7 +26,6 @@ val poisson :
   rng:Rng.t ->
   mean_rate_pps:float ->
   payload_bytes:int ->
-  ?start:float ->
   ?until:float ->
   emit:(Bufkit.Bytebuf.t -> unit) ->
   unit ->
@@ -40,7 +39,6 @@ val on_off :
   payload_bytes:int ->
   mean_on:float ->
   mean_off:float ->
-  ?start:float ->
   ?until:float ->
   emit:(Bufkit.Bytebuf.t -> unit) ->
   unit ->

@@ -56,7 +56,6 @@ let feed t ~bytes =
 
 let processed_bytes t = t.processed
 let backlog_bytes t = t.backlog
-let busy_until t = t.busy_until
 
 let idle_time t =
   let now = Engine.now t.engine in

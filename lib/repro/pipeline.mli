@@ -32,8 +32,6 @@ val processed_bytes : t -> int
 val backlog_bytes : t -> int
 (** Fed but not yet converted. *)
 
-val busy_until : t -> float
-
 val idle_time : t -> float
 (** Total virtual time since creation during which the converter had
     nothing to do. Includes time before the first byte arrived. *)

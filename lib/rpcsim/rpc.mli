@@ -20,10 +20,10 @@ val transfer_name : transfer -> string
 
 type server
 
-val server : engine:Engine.t -> udp:Transport.Udp.t -> port:int -> server
+val server : engine:Engine.t -> udp:Netsim.Udp.t -> port:int -> server
 
 val server_io : engine:Engine.t -> io:Alf_core.Dgram.t -> port:int -> server
-(** The same over any datagram substrate (e.g. [Alf_core.Dgram.of_atm]):
+(** The same over any datagram substrate (e.g. [Atmsim.Bearer.dgram]):
     each call and each reply is one self-contained frame. *)
 
 val register :
@@ -49,7 +49,7 @@ type client
 
 val client :
   engine:Engine.t ->
-  udp:Transport.Udp.t ->
+  udp:Netsim.Udp.t ->
   port:int ->
   server_addr:Packet.addr ->
   server_port:int ->

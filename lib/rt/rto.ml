@@ -49,7 +49,3 @@ let rto t =
 let backoff t = if t.shift < 6 then t.shift <- t.shift + 1
 
 let srtt t = if t.have_sample then Some t.srtt else None
-
-let pp ppf t =
-  Format.fprintf ppf "rto(srtt=%.4f rttvar=%.4f shift=%d rto=%.4f)" t.srtt
-    t.rttvar t.shift (rto t)

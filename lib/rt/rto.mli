@@ -25,5 +25,3 @@ val backoff : t -> unit
 
 val srtt : t -> float option
 (** None until the first sample. *)
-
-val pp : Format.formatter -> t -> unit

@@ -21,18 +21,37 @@ type config = {
   stage2_plan : Ilp.plan;
   stage2_schema : Wire.Xdr.schema option;
   secure : Secure.Record.t option;
-  obs_prefix : string;
-  max_ahead_window : int;
-  police_buckets : int;
-  admit_rate : float;
   admit_burst : float;
-  ctl_rate : float;
   ctl_burst : float;
-  shed_hi : float;
-  brown_hi : float;
-  load_lo : float;
   load_ticks : int;
 }
+
+(* Registry namespace: [serve.shard<N>.<counter>], [serve.load_state]
+   and [serve.drop.<reason>]. *)
+let obs_prefix = "serve"
+
+(* Largest accepted distance of any index (fragment or GONE) above a
+   session's frontier; beyond it the datagram is dropped ([drop.window]).
+   Bounds the ahead table and the repair scan against forged indices and
+   hostile CLOSE totals. *)
+let max_ahead_window = 4096
+
+(* Token buckets per shard per {!Police} table (fixed size,
+   pre-allocated — never grows). *)
+let police_buckets = 1024
+
+(* Session-creation and control-datagram tokens/second per peer bucket.
+   Rates are per (shard, peer-hash) bucket: honest load spreads one
+   peer's streams across all shards, so a bucket sees 1/shards of a
+   port's traffic — the burst covers honest startup several times over
+   while a single-port flood exhausts it quickly. *)
+let admit_rate = 200.
+let ctl_rate = 400.
+
+(* Occupancy fractions proposing Shedding, Brownout, and Normal again. *)
+let shed_hi = 0.75
+let brown_hi = 0.92
+let load_lo = 0.35
 
 let default_config =
   {
@@ -53,20 +72,8 @@ let default_config =
     stage2_plan = [ Ilp.Checksum Checksum.Kind.Crc32; Ilp.Deliver_copy ];
     stage2_schema = None;
     secure = None;
-    obs_prefix = "serve";
-    max_ahead_window = 4096;
-    police_buckets = 1024;
-    (* Rates are per (shard, peer-hash) bucket: honest load spreads one
-       peer's streams across all shards, so a bucket sees 1/shards of a
-       port's traffic — the burst covers honest startup several times
-       over while a single-port flood exhausts it quickly. *)
-    admit_rate = 200.;
     admit_burst = 512.;
-    ctl_rate = 400.;
     ctl_burst = 1024.;
-    shed_hi = 0.75;
-    brown_hi = 0.92;
-    load_lo = 0.35;
     load_ticks = 2;
   }
 
@@ -210,11 +217,11 @@ let view_of config =
 let make_shard config registry ~prog ~on_adu ~on_view sid =
   let c name =
     Obs.Registry.counter ?registry
-      (Printf.sprintf "%s.shard%d.%s" config.obs_prefix sid name)
+      (Printf.sprintf "%s.shard%d.%s" obs_prefix sid name)
   in
   let sessions = Hashtbl.create 256 in
   Obs.Registry.pull ?registry
-    (Printf.sprintf "%s.shard%d.sessions" config.obs_prefix sid)
+    (Printf.sprintf "%s.shard%d.sessions" obs_prefix sid)
     (fun () -> float_of_int (Hashtbl.length sessions));
   let staging = config.rx_bufs_per_shard and size = config.rx_buf_size in
   (* Every slot views one block, left uninitialised: a slot is read only
@@ -285,17 +292,17 @@ let make_shard config registry ~prog ~on_adu ~on_view sid =
     reasm_pool;
     ctr;
     env =
-      Rx.env ~window:config.max_ahead_window ~pool:reasm_pool
+      Rx.env ~window:max_ahead_window ~pool:reasm_pool
         ?secure:(Option.map Secure.Record.clone config.secure)
         ~deliver:(fun key adu ->
           stage2 ~prog ~plan ~on_adu ~on_view scratch ctr key adu)
         ();
     view = view_of config;
     admit_police =
-      Police.create ~buckets:config.police_buckets ~rate:config.admit_rate
+      Police.create ~buckets:police_buckets ~rate:admit_rate
         ~burst:config.admit_burst ();
     ctl_police =
-      Police.create ~buckets:config.police_buckets ~rate:config.ctl_rate
+      Police.create ~buckets:police_buckets ~rate:ctl_rate
         ~burst:config.ctl_burst ();
     peak_sessions = 0;
     inbox_peak = 0;
@@ -712,9 +719,9 @@ let harvest_shard t sh now =
    always has a way back down. *)
 let update_load t occ =
   let target =
-    if occ >= t.config.brown_hi then Brownout
-    else if occ >= t.config.shed_hi then Shedding
-    else if occ <= t.config.load_lo then Normal
+    if occ >= brown_hi then Brownout
+    else if occ >= shed_hi then Shedding
+    else if occ <= load_lo then Normal
     else if t.load = Normal then Normal
     else Shedding
   in
@@ -784,8 +791,6 @@ let create ~sched ?io ?pool ?registry ?on_adu ?on_view ?on_complete
     invalid_arg "Server.create: max_sessions_per_shard";
   if config.rx_buf_size < Framing.fragment_header_size + Ctl.trailer_size then
     invalid_arg "Server.create: rx_buf_size";
-  if config.max_ahead_window < 1 then
-    invalid_arg "Server.create: max_ahead_window";
   let prog = Option.map Wire.Schema.prog_of_xdr config.stage2_schema in
   let shards =
     Array.init config.shards
@@ -816,12 +821,12 @@ let create ~sched ?io ?pool ?registry ?on_adu ?on_view ?on_complete
   in
   Array.iteri (fun i sh -> t.tasks.(i) <- (fun () -> process_shard t sh)) shards;
   Obs.Registry.pull ?registry
-    (config.obs_prefix ^ ".load_state")
+    (obs_prefix ^ ".load_state")
     (fun () -> float_of_int (load_state_index t.load));
   Array.iter
     (fun r ->
       Obs.Registry.pull ?registry
-        (config.obs_prefix ^ ".drop." ^ Ingress.reason_name r)
+        (obs_prefix ^ ".drop." ^ Ingress.reason_name r)
         (fun () -> float_of_int (drop_count t r)))
     Ingress.all_reasons;
   (match io with

@@ -89,23 +89,14 @@ type config = {
       handles) before stage 2. Failures are counted [Auth] drops — the
       unit behaves like a lost datagram and stays NACK-repairable.
       Default [None]. *)
-  obs_prefix : string;  (** Registry namespace:
-      [<prefix>.shard<N>.<counter>]. *)
-  max_ahead_window : int;  (** Largest accepted distance of any index
-      (fragment or GONE) above a session's frontier; beyond it the
-      datagram is dropped ([drop.window]). Bounds the ahead table and the
-      repair scan against forged indices and hostile CLOSE totals. *)
-  police_buckets : int;  (** Token buckets per shard per {!Police} table
-      (fixed size, pre-allocated — never grows). *)
-  admit_rate : float;  (** Session-creation tokens/second per peer bucket. *)
-  admit_burst : float;
-  ctl_rate : float;  (** Control-datagram tokens/second per peer bucket. *)
-  ctl_burst : float;
-  shed_hi : float;  (** Occupancy fraction proposing Shedding. *)
-  brown_hi : float;  (** Occupancy fraction proposing Brownout. *)
-  load_lo : float;  (** Occupancy fraction proposing Normal again. *)
+  admit_burst : float;  (** Session-creation bucket depth per peer
+      bucket; each of a shard's 1,024 buckets refills at 200 tokens/s. *)
+  ctl_burst : float;  (** Control-datagram bucket depth per peer bucket;
+      refills at 400 tokens/s. *)
   load_ticks : int;  (** Consecutive harvest confirmations before the
-      load state moves one level. *)
+      load state moves one level. Staging occupancy at or above 0.75
+      proposes Shedding, at or above 0.92 Brownout, and at or below 0.35
+      Normal again. *)
 }
 
 val default_config : config
@@ -146,8 +137,8 @@ val create :
     traffic pollutes the engine totals; it must be domain-safe.
     [?registry] defaults to the process-wide one; tests pass a fresh
     registry so re-created engines do not share find-or-create counters.
-    Also registers engine-level pulls: [<prefix>.load_state] and
-    [<prefix>.drop.<reason>] (sum over shards). *)
+    Also registers engine-level pulls: [serve.load_state] and
+    [serve.drop.<reason>] (sum over shards). *)
 
 val load_state : t -> load_state
 
@@ -173,7 +164,7 @@ val stop : t -> unit
 (** {1 Observation}
 
     Every counter below is also a registry metric
-    ([<obs_prefix>.shard<N>.<name>], plus a [.sessions] pull gauge per
+    ([serve.shard<N>.<name>], plus a [.sessions] pull gauge per
     shard), so shard totals are externally checkable against these
     programmatic sums. *)
 

@@ -78,7 +78,7 @@ type t = {
   config : config;
   stats : stats;
   next_id : unit -> int;
-  rto : Rto.t;
+  rto : Rt.Rto.t;
   (* Sender state. *)
   mutable snd_una : int;
   mutable snd_nxt : int;
@@ -191,7 +191,7 @@ let rec arm_rto t =
   else begin
     control t (* timer management is in-band control *);
     t.rto_timer <-
-      Some (Engine.schedule_after t.engine (Rto.rto t.rto) (fun () -> on_rto t))
+      Some (Engine.schedule_after t.engine (Rt.Rto.rto t.rto) (fun () -> on_rto t))
   end
 
 and on_rto t =
@@ -202,8 +202,8 @@ and on_rto t =
       t.stats.timeouts <- t.stats.timeouts + 1;
       Obs.Counter.incr (Obs.Registry.counter "tcp.rto_backoffs");
       trace t "RTO fired: rexmit seq=%d len=%d (rto now %.3fs)" seg.off seg.len
-        (Rto.rto t.rto);
-      Rto.backoff t.rto;
+        (Rt.Rto.rto t.rto);
+      Rt.Rto.backoff t.rto;
       (* Multiplicative decrease: collapse to one segment. *)
       let flight = float_of_int (t.snd_nxt - t.snd_una) in
       t.ssthresh <- Float.max (flight /. 2.0) (2.0 *. float_of_int t.config.mss);
@@ -333,7 +333,7 @@ let process_ack t (seg : Segment.t) =
             Obs.Histogram.record
               (Obs.Registry.histogram "tcp.rtt_ns")
               (rtt *. 1e9);
-          Rto.sample ~retransmitted:(seg.rexmits > 0) t.rto rtt;
+          Rt.Rto.sample ~retransmitted:(seg.rexmits > 0) t.rto rtt;
           if seg.is_fin then t.fin_acked <- true;
           retire rest
       | rest -> rest
@@ -433,7 +433,7 @@ let create ~engine ~node ~peer ?(config = default_config) () =
       config;
       stats = fresh_stats ();
       next_id = Packet.counter ();
-      rto = Rto.create ();
+      rto = Rt.Rto.create ();
       snd_una = config.isn;
       snd_nxt = config.isn;
       send_q = [];

@@ -1,6 +1,7 @@
 open Bufkit
 open Netsim
 open Alf_core
+open Repro
 
 let qcheck t = QCheck_alcotest.to_alcotest t
 let buf = Bytebuf.of_string
@@ -861,8 +862,8 @@ let make_alf_world ?(loss = 0.0) ?(policy = Recovery.Transport_buffer)
     Topology.point_to_point ~engine ~rng ~impair:(Impair.lossy loss)
       ~queue_limit:1024 ~bandwidth_bps:10e6 ~delay:0.005 ~a:1 ~b:2 ()
   in
-  let ua = Transport.Udp.create ~engine ~node:net.Topology.a () in
-  let ub = Transport.Udp.create ~engine ~node:net.Topology.b () in
+  let ua = Netsim.Udp.create ~engine ~node:net.Topology.a () in
+  let ub = Netsim.Udp.create ~engine ~node:net.Topology.b () in
   let delivered = ref [] and series = ref [] and bytes = ref 0 in
   let receiver =
     Alf_transport.receiver_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ub) ~port:7000 ~stream:1
@@ -938,8 +939,8 @@ let test_alf_app_recompute_policy () =
     Topology.point_to_point ~engine ~rng ~impair:(Impair.lossy 0.1)
       ~queue_limit:1024 ~bandwidth_bps:10e6 ~delay:0.005 ~a:1 ~b:2 ()
   in
-  let ua = Transport.Udp.create ~engine ~node:net.Topology.a () in
-  let ub = Transport.Udp.create ~engine ~node:net.Topology.b () in
+  let ua = Netsim.Udp.create ~engine ~node:net.Topology.a () in
+  let ub = Netsim.Udp.create ~engine ~node:net.Topology.b () in
   let payload i = String.init 2000 (fun j -> Char.chr ((i * 3 + j) land 0xff)) in
   let regenerate i =
     (* The sending application recomputes the ADU instead of buffering it. *)
@@ -1346,28 +1347,26 @@ let session_world ?(loss = 0.0) () =
       ~impair_back:(Impair.lossy loss) ~queue_limit:1024 ~bandwidth_bps:10e6
       ~delay:0.003 ~a:1 ~b:2 ()
   in
-  let io_a = Dgram.of_udp (Transport.Udp.create ~engine ~node:net.Topology.a ()) in
-  let io_b = Dgram.of_udp (Transport.Udp.create ~engine ~node:net.Topology.b ()) in
+  let io_a = Dgram.of_udp (Netsim.Udp.create ~engine ~node:net.Topology.a ()) in
+  let io_b = Dgram.of_udp (Netsim.Udp.create ~engine ~node:net.Topology.b ()) in
   (engine, io_a, io_b)
 
-let test_session_negotiates_syntax_and_rate () =
-  let engine, io_a, io_b = session_world ~loss:0.2 () in
-  let responder_got = ref None in
+(* One offer, negotiated over the simulator and over real sockets, and
+   what a responder supporting [ber; xdr] under a 5 Mb/s cap grants. *)
+let rate_offer =
+  { Session.stream = 7; syntaxes = [ "lwts"; "xdr"; "ber" ]; rate_bps = 8e6;
+    policy = "buffer"; ciphers = [] }
+
+let listen_for_rate_offer ~io =
+  let got = ref None in
   let responder =
-    Session.listen ~engine ~io:io_b ~port:900 ~supported:[ "ber"; "xdr" ]
-      ~max_rate_bps:5e6
-      ~on_session:(fun ~peer g -> responder_got := Some (peer, g))
+    Session.listen ~io ~port:900 ~supported:[ "ber"; "xdr" ] ~max_rate_bps:5e6
+      ~on_session:(fun ~peer g -> got := Some (peer, g))
       ()
   in
-  let result = ref None in
-  Session.initiate ~engine ~io:io_a ~port:901 ~peer:2 ~peer_port:900
-    ~offer:
-      { Session.stream = 7; syntaxes = [ "lwts"; "xdr"; "ber" ]; rate_bps = 8e6;
-        policy = "buffer"; ciphers = [] }
-    ~on_result:(fun r -> result := Some r)
-    ();
-  Engine.run ~until:30.0 engine;
-  (match !result with
+  (responder, got)
+
+let check_rate_grant = function
   | Some (Some g) ->
       (* First initiator preference the responder supports: xdr. *)
       Alcotest.(check string) "syntax" "xdr" g.Session.g_syntax;
@@ -1376,22 +1375,55 @@ let test_session_negotiates_syntax_and_rate () =
       (* An empty cipher offer means the modern default, not plaintext. *)
       Alcotest.(check string) "cipher default" "chacha20" g.Session.g_cipher
   | Some None -> Alcotest.fail "session rejected"
-  | None -> Alcotest.fail "no result");
+  | None -> Alcotest.fail "no result"
+
+let test_session_negotiates_syntax_and_rate () =
+  let engine, io_a, io_b = session_world ~loss:0.2 () in
+  let responder, responder_got = listen_for_rate_offer ~io:io_b in
+  let result = ref None in
+  Session.initiate ~sched:(Engine.sched engine) ~io:io_a ~port:901 ~peer:2 ~peer_port:900
+    ~offer:rate_offer
+    ~on_result:(fun r -> result := Some r)
+    ();
+  Engine.run ~until:30.0 engine;
+  check_rate_grant !result;
   (match !responder_got with
   | Some (1, g) -> Alcotest.(check int) "stream" 7 g.Session.g_stream
   | _ -> Alcotest.fail "responder callback");
   Alcotest.(check int) "one session despite retries" 1
     (Session.sessions_accepted responder)
 
+let test_session_over_loopback () =
+  (* The same exchange on kernel sockets: both ends share one link, and
+     the initiator's retry timer runs on the poll loop. *)
+  let loop = Rt.Loop.create () in
+  let link = Rt.Udp_link.create ~loop () in
+  let io = Dgram.of_rt link in
+  let responder, responder_got = listen_for_rate_offer ~io in
+  let result = ref None in
+  Session.initiate ~sched:(Rt.Loop.sched loop) ~io ~port:901
+    ~peer:(Rt.Udp_link.local_addr link ~port:900) ~peer_port:900
+    ~offer:rate_offer
+    ~on_result:(fun r -> result := Some r)
+    ();
+  Alcotest.(check bool) "settled" true
+    (Rt.Loop.run_until loop ~timeout:5.0 (fun () -> !result <> None));
+  check_rate_grant !result;
+  (match !responder_got with
+  | Some (_, g) -> Alcotest.(check int) "stream" 7 g.Session.g_stream
+  | None -> Alcotest.fail "responder callback");
+  Alcotest.(check int) "one session" 1 (Session.sessions_accepted responder);
+  Rt.Udp_link.close link
+
 let test_session_no_common_syntax () =
   let engine, io_a, io_b = session_world () in
   let responder =
-    Session.listen ~engine ~io:io_b ~port:900 ~supported:[ "raw" ]
+    Session.listen ~io:io_b ~port:900 ~supported:[ "raw" ]
       ~on_session:(fun ~peer:_ _ -> Alcotest.fail "must not accept")
       ()
   in
   let result = ref `Pending in
-  Session.initiate ~engine ~io:io_a ~port:901 ~peer:2 ~peer_port:900
+  Session.initiate ~sched:(Engine.sched engine) ~io:io_a ~port:901 ~peer:2 ~peer_port:900
     ~offer:
       {
         Session.stream = 1;
@@ -1412,7 +1444,7 @@ let test_session_no_common_syntax () =
 let test_session_unreachable_times_out () =
   let engine, io_a, _ = session_world ~loss:1.0 () in
   let result = ref `Pending in
-  Session.initiate ~engine ~io:io_a ~port:901 ~peer:2 ~peer_port:900
+  Session.initiate ~sched:(Engine.sched engine) ~io:io_a ~port:901 ~peer:2 ~peer_port:900
     ~offer:
       {
         Session.stream = 1;
@@ -1439,7 +1471,7 @@ let test_session_then_negotiated_transfer () =
   let complete = ref false in
   Hashtbl.reset received;
   let _responder =
-    Session.listen ~engine ~io:io_b ~port:900 ~supported:[ "ber"; "lwts" ]
+    Session.listen ~io:io_b ~port:900 ~supported:[ "ber"; "lwts" ]
       ~max_rate_bps:8e6
       ~on_session:(fun ~peer:_ g ->
         (* The receiver decodes with the negotiated syntax. *)
@@ -1459,7 +1491,7 @@ let test_session_then_negotiated_transfer () =
         Alf_transport.on_complete r (fun () -> complete := true))
       ()
   in
-  Session.initiate ~engine ~io:io_a ~port:901 ~peer:2 ~peer_port:900
+  Session.initiate ~sched:(Engine.sched engine) ~io:io_a ~port:901 ~peer:2 ~peer_port:900
     ~offer:
       { Session.stream = 3; syntaxes = [ "ber" ]; rate_bps = 20e6;
         policy = "buffer"; ciphers = [ "chacha20"; "none" ] }
@@ -1503,8 +1535,8 @@ let test_stage2_decrypt_verify_pipeline () =
     Topology.point_to_point ~engine ~rng ~impair:(Impair.lossy 0.06)
       ~queue_limit:1024 ~bandwidth_bps:20e6 ~delay:0.005 ~a:1 ~b:2 ()
   in
-  let ua = Transport.Udp.create ~engine ~node:net.Topology.a () in
-  let ub = Transport.Udp.create ~engine ~node:net.Topology.b () in
+  let ua = Netsim.Udp.create ~engine ~node:net.Topology.a () in
+  let ub = Netsim.Udp.create ~engine ~node:net.Topology.b () in
   let key = 0xFACEL in
   let size = 40_000 in
   let file = Bytebuf.create size in
@@ -1662,8 +1694,8 @@ let test_mux_two_streams_one_port () =
     Topology.point_to_point ~engine ~rng ~impair:(Impair.lossy 0.05)
       ~queue_limit:1024 ~bandwidth_bps:20e6 ~delay:0.004 ~a:1 ~b:2 ()
   in
-  let ua = Transport.Udp.create ~engine ~node:net.Topology.a () in
-  let ub = Transport.Udp.create ~engine ~node:net.Topology.b () in
+  let ua = Netsim.Udp.create ~engine ~node:net.Topology.a () in
+  let ub = Netsim.Udp.create ~engine ~node:net.Topology.b () in
   let mux_a = Mux.create ~io:(Dgram.of_udp ua) ~port:6000 in
   let mux_b = Mux.create ~io:(Dgram.of_udp ub) ~port:6000 in
   let got = Hashtbl.create 8 in
@@ -1707,8 +1739,8 @@ let test_mux_unrouted_counted () =
   let net =
     Topology.point_to_point ~engine ~rng ~bandwidth_bps:1e6 ~delay:0.001 ~a:1 ~b:2 ()
   in
-  let ua = Transport.Udp.create ~engine ~node:net.Topology.a () in
-  let ub = Transport.Udp.create ~engine ~node:net.Topology.b () in
+  let ua = Netsim.Udp.create ~engine ~node:net.Topology.a () in
+  let ub = Netsim.Udp.create ~engine ~node:net.Topology.b () in
   let mux_b = Mux.create ~io:(Dgram.of_udp ub) ~port:6000 in
   (* A sender for stream 9, but no receiver attached for it. *)
   let s =
@@ -2083,7 +2115,7 @@ let test_playout_in_time () =
   let engine = Engine.create () in
   let played = ref [] in
   let p =
-    Playout.create ~engine ~playout_delay:0.1
+    Playout.create ~sched:(Engine.sched engine) ~playout_delay:0.1
       ~play:(fun adu -> played := (adu.Adu.name.Adu.index, Engine.now engine) :: !played)
       ()
   in
@@ -2108,7 +2140,7 @@ let test_playout_in_time () =
 
 let test_playout_late_and_missing () =
   let engine = Engine.create () in
-  let p = Playout.create ~engine ~playout_delay:0.05 ~play:(fun _ -> ()) () in
+  let p = Playout.create ~sched:(Engine.sched engine) ~playout_delay:0.05 ~play:(fun _ -> ()) () in
   let mk i ts = Adu.make (Adu.name ~timestamp_us:(us ts) ~stream:0 ~index:i ()) (Bytebuf.create 1) in
   Playout.expect p ~timestamp_us:(us 0.0);
   Playout.expect p ~timestamp_us:(us 0.04);
@@ -2123,7 +2155,7 @@ let test_playout_late_and_missing () =
 let test_playout_multiple_per_instant () =
   let engine = Engine.create () in
   let played = ref 0 in
-  let p = Playout.create ~engine ~playout_delay:0.02 ~play:(fun _ -> incr played) () in
+  let p = Playout.create ~sched:(Engine.sched engine) ~playout_delay:0.02 ~play:(fun _ -> incr played) () in
   let mk i = Adu.make (Adu.name ~timestamp_us:(us 0.01) ~stream:0 ~index:i ()) (Bytebuf.create 1) in
   for _ = 1 to 4 do
     Playout.expect p ~timestamp_us:(us 0.01)
@@ -2139,7 +2171,7 @@ let test_playout_multiple_per_instant () =
 
 let test_playout_jitter_margin () =
   let engine = Engine.create () in
-  let p = Playout.create ~engine ~playout_delay:0.1 ~play:(fun _ -> ()) () in
+  let p = Playout.create ~sched:(Engine.sched engine) ~playout_delay:0.1 ~play:(fun _ -> ()) () in
   let mk ts = Adu.make (Adu.name ~timestamp_us:(us ts) ~stream:0 ~index:0 ()) (Bytebuf.create 1) in
   (* Captured at 0, arrives at 30 ms: margin to the 100 ms deadline is 70 ms. *)
   ignore (Engine.schedule_at engine 0.03 (fun () -> Playout.insert p (mk 0.0)));
@@ -2287,6 +2319,8 @@ let () =
           Alcotest.test_case "unreachable times out" `Quick test_session_unreachable_times_out;
           Alcotest.test_case "negotiated transfer end-to-end" `Quick
             test_session_then_negotiated_transfer;
+          Alcotest.test_case "negotiates over loopback sockets" `Quick
+            test_session_over_loopback;
         ] );
       ( "stage2",
         [

@@ -299,8 +299,8 @@ let prop_endpoints_survive_garbage =
         Topology.point_to_point ~engine ~rng ~bandwidth_bps:10e6 ~delay:0.001
           ~a:1 ~b:2 ()
       in
-      let attacker = Transport.Udp.create ~engine ~node:net.Topology.a () in
-      let victim = Transport.Udp.create ~engine ~node:net.Topology.b () in
+      let attacker = Netsim.Udp.create ~engine ~node:net.Topology.a () in
+      let victim = Netsim.Udp.create ~engine ~node:net.Topology.b () in
       let _receiver =
         Alf_core.Alf_transport.receiver_io ~sched:(Netsim.Engine.sched engine) ~io:(Alf_core.Dgram.of_udp victim) ~port:700 ~stream:1
           ~deliver:(fun _ -> ()) ()
@@ -312,7 +312,7 @@ let prop_endpoints_survive_garbage =
       let server = Rpcsim.Rpc.server ~engine ~udp:victim ~port:702 in
       Rpcsim.Rpc.register server ~proc:1 ~args:[] (fun _ -> Wire.Value.Null);
       let _responder =
-        Alf_core.Session.listen ~engine ~io:(Alf_core.Dgram.of_udp victim)
+        Alf_core.Session.listen ~io:(Alf_core.Dgram.of_udp victim)
           ~port:703 ~supported:[ "ber" ]
           ~on_session:(fun ~peer:_ _ -> ())
           ()
@@ -321,7 +321,7 @@ let prop_endpoints_survive_garbage =
         (fun i payload ->
           let port = 700 + (i mod 4) in
           ignore
-            (Transport.Udp.send attacker ~dst:2 ~dst_port:port
+            (Netsim.Udp.send attacker ~dst:2 ~dst_port:port
                ~src_port:60000 (Bytebuf.of_string payload)))
         datagrams;
       Engine.run ~until:5.0 engine;

@@ -42,13 +42,13 @@ let completion_time ~alf ~loss =
       ~queue_limit:1024 ~bandwidth_bps:10e6 ~delay:0.01 ~a:1 ~b:2 ()
   in
   let total_bytes = 200_000 in
-  let app = Pipeline.create ~engine ~rate_bps:12e6 () in
+  let app = Repro.Pipeline.create ~engine ~rate_bps:12e6 () in
   if alf then begin
-    let ua = Transport.Udp.create ~engine ~node:net.Topology.a () in
-    let ub = Transport.Udp.create ~engine ~node:net.Topology.b () in
+    let ua = Netsim.Udp.create ~engine ~node:net.Topology.a () in
+    let ub = Netsim.Udp.create ~engine ~node:net.Topology.b () in
     let _receiver =
       Alf_transport.receiver_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ub) ~port:9 ~stream:1
-        ~deliver:(fun adu -> Pipeline.feed app ~bytes:(Bytebuf.length adu.Adu.payload))
+        ~deliver:(fun adu -> Repro.Pipeline.feed app ~bytes:(Bytebuf.length adu.Adu.payload))
         ()
     in
     let sender =
@@ -70,15 +70,15 @@ let completion_time ~alf ~loss =
     let sender = Transport.Tcp.create ~engine ~node:net.Topology.a ~peer:2 () in
     let receiver = Transport.Tcp.create ~engine ~node:net.Topology.b ~peer:1 () in
     Transport.Tcp.on_deliver receiver (fun chunk ->
-        Pipeline.feed app ~bytes:(Bytebuf.length chunk));
+        Repro.Pipeline.feed app ~bytes:(Bytebuf.length chunk));
     Transport.Tcp.send sender (Bytebuf.create total_bytes);
     Transport.Tcp.finish sender
   end;
   Engine.run ~until:600.0 engine;
   Alcotest.(check int)
     (Printf.sprintf "all bytes converted (alf=%b loss=%.2f)" alf loss)
-    total_bytes (Pipeline.processed_bytes app);
-  Pipeline.finish_time app
+    total_bytes (Repro.Pipeline.processed_bytes app);
+  Repro.Pipeline.finish_time app
 
 let test_alf_vs_tcp_pipeline_clean () =
   let tcp = completion_time ~alf:false ~loss:0.0 in
@@ -193,8 +193,8 @@ let test_alf_over_atm_bearer () =
   in
   let bearer_a = Bearer.create ~engine ~node:net.Topology.a () in
   let bearer_b = Bearer.create ~engine ~node:net.Topology.b () in
-  let io_a = Dgram.of_atm bearer_a in
-  let io_b = Dgram.of_atm bearer_b in
+  let io_a = Atmsim.Bearer.dgram bearer_a in
+  let io_b = Atmsim.Bearer.dgram bearer_b in
   let file_size = 60_000 in
   let file = Bytebuf.create file_size in
   Rng.fill_bytes (Rng.create ~seed:3L) file;
@@ -236,8 +236,8 @@ let test_encrypted_alf_over_lossy_link () =
     Topology.point_to_point ~engine ~rng ~impair:(Impair.lossy 0.07)
       ~queue_limit:1024 ~bandwidth_bps:20e6 ~delay:0.008 ~a:1 ~b:2 ()
   in
-  let ua = Transport.Udp.create ~engine ~node:net.Topology.a () in
-  let ub = Transport.Udp.create ~engine ~node:net.Topology.b () in
+  let ua = Netsim.Udp.create ~engine ~node:net.Topology.a () in
+  let ub = Netsim.Udp.create ~engine ~node:net.Topology.b () in
   let key = 0x5EC2E7L in
   let file_size = 80_000 in
   let file = Bytebuf.create file_size in
@@ -285,8 +285,8 @@ let test_ordered_overlay_over_alf () =
     Topology.point_to_point ~engine ~rng ~impair:(Impair.lossy 0.08)
       ~queue_limit:1024 ~bandwidth_bps:10e6 ~delay:0.005 ~a:1 ~b:2 ()
   in
-  let ua = Transport.Udp.create ~engine ~node:net.Topology.a () in
-  let ub = Transport.Udp.create ~engine ~node:net.Topology.b () in
+  let ua = Netsim.Udp.create ~engine ~node:net.Topology.a () in
+  let ub = Netsim.Udp.create ~engine ~node:net.Topology.b () in
   let stream_order = ref [] in
   let ordered =
     Ordered.create ~deliver:(fun adu -> stream_order := adu.Adu.name.Adu.index :: !stream_order) ()
@@ -326,8 +326,8 @@ let test_ordered_overlay_skips_gone () =
     Topology.point_to_point ~engine ~rng ~impair:(Impair.lossy 0.15)
       ~queue_limit:1024 ~bandwidth_bps:10e6 ~delay:0.005 ~a:1 ~b:2 ()
   in
-  let ua = Transport.Udp.create ~engine ~node:net.Topology.a () in
-  let ub = Transport.Udp.create ~engine ~node:net.Topology.b () in
+  let ua = Netsim.Udp.create ~engine ~node:net.Topology.a () in
+  let ub = Netsim.Udp.create ~engine ~node:net.Topology.b () in
   let got = ref [] in
   let ordered =
     Ordered.create ~deliver:(fun adu -> got := adu.Adu.name.Adu.index :: !got) ()
@@ -389,7 +389,7 @@ let test_alf_over_striped_channels () =
     Dgram.striped
       (List.map
          (fun net ->
-           Dgram.of_udp (Transport.Udp.create ~engine ~node:(pick net) ()))
+           Dgram.of_udp (Netsim.Udp.create ~engine ~node:(pick net) ()))
          links)
   in
   let io_a = io_side (fun net -> net.Topology.a) in
@@ -456,8 +456,8 @@ let test_seed_determinism () =
         ~impair:(Impair.make ~loss:0.07 ~duplicate:0.02 ~reorder:0.3 ~jitter:0.02 ())
         ~queue_limit:512 ~bandwidth_bps:10e6 ~delay:0.01 ~a:1 ~b:2 ()
     in
-    let ua = Transport.Udp.create ~engine ~node:net.Topology.a () in
-    let ub = Transport.Udp.create ~engine ~node:net.Topology.b () in
+    let ua = Netsim.Udp.create ~engine ~node:net.Topology.a () in
+    let ub = Netsim.Udp.create ~engine ~node:net.Topology.b () in
     let deliveries = ref [] in
     let receiver =
       Alf_transport.receiver_io ~sched:(Netsim.Engine.sched engine) ~io:(Dgram.of_udp ub) ~port:41 ~stream:1

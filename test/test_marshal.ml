@@ -245,8 +245,8 @@ let test_send_value_end_to_end () =
     Topology.point_to_point ~engine ~rng ~impair:(Impair.lossy 0.0)
       ~queue_limit:1024 ~bandwidth_bps:10e6 ~delay:0.005 ~a:1 ~b:2 ()
   in
-  let ua = Transport.Udp.create ~engine ~node:net.Topology.a () in
-  let ub = Transport.Udp.create ~engine ~node:net.Topology.b () in
+  let ua = Netsim.Udp.create ~engine ~node:net.Topology.a () in
+  let ub = Netsim.Udp.create ~engine ~node:net.Topology.b () in
   let key = 0x5EED_CAFEL in
   let send_plan =
     [ Ilp.Checksum Checksum.Kind.Internet; Ilp.Xor_pad { key; pos = 0L } ]

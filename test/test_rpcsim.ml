@@ -69,8 +69,8 @@ let make_rpc_world ?(loss = 0.0) () =
     Topology.point_to_point ~engine ~rng ~impair:(Impair.lossy loss)
       ~impair_back:(Impair.lossy loss) ~bandwidth_bps:10e6 ~delay:0.002 ~a:1 ~b:2 ()
   in
-  let uc = Transport.Udp.create ~engine ~node:net.Topology.a () in
-  let us = Transport.Udp.create ~engine ~node:net.Topology.b () in
+  let uc = Netsim.Udp.create ~engine ~node:net.Topology.a () in
+  let us = Netsim.Udp.create ~engine ~node:net.Topology.b () in
   let server = Rpc.server ~engine ~udp:us ~port:111 in
   Rpc.register server ~proc:1 ~args:(add_frame ()) (fun v ->
       match v with
@@ -130,8 +130,8 @@ let test_rpc_exactly_once_execution () =
   let net =
     Topology.point_to_point ~engine ~rng ~bandwidth_bps:10e6 ~delay:0.050 ~a:1 ~b:2 ()
   in
-  let uc = Transport.Udp.create ~engine ~node:net.Topology.a () in
-  let us = Transport.Udp.create ~engine ~node:net.Topology.b () in
+  let uc = Netsim.Udp.create ~engine ~node:net.Topology.a () in
+  let us = Netsim.Udp.create ~engine ~node:net.Topology.b () in
   let server = Rpc.server ~engine ~udp:us ~port:111 in
   let executions = ref 0 in
   Rpc.register server ~proc:1 ~args:[] (fun _ ->
@@ -169,8 +169,8 @@ let test_rpc_over_atm () =
     Topology.point_to_point ~engine ~rng ~impair:(Impair.lossy 0.003)
       ~queue_limit:8192 ~bandwidth_bps:50e6 ~delay:0.002 ~a:1 ~b:2 ()
   in
-  let io_c = Alf_core.Dgram.of_atm (Atmsim.Bearer.create ~engine ~node:net.Topology.a ()) in
-  let io_s = Alf_core.Dgram.of_atm (Atmsim.Bearer.create ~engine ~node:net.Topology.b ()) in
+  let io_c = Atmsim.Bearer.dgram (Atmsim.Bearer.create ~engine ~node:net.Topology.a ()) in
+  let io_s = Atmsim.Bearer.dgram (Atmsim.Bearer.create ~engine ~node:net.Topology.b ()) in
   let server = Rpc.server_io ~engine ~io:io_s ~port:111 in
   Rpc.register server ~proc:1 ~args:(add_frame ()) (fun v ->
       match v with

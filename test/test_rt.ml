@@ -676,8 +676,8 @@ let netsim_world ~loss () =
     Topology.point_to_point ~engine ~rng ~impair:(Impair.lossy loss)
       ~queue_limit:1024 ~bandwidth_bps:50e6 ~delay:0.002 ~a:1 ~b:2 ()
   in
-  let ua = Transport.Udp.create ~engine ~node:net.Topology.a () in
-  let ub = Transport.Udp.create ~engine ~node:net.Topology.b () in
+  let ua = Netsim.Udp.create ~engine ~node:net.Topology.a () in
+  let ub = Netsim.Udp.create ~engine ~node:net.Topology.b () in
   {
     w_sched = Engine.sched engine;
     w_io_a = Dgram.of_udp ua;

@@ -437,8 +437,8 @@ let test_deliver_views_end_to_end () =
     Topology.point_to_point ~engine ~rng ~impair:(Impair.lossy 0.0)
       ~queue_limit:1024 ~bandwidth_bps:10e6 ~delay:0.005 ~a:1 ~b:2 ()
   in
-  let ua = Transport.Udp.create ~engine ~node:net.Topology.a () in
-  let ub = Transport.Udp.create ~engine ~node:net.Topology.b () in
+  let ua = Netsim.Udp.create ~engine ~node:net.Topology.a () in
+  let ub = Netsim.Udp.create ~engine ~node:net.Topology.b () in
   let schema = Xdr.S_struct [ Xdr.S_int; Xdr.S_string; Xdr.S_array Xdr.S_int ] in
   let prog = Schema.prog_of_xdr schema in
   let key = 0xFEED_F00DL in

@@ -265,8 +265,8 @@ let test_multidomain_stress () =
     Topology.point_to_point ~engine ~rng ~impair:Impair.none
       ~queue_limit:1_000_000 ~bandwidth_bps:1e9 ~delay:1e-4 ~a:1 ~b:2 ()
   in
-  let ua = Transport.Udp.create ~engine ~node:net.Topology.a () in
-  let ub = Transport.Udp.create ~engine ~node:net.Topology.b () in
+  let ua = Netsim.Udp.create ~engine ~node:net.Topology.a () in
+  let ub = Netsim.Udp.create ~engine ~node:net.Topology.b () in
   let registry = Obs.Registry.create () in
   let pool = Par.Pool.create ~domains:2 () in
   let server =
@@ -632,8 +632,8 @@ let control_exchange () =
       ~impair:Impair.none ~queue_limit:100_000 ~bandwidth_bps:1e9 ~delay:1e-4
       ~a:1 ~b:2 ()
   in
-  let ua = Transport.Udp.create ~engine ~node:net.Topology.a () in
-  let ub = Transport.Udp.create ~engine ~node:net.Topology.b () in
+  let ua = Netsim.Udp.create ~engine ~node:net.Topology.a () in
+  let ub = Netsim.Udp.create ~engine ~node:net.Topology.b () in
   let server =
     Server.create ~sched:(Engine.sched engine) ~io:(Dgram.of_udp ub)
       ~registry:(Obs.Registry.create ())
@@ -652,13 +652,13 @@ let control_exchange () =
   let wire = ref [] in
   List.iter
     (fun port ->
-      Transport.Udp.bind ua ~port (fun ~src:_ ~src_port:_ buf ->
+      Netsim.Udp.bind ua ~port (fun ~src:_ ~src_port:_ buf ->
           wire := (port, Bytebuf.to_string buf) :: !wire))
     [ 5001; 5002; 5003 ];
   let settle () = Engine.run ~until:(Engine.now engine +. 0.001) engine in
   let send port d =
     ignore
-      (Transport.Udp.send ua ~dst:2 ~dst_port:Server.default_config.Server.port
+      (Netsim.Udp.send ua ~dst:2 ~dst_port:Server.default_config.Server.port
          ~src_port:port d)
   in
   let data port stream index =
@@ -747,8 +747,8 @@ let test_hostile_mix () =
     Topology.point_to_point ~engine ~rng ~impair:Impair.none
       ~queue_limit:1_000_000 ~bandwidth_bps:1e9 ~delay:1e-4 ~a:1 ~b:2 ()
   in
-  let ua = Transport.Udp.create ~engine ~node:net.Topology.a () in
-  let ub = Transport.Udp.create ~engine ~node:net.Topology.b () in
+  let ua = Netsim.Udp.create ~engine ~node:net.Topology.a () in
+  let ub = Netsim.Udp.create ~engine ~node:net.Topology.b () in
   let registry = Obs.Registry.create () in
   let honest = ref 0 and honest_dg = ref 0 in
   let mu = Mutex.create () in

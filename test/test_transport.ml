@@ -45,72 +45,72 @@ let test_seq32_between () =
 (* --- Rto --- *)
 
 let test_rto_initial () =
-  let r = Rto.create () in
-  Alcotest.(check (float 1e-9)) "initial" 1.0 (Rto.rto r);
-  Alcotest.(check bool) "no srtt" true (Rto.srtt r = None)
+  let r = Rt.Rto.create () in
+  Alcotest.(check (float 1e-9)) "initial" 1.0 (Rt.Rto.rto r);
+  Alcotest.(check bool) "no srtt" true (Rt.Rto.srtt r = None)
 
 let test_rto_sampling () =
-  let r = Rto.create () in
-  Rto.sample r 0.1;
-  (match Rto.srtt r with
+  let r = Rt.Rto.create () in
+  Rt.Rto.sample r 0.1;
+  (match Rt.Rto.srtt r with
   | Some v -> Alcotest.(check (float 1e-9)) "first sample" 0.1 v
   | None -> Alcotest.fail "srtt unset");
-  Alcotest.(check (float 1e-9)) "rto = srtt + 4var" 0.3 (Rto.rto r);
+  Alcotest.(check (float 1e-9)) "rto = srtt + 4var" 0.3 (Rt.Rto.rto r);
   (* Steady samples shrink the variance term. *)
   for _ = 1 to 50 do
-    Rto.sample r 0.1
+    Rt.Rto.sample r 0.1
   done;
-  Alcotest.(check bool) "converges" true (Rto.rto r < 0.15)
+  Alcotest.(check bool) "converges" true (Rt.Rto.rto r < 0.15)
 
 let test_rto_backoff () =
-  let r = Rto.create () in
-  Rto.sample r 0.1;
-  let base = Rto.rto r in
-  Rto.backoff r;
-  Alcotest.(check (float 1e-9)) "doubled" (base *. 2.0) (Rto.rto r);
-  Rto.backoff r;
-  Alcotest.(check (float 1e-9)) "doubled again" (base *. 4.0) (Rto.rto r);
-  Rto.sample r 0.1;
-  Alcotest.(check bool) "sample resets backoff" true (Rto.rto r < base *. 1.5)
+  let r = Rt.Rto.create () in
+  Rt.Rto.sample r 0.1;
+  let base = Rt.Rto.rto r in
+  Rt.Rto.backoff r;
+  Alcotest.(check (float 1e-9)) "doubled" (base *. 2.0) (Rt.Rto.rto r);
+  Rt.Rto.backoff r;
+  Alcotest.(check (float 1e-9)) "doubled again" (base *. 4.0) (Rt.Rto.rto r);
+  Rt.Rto.sample r 0.1;
+  Alcotest.(check bool) "sample resets backoff" true (Rt.Rto.rto r < base *. 1.5)
 
 let test_rto_clamps () =
-  let r = Rto.create ~min_rto:0.2 ~max_rto:1.0 () in
-  Rto.sample r 0.01;
-  Alcotest.(check (float 1e-9)) "floor" 0.2 (Rto.rto r);
+  let r = Rt.Rto.create ~min_rto:0.2 ~max_rto:1.0 () in
+  Rt.Rto.sample r 0.01;
+  Alcotest.(check (float 1e-9)) "floor" 0.2 (Rt.Rto.rto r);
   (* Backoff is capped at 2^6; 0.03 * 64 = 1.92 exceeds the ceiling. *)
-  Rto.sample r 0.01;
+  Rt.Rto.sample r 0.01;
   for _ = 1 to 10 do
-    Rto.backoff r
+    Rt.Rto.backoff r
   done;
-  Alcotest.(check (float 1e-9)) "ceiling" 1.0 (Rto.rto r)
+  Alcotest.(check (float 1e-9)) "ceiling" 1.0 (Rt.Rto.rto r)
 
 (* Karn's algorithm: an RTT measured on a retransmitted segment is
    ambiguous (the ACK may answer either transmission), so it must
    neither feed the estimator nor cancel an exponential backoff. *)
 let test_rto_karn_ignores_retransmit_samples () =
-  let r = Rto.create () in
-  Rto.sample r 0.1;
-  let settled = Rto.rto r in
+  let r = Rt.Rto.create () in
+  Rt.Rto.sample r 0.1;
+  let settled = Rt.Rto.rto r in
   (* A wildly wrong ambiguous sample must not move the estimate. *)
-  Rto.sample ~retransmitted:true r 5.0;
-  Alcotest.(check (float 1e-9)) "estimator unmoved" settled (Rto.rto r);
-  Rto.sample ~retransmitted:true r 0.0001;
-  Alcotest.(check (float 1e-9)) "still unmoved" settled (Rto.rto r)
+  Rt.Rto.sample ~retransmitted:true r 5.0;
+  Alcotest.(check (float 1e-9)) "estimator unmoved" settled (Rt.Rto.rto r);
+  Rt.Rto.sample ~retransmitted:true r 0.0001;
+  Alcotest.(check (float 1e-9)) "still unmoved" settled (Rt.Rto.rto r)
 
 let test_rto_karn_backoff_survives () =
-  let r = Rto.create () in
-  Rto.sample r 0.1;
-  let base = Rto.rto r in
-  Rto.backoff r;
-  Rto.backoff r;
+  let r = Rt.Rto.create () in
+  Rt.Rto.sample r 0.1;
+  let base = Rt.Rto.rto r in
+  Rt.Rto.backoff r;
+  Rt.Rto.backoff r;
   (* The ambiguous sample arrives while we are backing off: the shift
      must survive it... *)
-  Rto.sample ~retransmitted:true r 0.1;
+  Rt.Rto.sample ~retransmitted:true r 0.1;
   Alcotest.(check (float 1e-9)) "backoff survives ambiguous sample"
-    (base *. 4.0) (Rto.rto r);
+    (base *. 4.0) (Rt.Rto.rto r);
   (* ...and a clean sample afterwards resets it as usual. *)
-  Rto.sample r 0.1;
-  Alcotest.(check bool) "clean sample resets" true (Rto.rto r < base *. 1.5)
+  Rt.Rto.sample r 0.1;
+  Alcotest.(check bool) "clean sample resets" true (Rt.Rto.rto r < base *. 1.5)
 
 (* --- Reorder --- *)
 
@@ -462,12 +462,12 @@ let test_udp_basic () =
   let engine = Engine.create () in
   let rng = Rng.create ~seed:5L in
   let net = Topology.point_to_point ~engine ~rng ~bandwidth_bps:1e6 ~delay:0.001 ~a:1 ~b:2 () in
-  let ua = Udp.create ~engine ~node:net.Topology.a () in
-  let ub = Udp.create ~engine ~node:net.Topology.b () in
+  let ua = Netsim.Udp.create ~engine ~node:net.Topology.a () in
+  let ub = Netsim.Udp.create ~engine ~node:net.Topology.b () in
   let got = ref [] in
-  Udp.bind ub ~port:53 (fun ~src ~src_port payload ->
+  Netsim.Udp.bind ub ~port:53 (fun ~src ~src_port payload ->
       got := (src, src_port, Bytebuf.to_string payload) :: !got);
-  ignore (Udp.send ua ~dst:2 ~dst_port:53 ~src_port:1234 (buf "query"));
+  ignore (Netsim.Udp.send ua ~dst:2 ~dst_port:53 ~src_port:1234 (buf "query"));
   Engine.run_until_idle engine;
   Alcotest.(check (list (triple int int string))) "datagram" [ (1, 1234, "query") ] !got
 
@@ -475,11 +475,11 @@ let test_udp_no_port () =
   let engine = Engine.create () in
   let rng = Rng.create ~seed:6L in
   let net = Topology.point_to_point ~engine ~rng ~bandwidth_bps:1e6 ~delay:0.001 ~a:1 ~b:2 () in
-  let ua = Udp.create ~engine ~node:net.Topology.a () in
-  let ub = Udp.create ~engine ~node:net.Topology.b () in
-  ignore (Udp.send ua ~dst:2 ~dst_port:99 ~src_port:1 (buf "x"));
+  let ua = Netsim.Udp.create ~engine ~node:net.Topology.a () in
+  let ub = Netsim.Udp.create ~engine ~node:net.Topology.b () in
+  ignore (Netsim.Udp.send ua ~dst:2 ~dst_port:99 ~src_port:1 (buf "x"));
   Engine.run_until_idle engine;
-  Alcotest.(check int) "counted" 1 (Udp.stats ub).Udp.discarded_no_port
+  Alcotest.(check int) "counted" 1 (Netsim.Udp.stats ub).Netsim.Udp.discarded_no_port
 
 let test_udp_corruption_discarded () =
   let engine = Engine.create () in
@@ -488,14 +488,14 @@ let test_udp_corruption_discarded () =
     Topology.point_to_point ~engine ~rng ~impair:(Impair.make ~corrupt:1.0 ())
       ~bandwidth_bps:1e6 ~delay:0.001 ~a:1 ~b:2 ()
   in
-  let ua = Udp.create ~engine ~node:net.Topology.a () in
-  let ub = Udp.create ~engine ~node:net.Topology.b () in
+  let ua = Netsim.Udp.create ~engine ~node:net.Topology.a () in
+  let ub = Netsim.Udp.create ~engine ~node:net.Topology.b () in
   let got = ref 0 in
-  Udp.bind ub ~port:1 (fun ~src:_ ~src_port:_ _ -> incr got);
-  ignore (Udp.send ua ~dst:2 ~dst_port:1 ~src_port:1 (buf "will be corrupted"));
+  Netsim.Udp.bind ub ~port:1 (fun ~src:_ ~src_port:_ _ -> incr got);
+  ignore (Netsim.Udp.send ua ~dst:2 ~dst_port:1 ~src_port:1 (buf "will be corrupted"));
   Engine.run_until_idle engine;
   Alcotest.(check int) "not delivered" 0 !got;
-  Alcotest.(check int) "checksum discard" 1 (Udp.stats ub).Udp.discarded_checksum
+  Alcotest.(check int) "checksum discard" 1 (Netsim.Udp.stats ub).Netsim.Udp.discarded_checksum
 
 let () =
   Alcotest.run "transport"
